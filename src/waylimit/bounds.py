@@ -22,7 +22,6 @@ from .linalg import (
     Operator,
     PreconditionError,
     TheoremViolation,
-    commutator,
     expectation,
     frobenius_norm,
     identity,
@@ -82,15 +81,28 @@ def invariance_residual(model: MeasurementModel, pair: ConservationPair) -> floa
     return frobenius_norm(u.conj().T @ l @ u - l)
 
 
+def _commutator_matrix(x: Operator, y: Operator) -> np.ndarray:
+    return x.matrix @ y.matrix - y.matrix @ x.matrix
+
+
 def yanase_residual(m: Operator, l2: Operator) -> float:
     """Frobenius norm of [M, L2]; zero means the record observable is itself measurable."""
     if m.dim != l2.dim:
         raise DimensionMismatch(f"M has dim {m.dim}, L2 has dim {l2.dim}")
-    return frobenius_norm(commutator(m, l2).matrix)
+    return frobenius_norm(_commutator_matrix(m, l2))
 
 
-def _identity_sides(model: MeasurementModel, pair: ConservationPair):
-    """[N, L_total] and its ACL-derived equivalent, as raw matrices."""
+def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair) -> float:
+    """Residual of the ACL-derived commutator identity; requires a conservative model.
+
+    Both sides are built densely on the composite space,
+    [N, L1 x I + I x L2] = U^dag (I x [M, L2]) U - [A, L1] x I, so this stays
+    an independent check of the reduced form the bounds are evaluated from.
+    """
+    r = acl_residual(model, pair)
+    if r >= ACL_PRECONDITION_TOL:
+        raise PreconditionError(
+            f"commutator identity assumes the conservation law, acl residual {r:.3e}")
     n = noise_operator(model).matrix
     ltot = pair.total().matrix
     lhs = n @ ltot - ltot @ n
@@ -101,17 +113,7 @@ def _identity_sides(model: MeasurementModel, pair: ConservationPair):
     l1i = tensor(pair.L1, identity(model.probe_dim)).matrix
     probe_term = u.conj().T @ (im @ il2 - il2 @ im) @ u
     object_term = ai @ l1i - l1i @ ai
-    return lhs, probe_term - object_term
-
-
-def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair) -> float:
-    """Residual of the ACL-derived commutator identity; requires a conservative model."""
-    r = acl_residual(model, pair)
-    if r >= ACL_PRECONDITION_TOL:
-        raise PreconditionError(
-            f"commutator identity assumes the conservation law, acl residual {r:.3e}")
-    lhs, rhs = _identity_sides(model, pair)
-    return frobenius_norm(lhs - rhs)
+    return frobenius_norm(lhs - (probe_term - object_term))
 
 
 def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
@@ -155,33 +157,51 @@ def _bounded_ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _variance_denominator(model: MeasurementModel, pair: ConservationPair, v: Ket) -> float:
-    d1 = variance(tensor(pair.L1, identity(model.probe_dim)), v)
-    d2 = variance(tensor(identity(model.object_dim), pair.L2), v)
-    return 4.0 * d1 + 4.0 * d2
+def _state_bound(mean: complex, model: MeasurementModel, pair: ConservationPair,
+                 psi: Ket) -> float:
+    """|mean|^2 over the variance of L1 x I + I x L2 in psi x xi, times 4.
+
+    On a product state that variance is var(L1, psi) + var(L2, xi)
+    (variance additivity), so no composite operator is built.
+    """
+    den = 4.0 * variance(pair.L1, psi) + 4.0 * variance(pair.L2, model.xi)
+    return _bounded_ratio(abs(mean) ** 2, den)
+
+
+def _object_mean(x: np.ndarray, psi: Ket) -> complex:
+    return complex(np.vdot(psi.amplitudes, x @ psi.amplitudes))
 
 
 def fundamental_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
-    """Lower bound on the squared noise implied by the conservation law alone."""
+    """Lower bound on the squared noise implied by the conservation law alone.
+
+    The numerator is |<psi| Y^dag (I x [M, L2]) Y - [A, L1] |psi>|^2 with
+    Y = U (I x xi) from the model's cached reduced form, the probe-traced
+    expectation of the ACL side of the commutator identity; the denominator
+    is 4 var(L1, psi) + 4 var(L2, xi).
+    """
     _check_pair(model, pair)
-    v = model.composite_state(psi)
-    _, rhs_matrix = _identity_sides(model, pair)
-    mean = complex(np.vdot(v.amplitudes, rhs_matrix @ v.amplitudes))
-    return _bounded_ratio(abs(mean) ** 2, _variance_denominator(model, pair, v))
+    model.check_object_state(psi)
+    # U (psi x xi) as a (d_o, d_p) array; I x [M, L2] acts on its probe index
+    after = (model.reduced.y @ psi.amplitudes).reshape(model.object_dim, model.probe_dim)
+    probe_mean = complex(np.vdot(after, after @ _commutator_matrix(model.M, pair.L2).T))
+    mean = probe_mean - _object_mean(_commutator_matrix(model.A, pair.L1), psi)
+    return _state_bound(mean, model, pair, psi)
 
 
 def yanase_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
-    """The conservation-law bound once the record observable commutes with L2."""
+    """The conservation-law bound once the record observable commutes with L2.
+
+    The numerator reduces to |<psi|[A, L1]|psi>|^2; the denominator is the
+    same as the fundamental bound's.
+    """
     _check_pair(model, pair)
     r = yanase_residual(model.M, pair.L2)
     if r >= YANASE_PRECONDITION_TOL:
         raise PreconditionError(f"Yanase condition fails, [M, L2] residual {r:.3e}")
-    v = model.composite_state(psi)
-    ai = tensor(model.A, identity(model.probe_dim)).matrix
-    l1i = tensor(pair.L1, identity(model.probe_dim)).matrix
-    comm = ai @ l1i - l1i @ ai
-    mean = complex(np.vdot(v.amplitudes, comm @ v.amplitudes))
-    return _bounded_ratio(abs(mean) ** 2, _variance_denominator(model, pair, v))
+    model.check_object_state(psi)
+    return _state_bound(_object_mean(_commutator_matrix(model.A, pair.L1), psi),
+                        model, pair, psi)
 
 
 def _spin_xyz():

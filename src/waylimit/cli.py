@@ -3,8 +3,10 @@
 This module owns the on-disk schemas. Complex scalars are two-element
 [re, im] arrays, kets are arrays of those, matrices are nested row-major
 arrays, and infinities are serialized as the string "inf". Exit codes are
-0 (all applicable inequalities hold), 1 (input problem), and 2 (an
-inequality that is a theorem failed, the regression alarm).
+0 (all applicable inequalities hold), 1 (input problem, or an internal
+error, which is labeled as such), and 2 (an inequality that is a theorem
+failed, the regression alarm). Set WAYLIMIT_DEBUG=1 to print the traceback
+of an internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -32,6 +35,7 @@ from .linalg import (
     HERMITIAN_TOL,
     Ket,
     Operator,
+    PreconditionError,
     StructureError,
     TheoremViolation,
     UNITARY_TOL,
@@ -392,7 +396,10 @@ def _load_optimize_config(path: str):
     probe = doc.get("probe") or {"family": "spin_ladder", "size": 2}
     if "family" in probe:
         if probe["family"] == "spin_ladder":
-            l2, m, xi = spin_ladder_probe(int(probe.get("size", 2)))
+            try:
+                l2, m, xi = spin_ladder_probe(int(probe.get("size", 2)))
+            except (TypeError, ValueError) as exc:
+                raise CliInputError(f"probe.size: {exc}") from exc
         elif probe["family"] == "oscillator":
             alpha = _complex_from_json(probe.get("alpha", [0.0, 0.0]), "probe.alpha")
             beta = _complex_from_json(probe.get("beta", [0.0, 0.0]), "probe.beta")
@@ -413,8 +420,13 @@ def _load_optimize_config(path: str):
 
     pair = ConservationPair(L1=l1, L2=l2)
     psi_spec = doc.get("psi", "alpha_y")
-    psi = named_state(psi_spec) if isinstance(psi_spec, str) \
-        else ket_from_json(psi_spec, "psi")
+    if isinstance(psi_spec, str):
+        try:
+            psi = named_state(psi_spec)
+        except ValueError as exc:
+            raise CliInputError(f"psi: {exc}") from exc
+    else:
+        psi = ket_from_json(psi_spec, "psi")
     if psi.dim != a.dim:
         raise CliInputError(f"psi: ket has dim {psi.dim}, expected {a.dim}")
 
@@ -424,7 +436,13 @@ def _load_optimize_config(path: str):
     elif theta0 == "swap":
         theta0_value = tuple(_swap_theta(commutant_basis(pair.total())))
     elif isinstance(theta0, list):
-        theta0_value = tuple(float(t) for t in theta0)
+        try:
+            theta0_value = tuple(float(t) for t in theta0)
+        except (TypeError, ValueError) as exc:
+            raise CliInputError(f"theta0: {exc}") from exc
+        size = commutant_basis(pair.total()).size
+        if len(theta0_value) != size:
+            raise CliInputError(f"theta0: has length {len(theta0_value)}, expected {size}")
     else:
         raise CliInputError(f"theta0: expected 'zero', 'swap', or a list, got {theta0!r}")
 
@@ -446,7 +464,11 @@ def _load_optimize_config(path: str):
 
 def cmd_optimize(args) -> int:
     a, pair, m, xi, psi, config = _load_optimize_config(args.config)
-    run = optimize_noise(a, pair, m, xi, psi, config)
+    try:
+        run = optimize_noise(a, pair, m, xi, psi, config)
+    except (DimensionMismatch, PreconditionError) as exc:
+        # the config's operators do not fit together or break the Yanase condition
+        raise CliInputError(str(exc)) from exc
     payload = {
         "schema": SCHEMA_VERSION,
         "seed": run.seed,
@@ -555,7 +577,10 @@ def main(argv=None) -> int:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # the exit contract allows {0, 1, 2} only
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if os.environ.get("WAYLIMIT_DEBUG") == "1":
+            import traceback  # only on this path, to keep start-up light
+            traceback.print_exc(file=sys.stderr)
         return 1
 
 

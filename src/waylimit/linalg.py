@@ -131,9 +131,6 @@ class Operator:
     def has(self, tag: str) -> bool:
         return tag in self.structure
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.structure)
-
     @classmethod
     def hermitian(cls, matrix) -> "Operator":
         return cls(matrix, frozenset({"hermitian"}))

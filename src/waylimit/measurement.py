@@ -3,13 +3,21 @@
 A model is the tuple (probe state xi, interaction U, record observable M)
 together with the object observable A it is meant to measure. All statistics
 are computed in the Heisenberg picture: the recorded quantity after the
-interaction is U^dag (I x M) U and the noise operator is its mismatch with
+interaction is U^dag (I x M) U and the noise operator N is its mismatch with
 A x I.
+
+Per-state figures (noise, worst-case noise, the conservation-law bounds) are
+read off the model's reduced form, where the probe state is already traced
+in: two D x d_o matrices (D = d_o d_p) built once per model in O(D^2 d_o),
+then O(D d_o) work per state.
+The dense composite-space operators stay available for the statistics and
+for the derivation-chain checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,12 +70,48 @@ class MeasurementModel:
         if not self.A.has("hermitian"):
             raise StructureError("A must carry the hermitian tag")
 
-    def composite_state(self, psi: Ket) -> Ket:
+    def check_object_state(self, psi: Ket):
         if psi.dim != self.object_dim:
             raise DimensionMismatch(f"psi has dim {psi.dim}, expected object_dim {self.object_dim}")
         if not psi.normalized:
             raise StructureError("object state psi must be normalized")
+
+    def composite_state(self, psi: Ket) -> Ket:
+        self.check_object_state(psi)
         return tensor(psi, self.xi)
+
+    @cached_property
+    def reduced(self) -> "ReducedForm":
+        """The model with xi traced in, built on first use and kept.
+
+        The model is frozen and its arrays are read-only, so the cached form
+        cannot go stale.
+        """
+        do, dp = self.object_dim, self.probe_dim
+        u, xi = self.U.matrix, self.xi.amplitudes
+        # U (I x xi) as a (do, dp, do) tensor: contract U's input probe index
+        y = u.reshape(do, dp, do, dp) @ xi
+        # U^dag (I x M) U (I x xi) - (A x xi), with M acting on the probe index
+        recorded = u.conj().T @ (self.M.matrix @ y).reshape(-1, do)
+        w = recorded - (self.A.matrix[:, None, :] * xi[None, :, None]).reshape(-1, do)
+        return ReducedForm(y.reshape(-1, do), w)
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedForm:
+    """Two D x d_o matrices (D = d_o d_p) that carry every per-state figure.
+
+    y = U (I x xi) maps an object state psi to the composite state after the
+    interaction, U (psi x xi); w = N (I x xi) maps it to N (psi x xi). So
+    eps(psi) = ||w psi||, and the worst case is the top singular value of w.
+    """
+
+    y: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        self.y.setflags(write=False)
+        self.w.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,25 +194,24 @@ def noise_operator(model: MeasurementModel) -> Operator:
 
 
 def noise(model: MeasurementModel, psi: Ket) -> float:
-    """Root-mean-square error of the record for input state psi."""
-    v = model.composite_state(psi).amplitudes
-    nv = noise_operator(model).matrix @ v
-    return float(np.linalg.norm(nv))
+    """Root-mean-square error of the record for input state psi.
+
+    Evaluated as ||W psi|| on the model's cached reduced form, W = N (I x xi),
+    which equals ||N (psi x xi)|| without building the composite operator.
+    """
+    model.check_object_state(psi)
+    return float(np.linalg.norm(model.reduced.w @ psi.amplitudes))
 
 
 def sup_noise(model: MeasurementModel) -> float:
     """Least upper bound of the noise over all input states.
 
-    Computed exactly as the largest eigenvalue of the object-space partial
-    expectation of the squared noise operator in the probe state.
+    Computed exactly as sqrt of the largest eigenvalue of W^dag W, the
+    object-space partial expectation of the squared noise operator in the
+    probe state, with W = N (I x xi) from the model's cached reduced form.
     """
-    n = noise_operator(model).matrix
-    n2 = n @ n
-    do, dp = model.object_dim, model.probe_dim
-    t = n2.reshape(do, dp, do, dp)
-    xi = model.xi.amplitudes
-    b = np.einsum("p,ipjq,q->ij", xi.conj(), t, xi)
-    top = float(np.linalg.eigvalsh(b)[-1])
+    w = model.reduced.w
+    top = float(np.linalg.eigvalsh(w.conj().T @ w)[-1])
     return float(np.sqrt(max(top, 0.0)))
 
 

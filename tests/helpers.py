@@ -28,12 +28,15 @@ CNOT_Z_CONTROL_X_FLIP = np.array([
 
 
 def random_conservative_model(rng, object_dim=None, probe_dim=None,
-                              spin_scenario=None, probe_ladder=None):
-    """Draw (model, pair) with U from the commutant map and [M, L2] = 0.
+                              spin_scenario=None, probe_ladder=None,
+                              yanase=True):
+    """Draw (model, pair) with U from the commutant map and, by default, [M, L2] = 0.
 
     Half the probe draws use the spin-j ladder spectrum in a random basis so
     the total conserved quantity has genuinely degenerate sectors; half the
-    two-level-object draws use the spin scenario (A = S_x, L1 = S_z).
+    two-level-object draws use the spin scenario (A = S_x, L1 = S_z). With
+    yanase=False the record observable M is a random hermitian matrix, so
+    [M, L2] != 0 and the probe term of the fundamental bound survives.
     """
     od = object_dim if object_dim else int(rng.integers(2, 5))
     pd = probe_dim if probe_dim else int(rng.integers(2, 9))
@@ -55,10 +58,13 @@ def random_conservative_model(rng, object_dim=None, probe_dim=None,
     vbasis = w.random_unitary(pd, rng).matrix
     l2 = w.Operator.hermitian((vbasis * vals) @ vbasis.conj().T)
 
-    com_l2 = w.commutant_basis(l2)
-    coeff = rng.standard_normal(com_l2.size)
-    m_mat = sum(c * g.matrix for c, g in zip(coeff, com_l2.generators))
-    m = w.Operator.hermitian((m_mat + m_mat.conj().T) / 2.0)
+    if yanase:
+        com_l2 = w.commutant_basis(l2)
+        coeff = rng.standard_normal(com_l2.size)
+        m_mat = sum(c * g.matrix for c, g in zip(coeff, com_l2.generators))
+        m = w.Operator.hermitian((m_mat + m_mat.conj().T) / 2.0)
+    else:
+        m = w.random_hermitian(pd, rng)
 
     pair = w.ConservationPair(L1=l1, L2=l2)
     basis = w.commutant_basis(pair.total())

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import waylimit as w
 from helpers import CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, random_conservative_model
@@ -316,3 +317,111 @@ def test_bound_report_demo_models():
     assert report.yanase_bound == pytest.approx(0.125, abs=1e-12)
     assert report.spin_bound == pytest.approx(0.125, abs=1e-12)
     assert report.violations() == ()
+
+
+# Reduced-form figures against composite-space np.kron formulas. The models
+# with yanase=False have [M, L2] != 0, so the probe term
+# Y^dag (I x [M, L2]) Y of the fundamental bound is nonzero there.
+
+ORACLE_TOL = 1e-10
+
+
+def _dense_ratio(num, den):
+    if den < 1e-14:
+        return 0.0 if num < 1e-14 else math.inf
+    return num / den
+
+
+def _dense_figures(model, pair, psi):
+    """(eps^2, sup noise, fundamental bound, Yanase-form bound) on the composite space."""
+    io, ip = np.eye(model.object_dim), np.eye(model.probe_dim)
+    xi = model.xi.amplitudes
+    u = model.U.matrix
+    im, il2 = np.kron(io, model.M.matrix), np.kron(io, pair.L2.matrix)
+    ai, l1i = np.kron(model.A.matrix, ip), np.kron(pair.L1.matrix, ip)
+    n = u.conj().T @ im @ u - ai
+    v = np.kron(psi.amplitudes, xi)
+    eps_sq = float(np.linalg.norm(n @ v) ** 2)
+    embed = np.kron(io, xi[:, None])            # psi -> psi x xi
+    top = np.linalg.eigvalsh(embed.conj().T @ n @ n @ embed)[-1]
+    sup = float(np.sqrt(max(top, 0.0)))
+    object_term = ai @ l1i - l1i @ ai
+    rhs = u.conj().T @ (im @ il2 - il2 @ im) @ u - object_term
+    total = l1i + il2
+    tv = total @ v
+    den = 4.0 * (np.vdot(tv, tv).real - np.vdot(v, tv).real ** 2)
+    fb = _dense_ratio(abs(np.vdot(v, rhs @ v)) ** 2, den)
+    yb = _dense_ratio(abs(np.vdot(v, object_term @ v)) ** 2, den)
+    return eps_sq, sup, fb, yb
+
+
+def _assert_matches_dense(model, pair, psi):
+    eps_sq, sup, fb, yb = _dense_figures(model, pair, psi)
+    assert w.noise(model, psi) ** 2 == pytest.approx(eps_sq, rel=ORACLE_TOL, abs=ORACLE_TOL)
+    assert w.sup_noise(model) == pytest.approx(sup, rel=ORACLE_TOL, abs=ORACLE_TOL)
+    assert w.fundamental_bound(model, pair, psi) == \
+        pytest.approx(fb, rel=ORACLE_TOL, abs=ORACLE_TOL)
+    if w.yanase_residual(model.M, pair.L2) < 1e-9:
+        assert w.yanase_bound(model, pair, psi) == \
+            pytest.approx(yb, rel=ORACLE_TOL, abs=ORACLE_TOL)
+    return fb, yb
+
+
+def test_reduced_form_matches_dense_with_probe_term():
+    rng = np.random.default_rng(RNG_SEED)
+    largest_probe_effect = 0.0
+    for _ in range(100):
+        model, pair = random_conservative_model(rng, yanase=False)
+        psi = w.random_ket(model.object_dim, rng)
+        fb, yb = _assert_matches_dense(model, pair, psi)
+        largest_probe_effect = max(largest_probe_effect, abs(fb - yb))
+        assert w.noise(model, psi) ** 2 >= fb - 1e-9
+    # the probe term genuinely moves the bound on these models
+    assert largest_probe_effect > 1e-3
+
+
+def test_reduced_form_matches_dense_yanase_models():
+    rng = np.random.default_rng(RNG_SEED + 1)
+    for _ in range(100):
+        model, pair = random_conservative_model(rng)
+        _assert_matches_dense(model, pair, w.random_ket(model.object_dim, rng))
+
+
+def test_bound_convention_at_joint_eigenstates():
+    # psi and xi eigenstates of L1 and L2: both variances vanish
+    sx, _, sz = w.spin_operators()
+    pair = w.ConservationPair(L1=sz, L2=sz)
+    psi, xi = w.spin_basis("z").up, w.spin_basis("z").down
+    # conservative: U (psi x xi) stays in one sector, so the numerator vanishes too
+    swap, _ = w.swap_demo_model()
+    conservative = w.MeasurementModel(2, 2, xi, swap.U, sx, sx)
+    assert w.fundamental_bound(conservative, pair, psi) == 0.0
+    assert _dense_figures(conservative, pair, psi)[2] == 0.0
+    commuting = w.MeasurementModel(2, 2, xi, swap.U, sz, sx)
+    assert w.yanase_bound(commuting, pair, psi) == 0.0
+    assert _dense_figures(commuting, pair, psi)[3] == 0.0
+    # a probe rotation breaks the conservation law; <[M, L2]> survives while
+    # both variances are 0, so no finite noise satisfies the bound
+    rx = np.cos(np.pi / 4) * np.eye(2) - 2j * np.sin(np.pi / 4) * sx.matrix
+    rotated = w.MeasurementModel(2, 2, xi, w.Operator.unitary(np.kron(np.eye(2), rx)),
+                                 sx, sx)
+    assert w.acl_residual(rotated, pair) > 0.1
+    assert math.isinf(w.fundamental_bound(rotated, pair, psi))
+    assert math.isinf(_dense_figures(rotated, pair, psi)[2])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), object_dim=st.integers(2, 4),
+       probe_dim=st.integers(2, 8), spin=st.booleans(), ladder=st.booleans(),
+       yanase=st.booleans())
+def test_property_master_inequality_and_dense_agreement(seed, object_dim, probe_dim,
+                                                        spin, ladder, yanase):
+    rng = np.random.default_rng(seed)
+    model, pair = random_conservative_model(
+        rng, object_dim, probe_dim, spin_scenario=spin and object_dim == 2,
+        probe_ladder=ladder, yanase=yanase)
+    psi = w.random_ket(model.object_dim, rng)
+    assert w.noise(model, psi) ** 2 >= w.fundamental_bound(model, pair, psi) - 1e-9
+    _assert_matches_dense(model, pair, psi)
+    assert w.variance_additivity_residual(pair, psi, model.xi) < 1e-10
+    assert w.commutator_identity_residual(model, pair) < 1e-9

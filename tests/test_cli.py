@@ -265,3 +265,43 @@ def test_model_dict_roundtrip_exact():
     np.testing.assert_array_equal(reparsed.U.matrix, model.U.matrix)
     np.testing.assert_array_equal(repair.L2.matrix, pair.L2.matrix)
     np.testing.assert_array_equal(reparsed.xi.amplitudes, model.xi.amplitudes)
+
+
+def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypatch):
+    import waylimit.cli as cli_module
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("forced internal failure")
+
+    _, out, _ = run_cli(capsys, "demo", "swap")
+    path = tmp_path / "swap.json"
+    path.write_text(out)
+    monkeypatch.setattr(cli_module, "bound_report", broken)
+    monkeypatch.delenv("WAYLIMIT_DEBUG", raising=False)
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith("internal error: RuntimeError: forced internal failure")
+    assert "Traceback" not in err
+    monkeypatch.setenv("WAYLIMIT_DEBUG", "1")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert "Traceback" in err and "forced internal failure" in err
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"probe": {"family": "spin_ladder", "size": 1}}, "probe.size"),
+    ({"psi": "gamma_q"}, "psi"),
+    ({"theta0": [0.1, 0.2]}, "theta0"),
+    ({"probe": {"L2": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+                "M": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]],
+                "xi": [[1, 0], [0, 0]]}}, "Yanase"),
+    ({"object": {"L1": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
+                        [[0, 0], [0, 0], [0, 0]]]}}, "dim"),
+])
+def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"restarts": 1, "max_iters": 1, **config}))
+    code, _, err = run_cli(capsys, "optimize", str(path))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert field in err

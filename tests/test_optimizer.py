@@ -235,3 +235,29 @@ def test_soundness_guard_never_trips_on_valid_problems():
         w.optimize_noise(sx, pair, m, xi, w.named_state("alpha_y"),
                          w.OptimizerConfig(restarts=2, max_iters=40,
                                            seed=int(rng.integers(1000))))
+
+
+def test_optimize_xi_moves_the_probe_state():
+    # a moving probe state is the case a stale per-model cache would expose
+    sx, _, sz = w.spin_operators()
+    l2, m, _ = w.spin_ladder_probe(3)
+    # the ladder's own sine profile does not move under the descent (its xi
+    # gradient stays ~0), so start from an asymmetric state
+    raw = np.array([1.0, 0.5j, 0.25])
+    xi0 = w.Ket(raw / np.linalg.norm(raw))
+    pair = w.ConservationPair(L1=sz, L2=l2)
+    psi = w.named_state("alpha_y")
+    config = w.OptimizerConfig(restarts=1, max_iters=4, seed=3, optimize_xi=True)
+    run = w.optimize_noise(sx, pair, m, xi0, psi, config)
+    xi = run.result_model.xi
+    assert xi.normalized
+    assert xi.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(xi.amplitudes - xi0.amplitudes) > 1e-6
+    assert run.final_objective == pytest.approx(w.noise(run.result_model, psi) ** 2,
+                                                abs=1e-12)
+    assert run.final_objective >= w.yanase_bound(run.result_model, pair, psi) - 1e-9
+    again = w.optimize_noise(sx, pair, m, xi0, psi, config)
+    assert again.objective_trace == run.objective_trace
+    assert again.theta.tobytes() == run.theta.tobytes()
+    assert again.result_model.xi.amplitudes.tobytes() == xi.amplitudes.tobytes()
+    assert again.result_model.U.matrix.tobytes() == run.result_model.U.matrix.tobytes()
