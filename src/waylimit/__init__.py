@@ -18,7 +18,6 @@ from .linalg import (
     SpectralDecomposition,
     StructureError,
     TheoremViolation,
-    basis_ket,
     commutator,
     expectation,
     frobenius_norm,
@@ -29,7 +28,6 @@ from .linalg import (
     spectral,
     tensor,
     variance,
-    zero_operator,
 )
 from .measurement import (
     MeasurementModel,
@@ -50,7 +48,6 @@ from .bounds import (
     bound_report,
     commutator_identity_residual,
     fundamental_bound,
-    invariance_residual,
     optimal_spin_bound,
     spin_bound,
     uncertainty_pair,

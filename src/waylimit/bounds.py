@@ -73,14 +73,6 @@ def acl_residual(model: MeasurementModel, pair: ConservationPair) -> float:
     return frobenius_norm(u @ l - l @ u)
 
 
-def invariance_residual(model: MeasurementModel, pair: ConservationPair) -> float:
-    """Frobenius norm of U^dag (L1 x I + I x L2) U - (L1 x I + I x L2)."""
-    _check_pair(model, pair)
-    u = model.U.matrix
-    l = pair.total().matrix
-    return frobenius_norm(u.conj().T @ l @ u - l)
-
-
 def _commutator_matrix(x: Operator, y: Operator) -> np.ndarray:
     return x.matrix @ y.matrix - y.matrix @ x.matrix
 

@@ -3,9 +3,9 @@
 This module owns the on-disk schemas. Complex scalars are two-element
 [re, im] arrays, kets are arrays of those, matrices are nested row-major
 arrays, and infinities are serialized as the string "inf". Exit codes are
-0 (all applicable inequalities hold), 1 (input problem, or an internal
-error, which is labeled as such), and 2 (an inequality that is a theorem
-failed, the regression alarm). Set WAYLIMIT_DEBUG=1 to print the traceback
+0 (all applicable inequalities hold), 1 (input problem, a sweep in which
+every size failed, or an internal error, which is labeled as such), and 2
+(an inequality that is a theorem failed, the regression alarm). Set WAYLIMIT_DEBUG=1 to print the traceback
 of an internal error.
 """
 
@@ -208,16 +208,27 @@ def model_from_dict(doc: dict):
     return model, pair, metadata
 
 
-def load_model_file(path: str):
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliInputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return model_from_dict(doc)
+
+
+def _write_text(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+
+
+def load_model_file(path: str):
+    return model_from_dict(_read_json(path))
 
 
 def yw_model_to_dict(yw) -> dict:
@@ -310,20 +321,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.family == "spin_ladder":
-        try:
-            sizes = [int(s) for s in args.sizes.split(",") if s]
-        except ValueError as exc:
-            raise CliInputError(f"--sizes: {exc}") from exc
-    else:
-        try:
-            sizes = [float(s) for s in args.sizes.split(",") if s]
-        except ValueError as exc:
-            raise CliInputError(f"--sizes: {exc}") from exc
+    parse_size = int if args.family == "spin_ladder" else float
+    try:
+        sizes = [parse_size(s) for s in args.sizes.split(",") if s]
+    except ValueError as exc:
+        raise CliInputError(f"--sizes: {exc}") from exc
     if not sizes:
         raise CliInputError("--sizes: need at least one size")
-    config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters,
-                             seed=args.seed)
+    try:
+        config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters,
+                                 seed=args.seed)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
     rows = sweep_probe_size(args.family, sizes, config, n_max=args.n_max)
     lines = ["family,size,var_mz,bound,achieved,gap_ratio,seed"]
     for row in rows:
@@ -333,13 +342,9 @@ def cmd_sweep(args) -> int:
             row.family, _fmt(row.size), _fmt(row.var_mz), _fmt(row.bound),
             _fmt(row.achieved), _fmt(row.gap_ratio), str(row.seed),
         ]))
-    text = "\n".join(lines) + "\n"
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise CliInputError(f"cannot write {args.out}: {exc}") from exc
-    return 0
+    _write_text(args.out, "\n".join(lines) + "\n")
+    # a sweep in which no size succeeded must not look like a success
+    return 1 if all(row.error for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +377,7 @@ def _swap_theta(basis) -> np.ndarray:
 
 
 def _load_optimize_config(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliInputError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CliInputError("config must be a JSON object")
 
@@ -392,6 +390,8 @@ def _load_optimize_config(path: str):
     obj = doc.get("object") or {}
     a = _observable_from_config(obj.get("A", "s_x"), "object.A")
     l1 = _observable_from_config(obj.get("L1", "s_z"), "object.L1")
+    if l1.dim != a.dim:
+        raise CliInputError(f"object.L1: has dim {l1.dim}, expected {a.dim} to match object.A")
 
     probe = doc.get("probe") or {"family": "spin_ladder", "size": 2}
     if "family" in probe:
@@ -488,11 +488,7 @@ def cmd_optimize(args) -> int:
     }
     text = _dump_json(payload)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise CliInputError(f"cannot write {args.out}: {exc}") from exc
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -536,8 +532,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--state", default="alpha_y",
                           help="named state (alpha_x..beta_z) or inline JSON ket")
     p_verify.add_argument("--csv", action="store_true", help="emit a CSV row instead of JSON")
-    p_verify.add_argument("--json", dest="as_json", action="store_true",
-                          help="emit JSON (the default)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="bound vs achieved error over probe sizes")

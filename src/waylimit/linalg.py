@@ -184,16 +184,6 @@ def identity(dim: int) -> Operator:
     return Operator(np.eye(dim), frozenset({"hermitian", "unitary"}))
 
 
-def zero_operator(dim: int) -> Operator:
-    return Operator.hermitian(np.zeros((dim, dim)))
-
-
-def basis_ket(dim: int, index: int) -> Ket:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return Ket(v)
-
-
 def tensor(a, b):
     """Kronecker product of two kets or two operators (first factor's index is slow)."""
     if isinstance(a, Ket) and isinstance(b, Ket):

@@ -12,8 +12,6 @@ or made.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +43,8 @@ COMMUTANT_MERGE_TOL = 1e-12
 GENERATOR_COMMUTATION_TOL = 1e-11
 SOUNDNESS_SLACK = 1e-9
 MAX_OSCILLATOR_N_MAX = 5
+INIT_STEP = 0.5
+MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,15 +149,13 @@ class OptimizerConfig:
     objective: str = "state"          # "state" minimizes eps(psi)^2, "sup" the worst case
     optimize_xi: bool = False
     theta0: Optional[tuple] = None    # None means the zero vector (U = identity)
-    init_step: float = 0.5
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if self.objective not in ("state", "sup"):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.max_iters < 0 or self.grad_step <= 0 or self.init_step <= 0:
+        if self.max_iters < 0 or self.grad_step <= 0:
             raise ValueError("invalid optimizer parameters")
 
 
@@ -186,15 +184,6 @@ def numerical_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
         backward[i] -= step
         g[i] = (f(forward) - f(backward)) / (2.0 * step)
     return g
-
-
-def _worker_count(tasks: int) -> int:
-    raw = os.environ.get("WAYLIMIT_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return min(tasks, cap)
 
 
 class _Problem:
@@ -242,7 +231,7 @@ class _Problem:
         e = noise(model, self.psi)
         return e * e
 
-    def check_soundness(self, x: np.ndarray, value: float):
+    def check_soundness(self, x: np.ndarray):
         model = self.model_at(x)
         e = noise(model, self.psi)
         floor = yanase_bound(model, self.pair, self.psi)
@@ -289,9 +278,9 @@ class _Problem:
         cfg = self.config
         x = self.initial_point(restart)
         f = self.objective(x)
-        self.check_soundness(x, f)
+        self.check_soundness(x)
         trace = [f]
-        step = cfg.init_step
+        step = INIT_STEP
         converged = False
         for _ in range(cfg.max_iters):
             g = numerical_gradient(self.objective, x, cfg.grad_step)
@@ -301,7 +290,7 @@ class _Problem:
                 break
             alpha = step / max(gnorm, 1.0)
             accepted = False
-            for _ in range(cfg.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 x_try = self._regauge(x - alpha * g)
                 f_try = self.objective(x_try)
                 if f_try < f - 1e-15:
@@ -313,7 +302,7 @@ class _Problem:
                 break
             x, f = x_try, f_try
             trace.append(f)
-            self.check_soundness(x, f)
+            self.check_soundness(x)
             step = min(alpha * max(gnorm, 1.0) * 2.0, 4.0)
         return f, tuple(trace), x, converged
 
@@ -323,18 +312,12 @@ def optimize_noise(a: Operator, pair: ConservationPair, m: Operator, xi0: Ket,
     """Minimize the (squared) noise over conservative interactions.
 
     Restart 0 starts from theta0 (the identity interaction by default); the
-    remaining restarts start from seeded random coefficients. Restarts are
-    independent, may run in parallel (capped by WAYLIMIT_THREADS), and the
-    winner is selected by lowest objective with the restart index as the
-    deterministic tie break.
+    remaining restarts start from seeded random coefficients. Restarts run
+    one after another, and the winner is selected by lowest objective with
+    the restart index as the deterministic tie break.
     """
     problem = _Problem(a, pair, m, xi0, psi, config)
-    workers = _worker_count(config.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(problem.descend, range(config.restarts)))
-    else:
-        results = [problem.descend(r) for r in range(config.restarts)]
+    results = [problem.descend(r) for r in range(config.restarts)]
 
     best_index = min(range(len(results)), key=lambda r: (results[r][0], r))
     best_f, best_trace, best_x, best_converged = results[best_index]

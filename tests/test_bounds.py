@@ -19,6 +19,8 @@ def test_acl_residual_swap():
     assert oracle == 0.0
     model, pair = w.swap_demo_model()
     assert w.acl_residual(model, pair) < 1e-12
+    trivial, tpair = w.trivial_demo_model()
+    assert w.acl_residual(trivial, tpair) == 0.0
 
 
 def test_acl_residual_cnot_violates():
@@ -37,24 +39,6 @@ def test_acl_residual_exp_map_constructions():
     for _ in range(20):
         model, pair = random_conservative_model(rng)
         assert w.acl_residual(model, pair) < 1e-10
-
-
-def test_invariance_residual_matches_acl():
-    model, pair = w.swap_demo_model()
-    assert w.invariance_residual(model, pair) < 1e-12
-    trivial, tpair = w.trivial_demo_model()
-    assert w.invariance_residual(trivial, tpair) == 0.0
-    _, _, sz = w.spin_operators()
-    cnot = w.MeasurementModel(2, 2, w.spin_basis("z").up,
-                              w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sz)
-    cnot_pair = w.ConservationPair(L1=sz, L2=sz)
-    assert w.invariance_residual(cnot, cnot_pair) > 1e-9
-    rng = np.random.default_rng(RNG_SEED)
-    for _ in range(20):
-        m, p = random_conservative_model(rng)
-        acl = w.acl_residual(m, p)
-        inv = w.invariance_residual(m, p)
-        assert (acl < 1e-9) == (inv < 1e-9)
 
 
 def test_yanase_residual_values():

@@ -1,6 +1,10 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,37 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys):
     assert "sizes" in err
 
 
+def test_sweep_in_which_every_size_fails_exits_one(tmp_path, capsys):
+    out = tmp_path / "osc.csv"
+    code, _, err = run_cli(capsys, "sweep", "--family", "oscillator",
+                           "--sizes", "1,2", "--out", str(out))
+    assert code == 1
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 2
+    assert all(r.split(",")[4] == "nan" for r in rows)
+    assert err.startswith("size 1 failed: ")
+    assert "size 2 failed: " in err
+
+
+@pytest.mark.parametrize("option", [["--restarts", "0"], ["--max-iters", "-1"]])
+def test_sweep_invalid_optimizer_options_are_input_errors(tmp_path, capsys, option):
+    code, _, err = run_cli(capsys, "sweep", "--family", "spin_ladder", "--sizes", "2",
+                           "--out", str(tmp_path / "x.csv"), *option)
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_cli_import_skips_concurrent_futures():
+    # a cold `waylimit` start should not pay for importing a thread pool
+    src = str(Path(w.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, waylimit.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 def test_optimize_default_config(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 4, "restarts": 3, "max_iters": 40}))
@@ -296,7 +331,7 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
                 "M": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]],
                 "xi": [[1, 0], [0, 0]]}}, "Yanase"),
     ({"object": {"L1": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
-                        [[0, 0], [0, 0], [0, 0]]]}}, "dim"),
+                        [[0, 0], [0, 0], [0, 0]]]}}, "object.L1"),
 ])
 def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"

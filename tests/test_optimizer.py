@@ -211,20 +211,6 @@ def test_sweep_records_failures_in_row():
     assert rows[1].bound == pytest.approx(1.0 / 164.0, abs=1e-15)
 
 
-def test_parallel_restarts_match_sequential(monkeypatch):
-    sx, _, sz = w.spin_operators()
-    l2, m, xi = w.spin_ladder_probe(3)
-    pair = w.ConservationPair(L1=sz, L2=l2)
-    config = w.OptimizerConfig(restarts=4, max_iters=20, seed=9)
-    monkeypatch.delenv("WAYLIMIT_THREADS", raising=False)
-    sequential = w.optimize_noise(sx, pair, m, xi, w.named_state("alpha_y"), config)
-    monkeypatch.setenv("WAYLIMIT_THREADS", "4")
-    parallel = w.optimize_noise(sx, pair, m, xi, w.named_state("alpha_y"), config)
-    assert sequential.objective_trace == parallel.objective_trace
-    assert sequential.restart_final_objectives == parallel.restart_final_objectives
-    np.testing.assert_array_equal(sequential.theta, parallel.theta)
-
-
 def test_soundness_guard_never_trips_on_valid_problems():
     # the inequality is a theorem; a violation raises and would fail here
     rng = np.random.default_rng(RNG_SEED)
