@@ -331,7 +331,7 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
                 "M": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]],
                 "xi": [[1, 0], [0, 0]]}}, "Yanase"),
     ({"object": {"L1": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
-                        [[0, 0], [0, 0], [0, 0]]]}}, "object.L1"),
+                        [[0, 0], [0, 0], [0, 0]]]}}, "dim"),
 ])
 def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
@@ -340,3 +340,12 @@ def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, fie
     assert code == 1
     assert err.startswith("error: ")
     assert field in err
+
+
+def test_optimize_config_l1_dimension_error_names_the_field(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    l1 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+    path.write_text(json.dumps({"restarts": 1, "max_iters": 1, "object": {"L1": l1}}))
+    code, _, err = run_cli(capsys, "optimize", str(path))
+    assert code == 1
+    assert err.startswith("error: object.L1: has dim 3, expected 2")
