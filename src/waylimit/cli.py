@@ -381,7 +381,7 @@ def _load_optimize_config(path: str):
     if not isinstance(doc, dict):
         raise CliInputError("config must be a JSON object")
 
-    known = {"seed", "restarts", "max_iters", "grad_step", "tol", "objective",
+    known = {"seed", "restarts", "max_iters", "tol", "objective",
              "optimize_xi", "theta0", "psi", "object", "probe"}
     unknown = set(doc) - known
     if unknown:
@@ -450,7 +450,6 @@ def _load_optimize_config(path: str):
         config = OptimizerConfig(
             restarts=int(doc.get("restarts", 16)),
             max_iters=int(doc.get("max_iters", 80)),
-            grad_step=float(doc.get("grad_step", 1e-5)),
             tol=float(doc.get("tol", 1e-10)),
             seed=int(doc.get("seed", 0)),
             objective=str(doc.get("objective", "state")),

@@ -3,16 +3,20 @@
 Feasibility is exact by construction: interactions are generated as
 exp(i sum_k theta_k G_k) where the G_k span the hermitian commutant of the
 total conserved quantity, so every candidate satisfies the conservation law
-to rounding. The search itself is plain local descent on numerically
-estimated gradients with seeded random restarts; the lower bounds provide
-the certificate on the other side, so no global-optimality claim is needed
-or made.
+to rounding. The commutant is block diagonal in the eigenbasis of that
+quantity, so an interaction is built from one small eigendecomposition per
+eigenspace, and the same decompositions give the exact gradient
+(Daleckii-Krein divided differences). The search itself is plain local
+descent on that gradient with seeded random restarts; the lower bounds
+provide the certificate on the other side, so no global-optimality claim is
+needed or made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,28 +46,136 @@ from .oscillator import (
 COMMUTANT_MERGE_TOL = 1e-12
 GENERATOR_COMMUTATION_TOL = 1e-11
 SOUNDNESS_SLACK = 1e-9
-MAX_OSCILLATOR_N_MAX = 5
+MAX_OSCILLATOR_N_MAX = 8
 INIT_STEP = 0.5
 MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True, eq=False)
 class CommutantBasis:
-    """Frobenius-orthonormal hermitian generators commuting with a fixed operator."""
+    """Hermitian commutant of a fixed operator, held in that operator's eigenbasis.
 
-    generators: tuple
+    ``vectors`` are the eigenvectors of ``conserved`` as columns and
+    ``sectors`` the ``(start, stop)`` column ranges of its eigenspaces. An
+    operator commutes with ``conserved`` exactly when it is block diagonal in
+    this basis. The generators are, sector by sector, a Frobenius-orthonormal
+    hermitian basis of the d x d block, mapped back with the sector's vectors:
+    for each i, |i><i| and then, for each j > i, (|i><j| + |j><i|)/sqrt2 and
+    i(|i><j| - |j><i|)/sqrt2. They are built on first use; the optimizer
+    works on the blocks.
+    """
+
     conserved: Operator
+    vectors: np.ndarray = field(repr=False)
+    sectors: tuple
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        l = self.conserved.matrix
-        for k, g in enumerate(self.generators):
-            r = frobenius_norm(g.matrix @ l - l @ g.matrix)
-            if r > GENERATOR_COMMUTATION_TOL:
-                raise ValueError(f"generator {k} fails to commute, residual {r:.3e}")
+        v = np.array(self.vectors, dtype=np.complex128)
+        v.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
+        dim = self.conserved.dim
+        edges = [0] + [stop for _, stop in self.sectors]
+        if v.shape != (dim, dim) or edges[-1] != dim or np.any(np.diff(edges) <= 0) \
+                or [start for start, _ in self.sectors] != edges[:-1]:
+            raise ValueError("sectors must tile the columns of a square eigenvector matrix")
+        # With c the sector's mean Rayleigh quotient and R = L V_s - c V_s,
+        # [L, V_s E V_s^dag] = R E V_s^dag - V_s E R^dag; every generator's
+        # block E has spectral norm <= 1, so 2 ||R|| ||V_s|| bounds them all.
+        lv = self.conserved.matrix @ v
+        starts, sizes = edges[:-1], np.diff(edges)
+        c = np.add.reduceat(np.real(np.sum(v.conj() * lv, axis=0)), starts) / sizes
+        r_sq = np.add.reduceat(np.sum(np.abs(lv - v * np.repeat(c, sizes)) ** 2, axis=0), starts)
+        v_sq = np.add.reduceat(np.sum(np.abs(v) ** 2, axis=0), starts)
+        bound = 2.0 * np.sqrt(r_sq * v_sq)
+        bad = np.flatnonzero(bound > GENERATOR_COMMUTATION_TOL)
+        if bad.size:
+            raise ValueError(f"sector {bad[0]} fails to commute, "
+                             f"residual bound {bound[bad[0]]:.3e}")
 
     @property
     def size(self) -> int:
-        return len(self.generators)
+        return sum((stop - start) ** 2 for start, stop in self.sectors)
+
+    @cached_property
+    def generators(self) -> tuple:
+        out = []
+        for start, stop in self.sectors:
+            vs = self.vectors[:, start:stop]
+            for e in _sector_generators(stop - start):
+                out.append(Operator.hermitian(vs @ e @ vs.conj().T))
+        return tuple(out)
+
+    @cached_property
+    def _groups(self) -> tuple:
+        """Sectors grouped by size d: (d, columns (n, d), theta indices (n, d^2),
+        generator blocks flattened to (d^2, d^2)); one batched eigh per group."""
+        offsets = np.cumsum([0] + [(stop - start) ** 2 for start, stop in self.sectors])
+        by_size = {}
+        for (start, stop), offset in zip(self.sectors, offsets):
+            by_size.setdefault(stop - start, []).append((start, offset))
+        groups = []
+        for d, members in sorted(by_size.items()):
+            cols = np.array([np.arange(start, start + d) for start, _ in members])
+            params = np.array([np.arange(offset, offset + d * d) for _, offset in members])
+            groups.append((d, cols, params, _sector_generators(d).reshape(d * d, d * d)))
+        return tuple(groups)
+
+    def _exponential(self, theta: np.ndarray):
+        """exp(i sum theta_k G_k) in sector form: (per group, the eigenvalues
+        and eigenvectors of the stacked blocks H_s; the matrix of U). The last
+        result is kept, so the gradient at an evaluated point reuses it."""
+        key = theta.tobytes()
+        if key not in self._memo:
+            dim = self.conserved.dim
+            vk = np.empty((dim, dim), dtype=np.complex128)
+            blocks = []
+            for d, cols, params, gens in self._groups:
+                lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
+                k = (q * np.exp(1j * lam)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+                vk[:, cols] = np.matmul(self.vectors[:, cols].transpose(1, 0, 2),
+                                        k).transpose(1, 0, 2)
+                blocks.append((lam, q))
+            self._memo.clear()
+            self._memo[key] = (tuple(blocks), vk @ self.vectors.conj().T)
+        return self._memo[key]
+
+    def _gradient(self, theta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Gradient in theta of Re tr(Gamma^dag U(theta)) for Gamma = left @ right^dag.
+
+        Daleckii-Krein: with H_s = Q diag(lam) Q^dag, d exp(iH_s) =
+        Q (F o (Q^dag dH_s Q)) Q^dag, F holding the divided differences of
+        exp(ix). Only the diagonal blocks of V^dag Gamma V enter.
+        """
+        blocks, _ = self._exponential(theta)
+        vh = self.vectors.conj().T
+        lt, rt = vh @ left, vh @ right
+        grad = np.empty(self.size)
+        for (d, cols, params, gens), (lam, q) in zip(self._groups, blocks):
+            qh = q.conj().transpose(0, 2, 1)
+            gamma = lt[cols] @ rt[cols].conj().transpose(0, 2, 1)
+            a, b = lam[:, :, None], lam[:, None, :]
+            # (e^{ia} - e^{ib}) / (a - b) = i e^{i(a+b)/2} sinc((a-b)/2), which
+            # is i e^{ia} on the diagonal without a separate case
+            f = 1j * np.exp(0.5j * (a + b)) * np.sinc((a - b) / (2.0 * np.pi))
+            p = q @ (f.conj() * (qh @ gamma @ q)) @ qh
+            grad[params] = (p.reshape(len(cols), d * d) @ gens.conj().T).real
+        return grad
+
+
+def _sector_generators(d: int) -> np.ndarray:
+    """The d^2 generators of one d x d sector block, in the basis's order."""
+    e = np.zeros((d * d, d, d), dtype=np.complex128)
+    k = 0
+    for i in range(d):
+        e[k, i, i] = 1.0
+        k += 1
+        for j in range(i + 1, d):
+            e[k, i, j] = e[k, j, i] = 1.0 / np.sqrt(2.0)
+            e[k + 1, i, j] = 1j / np.sqrt(2.0)
+            e[k + 1, j, i] = -1j / np.sqrt(2.0)
+            k += 2
+    return e
 
 
 def commutant_basis(l_total: Operator) -> CommutantBasis:
@@ -71,40 +183,22 @@ def commutant_basis(l_total: Operator) -> CommutantBasis:
     if not l_total.has("hermitian"):
         raise ValueError("commutant_basis needs a hermitian operator")
     w, vecs = np.linalg.eigh(l_total.matrix)
-    generators = []
+    sectors = []
     start = 0
     for k in range(1, len(w) + 1):
         if k == len(w) or (w[k] - w[k - 1]) > COMMUTANT_MERGE_TOL:
-            block = vecs[:, start:k]
-            d = block.shape[1]
-            for i in range(d):
-                vi = block[:, i:i + 1]
-                generators.append(Operator.hermitian(vi @ vi.conj().T))
-                for j in range(i + 1, d):
-                    vj = block[:, j:j + 1]
-                    cross = vi @ vj.conj().T
-                    generators.append(Operator.hermitian(
-                        (cross + cross.conj().T) / np.sqrt(2.0)))
-                    generators.append(Operator.hermitian(
-                        (1j * cross - 1j * cross.conj().T) / np.sqrt(2.0)))
+            sectors.append((start, k))
             start = k
-    return CommutantBasis(tuple(generators), l_total)
+    return CommutantBasis(l_total, vecs, tuple(sectors))
 
 
 def conservative_unitary(basis: CommutantBasis, theta: Sequence[float]) -> Operator:
-    """exp(i sum theta_k G_k); conserves the basis's operator by construction."""
+    """exp(i sum theta_k G_k) = V (+)_s exp(i H_s) V^dag, one small eigh per
+    sector; conserves the basis's operator by construction."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (basis.size,):
         raise ValueError(f"theta has length {theta.size}, expected {basis.size}")
-    dim = basis.conserved.dim
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for t, g in zip(theta, basis.generators):
-        if t != 0.0:
-            h += t * g.matrix
-    h = (h + h.conj().T) / 2.0
-    w, vecs = np.linalg.eigh(h)
-    u = (vecs * np.exp(1j * w)) @ vecs.conj().T
-    return Operator.unitary(u)
+    return Operator.unitary(basis._exponential(theta)[1])
 
 
 def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
@@ -143,8 +237,7 @@ def record_observable(l2: Operator) -> Operator:
 class OptimizerConfig:
     restarts: int = 16
     max_iters: int = 80
-    grad_step: float = 1e-5
-    tol: float = 1e-10
+    tol: float = 1e-10                # stop when the gradient norm falls below
     seed: int = 0
     objective: str = "state"          # "state" minimizes eps(psi)^2, "sup" the worst case
     optimize_xi: bool = False
@@ -155,7 +248,7 @@ class OptimizerConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.max_iters < 0 or self.grad_step <= 0:
+        if self.max_iters < 0:
             raise ValueError("invalid optimizer parameters")
 
 
@@ -207,12 +300,15 @@ class _Problem:
         self.n_theta = self.basis.size
         self.n_params = self.n_theta + (2 * self.probe_dim if config.optimize_xi else 0)
 
+    def _raw_xi(self, x: np.ndarray) -> np.ndarray:
+        return x[self.n_theta:self.n_theta + self.probe_dim] \
+            + 1j * x[self.n_theta + self.probe_dim:]
+
     def split(self, x: np.ndarray):
         theta = x[:self.n_theta]
         if not self.config.optimize_xi:
             return theta, self.xi0
-        raw = x[self.n_theta:self.n_theta + self.probe_dim] \
-            + 1j * x[self.n_theta + self.probe_dim:]
+        raw = self._raw_xi(x)
         nrm = np.linalg.norm(raw)
         if nrm < 1e-12:
             raise ArithmeticError("probe-state parameters collapsed to zero")
@@ -223,13 +319,59 @@ class _Problem:
         u = conservative_unitary(self.basis, theta)
         return MeasurementModel(self.object_dim, self.probe_dim, xi, u, self.m, self.a)
 
-    def objective(self, x: np.ndarray) -> float:
+    def evaluate(self, x: np.ndarray):
+        """The objective at x and the model it was read from."""
         model = self.model_at(x)
         if self.config.objective == "sup":
             s = sup_noise(model)
-            return s * s
+            return s * s, model
         e = noise(model, self.psi)
-        return e * e
+        return e * e, model
+
+    def objective(self, x: np.ndarray) -> float:
+        return self.evaluate(x)[0]
+
+    def gradient(self, x: np.ndarray, model: MeasurementModel) -> np.ndarray:
+        """Gradient of the objective at x, where model is model_at(x).
+
+        Both objectives are ||N v||^2 with v = phi x xi: phi is psi for
+        "state"; for "sup" (Hellmann-Feynman) it is the top eigenvector of
+        W^dag W, and the gradient is averaged over that eigenspace when the
+        top eigenvalue is degenerate, which is the limit of central
+        differences at a double eigenvalue. With n = N v and U varying,
+        d||N v||^2 = Re tr(Gamma^dag dU), Gamma = 2((I x M) U v n^dag +
+        (I x M) U n v^dag); the basis turns Gamma into the theta gradient.
+        """
+        theta, xi = self.split(x)
+        red = model.reduced
+        if self.config.objective == "sup":
+            lam, vecs = np.linalg.eigh(red.w.conj().T @ red.w)
+            phis = vecs[:, lam >= lam[-1] - DEGENERACY_TOL]
+        else:
+            phis = self.psi.amplitudes[:, None]
+        count = phis.shape[1]
+        do, dp = self.object_dim, self.probe_dim
+        u, m = model.U.matrix, self.m.matrix
+
+        def probe_record(cols):
+            # (I x M) on composite column vectors
+            return (m @ cols.reshape(do, dp, -1)).reshape(cols.shape)
+
+        n = red.w @ phis
+        m_un = probe_record(u @ n)
+        v = (phis[:, None, :] * xi.amplitudes[None, :, None]).reshape(-1, count)
+        grad = self.basis._gradient(
+            theta, (2.0 / count) * np.hstack([probe_record(red.y @ phis), m_un]),
+            np.hstack([n, v]))
+        if not self.config.optimize_xi:
+            return grad
+        # d||N (phi x xi)||^2 = 2 Re <g, dxi> with g = (phi^dag x I) N n;
+        # then the chain rule through xi = raw / ||raw||
+        nn = u.conj().T @ m_un - (self.a.matrix @ n.reshape(do, -1)).reshape(n.shape)
+        g = np.einsum("ak,apk->p", phis.conj(), nn.reshape(do, dp, count)) / count
+        amps = xi.amplitudes
+        gxi = 2.0 * (g - np.real(np.vdot(amps, g)) * amps) / np.linalg.norm(self._raw_xi(x))
+        return np.concatenate([grad, gxi.real, gxi.imag])
 
     def check_soundness(self, x: np.ndarray):
         model = self.model_at(x)
@@ -266,9 +408,7 @@ class _Problem:
         # The probe-state block is scale invariant; keep it on the unit sphere.
         if not self.config.optimize_xi:
             return x
-        raw = x[self.n_theta:self.n_theta + self.probe_dim] \
-            + 1j * x[self.n_theta + self.probe_dim:]
-        nrm = np.linalg.norm(raw)
+        nrm = np.linalg.norm(self._raw_xi(x))
         out = x.copy()
         out[self.n_theta:self.n_theta + self.probe_dim] /= nrm
         out[self.n_theta + self.probe_dim:] /= nrm
@@ -277,13 +417,13 @@ class _Problem:
     def descend(self, restart: int):
         cfg = self.config
         x = self.initial_point(restart)
-        f = self.objective(x)
+        f, model = self.evaluate(x)
         self.check_soundness(x)
         trace = [f]
         step = INIT_STEP
         converged = False
         for _ in range(cfg.max_iters):
-            g = numerical_gradient(self.objective, x, cfg.grad_step)
+            g = self.gradient(x, model)
             gnorm = float(np.linalg.norm(g))
             if gnorm < cfg.tol:
                 converged = True
@@ -292,7 +432,7 @@ class _Problem:
             accepted = False
             for _ in range(MAX_BACKTRACKS):
                 x_try = self._regauge(x - alpha * g)
-                f_try = self.objective(x_try)
+                f_try, model_try = self.evaluate(x_try)
                 if f_try < f - 1e-15:
                     accepted = True
                     break
@@ -300,7 +440,7 @@ class _Problem:
             if not accepted:
                 converged = True
                 break
-            x, f = x_try, f_try
+            x, f, model = x_try, f_try, model_try
             trace.append(f)
             self.check_soundness(x)
             step = min(alpha * max(gnorm, 1.0) * 2.0, 4.0)
@@ -357,9 +497,12 @@ def spin_ladder_probe(levels: int):
 def oscillator_probe(n_max: int, amps: CoherentAmplitudes):
     """Truncated two-mode oscillator probe with a coherent initial state.
 
-    Building a full interaction on this space scales as the fourth power of
-    the cutoff, so it is only offered for n_max <= 5; the variance law itself
-    is validated at much larger cutoffs elsewhere.
+    The composite space has D = 2 (n_max + 1)^2 dimensions. One objective
+    evaluation, and one gradient, costs O(D^3) = O(n_max^6) in products with
+    the D x D eigenvector matrix (the sector eigendecompositions are smaller);
+    the interaction has O(n_max^3) parameters. Full interactions are offered
+    for n_max <= 8 (D = 162, 822 parameters); the variance law itself is
+    validated at much larger cutoffs elsewhere.
     """
     if n_max > MAX_OSCILLATOR_N_MAX:
         raise ValueError(

@@ -332,6 +332,7 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
                 "xi": [[1, 0], [0, 0]]}}, "Yanase"),
     ({"object": {"L1": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
                         [[0, 0], [0, 0], [0, 0]]]}}, "dim"),
+    ({"grad_step": 1e-5}, "grad_step"),
 ])
 def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"

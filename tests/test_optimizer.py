@@ -5,6 +5,7 @@ import pytest
 
 import waylimit as w
 from helpers import SWAP_MATRIX
+from waylimit.optimizer import _Problem
 
 RNG_SEED = 40
 
@@ -75,6 +76,41 @@ def test_conservative_unitary_random_theta_conserves():
         l = pair.total().matrix
         assert w.frobenius_norm(u.matrix @ l - l @ u.matrix) < 1e-10
         assert w.frobenius_norm(u.matrix.conj().T @ u.matrix - np.eye(6)) < 1e-10
+
+
+def _dense_unitary(basis, theta):
+    # oracle: eigh of the dense generator sum, as the interaction is defined
+    h = sum(t * g.matrix for t, g in zip(theta, basis.generators))
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+
+
+def test_sector_unitary_matches_dense_oracle():
+    rng = np.random.default_rng(RNG_SEED)
+    _, _, sz = w.spin_operators()
+    l2_osc, _, _ = w.oscillator_probe(2, w.CoherentAmplitudes(0.01, 0.01))
+    # the oscillator has sectors of several sizes, the random L2 only size 1
+    for l2, sizes in ((l2_osc, {2, 3, 4}), (w.random_hermitian(4, rng), {1})):
+        basis = w.commutant_basis(w.ConservationPair(L1=sz, L2=l2).total())
+        assert {stop - start for start, stop in basis.sectors} == sizes
+        for _ in range(5):
+            theta = rng.uniform(-np.pi, np.pi, basis.size)
+            u = w.conservative_unitary(basis, theta)
+            np.testing.assert_allclose(u.matrix, _dense_unitary(basis, theta), atol=1e-12)
+
+
+def test_commutant_basis_rejects_perturbed_sector_vector():
+    _, _, sz = w.spin_operators()
+    l2, _, _ = w.spin_ladder_probe(3)
+    basis = w.commutant_basis(w.ConservationPair(L1=sz, L2=l2).total())
+    rebuilt = w.CommutantBasis(basis.conserved, basis.vectors, basis.sectors)
+    assert rebuilt.size == basis.size
+    vectors = basis.vectors.copy()
+    vectors[:, 1] += 1e-6 * np.arange(vectors.shape[0])
+    with pytest.raises(ValueError, match="fails to commute"):
+        w.CommutantBasis(basis.conserved, vectors, basis.sectors)
+    with pytest.raises(ValueError, match="tile"):
+        w.CommutantBasis(basis.conserved, basis.vectors, basis.sectors[1:])
 
 
 def test_conservative_unitary_length_mismatch():
@@ -247,3 +283,92 @@ def test_optimize_xi_moves_the_probe_state():
     assert again.theta.tobytes() == run.theta.tobytes()
     assert again.result_model.xi.amplitudes.tobytes() == xi.amplitudes.tobytes()
     assert again.result_model.U.matrix.tobytes() == run.result_model.U.matrix.tobytes()
+
+
+def _gradient_problems():
+    sx, _, sz = w.spin_operators()
+    l2, m, xi = w.spin_ladder_probe(3)
+    yield sx, w.ConservationPair(L1=sz, L2=l2), m, xi
+    l2, m, xi = w.oscillator_probe(2, w.CoherentAmplitudes(0.02, 0.01j))
+    yield sx, w.ConservationPair(L1=sz, L2=l2), m, xi
+
+
+@pytest.mark.parametrize("optimize_xi", [False, True])
+@pytest.mark.parametrize("objective", ["state", "sup"])
+def test_analytic_gradient_matches_central_differences(objective, optimize_xi):
+    psi = w.named_state("alpha_y")
+    for a, pair, m, xi in _gradient_problems():
+        config = w.OptimizerConfig(restarts=1, seed=RNG_SEED, objective=objective,
+                                   optimize_xi=optimize_xi)
+        problem = _Problem(a, pair, m, xi, psi, config)
+        for restart in (1, 2, 3):
+            x = problem.initial_point(restart)
+            f, model = problem.evaluate(x)
+            if objective == "sup":
+                # Hellmann-Feynman needs a simple top eigenvalue
+                top = np.linalg.eigvalsh(model.reduced.w.conj().T @ model.reduced.w)
+                assert top[-1] - top[-2] > 1e-3
+            g = problem.gradient(x, model)
+            oracle = w.numerical_gradient(problem.objective, x, 1e-5)
+            assert g.shape == (problem.n_params,)
+            assert np.linalg.norm(g - oracle) <= 1e-6 * np.linalg.norm(oracle)
+
+
+def test_sup_gradient_at_a_double_top_eigenvalue():
+    # at the identity interaction W^dag W = 1/2 I. Central differences then
+    # give the mean over the top eigenspace, and so must the analytic
+    # gradient: for the two-level ladder the xi block of a single top
+    # eigenvector depends on which one eigh returns.
+    sx, _, sz = w.spin_operators()
+    l2, m, xi = w.spin_ladder_probe(2)
+    problem = _Problem(sx, w.ConservationPair(L1=sz, L2=l2), m, xi,
+                       w.named_state("alpha_y"),
+                       w.OptimizerConfig(restarts=1, objective="sup", optimize_xi=True))
+    x = problem.initial_point(0)
+    f, model = problem.evaluate(x)
+    np.testing.assert_allclose(np.linalg.eigvalsh(model.reduced.w.conj().T @ model.reduced.w),
+                               [0.5, 0.5], atol=1e-12)
+    g = problem.gradient(x, model)
+    # the xi block of the difference quotient converges only linearly in the
+    # step here, so the step is small
+    oracle = w.numerical_gradient(problem.objective, x, 1e-7)
+    assert np.linalg.norm(oracle) > 0.1
+    assert np.linalg.norm(g - oracle) <= 1e-6 * np.linalg.norm(oracle)
+
+
+def test_xi_gradient_at_the_ladder_sine_state_matches_the_oracle():
+    # from the sine profile at the identity interaction the objective does
+    # not depend on xi; away from it the xi block is large
+    sx, _, sz = w.spin_operators()
+    l2, m, xi = w.spin_ladder_probe(3)
+    pair = w.ConservationPair(L1=sz, L2=l2)
+    problem = _Problem(sx, pair, m, xi, w.named_state("alpha_y"),
+                       w.OptimizerConfig(restarts=1, optimize_xi=True))
+    rng = np.random.default_rng(RNG_SEED)
+    for scale in (0.0, 1.0):
+        x = problem.initial_point(0)
+        x[:problem.n_theta] = scale * rng.uniform(-1.0, 1.0, problem.n_theta)
+        g = problem.gradient(x, problem.evaluate(x)[1])[problem.n_theta:]
+        oracle = w.numerical_gradient(problem.objective, x, 1e-5)[problem.n_theta:]
+        assert np.linalg.norm(g - oracle) <= 1e-9 + 1e-6 * np.linalg.norm(oracle)
+        if scale:
+            assert np.linalg.norm(oracle) > 0.1
+
+
+def test_oscillator_probe_at_the_largest_cutoff():
+    # |alpha|^2 + |beta|^2 = 1: the oscillator sweep's size 1, out of reach
+    # of the cutoff guard below n_max = 8
+    sx, _, sz = w.spin_operators()
+    half = np.sqrt(0.5)
+    l2, m, xi = w.oscillator_probe(8, w.CoherentAmplitudes(half, 1j * half))
+    assert l2.dim == 81
+    pair = w.ConservationPair(L1=sz, L2=l2)
+    psi = w.named_state("alpha_y")
+    # the soundness check runs on every accepted iterate and raises on a violation
+    run = w.optimize_noise(sx, pair, m, xi, psi,
+                           w.OptimizerConfig(restarts=1, max_iters=5, seed=RNG_SEED))
+    assert len(run.objective_trace) > 1
+    assert run.final_objective >= run.bound_value - 1e-9
+    assert w.acl_residual(run.result_model, pair) < 1e-9
+    with pytest.raises(ValueError, match="n_max <= 8"):
+        w.oscillator_probe(9, w.CoherentAmplitudes(half, half))
