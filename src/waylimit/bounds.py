@@ -6,12 +6,18 @@ relation applied to the noise operator and the total conserved quantity gives
 a lower bound on the squared noise; adding the Yanase condition [M, L2] = 0
 reduces its numerator to the object-side commutator, and specializing to the
 spin-1/2 scenario (A = S_x, L1 = S_z) gives the closed-form error floors.
+
+The bounds read terms that depend only on (model, pair) from ``bound_terms``,
+which compiles them on the object space once, in O(D d_o (d_o + d_p) + d_p^3)
+(D = d_o d_p), and keeps them on the model; each state then costs O(d_o^2)
+per bound. The residuals of the derivation chain stay dense and independent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,6 +28,7 @@ from .linalg import (
     Operator,
     PreconditionError,
     TheoremViolation,
+    array_variance,
     expectation,
     frobenius_norm,
     identity,
@@ -149,36 +156,78 @@ def _bounded_ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _state_bound(mean: complex, model: MeasurementModel, pair: ConservationPair,
-                 psi: Ket) -> float:
-    """|mean|^2 over the variance of L1 x I + I x L2 in psi x xi, times 4.
+@dataclass(frozen=True, eq=False)
+class BoundTerms:
+    """The terms of the bounds that depend only on (model, pair), on the object space.
+
+    d = Y^dag (I x [M, L2]) Y - [A, L1], with Y = U (I x xi), is the
+    probe-traced right side of the commutator identity, so
+    <psi x xi|[N, L1 x I + I x L2]|psi x xi> = <psi|d|psi>; c = [A, L1] is
+    its object side. yanase_residual is ||[M, L2]||_F and var_l2 is
+    var(L2, xi), the probe's share of the bounds' denominator.
+    """
+
+    d: np.ndarray
+    c: np.ndarray
+    yanase_residual: float
+    var_l2: float
+
+    def __post_init__(self):
+        self.d.setflags(write=False)
+        self.c.setflags(write=False)
+
+
+def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
+    """The bounds' (model, pair) terms, built on first use and kept on the model.
+
+    The model keeps the terms of one pair at a time, keyed by the pair object
+    itself: a ConservationPair compares by identity (eq=False), and the key
+    keeps it alive, so no other pair can match it. The pair is checked
+    against the model on every miss. Model and pair are frozen and their
+    arrays read-only, so a hit cannot be stale.
+    """
+    terms = model._bound_terms.get(pair)
+    if terms is None:
+        _check_pair(model, pair)
+        do, dp = model.object_dim, model.probe_dim
+        y = model.reduced.y
+        k = _commutator_matrix(model.M, pair.L2)
+        c = _commutator_matrix(model.A, pair.L1)
+        # I x [M, L2] acts on the probe index of Y, a (d_o, d_p, d_o) tensor
+        ky = (k @ y.reshape(do, dp, do)).reshape(-1, do)
+        terms = BoundTerms(y.conj().T @ ky - c, c, frobenius_norm(k),
+                           variance(pair.L2, model.xi))
+        model._bound_terms.clear()
+        model._bound_terms[pair] = terms
+    return terms
+
+
+def _quadratic_bound(x: np.ndarray, pair: ConservationPair, terms: BoundTerms,
+                     psi: Ket) -> float:
+    """|<psi|x|psi>|^2 over the variance of L1 x I + I x L2 in psi x xi, times 4.
 
     On a product state that variance is var(L1, psi) + var(L2, xi)
-    (variance additivity), so no composite operator is built.
+    (variance additivity); the second term is compiled with the pair.
+    The caller has checked psi against the model.
     """
-    den = 4.0 * variance(pair.L1, psi) + 4.0 * variance(pair.L2, model.xi)
+    a = psi.amplitudes
+    mean = complex(np.vdot(a, x @ a))
+    den = 4.0 * array_variance(pair.L1.matrix, a) + 4.0 * terms.var_l2
     return _bounded_ratio(abs(mean) ** 2, den)
-
-
-def _object_mean(x: np.ndarray, psi: Ket) -> complex:
-    return complex(np.vdot(psi.amplitudes, x @ psi.amplitudes))
 
 
 def fundamental_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
     """Lower bound on the squared noise implied by the conservation law alone.
 
-    The numerator is |<psi| Y^dag (I x [M, L2]) Y - [A, L1] |psi>|^2 with
-    Y = U (I x xi) from the model's cached reduced form, the probe-traced
-    expectation of the ACL side of the commutator identity; the denominator
-    is 4 var(L1, psi) + 4 var(L2, xi).
+    The numerator is |<psi|D|psi>|^2 with D = Y^dag (I x [M, L2]) Y - [A, L1]
+    and Y = U (I x xi), the probe-traced expectation of the ACL side of the
+    commutator identity; the denominator is 4 var(L1, psi) + 4 var(L2, xi).
+    D and var(L2, xi) are compiled once per (model, pair) by ``bound_terms``
+    in O(D d_o (d_o + d_p) + d_p^3); each state then costs O(d_o^2).
     """
-    _check_pair(model, pair)
+    terms = bound_terms(model, pair)
     model.check_object_state(psi)
-    # U (psi x xi) as a (d_o, d_p) array; I x [M, L2] acts on its probe index
-    after = (model.reduced.y @ psi.amplitudes).reshape(model.object_dim, model.probe_dim)
-    probe_mean = complex(np.vdot(after, after @ _commutator_matrix(model.M, pair.L2).T))
-    mean = probe_mean - _object_mean(_commutator_matrix(model.A, pair.L1), psi)
-    return _state_bound(mean, model, pair, psi)
+    return _quadratic_bound(terms.d, pair, terms, psi)
 
 
 def yanase_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
@@ -187,35 +236,46 @@ def yanase_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> f
     The numerator reduces to |<psi|[A, L1]|psi>|^2; the denominator is the
     same as the fundamental bound's.
     """
-    _check_pair(model, pair)
-    r = yanase_residual(model.M, pair.L2)
+    terms = bound_terms(model, pair)
+    r = terms.yanase_residual
     if r >= YANASE_PRECONDITION_TOL:
         raise PreconditionError(f"Yanase condition fails, [M, L2] residual {r:.3e}")
     model.check_object_state(psi)
-    return _state_bound(_object_mean(_commutator_matrix(model.A, pair.L1), psi),
-                        model, pair, psi)
+    return _quadratic_bound(terms.c, pair, terms, psi)
 
 
+@functools.cache
 def _spin_xyz():
+    # imported here because spin imports this module; the operators are
+    # immutable, so one set serves every call
     from .spin import spin_operators
     return spin_operators()
 
 
+def _spin_scenario_gap(model: MeasurementModel, pair: ConservationPair) -> Optional[str]:
+    """The first part of the spin-1/2 scenario the model lacks, or None."""
+    sx, _, sz = _spin_xyz()
+    if model.object_dim != 2:
+        return "a two-level object"
+    if frobenius_norm(model.A.matrix - sx.matrix) > SPIN_SCENARIO_TOL:
+        return "A = S_x"
+    if frobenius_norm(pair.L1.matrix - sz.matrix) > SPIN_SCENARIO_TOL:
+        return "L1 = S_z"
+    return None
+
+
 def spin_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
     """Closed-form noise floor for the spin-1/2 scenario A = S_x, L1 = S_z."""
-    _check_pair(model, pair)
-    sx, sy, sz = _spin_xyz()
-    if model.object_dim != 2:
-        raise PreconditionError("spin bound needs a two-level object")
-    if frobenius_norm(model.A.matrix - sx.matrix) > SPIN_SCENARIO_TOL:
-        raise PreconditionError("spin bound needs A = S_x")
-    if frobenius_norm(pair.L1.matrix - sz.matrix) > SPIN_SCENARIO_TOL:
-        raise PreconditionError("spin bound needs L1 = S_z")
-    r = yanase_residual(model.M, pair.L2)
+    terms = bound_terms(model, pair)
+    gap = _spin_scenario_gap(model, pair)
+    if gap:
+        raise PreconditionError(f"spin bound needs {gap}")
+    r = terms.yanase_residual
     if r >= YANASE_PRECONDITION_TOL:
         raise PreconditionError(f"spin bound assumes the Yanase condition, residual {r:.3e}")
+    _, sy, sz = _spin_xyz()
     mean_sy = expectation(sy, psi)
-    den = 4.0 * variance(sz, psi) + 4.0 * variance(pair.L2, model.xi)
+    den = 4.0 * variance(sz, psi) + 4.0 * terms.var_l2
     return _bounded_ratio(mean_sy ** 2, den)
 
 
@@ -246,7 +306,8 @@ class BoundReport:
 
     yanase_bound, spin_bound and commutator_identity_residual are None when
     their preconditions (Yanase condition, spin scenario, conservation law)
-    do not apply to the model at hand.
+    do not apply to the model at hand; null_reasons then maps each such
+    field name to the precondition that failed.
     """
 
     eps_sq: float
@@ -258,6 +319,7 @@ class BoundReport:
     commutator_identity_residual: Optional[float]
     uncertainty_lhs: float
     uncertainty_rhs: float
+    null_reasons: dict = field(default_factory=dict)
 
     def violations(self) -> tuple:
         """Names of the applicable inequalities that fail, empty when all hold."""
@@ -278,18 +340,31 @@ class BoundReport:
 
 def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> BoundReport:
     """Evaluate everything that applies to (model, pair, psi) in one record."""
-    _check_pair(model, pair)
+    terms = bound_terms(model, pair)
     acl = acl_residual(model, pair)
-    yr = yanase_residual(model.M, pair.L2)
     eps = noise(model, psi)
     fb = fundamental_bound(model, pair, psi)
-    yb = yanase_bound(model, pair, psi) if yr < YANASE_PRECONDITION_TOL else None
-    sb = None
-    try:
+    reasons = {}
+    yb = sb = cir = None
+    yr = terms.yanase_residual
+    if yr >= YANASE_PRECONDITION_TOL:
+        reasons["yanase_bound"] = (f"Yanase condition fails: [M, L2] residual {yr:.3e}, "
+                                   f"tolerance {YANASE_PRECONDITION_TOL:g}")
+    else:
+        yb = yanase_bound(model, pair, psi)
+    spin_gap = _spin_scenario_gap(model, pair)
+    if spin_gap:
+        reasons["spin_bound"] = f"not the spin scenario: needs {spin_gap}"
+    elif yb is None:
+        reasons["spin_bound"] = reasons["yanase_bound"]
+    else:
         sb = spin_bound(model, pair, psi)
-    except PreconditionError:
-        pass
-    cir = commutator_identity_residual(model, pair) if acl < ACL_PRECONDITION_TOL else None
+    if acl < ACL_PRECONDITION_TOL:
+        cir = commutator_identity_residual(model, pair)
+    else:
+        reasons["commutator_identity_residual"] = (
+            f"conservation law fails: acl residual {acl:.3e}, "
+            f"tolerance {ACL_PRECONDITION_TOL:g}")
     lhs, rhs = uncertainty_pair(model, pair, psi)
     return BoundReport(
         eps_sq=eps * eps,
@@ -301,4 +376,5 @@ def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> B
         commutator_identity_residual=cir,
         uncertainty_lhs=lhs,
         uncertainty_rhs=rhs,
+        null_reasons=reasons,
     )

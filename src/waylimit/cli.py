@@ -52,10 +52,13 @@ from .optimizer import (
     sweep_probe_size,
 )
 from .spin import (
+    YWModel,
     named_state,
     spin_operators,
     swap_demo_model,
     trivial_demo_model,
+    yw_error_at_alpha_y,
+    yw_eps_y,
     yw_sample_model,
 )
 
@@ -228,7 +231,13 @@ def _write_text(path: str, text: str):
 
 
 def load_model_file(path: str):
-    return model_from_dict(_read_json(path))
+    """(model, pair, metadata) from a model file. A ``kind: yw_model`` file
+    holds partial interaction data and no conservation pair; it loads as
+    (YWModel, None, metadata)."""
+    doc = _read_json(path)
+    if isinstance(doc, dict) and doc.get("kind") == "yw_model":
+        return yw_model_from_dict(doc)
+    return model_from_dict(doc)
 
 
 def yw_model_to_dict(yw) -> dict:
@@ -245,6 +254,25 @@ def yw_model_to_dict(yw) -> dict:
         "metadata": {"name": "yw-sample",
                      "description": "partial interaction data with eps_y^2 = 0.1"},
     }
+
+
+def yw_model_from_dict(doc: dict):
+    if doc.get("schema") != SCHEMA_VERSION:
+        raise CliInputError(f"schema: expected {SCHEMA_VERSION!r}, got {doc.get('schema')!r}")
+    for key in ("probe_dim", "xi", "xi_plus", "xi_minus", "eta_plus", "eta_minus", "M"):
+        if key not in doc:
+            raise CliInputError(f"{key}: missing required field")
+    if not isinstance(doc["probe_dim"], int):
+        raise CliInputError("probe_dim: expected an integer")
+    # only xi is a state; the branch amplitudes carry weights below 1
+    kets = {key: ket_from_json(doc[key], key, normalized=key == "xi")
+            for key in ("xi", "xi_plus", "xi_minus", "eta_plus", "eta_minus")}
+    m = operator_from_json(doc["M"], "M", frozenset({"hermitian"}))
+    try:
+        yw = YWModel(probe_dim=doc["probe_dim"], M=m, **kets)
+    except (StructureError, ValueError) as exc:
+        raise CliInputError(str(exc)) from exc
+    return yw, None, doc.get("metadata") or {}
 
 
 def _parse_state(spec: str, object_dim: int) -> Ket:
@@ -274,17 +302,18 @@ _REPORT_FIELDS = (
 )
 
 
+def _environment(seed: Optional[int]) -> dict:
+    return {"tool_version": __version__, "seed": seed, "tolerances": dict(TOLERANCES)}
+
+
 def report_to_dict(report: BoundReport, state_spec: str, name: str,
                    seed: Optional[int] = None) -> dict:
     payload = {"schema": SCHEMA_VERSION, "model_name": name, "state": state_spec}
     for key in _REPORT_FIELDS:
         payload[key] = getattr(report, key)
     payload["violations"] = list(report.violations())
-    payload["environment"] = {
-        "tool_version": __version__,
-        "seed": seed,
-        "tolerances": dict(TOLERANCES),
-    }
+    payload["null_reasons"] = dict(report.null_reasons)
+    payload["environment"] = _environment(seed)
     return payload
 
 
@@ -294,23 +323,46 @@ def _csv_field(value: str) -> str:
     return value
 
 
-def _report_csv(report: BoundReport, state_spec: str, name: str) -> str:
-    header = ["model_name", "state", *_REPORT_FIELDS, "violations"]
+def _verify_csv(fields: dict, violations, state_spec: str, name: str) -> str:
+    header = ["model_name", "state", *fields, "violations"]
     row = [_csv_field(name), _csv_field(state_spec)]
-    for key in _REPORT_FIELDS:
-        value = getattr(report, key)
-        row.append("" if value is None else _fmt(value))
-    row.append("|".join(report.violations()))
+    row += ["" if value is None else _fmt(value) for value in fields.values()]
+    row.append("|".join(violations))
     return ",".join(header) + "\n" + ",".join(row) + "\n"
+
+
+def _verify_yw(yw: YWModel, args, name: str) -> int:
+    """eps_y^2 and the squared noise at alpha_y of partial interaction data.
+
+    2 eps(alpha_y)^2 <= eps_y^2 holds for every valid model (the record
+    spectrum lies in [-1/2, 1/2]), so a failure is the regression alarm.
+    """
+    if args.state != "alpha_y":
+        raise CliInputError(
+            f"--state: a yw_model file is verified at alpha_y only, got {args.state!r}")
+    fields = {"eps_y_sq": yw_eps_y(yw), "error_at_alpha_y": yw_error_at_alpha_y(yw)}
+    ok = 2.0 * fields["error_at_alpha_y"] <= fields["eps_y_sq"] + INEQUALITY_SLACK
+    violations = [] if ok else ["yw_relation"]
+    if args.csv:
+        sys.stdout.write(_verify_csv(fields, violations, args.state, name))
+    else:
+        payload = {"schema": SCHEMA_VERSION, "kind": "yw_model", "model_name": name,
+                   "state": args.state, **fields, "violations": violations,
+                   "environment": _environment(None)}
+        sys.stdout.write(_dump_json(payload))
+    return 0 if ok else 2
 
 
 def cmd_verify(args) -> int:
     model, pair, metadata = load_model_file(args.model)
+    name = str(metadata.get("name", ""))
+    if isinstance(model, YWModel):
+        return _verify_yw(model, args, name)
     psi = _parse_state(args.state, model.object_dim)
     report = bound_report(model, pair, psi)
-    name = str(metadata.get("name", ""))
     if args.csv:
-        sys.stdout.write(_report_csv(report, args.state, name))
+        fields = {key: getattr(report, key) for key in _REPORT_FIELDS}
+        sys.stdout.write(_verify_csv(fields, report.violations(), args.state, name))
     else:
         sys.stdout.write(_dump_json(report_to_dict(report, args.state, name)))
     return 2 if report.violations() else 0
@@ -479,11 +531,7 @@ def cmd_optimize(args) -> int:
         "objective_trace": list(run.objective_trace),
         "restart_final_objectives": list(run.restart_final_objectives),
         "result_model": model_to_dict(run.result_model, pair, name="optimized"),
-        "environment": {
-            "tool_version": __version__,
-            "seed": run.seed,
-            "tolerances": dict(TOLERANCES),
-        },
+        "environment": _environment(run.seed),
     }
     text = _dump_json(payload)
     if args.out:
@@ -495,6 +543,9 @@ def cmd_optimize(args) -> int:
 
 # ---------------------------------------------------------------------------
 # demo
+
+
+DEMO_NAMES = ("swap", "trivial", "yw-sample")
 
 
 def cmd_demo(args) -> int:
@@ -511,7 +562,7 @@ def cmd_demo(args) -> int:
         doc = yw_model_to_dict(yw_sample_model())
     else:
         raise CliInputError(
-            f"unknown demo {args.name!r}; available: swap, trivial, yw-sample")
+            f"unknown demo {args.name!r}; available: {', '.join(DEMO_NAMES)}")
     sys.stdout.write(_dump_json(doc))
     return 0
 

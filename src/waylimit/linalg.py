@@ -216,9 +216,16 @@ def expectation(x: Operator, v: Ket) -> float:
 def variance(x: Operator, v: Ket) -> float:
     """<X^2> - <X>^2 in state v, clamped to zero within a small negative tolerance."""
     _check_state_input(x, v, "variance")
-    xv = x.matrix @ v.amplitudes
-    second = float(np.real(np.vdot(xv, xv)))
-    mean = complex(np.vdot(v.amplitudes, xv))
+    return array_variance(x.matrix, v.amplitudes)
+
+
+def array_variance(x: np.ndarray, v: np.ndarray) -> float:
+    """``variance`` on plain arrays, for callers that have already checked that
+    x is hermitian, that the dimensions agree and that v is normalized; the
+    imaginary-residue and negative-clamp alarms stay."""
+    xv = x @ v
+    second = float(np.vdot(xv, xv).real)
+    mean = complex(np.vdot(v, xv))
     if abs(mean.imag) > IMAG_TOL:
         raise StructureError(f"variance mean has imaginary residue {mean.imag:.3e}")
     var = second - mean.real ** 2

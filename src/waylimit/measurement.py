@@ -9,14 +9,17 @@ A x I.
 Per-state figures (noise, worst-case noise, the conservation-law bounds) are
 read off the model's reduced form, where the probe state is already traced
 in: two D x d_o matrices (D = d_o d_p) built once per model in O(D^2 d_o),
-then O(D d_o) work per state.
+then O(D d_o) work per state for the noise. The bounds' terms for one
+conservation pair are compiled from that form once, in
+O(D d_o (d_o + d_p) + d_p^3), and kept on the model (see
+``bounds.bound_terms``); each state then costs O(d_o^2) per bound.
 The dense composite-space operators stay available for the statistics and
 for the derivation-chain checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,6 +51,8 @@ class MeasurementModel:
     U: Operator
     M: Operator
     A: Operator
+    # bounds.bound_terms keeps the compiled terms of one conservation pair here
+    _bound_terms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.object_dim < 1 or self.probe_dim < 1:

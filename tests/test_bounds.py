@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import waylimit as w
+from waylimit.bounds import bound_terms
 from helpers import CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, random_conservative_model
 
 RNG_SEED = 99
@@ -286,6 +287,35 @@ def test_bound_report_violation_flags():
     assert w.BoundReport(**loose).violations() == ()
 
 
+def test_bound_report_null_reasons():
+    psi = w.spin_basis("y").up
+    sx, _, sz = w.spin_operators()
+    swap, pair = w.swap_demo_model()
+    reasons = w.bound_report(swap, pair, psi).null_reasons
+    yanase = "Yanase condition fails: [M, L2] residual 7.071e-01, tolerance 1e-09"
+    assert reasons == {"yanase_bound": yanase, "spin_bound": yanase}
+    trivial, tpair = w.trivial_demo_model()
+    assert w.bound_report(trivial, tpair, psi).null_reasons == {}
+    # each part of the spin scenario, and the conservation law
+    a_sz = w.MeasurementModel(2, 2, w.spin_basis("z").up, w.Operator.unitary(np.eye(4)), sz, sz)
+    assert w.bound_report(a_sz, tpair, psi).null_reasons == \
+        {"spin_bound": "not the spin scenario: needs A = S_x"}
+    l1_sx = w.ConservationPair(L1=sx, L2=sz)
+    report = w.bound_report(trivial, l1_sx, psi)
+    assert report.spin_bound is None
+    assert report.null_reasons == {"spin_bound": "not the spin scenario: needs L1 = S_z"}
+    model3, pair3 = random_conservative_model(np.random.default_rng(RNG_SEED), object_dim=3)
+    report = w.bound_report(model3, pair3, w.random_ket(3, np.random.default_rng(1)))
+    assert report.null_reasons == {"spin_bound": "not the spin scenario: needs a two-level object"}
+    cnot = w.MeasurementModel(2, 2, w.spin_basis("z").up,
+                              w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sx)
+    report = w.bound_report(cnot, tpair, psi)
+    assert report.commutator_identity_residual is None
+    assert report.null_reasons == {"commutator_identity_residual":
+                                   f"conservation law fails: acl residual "
+                                   f"{report.acl_residual:.3e}, tolerance 1e-09"}
+
+
 def test_bound_report_demo_models():
     psi = w.spin_basis("y").up
     model, pair = w.swap_demo_model()
@@ -371,6 +401,53 @@ def test_reduced_form_matches_dense_yanase_models():
         _assert_matches_dense(model, pair, w.random_ket(model.object_dim, rng))
 
 
+def _rebuilt(model):
+    """The same model as a new object, with nothing cached."""
+    return w.MeasurementModel(model.object_dim, model.probe_dim, model.xi, model.U,
+                              model.M, model.A)
+
+
+def test_bound_terms_memo_alternating_pairs():
+    rng = np.random.default_rng(RNG_SEED + 2)
+    model, yanase_pair = random_conservative_model(rng, object_dim=3, probe_dim=4)
+    other = w.ConservationPair(L1=w.random_hermitian(3, rng), L2=w.random_hermitian(4, rng))
+    assert w.yanase_residual(model.M, other.L2) > 0.1
+    states = [w.random_ket(3, rng) for _ in range(3)]
+    for pair in (yanase_pair, other, yanase_pair, other):
+        for psi in states:
+            fb = w.fundamental_bound(model, pair, psi)
+            assert fb == w.fundamental_bound(_rebuilt(model), pair, psi)
+            _, _, dense_fb, dense_yb = _dense_figures(model, pair, psi)
+            assert fb == pytest.approx(dense_fb, rel=ORACLE_TOL, abs=ORACLE_TOL)
+            if pair is yanase_pair:
+                yb = w.yanase_bound(model, pair, psi)
+                assert yb == w.yanase_bound(_rebuilt(model), pair, psi)
+                assert yb == pytest.approx(dense_yb, rel=ORACLE_TOL, abs=ORACLE_TOL)
+            else:
+                # the Yanase pair was cached a moment ago; this one still fails
+                with pytest.raises(w.PreconditionError):
+                    w.yanase_bound(model, pair, psi)
+        # a hit hands back the terms built for this very pair
+        assert bound_terms(model, pair) is bound_terms(model, pair)
+
+
+def test_bound_terms_memo_still_checks_new_pairs():
+    rng = np.random.default_rng(RNG_SEED + 3)
+    model, pair = random_conservative_model(rng, object_dim=2, probe_dim=3)
+    psi = w.random_ket(2, rng)
+    first = w.fundamental_bound(model, pair, psi)
+    assert w.fundamental_bound(model, pair, psi) == first  # a cache hit
+    for l1, l2 in ((w.random_hermitian(3, rng), pair.L2), (pair.L1, w.random_hermitian(2, rng))):
+        wrong = w.ConservationPair(L1=l1, L2=l2)
+        for bound in (w.fundamental_bound, w.yanase_bound, w.spin_bound):
+            with pytest.raises(w.DimensionMismatch):
+                bound(model, wrong, psi)
+    # an equal but distinct pair object is compiled and checked on its own
+    twin = w.ConservationPair(L1=pair.L1, L2=pair.L2)
+    assert bound_terms(model, twin) is not bound_terms(model, pair)
+    assert w.fundamental_bound(model, pair, psi) == first
+
+
 def test_bound_convention_at_joint_eigenstates():
     # psi and xi eigenstates of L1 and L2: both variances vanish
     sx, _, sz = w.spin_operators()
@@ -409,3 +486,16 @@ def test_property_master_inequality_and_dense_agreement(seed, object_dim, probe_
     _assert_matches_dense(model, pair, psi)
     assert w.variance_additivity_residual(pair, psi, model.xi) < 1e-10
     assert w.commutator_identity_residual(model, pair) < 1e-9
+    # the compiled D is the probe-traced commutator-identity side, and it
+    # equals the traced [N, L1 x I + I x L2] since the model is conservative
+    io, ip = np.eye(model.object_dim), np.eye(model.probe_dim)
+    u = model.U.matrix
+    im, il2 = np.kron(io, model.M.matrix), np.kron(io, pair.L2.matrix)
+    ai, l1i = np.kron(model.A.matrix, ip), np.kron(pair.L1.matrix, ip)
+    embed = np.kron(io, model.xi.amplitudes[:, None])
+    side = u.conj().T @ (im @ il2 - il2 @ im) @ u - (ai @ l1i - l1i @ ai)
+    n = u.conj().T @ im @ u - ai
+    total = l1i + il2
+    d = bound_terms(model, pair).d
+    assert np.linalg.norm(d - embed.conj().T @ side @ embed) < 1e-10
+    assert np.linalg.norm(d - embed.conj().T @ (n @ total - total @ n) @ embed) < 1e-9

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import waylimit as w
-from waylimit.cli import main, model_from_dict, model_to_dict
+from waylimit.cli import DEMO_NAMES, main, model_from_dict, model_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +52,77 @@ def test_demo_yw_sample(capsys):
     eta_plus = sum(re * re + im * im for re, im in doc["eta_plus"])
     eta_minus = sum(re * re + im * im for re, im in doc["eta_minus"])
     assert eta_plus + eta_minus == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_every_demo_file_verifies(tmp_path, capsys, name):
+    code, out, _ = run_cli(capsys, "demo", name)
+    assert code == 0
+    path = tmp_path / f"{name}.json"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["violations"] == []
+
+
+def test_verify_yw_sample_values_and_csv(tmp_path, capsys):
+    path = tmp_path / "yw.json"
+    path.write_text(run_cli(capsys, "demo", "yw-sample")[1])
+    code, out, _ = run_cli(capsys, "verify", str(path), "--state", "alpha_y")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "yw_model" and doc["model_name"] == "yw-sample"
+    # eps_y^2 = 0.05 + 0.05; each leaked branch records +/-1/4, a quarter off
+    # the intended +/-1/2, so eps(alpha_y)^2 = 2 (1/2)(0.05 (1/4)^2)
+    assert doc["eps_y_sq"] == pytest.approx(0.1, abs=1e-15)
+    assert doc["error_at_alpha_y"] == pytest.approx(0.003125, abs=1e-15)
+    code, out, _ = run_cli(capsys, "verify", str(path), "--csv")
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "model_name,state,eps_y_sq,error_at_alpha_y,violations"
+    assert row.startswith("yw-sample,alpha_y,0.099999999999999992,")
+
+
+def test_verify_yw_sample_input_errors(tmp_path, capsys):
+    doc = json.loads(run_cli(capsys, "demo", "yw-sample")[1])
+    path = tmp_path / "yw.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(path), "--state", "alpha_x")
+    assert code == 1
+    assert "--state" in err and "alpha_y" in err
+    del doc["M"]
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith("error: M: missing required field")
+
+
+def test_verify_yw_relation_is_a_regression_alarm(tmp_path, capsys, monkeypatch):
+    # 2 eps(alpha_y)^2 <= eps_y^2 is a theorem for valid data; force a
+    # failure through the plumbing to pin the alarm path
+    import waylimit.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "yw_error_at_alpha_y", lambda yw: 0.5)
+    path = tmp_path / "yw.json"
+    path.write_text(run_cli(capsys, "demo", "yw-sample")[1])
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert json.loads(out)["violations"] == ["yw_relation"]
+
+
+def test_verify_null_reasons_on_demos(tmp_path, capsys):
+    reasons = {}
+    for name in ("swap", "trivial"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(run_cli(capsys, "demo", name)[1])
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        reasons[name] = json.loads(out)["null_reasons"]
+        # the CSV schema has no such column
+        assert "null_reasons" not in run_cli(capsys, "verify", str(path), "--csv")[1]
+    yanase = "Yanase condition fails: [M, L2] residual 7.071e-01, tolerance 1e-09"
+    assert reasons["swap"] == {"yanase_bound": yanase, "spin_bound": yanase}
+    assert reasons["trivial"] == {}
 
 
 def test_demo_unknown_name(capsys):
