@@ -75,8 +75,12 @@ def _check_pair(model: MeasurementModel, pair: ConservationPair):
 def acl_residual(model: MeasurementModel, pair: ConservationPair) -> float:
     """Frobenius norm of [U, L1 x I + I x L2]; zero means the interaction conserves the sum."""
     _check_pair(model, pair)
+    return _acl_residual(model, pair.total())
+
+
+def _acl_residual(model: MeasurementModel, ltot: Operator) -> float:
     u = model.U.matrix
-    l = pair.total().matrix
+    l = ltot.matrix
     return frobenius_norm(u @ l - l @ u)
 
 
@@ -98,13 +102,20 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
     [N, L1 x I + I x L2] = U^dag (I x [M, L2]) U - [A, L1] x I, so this stays
     an independent check of the reduced form the bounds are evaluated from.
     """
-    r = acl_residual(model, pair)
+    _check_pair(model, pair)
+    ltot = pair.total()
+    r = _acl_residual(model, ltot)
     if r >= ACL_PRECONDITION_TOL:
         raise PreconditionError(
             f"commutator identity assumes the conservation law, acl residual {r:.3e}")
-    n = noise_operator(model).matrix
-    ltot = pair.total().matrix
-    lhs = n @ ltot - ltot @ n
+    return _identity_residual(model, pair, noise_operator(model), ltot)
+
+
+def _identity_residual(model: MeasurementModel, pair: ConservationPair,
+                       n: Operator, ltot: Operator) -> float:
+    """The commutator identity's residual from the dense noise operator and
+    total; the caller has checked the pair and the conservation law."""
+    lhs = n.matrix @ ltot.matrix - ltot.matrix @ n.matrix
     u = model.U.matrix
     im = tensor(identity(model.object_dim), model.M).matrix
     il2 = tensor(identity(model.object_dim), pair.L2).matrix
@@ -122,9 +133,12 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     half-magnitude of the commutator expectation, both in psi x xi.
     """
     _check_pair(model, pair)
-    v = model.composite_state(psi)
-    n = noise_operator(model)
-    ltot = pair.total()
+    return _robertson_pair(model.composite_state(psi), noise_operator(model), pair.total())
+
+
+def _robertson_pair(v: Ket, n: Operator, ltot: Operator):
+    """``uncertainty_pair`` in the composite state v, from the dense noise
+    operator and total."""
     lhs = variance(n, v) * variance(ltot, v)
     comm = n.matrix @ ltot.matrix - ltot.matrix @ n.matrix
     mean = complex(np.vdot(v.amplitudes, comm @ v.amplitudes))
@@ -339,9 +353,14 @@ class BoundReport:
 
 
 def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> BoundReport:
-    """Evaluate everything that applies to (model, pair, psi) in one record."""
+    """Evaluate everything that applies to (model, pair, psi) in one record.
+
+    The dense checks share one total L1 x I + I x L2, one ACL residual and
+    one noise operator; they stay independent of the reduced form.
+    """
     terms = bound_terms(model, pair)
-    acl = acl_residual(model, pair)
+    ltot = pair.total()
+    acl = _acl_residual(model, ltot)
     eps = noise(model, psi)
     fb = fundamental_bound(model, pair, psi)
     reasons = {}
@@ -359,13 +378,14 @@ def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> B
         reasons["spin_bound"] = reasons["yanase_bound"]
     else:
         sb = spin_bound(model, pair, psi)
+    n = noise_operator(model)
     if acl < ACL_PRECONDITION_TOL:
-        cir = commutator_identity_residual(model, pair)
+        cir = _identity_residual(model, pair, n, ltot)
     else:
         reasons["commutator_identity_residual"] = (
             f"conservation law fails: acl residual {acl:.3e}, "
             f"tolerance {ACL_PRECONDITION_TOL:g}")
-    lhs, rhs = uncertainty_pair(model, pair, psi)
+    lhs, rhs = _robertson_pair(model.composite_state(psi), n, ltot)
     return BoundReport(
         eps_sq=eps * eps,
         fundamental_bound=fb,

@@ -7,6 +7,10 @@ arrays, and infinities are serialized as the string "inf". Exit codes are
 every size failed, or an internal error, which is labeled as such), and 2
 (an inequality that is a theorem failed, the regression alarm). Set WAYLIMIT_DEBUG=1 to print the traceback
 of an internal error.
+
+``verify`` and ``demo`` need neither the optimizer nor the oscillator
+module, so ``sweep`` and ``optimize`` import what they use when they run;
+a cold ``verify`` then compiles and loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -41,16 +45,6 @@ from .linalg import (
     UNITARY_TOL,
 )
 from .measurement import MeasurementModel
-from .optimizer import (
-    CoherentAmplitudes,
-    OptimizerConfig,
-    commutant_basis,
-    hermitian_coordinates,
-    optimize_noise,
-    oscillator_probe,
-    spin_ladder_probe,
-    sweep_probe_size,
-)
 from .spin import (
     YWModel,
     named_state,
@@ -373,6 +367,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .optimizer import OptimizerConfig, sweep_probe_size
+
     parse_size = int if args.family == "spin_ladder" else float
     try:
         sizes = [parse_size(s) for s in args.sizes.split(",") if s]
@@ -417,6 +413,8 @@ def _observable_from_config(value, path: str) -> Operator:
 
 
 def _swap_theta(basis) -> np.ndarray:
+    from .optimizer import hermitian_coordinates
+
     if basis.conserved.dim != 4:
         raise CliInputError("theta0 'swap' needs a two-qubit composite space")
     swap = np.zeros((4, 4))
@@ -429,6 +427,10 @@ def _swap_theta(basis) -> np.ndarray:
 
 
 def _load_optimize_config(path: str):
+    from .optimizer import (OptimizerConfig, commutant_basis, oscillator_probe,
+                            spin_ladder_probe)
+    from .oscillator import CoherentAmplitudes
+
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CliInputError("config must be a JSON object")
@@ -514,6 +516,8 @@ def _load_optimize_config(path: str):
 
 
 def cmd_optimize(args) -> int:
+    from .optimizer import optimize_noise
+
     a, pair, m, xi, psi, config = _load_optimize_config(args.config)
     try:
         run = optimize_noise(a, pair, m, xi, psi, config)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConservationPair
+from .bounds import INEQUALITY_SLACK, ConservationPair
 from .linalg import Ket, Operator, StructureError
 from .measurement import MeasurementModel
 
@@ -191,7 +191,7 @@ def yw_check_bound(yw: YWModel, delta_mz_sq: float):
         raise ValueError(f"variance must be nonnegative, got {delta_mz_sq!r}")
     eps_y_sq = yw_eps_y(yw)
     floor = 1.0 / (2.0 + 8.0 * delta_mz_sq)
-    return eps_y_sq, floor, eps_y_sq >= floor - 1e-9
+    return eps_y_sq, floor, eps_y_sq >= floor - INEQUALITY_SLACK
 
 
 def yw_sample_model() -> YWModel:

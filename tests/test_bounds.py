@@ -333,6 +333,41 @@ def test_bound_report_demo_models():
     assert report.violations() == ()
 
 
+def test_bound_report_builds_the_dense_terms_once(monkeypatch):
+    import waylimit.bounds as bounds_module
+
+    calls = {"total": 0, "acl": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(w.ConservationPair, "total",
+                        counted("total", w.ConservationPair.total))
+    monkeypatch.setattr(bounds_module, "_acl_residual",
+                        counted("acl", bounds_module._acl_residual))
+    psi = w.spin_basis("y").up
+    model, pair = w.swap_demo_model()
+    report = w.bound_report(model, pair, psi)
+    assert calls == {"total": 1, "acl": 1}
+    # the shared dense terms give the values the public functions give alone
+    assert report.acl_residual == w.acl_residual(model, pair)
+    assert report.commutator_identity_residual == w.commutator_identity_residual(model, pair)
+    assert (report.uncertainty_lhs, report.uncertainty_rhs) == w.uncertainty_pair(model, pair, psi)
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(5):
+        model, pair = random_conservative_model(rng, yanase=False)
+        psi = w.random_ket(model.object_dim, rng)
+        report = w.bound_report(model, pair, psi)
+        assert report.acl_residual == w.acl_residual(model, pair)
+        assert report.commutator_identity_residual == \
+            w.commutator_identity_residual(model, pair)
+        assert (report.uncertainty_lhs, report.uncertainty_rhs) == \
+            w.uncertainty_pair(model, pair, psi)
+
+
 # Reduced-form figures against composite-space np.kron formulas. The models
 # with yanase=False have [M, L2] != 0, so the probe term
 # Y^dag (I x [M, L2]) Y of the fundamental bound is nonzero there.

@@ -256,6 +256,60 @@ def test_cli_import_skips_concurrent_futures():
     assert result.stdout.strip() == "False"
 
 
+def test_verify_loads_neither_optimizer_nor_oscillator(tmp_path):
+    # verify and demo need only linalg, measurement, bounds and spin; with
+    # PYTHONDONTWRITEBYTECODE=1 every module imported is compiled on each spawn
+    src = str(Path(w.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import contextlib, io, sys, waylimit.cli as cli\n"
+            "def loaded():\n"
+            "    return [m for m in ('waylimit.optimizer', 'waylimit.oscillator')\n"
+            "            if m in sys.modules]\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    assert cli.main(['demo', 'swap']) == 0\n"
+            "with open(sys.argv[1], 'w') as handle:\n"
+            "    handle.write(out.getvalue())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', sys.argv[1]]) == 0\n"
+            "print(loaded())\n")
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "swap.json")],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_lazy_exports_resolve_to_the_module_objects():
+    import waylimit.optimizer
+    import waylimit.oscillator
+
+    exports = {
+        waylimit.oscillator: (
+            "CoherentAmplitudes", "FockSpace", "coherent_state", "lowering_operator",
+            "m_z_operator", "number_operator", "oscillator_bound",
+            "total_number_operator", "two_mode_coherent_state"),
+        waylimit.optimizer: (
+            "CommutantBasis", "OptimizationRun", "OptimizerConfig", "SweepRow",
+            "commutant_basis", "conservative_unitary", "hermitian_coordinates",
+            "numerical_gradient", "optimize_noise", "oscillator_probe",
+            "record_observable", "spin_ladder_probe", "sweep_probe_size"),
+    }
+    listed = dir(w)
+    for module, names in exports.items():
+        for name in names:
+            assert getattr(w, name) is getattr(module, name)
+            assert name in listed
+    assert "spin_operators" in listed and "bound_report" in listed
+    # the first lookup keeps the name in the package, so later ones skip __getattr__
+    assert vars(w)["optimize_noise"] is waylimit.optimizer.optimize_noise
+    from waylimit import optimize_noise
+    assert optimize_noise is waylimit.optimizer.optimize_noise
+    with pytest.raises(AttributeError, match="no attribute 'not_an_export'"):
+        w.not_an_export
+    with pytest.raises(ImportError):
+        from waylimit import not_an_export  # noqa: F401
+
+
 def test_optimize_default_config(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 4, "restarts": 3, "max_iters": 40}))
@@ -330,12 +384,13 @@ def test_inequality_violation_maps_to_exit_two(tmp_path, capsys, monkeypatch):
 
 
 def test_theorem_violation_maps_to_exit_two(tmp_path, capsys, monkeypatch):
-    import waylimit.cli as cli_module
+    import waylimit.optimizer
 
     def boom(*args, **kwargs):
         raise w.TheoremViolation("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli_module, "optimize_noise", boom)
+    # cmd_optimize imports optimize_noise from the optimizer when it runs
+    monkeypatch.setattr(waylimit.optimizer, "optimize_noise", boom)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"restarts": 1}))
     code, _, err = run_cli(capsys, "optimize", str(config))

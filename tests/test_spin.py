@@ -166,6 +166,24 @@ def test_yw_check_bound_substitutions():
         w.yw_check_bound(sample, -1.0)
 
 
+def test_yw_check_bound_slack_is_the_inequality_slack():
+    from waylimit.bounds import INEQUALITY_SLACK
+
+    sample = w.yw_sample_model()
+    eps_y_sq = w.yw_eps_y(sample)
+
+    def variance_for_floor(floor):
+        # floor = 1 / (2 + 8 v)
+        return (1.0 / floor - 2.0) / 8.0
+
+    _, floor, passed = w.yw_check_bound(
+        sample, variance_for_floor(eps_y_sq + 0.5 * INEQUALITY_SLACK))
+    assert eps_y_sq < floor and passed
+    _, floor, passed = w.yw_check_bound(
+        sample, variance_for_floor(eps_y_sq + 2.0 * INEQUALITY_SLACK))
+    assert floor - eps_y_sq > INEQUALITY_SLACK and not passed
+
+
 def test_yw_check_bound_swap_embedding():
     # hand-built conservative embedding on a qubit probe: U = SWAP with
     # xi = up_x gives xi+ = up_x, eta- = down_x, everything else zero,
