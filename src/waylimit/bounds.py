@@ -23,10 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
+    ACL_GATE_TOL,
     DimensionMismatch,
+    EQUALITY_TOL,
+    INEQUALITY_SLACK,
     Ket,
     Operator,
+    PRECONDITION_TOL,
     PreconditionError,
+    RATIO_FLOOR,
     TheoremViolation,
     array_variance,
     expectation,
@@ -36,15 +41,6 @@ from .linalg import (
     variance,
 )
 from .measurement import MeasurementModel, noise, noise_operator
-
-ACL_GATE_TOL = 1e-10            # "model is conservative" gate for report checks
-ACL_PRECONDITION_TOL = 1e-9     # precondition for ACL-derived identities
-YANASE_PRECONDITION_TOL = 1e-9
-DENOMINATOR_FLOOR = 1e-14
-NUMERATOR_FLOOR = 1e-14
-INEQUALITY_SLACK = 1e-9
-ROBERTSON_SLACK = 1e-9
-SPIN_SCENARIO_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +101,7 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
     _check_pair(model, pair)
     ltot = pair.total()
     r = _acl_residual(model, ltot)
-    if r >= ACL_PRECONDITION_TOL:
+    if r >= PRECONDITION_TOL:
         raise PreconditionError(
             f"commutator identity assumes the conservation law, acl residual {r:.3e}")
     return _identity_residual(model, pair, noise_operator(model), ltot)
@@ -143,7 +139,7 @@ def _robertson_pair(v: Ket, n: Operator, ltot: Operator):
     comm = n.matrix @ ltot.matrix - ltot.matrix @ n.matrix
     mean = complex(np.vdot(v.amplitudes, comm @ v.amplitudes))
     rhs = 0.25 * abs(mean) ** 2
-    if lhs < rhs - ROBERTSON_SLACK:
+    if lhs < rhs - INEQUALITY_SLACK:
         raise TheoremViolation(
             f"uncertainty relation failed: lhs {lhs:.17g} < rhs {rhs:.17g}")
     return lhs, rhs
@@ -165,8 +161,8 @@ def _bounded_ratio(num: float, den: float) -> float:
     zero variance with a surviving numerator means no finite noise satisfies
     the bound (the infinity sentinel).
     """
-    if den < DENOMINATOR_FLOOR:
-        return 0.0 if num < NUMERATOR_FLOOR else math.inf
+    if den < RATIO_FLOOR:
+        return 0.0 if num < RATIO_FLOOR else math.inf
     return num / den
 
 
@@ -252,7 +248,7 @@ def yanase_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> f
     """
     terms = bound_terms(model, pair)
     r = terms.yanase_residual
-    if r >= YANASE_PRECONDITION_TOL:
+    if r >= PRECONDITION_TOL:
         raise PreconditionError(f"Yanase condition fails, [M, L2] residual {r:.3e}")
     model.check_object_state(psi)
     return _quadratic_bound(terms.c, pair, terms, psi)
@@ -271,9 +267,9 @@ def _spin_scenario_gap(model: MeasurementModel, pair: ConservationPair) -> Optio
     sx, _, sz = _spin_xyz()
     if model.object_dim != 2:
         return "a two-level object"
-    if frobenius_norm(model.A.matrix - sx.matrix) > SPIN_SCENARIO_TOL:
+    if frobenius_norm(model.A.matrix - sx.matrix) > EQUALITY_TOL:
         return "A = S_x"
-    if frobenius_norm(pair.L1.matrix - sz.matrix) > SPIN_SCENARIO_TOL:
+    if frobenius_norm(pair.L1.matrix - sz.matrix) > EQUALITY_TOL:
         return "L1 = S_z"
     return None
 
@@ -285,7 +281,7 @@ def spin_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> flo
     if gap:
         raise PreconditionError(f"spin bound needs {gap}")
     r = terms.yanase_residual
-    if r >= YANASE_PRECONDITION_TOL:
+    if r >= PRECONDITION_TOL:
         raise PreconditionError(f"spin bound assumes the Yanase condition, residual {r:.3e}")
     _, sy, sz = _spin_xyz()
     mean_sy = expectation(sy, psi)
@@ -304,13 +300,11 @@ def bound_comparison(delta_mz_sq: float, mean_mz: float):
     """Old mean-square bound next to the tighter variance bound, for reporting.
 
     Returns (old, new) where old = 1 / (8 <m^2>) with an infinity sentinel at
-    <m^2> = 0, and new = 1 / (2 + 8 v).
+    <m^2> = 0, and new = 1 / (2 + 8 v), twice the optimal spin floor.
     """
-    if delta_mz_sq < 0.0:
-        raise ValueError(f"variance must be nonnegative, got {delta_mz_sq!r}")
+    new = 2.0 * optimal_spin_bound(delta_mz_sq)
     mean_square = delta_mz_sq + mean_mz ** 2
-    old = math.inf if mean_square < DENOMINATOR_FLOOR else 1.0 / (8.0 * mean_square)
-    new = 1.0 / (2.0 + 8.0 * delta_mz_sq)
+    old = math.inf if mean_square < RATIO_FLOOR else 1.0 / (8.0 * mean_square)
     return old, new
 
 
@@ -347,7 +341,7 @@ class BoundReport:
             if self.spin_bound is not None \
                     and not self.eps_sq >= self.spin_bound - INEQUALITY_SLACK:
                 bad.append("spin_bound")
-        if not self.uncertainty_lhs >= self.uncertainty_rhs - ROBERTSON_SLACK:
+        if not self.uncertainty_lhs >= self.uncertainty_rhs - INEQUALITY_SLACK:
             bad.append("uncertainty")
         return tuple(bad)
 
@@ -366,9 +360,9 @@ def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> B
     reasons = {}
     yb = sb = cir = None
     yr = terms.yanase_residual
-    if yr >= YANASE_PRECONDITION_TOL:
+    if yr >= PRECONDITION_TOL:
         reasons["yanase_bound"] = (f"Yanase condition fails: [M, L2] residual {yr:.3e}, "
-                                   f"tolerance {YANASE_PRECONDITION_TOL:g}")
+                                   f"tolerance {PRECONDITION_TOL:g}")
     else:
         yb = yanase_bound(model, pair, psi)
     spin_gap = _spin_scenario_gap(model, pair)
@@ -379,12 +373,12 @@ def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> B
     else:
         sb = spin_bound(model, pair, psi)
     n = noise_operator(model)
-    if acl < ACL_PRECONDITION_TOL:
+    if acl < PRECONDITION_TOL:
         cir = _identity_residual(model, pair, n, ltot)
     else:
         reasons["commutator_identity_residual"] = (
             f"conservation law fails: acl residual {acl:.3e}, "
-            f"tolerance {ACL_PRECONDITION_TOL:g}")
+            f"tolerance {PRECONDITION_TOL:g}")
     lhs, rhs = _robertson_pair(model.composite_state(psi), n, ltot)
     return BoundReport(
         eps_sq=eps * eps,

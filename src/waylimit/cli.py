@@ -25,24 +25,18 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    ACL_GATE_TOL,
-    ACL_PRECONDITION_TOL,
-    BoundReport,
-    ConservationPair,
-    INEQUALITY_SLACK,
-    YANASE_PRECONDITION_TOL,
-    bound_report,
-)
+from .bounds import BoundReport, ConservationPair, bound_report
 from .linalg import (
+    ACL_GATE_TOL,
     DimensionMismatch,
-    HERMITIAN_TOL,
+    INEQUALITY_SLACK,
     Ket,
     Operator,
+    PRECONDITION_TOL,
     PreconditionError,
+    STRUCTURE_TOL,
     StructureError,
     TheoremViolation,
-    UNITARY_TOL,
 )
 from .measurement import MeasurementModel
 from .spin import (
@@ -61,10 +55,10 @@ SCHEMA_VERSION = "v1"
 TOLERANCES = {
     "inequality_slack": INEQUALITY_SLACK,
     "acl_gate": ACL_GATE_TOL,
-    "acl_precondition": ACL_PRECONDITION_TOL,
-    "yanase_precondition": YANASE_PRECONDITION_TOL,
-    "hermitian": HERMITIAN_TOL,
-    "unitary": UNITARY_TOL,
+    "acl_precondition": PRECONDITION_TOL,
+    "yanase_precondition": PRECONDITION_TOL,
+    "hermitian": STRUCTURE_TOL,
+    "unitary": STRUCTURE_TOL,
 }
 
 
@@ -225,10 +219,14 @@ def _write_text(path: str, text: str):
 
 
 def load_model_file(path: str):
-    """(model, pair, metadata) from a model file. A ``kind: yw_model`` file
-    holds partial interaction data and no conservation pair; it loads as
+    """(model, pair, metadata) from a model file, or from the ``result_model``
+    of an ``optimize`` output. A ``kind: yw_model`` file holds partial
+    interaction data and no conservation pair; it loads as
     (YWModel, None, metadata)."""
     doc = _read_json(path)
+    if isinstance(doc, dict) and "result_model" in doc:
+        # an ``optimize`` output: verify the model it found
+        doc = doc["result_model"]
     if isinstance(doc, dict) and doc.get("kind") == "yw_model":
         return yw_model_from_dict(doc)
     return model_from_dict(doc)
@@ -376,6 +374,9 @@ def cmd_sweep(args) -> int:
         raise CliInputError(f"--sizes: {exc}") from exc
     if not sizes:
         raise CliInputError("--sizes: need at least one size")
+    bad = [s for s in sizes if not (math.isfinite(s) and s >= 0)]
+    if bad:
+        raise CliInputError(f"--sizes: sizes must be finite and nonnegative, got {bad[0]!r}")
     try:
         config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters,
                                  seed=args.seed)
@@ -426,6 +427,21 @@ def _swap_theta(basis) -> np.ndarray:
         raise CliInputError(f"theta0 'swap' is not conservative here: {exc}") from exc
 
 
+_JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool, "string": str}
+
+# the type of each optimizer setting a config file may give
+_CONFIG_TYPES = {"seed": "integer", "restarts": "integer", "max_iters": "integer",
+                 "tol": "number", "objective": "string", "optimize_xi": "boolean"}
+
+
+def _typed(value, path: str, kind: str):
+    """value when it has the JSON type kind; a JSON bool is neither an
+    integer nor a number here."""
+    if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
+        raise CliInputError(f"{path}: expected a JSON {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _load_optimize_config(path: str):
     from .optimizer import (OptimizerConfig, commutant_basis, oscillator_probe,
                             spin_ladder_probe)
@@ -442,24 +458,29 @@ def _load_optimize_config(path: str):
         raise CliInputError(f"unknown config fields: {sorted(unknown)}")
 
     obj = doc.get("object") or {}
+    if not isinstance(obj, dict):
+        raise CliInputError(f"object: expected a JSON object, got {json.dumps(obj)}")
     a = _observable_from_config(obj.get("A", "s_x"), "object.A")
     l1 = _observable_from_config(obj.get("L1", "s_z"), "object.L1")
     if l1.dim != a.dim:
         raise CliInputError(f"object.L1: has dim {l1.dim}, expected {a.dim} to match object.A")
 
     probe = doc.get("probe") or {"family": "spin_ladder", "size": 2}
+    if not isinstance(probe, dict):
+        raise CliInputError(f"probe: expected a JSON object, got {json.dumps(probe)}")
     if "family" in probe:
         if probe["family"] == "spin_ladder":
+            size = _typed(probe.get("size", 2), "probe.size", "integer")
             try:
-                l2, m, xi = spin_ladder_probe(int(probe.get("size", 2)))
-            except (TypeError, ValueError) as exc:
+                l2, m, xi = spin_ladder_probe(size)
+            except ValueError as exc:
                 raise CliInputError(f"probe.size: {exc}") from exc
         elif probe["family"] == "oscillator":
+            n_max = _typed(probe.get("n_max", 2), "probe.n_max", "integer")
             alpha = _complex_from_json(probe.get("alpha", [0.0, 0.0]), "probe.alpha")
             beta = _complex_from_json(probe.get("beta", [0.0, 0.0]), "probe.beta")
             try:
-                l2, m, xi = oscillator_probe(int(probe.get("n_max", 2)),
-                                             CoherentAmplitudes(alpha, beta))
+                l2, m, xi = oscillator_probe(n_max, CoherentAmplitudes(alpha, beta))
             except ValueError as exc:
                 raise CliInputError(f"probe: {exc}") from exc
         else:
@@ -490,27 +511,20 @@ def _load_optimize_config(path: str):
     elif theta0 == "swap":
         theta0_value = tuple(_swap_theta(commutant_basis(pair.total())))
     elif isinstance(theta0, list):
-        try:
-            theta0_value = tuple(float(t) for t in theta0)
-        except (TypeError, ValueError) as exc:
-            raise CliInputError(f"theta0: {exc}") from exc
+        theta0_value = tuple(float(_typed(t, f"theta0[{k}]", "number"))
+                             for k, t in enumerate(theta0))
         size = commutant_basis(pair.total()).size
         if len(theta0_value) != size:
             raise CliInputError(f"theta0: has length {len(theta0_value)}, expected {size}")
     else:
         raise CliInputError(f"theta0: expected 'zero', 'swap', or a list, got {theta0!r}")
 
+    # only the settings the file gives; the defaults live in OptimizerConfig
+    settings = {key: _typed(doc[key], key, kind)
+                for key, kind in _CONFIG_TYPES.items() if key in doc}
     try:
-        config = OptimizerConfig(
-            restarts=int(doc.get("restarts", 16)),
-            max_iters=int(doc.get("max_iters", 80)),
-            tol=float(doc.get("tol", 1e-10)),
-            seed=int(doc.get("seed", 0)),
-            objective=str(doc.get("objective", "state")),
-            optimize_xi=bool(doc.get("optimize_xi", False)),
-            theta0=theta0_value,
-        )
-    except (TypeError, ValueError) as exc:
+        config = OptimizerConfig(theta0=theta0_value, **settings)
+    except ValueError as exc:
         raise CliInputError(f"config: {exc}") from exc
     return a, pair, m, xi, psi, config
 

@@ -1,4 +1,5 @@
-"""Dense complex kets and tagged operators plus the spectral toolkit.
+"""Dense complex kets and tagged operators, the spectral toolkit, and the
+tolerance table: every numeric threshold of the package, defined once here.
 
 Everything downstream (measurement models, conservation-law residuals and
 bounds, the interaction optimizer) is built on these primitives.
@@ -16,17 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Residual thresholds for structure tags.
-HERMITIAN_TOL = 1e-10
-UNITARY_TOL = 1e-10
-PROJECTION_TOL = 1e-10
-KET_NORM_TOL = 1e-12
-# Imaginary residue allowed when reading off a real expectation value.
-IMAG_TOL = 1e-10
-# Eigenvalues closer than this collapse into one spectral projector.
-DEGENERACY_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-9
-VARIANCE_CLAMP_TOL = 1e-12
+# Tolerances: every numeric threshold of the package, one constant per meaning.
+# Two checks share a constant only when they share its value and its meaning;
+# README.md ("Tolerances") lists the checks that read each one.
+STRUCTURE_TOL = 1e-10              # residual of a structural identity or tag
+ROUNDING_TOL = 1e-12               # zero up to rounding
+EQUALITY_TOL = 1e-9                # two values treated as equal
+INEQUALITY_SLACK = 1e-9            # slack on a theorem inequality before the alarm
+PRECONDITION_TOL = 1e-9            # residual below which a precondition holds
+RATIO_FLOOR = 1e-14                # a ratio's denominator or numerator below this is zero
+ACL_GATE_TOL = 1e-10               # conservation residual below which reports check bounds
+GENERATOR_COMMUTATION_TOL = 1e-11  # commutator bound of each commutant sector
+TAIL_TOL = 1e-8                    # coherent-state mass a Fock cutoff may drop
+GRADIENT_TOL = 1e-10               # gradient norm at which the optimizer stops
+DESCENT_MARGIN = 1e-15             # decrease a line-search step must reach to be taken
 
 
 class DimensionMismatch(ValueError):
@@ -68,7 +72,7 @@ class Ket:
         object.__setattr__(self, "amplitudes", amp)
         if self.normalized:
             n = float(np.linalg.norm(amp))
-            if abs(n - 1.0) > KET_NORM_TOL:
+            if abs(n - 1.0) > ROUNDING_TOL:
                 raise StructureError(f"ket tagged normalized has norm {n:.17g}")
 
     @property
@@ -113,15 +117,15 @@ class Operator:
 
         if "hermitian" in tags:
             r = frobenius_norm(m - m.conj().T)
-            if r > HERMITIAN_TOL:
+            if r > STRUCTURE_TOL:
                 raise StructureError(f"hermitian tag violated, residual {r:.3e}")
         if "unitary" in tags:
             r = frobenius_norm(m.conj().T @ m - np.eye(m.shape[0]))
-            if r > UNITARY_TOL:
+            if r > STRUCTURE_TOL:
                 raise StructureError(f"unitary tag violated, residual {r:.3e}")
         if "projection" in tags:
             r = frobenius_norm(m @ m - m)
-            if r > PROJECTION_TOL:
+            if r > STRUCTURE_TOL:
                 raise StructureError(f"projection tag violated, residual {r:.3e}")
 
     @property
@@ -167,12 +171,12 @@ class SpectralDecomposition:
                 raise StructureError("spectral projectors must carry the projection tag")
             total = total + p.matrix
         r = frobenius_norm(total - np.eye(dim))
-        if r > HERMITIAN_TOL:
+        if r > STRUCTURE_TOL:
             raise StructureError(f"spectral projectors do not resolve the identity, residual {r:.3e}")
         for i, p in enumerate(self.projectors):
             for q in self.projectors[i + 1:]:
                 r = frobenius_norm(p.matrix @ q.matrix)
-                if r > HERMITIAN_TOL:
+                if r > STRUCTURE_TOL:
                     raise StructureError(f"spectral projectors not mutually orthogonal, residual {r:.3e}")
 
     @property
@@ -208,7 +212,7 @@ def expectation(x: Operator, v: Ket) -> float:
     """<v|X|v> for hermitian X; the imaginary residue is checked and dropped."""
     _check_state_input(x, v, "expectation")
     val = complex(np.vdot(v.amplitudes, x.matrix @ v.amplitudes))
-    if abs(val.imag) > IMAG_TOL:
+    if abs(val.imag) > STRUCTURE_TOL:
         raise StructureError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
@@ -226,11 +230,11 @@ def array_variance(x: np.ndarray, v: np.ndarray) -> float:
     xv = x @ v
     second = float(np.vdot(xv, xv).real)
     mean = complex(np.vdot(v, xv))
-    if abs(mean.imag) > IMAG_TOL:
+    if abs(mean.imag) > STRUCTURE_TOL:
         raise StructureError(f"variance mean has imaginary residue {mean.imag:.3e}")
     var = second - mean.real ** 2
     if var < 0.0:
-        if var < -VARIANCE_CLAMP_TOL:
+        if var < -ROUNDING_TOL:
             raise ArithmeticError(f"variance {var:.3e} negative beyond tolerance")
         var = 0.0
     return var
@@ -243,6 +247,14 @@ def commutator(x: Operator, y: Operator) -> Operator:
     return Operator(x.matrix @ y.matrix - y.matrix @ x.matrix)
 
 
+def spectrum_runs(w: np.ndarray, tol: float) -> tuple:
+    """(start, stop) index ranges of the runs of an ascending spectrum w: a run
+    ends where the next value lies more than tol above, so gaps of at most tol
+    chain and one run may span more than tol."""
+    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), len(w)]
+    return tuple(zip(edges[:-1], edges[1:]))
+
+
 def spectral(x: Operator) -> SpectralDecomposition:
     """Eigendecomposition with near-degenerate eigenvalues merged into one projector."""
     if not x.has("hermitian"):
@@ -250,16 +262,13 @@ def spectral(x: Operator) -> SpectralDecomposition:
     w, vecs = np.linalg.eigh(x.matrix)
     values = []
     projectors = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or (w[k] - w[k - 1]) > DEGENERACY_TOL:
-            block = vecs[:, start:k]
-            values.append(float(np.mean(w[start:k])))
-            projectors.append(Operator.projection(block @ block.conj().T))
-            start = k
+    for start, stop in spectrum_runs(w, EQUALITY_TOL):
+        block = vecs[:, start:stop]
+        values.append(float(np.mean(w[start:stop])))
+        projectors.append(Operator.projection(block @ block.conj().T))
     recon = sum(v * p.matrix for v, p in zip(values, projectors))
     r = frobenius_norm(recon - x.matrix)
-    if r > RECONSTRUCTION_TOL:
+    if r > EQUALITY_TOL:
         raise ArithmeticError(f"spectral reconstruction residual {r:.3e}")
     return SpectralDecomposition(tuple(values), tuple(projectors))
 

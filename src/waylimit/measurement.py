@@ -26,19 +26,16 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatch,
+    EQUALITY_TOL,
     Ket,
     Operator,
     PreconditionError,
+    ROUNDING_TOL,
     StructureError,
     identity,
     spectral,
     tensor,
 )
-
-PROBABILITY_CLAMP_TOL = 1e-12
-PROBABILITY_SUM_TOL = 1e-9
-OUTCOME_MATCH_TOL = 1e-9
-SPIN_HALF_SPECTRUM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +128,10 @@ class OutcomeDistribution:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p!r} for outcome {value!r} outside [0, 1]")
             total += p
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+        if abs(total - 1.0) > EQUALITY_TOL:
             raise ValueError(f"probabilities sum to {total:.17g}, not 1")
 
-    def probability_near(self, value: float, tol: float = OUTCOME_MATCH_TOL) -> float:
+    def probability_near(self, value: float, tol: float = EQUALITY_TOL) -> float:
         return sum(p for v, p in self.outcomes if abs(v - value) <= tol)
 
     def probability_in_interval(self, lo: float, hi: float) -> float:
@@ -162,7 +159,7 @@ def outcome_distribution(model: MeasurementModel, psi: Ket) -> OutcomeDistributi
     outcomes = []
     for value, proj in zip(decomp.eigenvalues, decomp.projectors):
         p = float(np.real(np.vdot(proj.matrix @ v, proj.matrix @ v)))
-        if p < -PROBABILITY_CLAMP_TOL or p > 1.0 + PROBABILITY_CLAMP_TOL:
+        if p < -ROUNDING_TOL or p > 1.0 + ROUNDING_TOL:
             raise ArithmeticError(f"outcome probability {p:.17g} outside clamp tolerance")
         outcomes.append((value, min(max(p, 0.0), 1.0)))
     return OutcomeDistribution(tuple(outcomes))
@@ -184,7 +181,7 @@ def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:
         born = float(np.real(np.vdot(pv, pv)))
         measured = 0.0
         for k, (outcome, p) in enumerate(dist.outcomes):
-            if abs(outcome - value) <= OUTCOME_MATCH_TOL:
+            if abs(outcome - value) <= EQUALITY_TOL:
                 measured += p
                 matched[k] = True
         deviation = max(deviation, abs(measured - born))
@@ -225,8 +222,8 @@ def error_probability(model: MeasurementModel, psi: Ket) -> float:
     if model.object_dim != 2:
         raise PreconditionError("error probability is defined for two-level objects only")
     values = spectral(model.A).eigenvalues
-    if len(values) != 2 or abs(values[0] + 0.5) > SPIN_HALF_SPECTRUM_TOL \
-            or abs(values[1] - 0.5) > SPIN_HALF_SPECTRUM_TOL:
+    if len(values) != 2 or abs(values[0] + 0.5) > EQUALITY_TOL \
+            or abs(values[1] - 0.5) > EQUALITY_TOL:
         raise PreconditionError(
             f"error probability needs spectrum {{-1/2, +1/2}}, got {values}")
     e = noise(model, psi)

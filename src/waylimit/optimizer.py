@@ -24,16 +24,22 @@ import numpy as np
 from .bounds import (
     ConservationPair,
     TheoremViolation,
-    YANASE_PRECONDITION_TOL,
     yanase_bound,
     yanase_residual,
 )
 from .linalg import (
-    DEGENERACY_TOL,
+    DESCENT_MARGIN,
+    EQUALITY_TOL,
+    GENERATOR_COMMUTATION_TOL,
+    GRADIENT_TOL,
+    INEQUALITY_SLACK,
     Ket,
     Operator,
+    PRECONDITION_TOL,
     PreconditionError,
+    ROUNDING_TOL,
     frobenius_norm,
+    spectrum_runs,
 )
 from .measurement import MeasurementModel, noise, sup_noise
 from .oscillator import (
@@ -43,9 +49,6 @@ from .oscillator import (
     two_mode_coherent_state,
 )
 
-COMMUTANT_MERGE_TOL = 1e-12
-GENERATOR_COMMUTATION_TOL = 1e-11
-SOUNDNESS_SLACK = 1e-9
 MAX_OSCILLATOR_N_MAX = 8
 INIT_STEP = 0.5
 MAX_BACKTRACKS = 40
@@ -183,13 +186,7 @@ def commutant_basis(l_total: Operator) -> CommutantBasis:
     if not l_total.has("hermitian"):
         raise ValueError("commutant_basis needs a hermitian operator")
     w, vecs = np.linalg.eigh(l_total.matrix)
-    sectors = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or (w[k] - w[k - 1]) > COMMUTANT_MERGE_TOL:
-            sectors.append((start, k))
-            start = k
-    return CommutantBasis(l_total, vecs, tuple(sectors))
+    return CommutantBasis(l_total, vecs, spectrum_runs(w, ROUNDING_TOL))
 
 
 def conservative_unitary(basis: CommutantBasis, theta: Sequence[float]) -> Operator:
@@ -209,7 +206,7 @@ def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
     for t, g in zip(theta, basis.generators):
         recon = recon + t * g.matrix
     r = frobenius_norm(recon - h.matrix)
-    if r > 1e-9:
+    if r > EQUALITY_TOL:
         raise ValueError(f"matrix lies outside the commutant span, residual {r:.3e}")
     return theta
 
@@ -224,9 +221,8 @@ def record_observable(l2: Operator) -> Operator:
     single-step sign pattern pins the optimum at 1/4 regardless of size.
     """
     w, vecs = np.linalg.eigh(l2.matrix)
-    level = np.zeros(len(w), dtype=int)
-    for i in range(1, len(w)):
-        level[i] = level[i - 1] + (1 if w[i] - w[i - 1] > DEGENERACY_TOL else 0)
+    runs = spectrum_runs(w, EQUALITY_TOL)
+    level = np.repeat(np.arange(len(runs)), [stop - start for start, stop in runs])
     # anchor +1/2 at the top of the spectrum; for a spin-1/2 probe this
     # reproduces the spin itself
     f = 0.5 * (-1.0) ** (level[-1] - level)
@@ -237,7 +233,7 @@ def record_observable(l2: Operator) -> Operator:
 class OptimizerConfig:
     restarts: int = 16
     max_iters: int = 80
-    tol: float = 1e-10                # stop when the gradient norm falls below
+    tol: float = GRADIENT_TOL         # stop when the gradient norm falls below
     seed: int = 0
     objective: str = "state"          # "state" minimizes eps(psi)^2, "sup" the worst case
     optimize_xi: bool = False
@@ -248,6 +244,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.max_iters < 0:
             raise ValueError("invalid optimizer parameters")
 
@@ -285,7 +283,7 @@ class _Problem:
     def __init__(self, a: Operator, pair: ConservationPair, m: Operator,
                  xi0: Ket, psi: Ket, config: OptimizerConfig):
         r = yanase_residual(m, pair.L2)
-        if r >= YANASE_PRECONDITION_TOL:
+        if r >= PRECONDITION_TOL:
             raise PreconditionError(
                 f"optimizer requires the Yanase condition, [M, L2] residual {r:.3e}")
         self.a = a
@@ -310,7 +308,7 @@ class _Problem:
             return theta, self.xi0
         raw = self._raw_xi(x)
         nrm = np.linalg.norm(raw)
-        if nrm < 1e-12:
+        if nrm < ROUNDING_TOL:
             raise ArithmeticError("probe-state parameters collapsed to zero")
         return theta, Ket(raw / nrm)
 
@@ -346,7 +344,7 @@ class _Problem:
         red = model.reduced
         if self.config.objective == "sup":
             lam, vecs = np.linalg.eigh(red.w.conj().T @ red.w)
-            phis = vecs[:, lam >= lam[-1] - DEGENERACY_TOL]
+            phis = vecs[:, lam >= lam[-1] - EQUALITY_TOL]
         else:
             phis = self.psi.amplitudes[:, None]
         count = phis.shape[1]
@@ -377,7 +375,7 @@ class _Problem:
         model = self.model_at(x)
         e = noise(model, self.psi)
         floor = yanase_bound(model, self.pair, self.psi)
-        if e * e < floor - SOUNDNESS_SLACK:
+        if e * e < floor - INEQUALITY_SLACK:
             raise TheoremViolation(
                 f"accepted iterate has squared noise {e * e:.17g} below the "
                 f"bound {floor:.17g}")
@@ -433,7 +431,7 @@ class _Problem:
             for _ in range(MAX_BACKTRACKS):
                 x_try = self._regauge(x - alpha * g)
                 f_try, model_try = self.evaluate(x_try)
-                if f_try < f - 1e-15:
+                if f_try < f - DESCENT_MARGIN:
                     accepted = True
                     break
                 alpha *= 0.5

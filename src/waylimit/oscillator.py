@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import optimal_spin_bound
-from .linalg import Ket, Operator, tensor
-
-TAIL_TOL = 1e-8
+from .linalg import TAIL_TOL, Ket, Operator, tensor
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +62,7 @@ def number_operator(levels: int) -> Operator:
 
 
 def coherent_state(amp: complex, n_max: int) -> Ket:
-    """Truncated coherent state, renormalized; the dropped tail must be < 1e-8.
+    """Truncated coherent state, renormalized; the dropped tail must be below TAIL_TOL.
 
     The cutoff guard |amp|^2 <= n_max / 4 keeps the Poisson weight well away
     from the truncation edge for the cutoffs used here; the tail itself is

@@ -19,14 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import INEQUALITY_SLACK, ConservationPair
-from .linalg import Ket, Operator, StructureError
+from .bounds import ConservationPair, optimal_spin_bound
+from .linalg import (
+    EQUALITY_TOL,
+    INEQUALITY_SLACK,
+    Ket,
+    Operator,
+    ROUNDING_TOL,
+    STRUCTURE_TOL,
+    StructureError,
+)
 from .measurement import MeasurementModel
 
-ISOMETRY_TOL = 1e-10
-ORTHOGONALITY_TOL = 1e-10
-EIGENSTATE_TOL = 1e-10
-SPECTRUM_TOL = 1e-9
 HALF = 0.5
 
 _SX = np.array([[0.0, HALF], [HALF, 0.0]], dtype=np.complex128)
@@ -138,24 +142,24 @@ class YWModel:
 
         plus = self.xi_plus.norm_sq() + self.eta_plus.norm_sq()
         minus = self.xi_minus.norm_sq() + self.eta_minus.norm_sq()
-        if abs(plus - 1.0) > ISOMETRY_TOL or abs(minus - 1.0) > ISOMETRY_TOL:
+        if abs(plus - 1.0) > STRUCTURE_TOL or abs(minus - 1.0) > STRUCTURE_TOL:
             raise StructureError(
                 f"image norms {plus:.12g}, {minus:.12g} break the isometry condition")
 
         overlap = complex(np.vdot(self.xi_plus.amplitudes, self.eta_minus.amplitudes)) \
             + complex(np.vdot(self.eta_plus.amplitudes, self.xi_minus.amplitudes))
-        if abs(overlap) > ORTHOGONALITY_TOL:
+        if abs(overlap) > STRUCTURE_TOL:
             raise StructureError(f"image overlap {abs(overlap):.3e} breaks orthogonality")
 
         m = self.M.matrix
         rp = np.linalg.norm(m @ self.xi_plus.amplitudes - HALF * self.xi_plus.amplitudes)
         rm = np.linalg.norm(m @ self.xi_minus.amplitudes + HALF * self.xi_minus.amplitudes)
-        if rp > EIGENSTATE_TOL or rm > EIGENSTATE_TOL:
+        if rp > STRUCTURE_TOL or rm > STRUCTURE_TOL:
             raise StructureError(
                 f"xi_plus/xi_minus are not +/-1/2 eigenstates (residuals {rp:.3e}, {rm:.3e})")
 
         w = np.linalg.eigvalsh(m)
-        if w[0] < -HALF - SPECTRUM_TOL or w[-1] > HALF + SPECTRUM_TOL:
+        if w[0] < -HALF - EQUALITY_TOL or w[-1] > HALF + EQUALITY_TOL:
             raise StructureError(
                 f"record spectrum [{w[0]:.12g}, {w[-1]:.12g}] leaves [-1/2, 1/2]")
 
@@ -185,12 +189,11 @@ def yw_check_bound(yw: YWModel, delta_mz_sq: float):
 
     v is the probe conserved-quantity variance of a conservative embedding of
     the partial data; it cannot be derived from the partial data alone, so the
-    caller supplies it. Returns (eps_y_sq, floor, passed).
+    caller supplies it. The floor is twice the optimal spin floor. Returns
+    (eps_y_sq, floor, passed).
     """
-    if delta_mz_sq < 0.0:
-        raise ValueError(f"variance must be nonnegative, got {delta_mz_sq!r}")
+    floor = 2.0 * optimal_spin_bound(delta_mz_sq)
     eps_y_sq = yw_eps_y(yw)
-    floor = 1.0 / (2.0 + 8.0 * delta_mz_sq)
     return eps_y_sq, floor, eps_y_sq >= floor - INEQUALITY_SLACK
 
 
@@ -251,7 +254,7 @@ def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:
         + np.kron(ax, rng.standard_normal(d) + 1j * rng.standard_normal(d))
     v1_in = np.kron(bx, np.vdot(down, eta_plus) * down) + np.kron(ax, xi_plus)
     nrm = np.vdot(v1_in, v1_in)
-    if abs(nrm) > 1e-24:
+    if abs(nrm) > ROUNDING_TOL ** 2:
         w = w - v1_in * (np.vdot(v1_in, w) / nrm)
     w /= np.linalg.norm(w)
 

@@ -270,6 +270,10 @@ def test_bound_comparison_cases():
     with pytest.raises(ValueError):
         w.bound_comparison(-0.5, 0.0)
 
+    # the variance form is twice the optimal floor, bit for bit 1 / (2 + 8 v)
+    for v in (0.0, 1e-300, 0.1, 1.0 / 3.0, 7.5, 1e300):
+        assert w.bound_comparison(v, 0.5)[1] == 1.0 / (2.0 + 8.0 * v)
+
 
 def test_bound_report_violation_flags():
     # hand-made reports: the checker must flag exactly the broken inequality

@@ -219,10 +219,16 @@ def test_sweep_oscillator_bound_column(tmp_path, capsys):
 
 
 def test_sweep_rejects_bad_sizes(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "sweep", "--family", "spin_ladder",
-                           "--sizes", "two", "--out", str(tmp_path / "x.csv"))
-    assert code == 1
-    assert "sizes" in err
+    out = tmp_path / "x.csv"
+    for family, sizes in (("spin_ladder", "two"), ("spin_ladder", "3,-1"),
+                          ("oscillator", "0.005,-1"), ("oscillator", "nan"),
+                          ("oscillator", "inf")):
+        code, _, err = run_cli(capsys, "sweep", "--family", family,
+                               "--sizes", sizes, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: --sizes: ")
+        # rejected before any row runs
+        assert not out.exists()
 
 
 def test_sweep_in_which_every_size_fails_exits_one(tmp_path, capsys):
@@ -237,7 +243,8 @@ def test_sweep_in_which_every_size_fails_exits_one(tmp_path, capsys):
     assert "size 2 failed: " in err
 
 
-@pytest.mark.parametrize("option", [["--restarts", "0"], ["--max-iters", "-1"]])
+@pytest.mark.parametrize("option", [["--restarts", "0"], ["--max-iters", "-1"],
+                                    ["--seed", "-1"]])
 def test_sweep_invalid_optimizer_options_are_input_errors(tmp_path, capsys, option):
     code, _, err = run_cli(capsys, "sweep", "--family", "spin_ladder", "--sizes", "2",
                            "--out", str(tmp_path / "x.csv"), *option)
@@ -321,6 +328,20 @@ def test_optimize_default_config(tmp_path, capsys):
     assert run["bound_value"] == pytest.approx(0.125, abs=1e-9)
     trace = run["objective_trace"]
     assert all(a >= b - 1e-15 for a, b in zip(trace, trace[1:]))
+
+
+def test_verify_reads_an_optimize_output(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "restarts": 3, "max_iters": 20}))
+    out = tmp_path / "run.json"
+    assert run_cli(capsys, "optimize", str(config), "--out", str(out))[0] == 0
+    run = json.loads(out.read_text())
+    code, text, _ = run_cli(capsys, "verify", str(out), "--state", "alpha_y")
+    assert code == 0
+    report = json.loads(text)
+    assert report["model_name"] == "optimized"
+    assert report["eps_sq"] == run["final_objective"]
+    assert report["violations"] == []
 
 
 def test_optimize_noop_run_reports_initial_objective(tmp_path, capsys):
@@ -459,6 +480,22 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
     ({"object": {"L1": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
                         [[0, 0], [0, 0], [0, 0]]]}}, "dim"),
     ({"grad_step": 1e-5}, "grad_step"),
+    ({"optimize_xi": "false"}, "optimize_xi"),
+    ({"optimize_xi": 0}, "optimize_xi"),
+    ({"seed": 0.9}, "seed"),
+    ({"restarts": 1.5}, "restarts"),
+    ({"max_iters": True}, "max_iters"),
+    ({"seed": "3"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"tol": "1e-10"}, "tol"),
+    ({"tol": False}, "tol"),
+    ({"objective": 5}, "objective"),
+    ({"probe": {"family": "spin_ladder", "size": 2.9}}, "probe.size"),
+    ({"probe": {"family": "oscillator", "n_max": None}}, "probe.n_max"),
+    ({"probe": {"family": "oscillator", "n_max": 2.5}}, "probe.n_max"),
+    ({"probe": 7}, "probe"),
+    ({"object": "s_x"}, "object"),
+    ({"theta0": ["0.1", 0.2, 0.3, 0.4, 0.5, 0.6]}, "theta0[0]"),
 ])
 def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"

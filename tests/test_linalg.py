@@ -211,3 +211,45 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(RNG_SEED)
     u = w.random_unitary(6, rng)
     assert w.frobenius_norm(u.matrix.conj().T @ u.matrix - np.eye(6)) < 1e-12
+
+
+def test_numeric_thresholds_live_only_in_the_linalg_table():
+    # every small float literal of the package is a tolerance, and every
+    # tolerance is a module-level constant of linalg's table
+    import ast
+    from pathlib import Path
+
+    src = Path(w.__file__).parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "linalg.py":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                        and isinstance(node.targets[0], ast.Name) \
+                        and node.targets[0].id.isupper():
+                    allowed.update(id(n) for n in ast.walk(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) \
+                    and 0.0 < abs(node.value) <= 1e-6 and id(node) not in allowed:
+                stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert stray == []
+
+
+def test_spectrum_runs_match_the_chained_gap_rule():
+    tol = 1e-9
+    # gaps just below and just above tol, a chain of small gaps that spans
+    # more than tol, and a repeated value
+    w_ = np.cumsum([-2.0, 0.9 * tol, 1.1 * tol, 0.5, 0.6 * tol, 0.6 * tol,
+                    0.6 * tol, 1.0 + tol, 0.0, 3.0 * tol])
+    assert np.all(np.diff(w_) >= 0)
+
+    runs, start = [], 0
+    for k in range(1, len(w_) + 1):
+        if k == len(w_) or (w_[k] - w_[k - 1]) > tol:
+            runs.append((start, k))
+            start = k
+    assert w.linalg.spectrum_runs(w_, tol) == tuple(runs)
+    assert runs == [(0, 2), (2, 3), (3, 7), (7, 9), (9, 10)]
+    assert w.linalg.spectrum_runs(np.array([0.25]), tol) == ((0, 1),)

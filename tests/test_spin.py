@@ -164,6 +164,8 @@ def test_yw_check_bound_substitutions():
     assert floor == pytest.approx(0.1, abs=1e-15)
     with pytest.raises(ValueError):
         w.yw_check_bound(sample, -1.0)
+    for v in (0.0, 1e-300, 0.1, 1.0 / 3.0, 7.5, 1e300):
+        assert w.yw_check_bound(sample, v)[1] == 1.0 / (2.0 + 8.0 * v)
 
 
 def test_yw_check_bound_slack_is_the_inequality_slack():
