@@ -7,6 +7,10 @@ a lower bound on the squared noise; adding the Yanase condition [M, L2] = 0
 reduces its numerator to the object-side commutator, and specializing to the
 spin-1/2 scenario (A = S_x, L1 = S_z) gives the closed-form error floors.
 
+Each function that needs a step's condition checks it and raises
+``PreconditionError`` (``require_yanase`` is the Yanase test, ``ACL_GATE_TOL``
+the one ACL threshold); ``bound_report`` keeps those messages as null reasons.
+
 The bounds read terms that depend only on (model, pair) from ``bound_terms``,
 which compiles them on the object space once, in O(D d_o (d_o + d_p) + d_p^3)
 (D = d_o d_p), and keeps them on the model; each state then costs O(d_o^2)
@@ -33,10 +37,10 @@ from .linalg import (
     PreconditionError,
     RATIO_FLOOR,
     TheoremViolation,
+    apply_on_probe,
     array_variance,
     expectation,
     frobenius_norm,
-    identity,
     tensor,
     variance,
 )
@@ -56,8 +60,8 @@ class ConservationPair:
 
     def total(self) -> Operator:
         """L1 x I + I x L2 on the composite space."""
-        m = tensor(self.L1, identity(self.L2.dim)).matrix \
-            + tensor(identity(self.L1.dim), self.L2).matrix
+        m = np.kron(self.L1.matrix, np.eye(self.L2.dim)) \
+            + np.kron(np.eye(self.L1.dim), self.L2.matrix)
         return Operator.hermitian(m)
 
 
@@ -91,6 +95,13 @@ def yanase_residual(m: Operator, l2: Operator) -> float:
     return frobenius_norm(_commutator_matrix(m, l2))
 
 
+def require_yanase(residual: float):
+    """The Yanase condition's one test, on the residual of [M, L2]."""
+    if residual >= PRECONDITION_TOL:
+        raise PreconditionError(f"Yanase condition fails: [M, L2] residual {residual:.3e}, "
+                                f"tolerance {PRECONDITION_TOL:g}")
+
+
 def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair) -> float:
     """Residual of the ACL-derived commutator identity; requires a conservative model.
 
@@ -100,23 +111,23 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
     """
     _check_pair(model, pair)
     ltot = pair.total()
-    r = _acl_residual(model, ltot)
-    if r >= PRECONDITION_TOL:
-        raise PreconditionError(
-            f"commutator identity assumes the conservation law, acl residual {r:.3e}")
-    return _identity_residual(model, pair, noise_operator(model), ltot)
+    return _identity_residual(model, pair, noise_operator(model), ltot,
+                              _acl_residual(model, ltot))
 
 
 def _identity_residual(model: MeasurementModel, pair: ConservationPair,
-                       n: Operator, ltot: Operator) -> float:
-    """The commutator identity's residual from the dense noise operator and
-    total; the caller has checked the pair and the conservation law."""
+                       n: Operator, ltot: Operator, acl: float) -> float:
+    """The commutator identity's residual from the dense noise operator, the
+    total and its ACL residual acl; the caller has checked the pair."""
+    if acl >= ACL_GATE_TOL:
+        raise PreconditionError(f"conservation law fails: acl residual {acl:.3e}, "
+                                f"tolerance {ACL_GATE_TOL:g}")
     lhs = n.matrix @ ltot.matrix - ltot.matrix @ n.matrix
     u = model.U.matrix
-    im = tensor(identity(model.object_dim), model.M).matrix
-    il2 = tensor(identity(model.object_dim), pair.L2).matrix
-    ai = tensor(model.A, identity(model.probe_dim)).matrix
-    l1i = tensor(pair.L1, identity(model.probe_dim)).matrix
+    im = np.kron(np.eye(model.object_dim), model.M.matrix)
+    il2 = np.kron(np.eye(model.object_dim), pair.L2.matrix)
+    ai = np.kron(model.A.matrix, np.eye(model.probe_dim))
+    l1i = np.kron(pair.L1.matrix, np.eye(model.probe_dim))
     probe_term = u.conj().T @ (im @ il2 - il2 @ im) @ u
     object_term = ai @ l1i - l1i @ ai
     return frobenius_norm(lhs - (probe_term - object_term))
@@ -149,8 +160,8 @@ def variance_additivity_residual(pair: ConservationPair, psi: Ket, xi: Ket) -> f
     """On a product state the variance of L1 x I + I x L2 is the sum of the parts."""
     v = tensor(psi, xi)
     total = variance(pair.total(), v)
-    part1 = variance(tensor(pair.L1, identity(pair.L2.dim)), v)
-    part2 = variance(tensor(identity(pair.L1.dim), pair.L2), v)
+    part1 = array_variance(np.kron(pair.L1.matrix, np.eye(pair.L2.dim)), v.amplitudes)
+    part2 = array_variance(np.kron(np.eye(pair.L1.dim), pair.L2.matrix), v.amplitudes)
     return abs(total - part1 - part2)
 
 
@@ -199,12 +210,10 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
     terms = model._bound_terms.get(pair)
     if terms is None:
         _check_pair(model, pair)
-        do, dp = model.object_dim, model.probe_dim
         y = model.reduced.y
         k = _commutator_matrix(model.M, pair.L2)
         c = _commutator_matrix(model.A, pair.L1)
-        # I x [M, L2] acts on the probe index of Y, a (d_o, d_p, d_o) tensor
-        ky = (k @ y.reshape(do, dp, do)).reshape(-1, do)
+        ky = apply_on_probe(k, y, model.object_dim)
         terms = BoundTerms(y.conj().T @ ky - c, c, frobenius_norm(k),
                            variance(pair.L2, model.xi))
         model._bound_terms.clear()
@@ -247,9 +256,7 @@ def yanase_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> f
     same as the fundamental bound's.
     """
     terms = bound_terms(model, pair)
-    r = terms.yanase_residual
-    if r >= PRECONDITION_TOL:
-        raise PreconditionError(f"Yanase condition fails, [M, L2] residual {r:.3e}")
+    require_yanase(terms.yanase_residual)
     model.check_object_state(psi)
     return _quadratic_bound(terms.c, pair, terms, psi)
 
@@ -262,28 +269,23 @@ def _spin_xyz():
     return spin_operators()
 
 
-def _spin_scenario_gap(model: MeasurementModel, pair: ConservationPair) -> Optional[str]:
-    """The first part of the spin-1/2 scenario the model lacks, or None."""
-    sx, _, sz = _spin_xyz()
-    if model.object_dim != 2:
-        return "a two-level object"
-    if frobenius_norm(model.A.matrix - sx.matrix) > EQUALITY_TOL:
-        return "A = S_x"
-    if frobenius_norm(pair.L1.matrix - sz.matrix) > EQUALITY_TOL:
-        return "L1 = S_z"
-    return None
-
-
 def spin_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
-    """Closed-form noise floor for the spin-1/2 scenario A = S_x, L1 = S_z."""
+    """Closed-form noise floor for the spin-1/2 scenario A = S_x, L1 = S_z,
+    which needs the Yanase condition too."""
     terms = bound_terms(model, pair)
-    gap = _spin_scenario_gap(model, pair)
+    sx, sy, sz = _spin_xyz()
+    # the first part of the scenario the model lacks
+    if model.object_dim != 2:
+        gap = "a two-level object"
+    elif frobenius_norm(model.A.matrix - sx.matrix) > EQUALITY_TOL:
+        gap = "A = S_x"
+    elif frobenius_norm(pair.L1.matrix - sz.matrix) > EQUALITY_TOL:
+        gap = "L1 = S_z"
+    else:
+        gap = None
     if gap:
-        raise PreconditionError(f"spin bound needs {gap}")
-    r = terms.yanase_residual
-    if r >= PRECONDITION_TOL:
-        raise PreconditionError(f"spin bound assumes the Yanase condition, residual {r:.3e}")
-    _, sy, sz = _spin_xyz()
+        raise PreconditionError(f"not the spin scenario: needs {gap}")
+    require_yanase(terms.yanase_residual)
     mean_sy = expectation(sy, psi)
     den = 4.0 * variance(sz, psi) + 4.0 * terms.var_l2
     return _bounded_ratio(mean_sy ** 2, den)
@@ -315,7 +317,8 @@ class BoundReport:
     yanase_bound, spin_bound and commutator_identity_residual are None when
     their preconditions (Yanase condition, spin scenario, conservation law)
     do not apply to the model at hand; null_reasons then maps each such
-    field name to the precondition that failed.
+    field name to the message of the PreconditionError that the public
+    function of the same name raises.
     """
 
     eps_sq: float
@@ -349,46 +352,33 @@ class BoundReport:
 def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> BoundReport:
     """Evaluate everything that applies to (model, pair, psi) in one record.
 
-    The dense checks share one total L1 x I + I x L2, one ACL residual and
-    one noise operator; they stay independent of the reduced form.
+    A field whose function raises PreconditionError is None, with the message
+    as its null reason. The dense checks share one total L1 x I + I x L2, one
+    ACL residual and one noise operator; they stay independent of the reduced form.
     """
     terms = bound_terms(model, pair)
     ltot = pair.total()
     acl = _acl_residual(model, ltot)
     eps = noise(model, psi)
     fb = fundamental_bound(model, pair, psi)
-    reasons = {}
-    yb = sb = cir = None
-    yr = terms.yanase_residual
-    if yr >= PRECONDITION_TOL:
-        reasons["yanase_bound"] = (f"Yanase condition fails: [M, L2] residual {yr:.3e}, "
-                                   f"tolerance {PRECONDITION_TOL:g}")
-    else:
-        yb = yanase_bound(model, pair, psi)
-    spin_gap = _spin_scenario_gap(model, pair)
-    if spin_gap:
-        reasons["spin_bound"] = f"not the spin scenario: needs {spin_gap}"
-    elif yb is None:
-        reasons["spin_bound"] = reasons["yanase_bound"]
-    else:
-        sb = spin_bound(model, pair, psi)
     n = noise_operator(model)
-    if acl < PRECONDITION_TOL:
-        cir = _identity_residual(model, pair, n, ltot)
-    else:
-        reasons["commutator_identity_residual"] = (
-            f"conservation law fails: acl residual {acl:.3e}, "
-            f"tolerance {PRECONDITION_TOL:g}")
+    optional, reasons = {}, {}
+    for name, fn, args in (("yanase_bound", yanase_bound, (model, pair, psi)),
+                           ("spin_bound", spin_bound, (model, pair, psi)),
+                           ("commutator_identity_residual", _identity_residual,
+                            (model, pair, n, ltot, acl))):
+        try:
+            optional[name] = fn(*args)
+        except PreconditionError as exc:
+            optional[name], reasons[name] = None, str(exc)
     lhs, rhs = _robertson_pair(model.composite_state(psi), n, ltot)
     return BoundReport(
         eps_sq=eps * eps,
         fundamental_bound=fb,
-        yanase_bound=yb,
-        spin_bound=sb,
         acl_residual=acl,
-        yanase_residual=yr,
-        commutator_identity_residual=cir,
+        yanase_residual=terms.yanase_residual,
         uncertainty_lhs=lhs,
         uncertainty_rhs=rhs,
         null_reasons=reasons,
+        **optional,
     )

@@ -55,7 +55,7 @@ SCHEMA_VERSION = "v1"
 TOLERANCES = {
     "inequality_slack": INEQUALITY_SLACK,
     "acl_gate": ACL_GATE_TOL,
-    "acl_precondition": PRECONDITION_TOL,
+    "acl_precondition": ACL_GATE_TOL,
     "yanase_precondition": PRECONDITION_TOL,
     "hermitian": STRUCTURE_TOL,
     "unitary": STRUCTURE_TOL,
@@ -199,10 +199,17 @@ def model_from_dict(doc: dict):
     return model, pair, metadata
 
 
+def _no_constants(where: str):
+    # python's json reads NaN, Infinity and -Infinity, which are not JSON numbers
+    def reject(name: str):
+        raise CliInputError(f"{where}: non-standard JSON literal {name}; numbers must be finite")
+    return reject
+
+
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_no_constants(path))
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -269,15 +276,14 @@ def yw_model_from_dict(doc: dict):
 
 def _parse_state(spec: str, object_dim: int) -> Ket:
     try:
-        return named_state(spec)
+        ket = named_state(spec)
     except ValueError:
-        pass
-    try:
-        value = json.loads(spec)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(
-            f"--state must be a named state or a JSON ket, got {spec!r}") from exc
-    ket = ket_from_json(value, "--state")
+        try:
+            value = json.loads(spec, parse_constant=_no_constants("--state"))
+        except json.JSONDecodeError as exc:
+            raise CliInputError(
+                f"--state must be a named state or a JSON ket, got {spec!r}") from exc
+        ket = ket_from_json(value, "--state")
     if ket.dim != object_dim:
         raise CliInputError(f"--state: ket has dim {ket.dim}, expected {object_dim}")
     return ket

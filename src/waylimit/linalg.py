@@ -2,7 +2,9 @@
 tolerance table: every numeric threshold of the package, defined once here.
 
 Everything downstream (measurement models, conservation-law residuals and
-bounds, the interaction optimizer) is built on these primitives.
+bounds, the interaction optimizer) is built on these primitives. Tags are
+checked where values enter; inside, a composite lift is a plain ``np.kron``,
+and ``apply_on_probe`` applies a probe operator to composite columns.
 
 Conventions, fixed once and asserted in the test suite:
   * hbar = 1 everywhere,
@@ -24,9 +26,9 @@ STRUCTURE_TOL = 1e-10              # residual of a structural identity or tag
 ROUNDING_TOL = 1e-12               # zero up to rounding
 EQUALITY_TOL = 1e-9                # two values treated as equal
 INEQUALITY_SLACK = 1e-9            # slack on a theorem inequality before the alarm
-PRECONDITION_TOL = 1e-9            # residual below which a precondition holds
+PRECONDITION_TOL = 1e-9            # [M, L2] residual below which the Yanase condition holds
 RATIO_FLOOR = 1e-14                # a ratio's denominator or numerator below this is zero
-ACL_GATE_TOL = 1e-10               # conservation residual below which reports check bounds
+ACL_GATE_TOL = 1e-10               # [U, L1 x I + I x L2] residual below which the ACL holds
 GENERATOR_COMMUTATION_TOL = 1e-11  # commutator bound of each commutant sector
 TAIL_TOL = 1e-8                    # coherent-state mass a Fock cutoff may drop
 GRADIENT_TOL = 1e-10               # gradient norm at which the optimizer stops
@@ -197,6 +199,11 @@ def tensor(a, b):
         # kron preserves each of the three tags when both factors carry it
         return Operator(np.kron(a.matrix, b.matrix), a.structure & b.structure)
     raise TypeError("tensor expects two kets or two operators, not a mix")
+
+
+def apply_on_probe(x: np.ndarray, cols: np.ndarray, object_dim: int) -> np.ndarray:
+    """(I x X) cols for X on the probe and composite columns cols, by reshape."""
+    return (x @ cols.reshape(object_dim, x.shape[0], -1)).reshape(cols.shape)
 
 
 def _check_state_input(x: Operator, v: Ket, what: str):

@@ -32,7 +32,7 @@ from .linalg import (
     PreconditionError,
     ROUNDING_TOL,
     StructureError,
-    identity,
+    apply_on_probe,
     spectral,
     tensor,
 )
@@ -91,12 +91,12 @@ class MeasurementModel:
         """
         do, dp = self.object_dim, self.probe_dim
         u, xi = self.U.matrix, self.xi.amplitudes
-        # U (I x xi) as a (do, dp, do) tensor: contract U's input probe index
-        y = u.reshape(do, dp, do, dp) @ xi
-        # U^dag (I x M) U (I x xi) - (A x xi), with M acting on the probe index
-        recorded = u.conj().T @ (self.M.matrix @ y).reshape(-1, do)
+        # U (I x xi): contract U's input probe index
+        y = (u.reshape(do, dp, do, dp) @ xi).reshape(-1, do)
+        # U^dag (I x M) U (I x xi) - (A x xi)
+        recorded = u.conj().T @ apply_on_probe(self.M.matrix, y, do)
         w = recorded - (self.A.matrix[:, None, :] * xi[None, :, None]).reshape(-1, do)
-        return ReducedForm(y.reshape(-1, do), w)
+        return ReducedForm(y, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +147,7 @@ class OutcomeDistribution:
 
 def heisenberg_probe(model: MeasurementModel) -> Operator:
     """The record observable propagated back through the interaction: U^dag (I x M) U."""
-    im = tensor(identity(model.object_dim), model.M).matrix
+    im = np.kron(np.eye(model.object_dim), model.M.matrix)
     u = model.U.matrix
     return Operator.hermitian(u.conj().T @ im @ u)
 
@@ -191,7 +191,7 @@ def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:
 
 def noise_operator(model: MeasurementModel) -> Operator:
     """Mismatch between the recorded and the measured quantity on the composite space."""
-    ai = tensor(model.A, identity(model.probe_dim)).matrix
+    ai = np.kron(model.A.matrix, np.eye(model.probe_dim))
     return Operator.hermitian(heisenberg_probe(model).matrix - ai)
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .bounds import (
     ConservationPair,
     TheoremViolation,
+    require_yanase,
     yanase_bound,
     yanase_residual,
 )
@@ -35,9 +36,9 @@ from .linalg import (
     INEQUALITY_SLACK,
     Ket,
     Operator,
-    PRECONDITION_TOL,
     PreconditionError,
     ROUNDING_TOL,
+    apply_on_probe,
     frobenius_norm,
     spectrum_runs,
 )
@@ -282,10 +283,7 @@ class _Problem:
 
     def __init__(self, a: Operator, pair: ConservationPair, m: Operator,
                  xi0: Ket, psi: Ket, config: OptimizerConfig):
-        r = yanase_residual(m, pair.L2)
-        if r >= PRECONDITION_TOL:
-            raise PreconditionError(
-                f"optimizer requires the Yanase condition, [M, L2] residual {r:.3e}")
+        require_yanase(yanase_residual(m, pair.L2))
         self.a = a
         self.pair = pair
         self.m = m
@@ -350,16 +348,11 @@ class _Problem:
         count = phis.shape[1]
         do, dp = self.object_dim, self.probe_dim
         u, m = model.U.matrix, self.m.matrix
-
-        def probe_record(cols):
-            # (I x M) on composite column vectors
-            return (m @ cols.reshape(do, dp, -1)).reshape(cols.shape)
-
         n = red.w @ phis
-        m_un = probe_record(u @ n)
+        m_un = apply_on_probe(m, u @ n, do)
         v = (phis[:, None, :] * xi.amplitudes[None, :, None]).reshape(-1, count)
         grad = self.basis._gradient(
-            theta, (2.0 / count) * np.hstack([probe_record(red.y @ phis), m_un]),
+            theta, (2.0 / count) * np.hstack([apply_on_probe(m, red.y @ phis, do), m_un]),
             np.hstack([n, v]))
         if not self.config.optimize_xi:
             return grad

@@ -317,7 +317,42 @@ def test_bound_report_null_reasons():
     assert report.commutator_identity_residual is None
     assert report.null_reasons == {"commutator_identity_residual":
                                    f"conservation law fails: acl residual "
-                                   f"{report.acl_residual:.3e}, tolerance 1e-09"}
+                                   f"{report.acl_residual:.3e}, tolerance 1e-10"}
+    # each null reason is the message the public function raises
+    for model, mpair, state in ((swap, pair, psi), (a_sz, tpair, psi), (trivial, l1_sx, psi),
+                                (model3, pair3, w.random_ket(3, np.random.default_rng(1))),
+                                (cnot, tpair, psi)):
+        reasons = w.bound_report(model, mpair, state).null_reasons
+        assert reasons
+        for name, reason in reasons.items():
+            args = (model, mpair) if name == "commutator_identity_residual" \
+                else (model, mpair, state)
+            with pytest.raises(w.PreconditionError) as info:
+                getattr(w, name)(*args)
+            assert str(info.value) == reason
+
+
+@pytest.mark.parametrize("eps, acl", [(2e-10, 3.97e-10), (5e-10, 9.91e-10)])
+def test_acl_band_between_the_old_thresholds(eps, acl):
+    # ACL residuals in [1e-10, 1e-9) once passed the commutator identity's
+    # precondition while the report left the bounds unchecked; one constant
+    # now decides both
+    model, pair = w.swap_demo_model()
+    h = w.random_hermitian(4, np.random.default_rng(0)).matrix
+    lam, vecs = np.linalg.eigh(h)
+    u = model.U.matrix @ ((vecs * np.exp(1j * eps * lam)) @ vecs.conj().T)
+    near = w.MeasurementModel(2, 2, model.xi, w.Operator.unitary(u), model.M, model.A)
+    report = w.bound_report(near, pair, w.spin_basis("y").up)
+    assert report.acl_residual == pytest.approx(acl, rel=1e-2)
+    assert report.commutator_identity_residual is None
+    reason = report.null_reasons["commutator_identity_residual"]
+    assert reason == f"conservation law fails: acl residual {report.acl_residual:.3e}, " \
+                     f"tolerance 1e-10"
+    with pytest.raises(w.PreconditionError, match="conservation law fails"):
+        w.commutator_identity_residual(near, pair)
+    # the bound inequalities stay unchecked, as before
+    assert report.violations() == ()
+    assert w.BoundReport(**{**report.__dict__, "eps_sq": -1.0}).violations() == ()
 
 
 def test_bound_report_demo_models():
@@ -337,6 +372,34 @@ def test_bound_report_demo_models():
     assert report.violations() == ()
 
 
+def _count_builds(monkeypatch):
+    """Count Operator constructions and tensor/identity calls made from any
+    waylimit module while the test runs."""
+    import sys
+
+    import waylimit.linalg as linalg_module
+
+    counts = {"Operator": 0, "tensor": 0, "identity": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(w.Operator, "__post_init__",
+                        counted("Operator", w.Operator.__post_init__))
+    for key in ("tensor", "identity"):
+        original = getattr(linalg_module, key)
+        wrapper = counted(key, original)
+        for name, module in list(sys.modules.items()):
+            if name == "waylimit" or name.startswith("waylimit."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
 def test_bound_report_builds_the_dense_terms_once(monkeypatch):
     import waylimit.bounds as bounds_module
 
@@ -354,8 +417,19 @@ def test_bound_report_builds_the_dense_terms_once(monkeypatch):
                         counted("acl", bounds_module._acl_residual))
     psi = w.spin_basis("y").up
     model, pair = w.swap_demo_model()
+    builds = _count_builds(monkeypatch)
     report = w.bound_report(model, pair, psi)
     assert calls == {"total": 1, "acl": 1}
+    # composite lifts are np.kron calls: at most one tensor (the composite
+    # ket), no identity, and only the tagged dense operators the report needs
+    # (the total, the Heisenberg probe, the noise operator, and the spin
+    # operators on first use)
+    assert builds["Operator"] <= 6 and builds["tensor"] <= 1 and builds["identity"] == 0
+    model48, pair48 = random_conservative_model(np.random.default_rng(RNG_SEED),
+                                                object_dim=4, probe_dim=8)
+    builds.update(Operator=0, tensor=0, identity=0)
+    w.bound_report(model48, pair48, w.random_ket(4, np.random.default_rng(2)))
+    assert builds["Operator"] <= 6 and builds["tensor"] <= 1 and builds["identity"] == 0
     # the shared dense terms give the values the public functions give alone
     assert report.acl_residual == w.acl_residual(model, pair)
     assert report.commutator_identity_residual == w.commutator_identity_residual(model, pair)
@@ -370,6 +444,7 @@ def test_bound_report_builds_the_dense_terms_once(monkeypatch):
             w.commutator_identity_residual(model, pair)
         assert (report.uncertainty_lhs, report.uncertainty_rhs) == \
             w.uncertainty_pair(model, pair, psi)
+
 
 
 # Reduced-form figures against composite-space np.kron formulas. The models

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import waylimit as w
 from waylimit.cli import DEMO_NAMES, main, model_from_dict, model_to_dict
+from helpers import random_conservative_model
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +161,17 @@ def test_verify_malformed_json_reports_position(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert "line 2" in err and "column" in err
+    # python's json reads NaN and Infinity; a model file or --state must not carry them
+    _, out, _ = run_cli(capsys, "demo", "swap")
+    path.write_text(out.replace("0.5", "Infinity", 1))
+    assert "Infinity" in path.read_text()
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert err == f"error: {path}: non-standard JSON literal Infinity; numbers must be finite\n"
+    path.write_text(out)
+    code, _, err = run_cli(capsys, "verify", str(path), "--state", "[[NaN, 0], [0, 0]]")
+    assert code == 1
+    assert err == "error: --state: non-standard JSON literal NaN; numbers must be finite\n"
 
 
 def test_verify_dimension_mismatch_names_field(tmp_path, capsys):
@@ -186,6 +199,16 @@ def test_verify_inline_state_and_csv(tmp_path, capsys):
     assert header[:3] == ["model_name", "state", "eps_sq"]
     assert row[1] == state  # comma-bearing field survives quoting
     assert float(row[2]) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_verify_named_state_dimension_is_an_input_error(tmp_path, capsys):
+    model, pair = random_conservative_model(np.random.default_rng(4), object_dim=3)
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(model_to_dict(model, pair)))
+    code, out, err = run_cli(capsys, "verify", str(path), "--state", "alpha_y")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --state: ket has dim 2, expected 3\n"
 
 
 def test_sweep_deterministic_and_formatted(tmp_path, capsys):
@@ -496,6 +519,9 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
     ({"probe": 7}, "probe"),
     ({"object": "s_x"}, "object"),
     ({"theta0": ["0.1", 0.2, 0.3, 0.4, 0.5, 0.6]}, "theta0[0]"),
+    # json.dumps writes a float NaN as the non-standard literal NaN
+    ({"tol": math.nan}, "NaN"),
+    ({"probe": {"family": "oscillator", "alpha": [math.nan, 0]}}, "NaN"),
 ])
 def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
