@@ -13,8 +13,10 @@ the one ACL threshold); ``bound_report`` keeps those messages as null reasons.
 
 The bounds read terms that depend only on (model, pair) from ``bound_terms``,
 which compiles them on the object space once, in O(D d_o (d_o + d_p) + d_p^3)
-(D = d_o d_p), and keeps them on the model; each state then costs O(d_o^2)
-per bound. The residuals of the derivation chain stay dense and independent.
+(D = d_o d_p), and keeps them on the model. Each state then costs one
+O(d_o^2) pass that both bounds share: the terms keep its figures for the last
+ket object they saw. The residuals of the derivation chain stay dense and
+independent.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .linalg import (
     array_variance,
     expectation,
     frobenius_norm,
+    image_variance,
     tensor,
     variance,
 )
@@ -65,7 +68,8 @@ class ConservationPair:
         return Operator.hermitian(m)
 
 
-def _check_pair(model: MeasurementModel, pair: ConservationPair):
+def check_pair(model: MeasurementModel, pair: ConservationPair):
+    """Raise DimensionMismatch unless L1 acts on the object and L2 on the probe."""
     if pair.L1.dim != model.object_dim:
         raise DimensionMismatch(f"L1 has dim {pair.L1.dim}, expected object_dim {model.object_dim}")
     if pair.L2.dim != model.probe_dim:
@@ -74,7 +78,7 @@ def _check_pair(model: MeasurementModel, pair: ConservationPair):
 
 def acl_residual(model: MeasurementModel, pair: ConservationPair) -> float:
     """Frobenius norm of [U, L1 x I + I x L2]; zero means the interaction conserves the sum."""
-    _check_pair(model, pair)
+    check_pair(model, pair)
     return _acl_residual(model, pair.total())
 
 
@@ -109,20 +113,20 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
     [N, L1 x I + I x L2] = U^dag (I x [M, L2]) U - [A, L1] x I, so this stays
     an independent check of the reduced form the bounds are evaluated from.
     """
-    _check_pair(model, pair)
+    check_pair(model, pair)
     ltot = pair.total()
-    return _identity_residual(model, pair, noise_operator(model), ltot,
+    return _identity_residual(model, pair, _commutator_matrix(noise_operator(model), ltot),
                               _acl_residual(model, ltot))
 
 
 def _identity_residual(model: MeasurementModel, pair: ConservationPair,
-                       n: Operator, ltot: Operator, acl: float) -> float:
-    """The commutator identity's residual from the dense noise operator, the
-    total and its ACL residual acl; the caller has checked the pair."""
+                       lhs: np.ndarray, acl: float) -> float:
+    """The commutator identity's residual from the dense commutator
+    lhs = [N, L1 x I + I x L2] and the ACL residual acl; the caller has
+    checked the pair."""
     if acl >= ACL_GATE_TOL:
         raise PreconditionError(f"conservation law fails: acl residual {acl:.3e}, "
                                 f"tolerance {ACL_GATE_TOL:g}")
-    lhs = n.matrix @ ltot.matrix - ltot.matrix @ n.matrix
     u = model.U.matrix
     im = np.kron(np.eye(model.object_dim), model.M.matrix)
     il2 = np.kron(np.eye(model.object_dim), pair.L2.matrix)
@@ -139,15 +143,15 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     Returns (lhs, rhs) with lhs the product of variances and rhs the squared
     half-magnitude of the commutator expectation, both in psi x xi.
     """
-    _check_pair(model, pair)
-    return _robertson_pair(model.composite_state(psi), noise_operator(model), pair.total())
+    check_pair(model, pair)
+    n, ltot = noise_operator(model), pair.total()
+    return _robertson_pair(model.composite_state(psi), n, ltot, _commutator_matrix(n, ltot))
 
 
-def _robertson_pair(v: Ket, n: Operator, ltot: Operator):
+def _robertson_pair(v: Ket, n: Operator, ltot: Operator, comm: np.ndarray):
     """``uncertainty_pair`` in the composite state v, from the dense noise
-    operator and total."""
+    operator, the total and their commutator comm."""
     lhs = variance(n, v) * variance(ltot, v)
-    comm = n.matrix @ ltot.matrix - ltot.matrix @ n.matrix
     mean = complex(np.vdot(v.amplitudes, comm @ v.amplitudes))
     rhs = 0.25 * abs(mean) ** 2
     if lhs < rhs - INEQUALITY_SLACK:
@@ -181,6 +185,8 @@ def _bounded_ratio(num: float, den: float) -> float:
 class BoundTerms:
     """The terms of the bounds that depend only on (model, pair), on the object space.
 
+    stack is the (3, d_o, d_o) array [d, c, L1], so that one product with psi
+    serves both numerators and the denominator's var(L1, psi). Here
     d = Y^dag (I x [M, L2]) Y - [A, L1], with Y = U (I x xi), is the
     probe-traced right side of the commutator identity, so
     <psi x xi|[N, L1 x I + I x L2]|psi x xi> = <psi|d|psi>; c = [A, L1] is
@@ -188,14 +194,14 @@ class BoundTerms:
     var(L2, xi), the probe's share of the bounds' denominator.
     """
 
-    d: np.ndarray
-    c: np.ndarray
+    stack: np.ndarray
     yanase_residual: float
     var_l2: float
+    # _state_figures keeps the figures of the last object state here
+    _state: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.d.setflags(write=False)
-        self.c.setflags(write=False)
+        self.stack.setflags(write=False)
 
 
 def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
@@ -209,30 +215,37 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
     """
     terms = model._bound_terms.get(pair)
     if terms is None:
-        _check_pair(model, pair)
+        check_pair(model, pair)
         y = model.reduced.y
         k = _commutator_matrix(model.M, pair.L2)
         c = _commutator_matrix(model.A, pair.L1)
         ky = apply_on_probe(k, y, model.object_dim)
-        terms = BoundTerms(y.conj().T @ ky - c, c, frobenius_norm(k),
-                           variance(pair.L2, model.xi))
+        terms = BoundTerms(np.array((y.conj().T @ ky - c, c, pair.L1.matrix)),
+                           frobenius_norm(k), variance(pair.L2, model.xi))
         model._bound_terms.clear()
         model._bound_terms[pair] = terms
     return terms
 
 
-def _quadratic_bound(x: np.ndarray, pair: ConservationPair, terms: BoundTerms,
-                     psi: Ket) -> float:
-    """|<psi|x|psi>|^2 over the variance of L1 x I + I x L2 in psi x xi, times 4.
+def _state_figures(terms: BoundTerms, psi: Ket) -> tuple:
+    """(<psi|d|psi>, <psi|c|psi>, 4 var(L1 x I + I x L2)) in psi x xi, in one pass.
 
     On a product state that variance is var(L1, psi) + var(L2, xi)
     (variance additivity); the second term is compiled with the pair.
-    The caller has checked psi against the model.
+    The terms keep the figures of one state at a time, keyed by the ket
+    object itself: a Ket compares by identity (eq=False), its amplitudes are
+    read-only and the key keeps it alive, so a hit is neither stale nor
+    another ket's. The caller has checked psi against the model.
     """
-    a = psi.amplitudes
-    mean = complex(np.vdot(a, x @ a))
-    den = 4.0 * array_variance(pair.L1.matrix, a) + 4.0 * terms.var_l2
-    return _bounded_ratio(abs(mean) ** 2, den)
+    figures = terms._state.get(psi)
+    if figures is None:
+        a = psi.amplitudes
+        da, ca, la = terms.stack @ a
+        figures = (complex(np.vdot(a, da)), complex(np.vdot(a, ca)),
+                   4.0 * image_variance(la, a) + 4.0 * terms.var_l2)
+        terms._state.clear()
+        terms._state[psi] = figures
+    return figures
 
 
 def fundamental_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
@@ -242,11 +255,13 @@ def fundamental_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket)
     and Y = U (I x xi), the probe-traced expectation of the ACL side of the
     commutator identity; the denominator is 4 var(L1, psi) + 4 var(L2, xi).
     D and var(L2, xi) are compiled once per (model, pair) by ``bound_terms``
-    in O(D d_o (d_o + d_p) + d_p^3); each state then costs O(d_o^2).
+    in O(D d_o (d_o + d_p) + d_p^3); each state then costs one O(d_o^2) pass,
+    shared with ``yanase_bound``.
     """
     terms = bound_terms(model, pair)
     model.check_object_state(psi)
-    return _quadratic_bound(terms.d, pair, terms, psi)
+    mean, _, den = _state_figures(terms, psi)
+    return _bounded_ratio(abs(mean) ** 2, den)
 
 
 def yanase_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
@@ -258,7 +273,8 @@ def yanase_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> f
     terms = bound_terms(model, pair)
     require_yanase(terms.yanase_residual)
     model.check_object_state(psi)
-    return _quadratic_bound(terms.c, pair, terms, psi)
+    _, mean, den = _state_figures(terms, psi)
+    return _bounded_ratio(abs(mean) ** 2, den)
 
 
 @functools.cache
@@ -354,7 +370,8 @@ def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> B
 
     A field whose function raises PreconditionError is None, with the message
     as its null reason. The dense checks share one total L1 x I + I x L2, one
-    ACL residual and one noise operator; they stay independent of the reduced form.
+    ACL residual, one noise operator and one commutator of the two; they stay
+    independent of the reduced form.
     """
     terms = bound_terms(model, pair)
     ltot = pair.total()
@@ -362,16 +379,17 @@ def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> B
     eps = noise(model, psi)
     fb = fundamental_bound(model, pair, psi)
     n = noise_operator(model)
+    comm = _commutator_matrix(n, ltot)
     optional, reasons = {}, {}
     for name, fn, args in (("yanase_bound", yanase_bound, (model, pair, psi)),
                            ("spin_bound", spin_bound, (model, pair, psi)),
                            ("commutator_identity_residual", _identity_residual,
-                            (model, pair, n, ltot, acl))):
+                            (model, pair, comm, acl))):
         try:
             optional[name] = fn(*args)
         except PreconditionError as exc:
             optional[name], reasons[name] = None, str(exc)
-    lhs, rhs = _robertson_pair(model.composite_state(psi), n, ltot)
+    lhs, rhs = _robertson_pair(model.composite_state(psi), n, ltot, comm)
     return BoundReport(
         eps_sq=eps * eps,
         fundamental_bound=fb,

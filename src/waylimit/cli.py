@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, ConservationPair, bound_report
+from .bounds import BoundReport, ConservationPair, bound_report, check_pair
 from .linalg import (
     ACL_GATE_TOL,
     DimensionMismatch,
@@ -189,10 +189,7 @@ def model_from_dict(doc: dict):
     try:
         model = MeasurementModel(object_dim, probe_dim, xi, u, m, a)
         pair = ConservationPair(L1=l1, L2=l2)
-        if l1.dim != object_dim:
-            raise DimensionMismatch(f"L1 has dim {l1.dim}, expected object_dim {object_dim}")
-        if l2.dim != probe_dim:
-            raise DimensionMismatch(f"L2 has dim {l2.dim}, expected probe_dim {probe_dim}")
+        check_pair(model, pair)
     except (DimensionMismatch, StructureError, ValueError) as exc:
         raise CliInputError(str(exc)) from exc
     metadata = doc.get("metadata") or {}

@@ -12,7 +12,8 @@ in: two D x d_o matrices (D = d_o d_p) built once per model in O(D^2 d_o),
 then O(D d_o) work per state for the noise. The bounds' terms for one
 conservation pair are compiled from that form once, in
 O(D d_o (d_o + d_p) + d_p^3), and kept on the model (see
-``bounds.bound_terms``); each state then costs O(d_o^2) per bound.
+``bounds.bound_terms``); each state then costs one O(d_o^2) pass that both
+bounds share, kept on the terms for the last ket object.
 The dense composite-space operators stay available for the statistics and
 for the derivation-chain checks.
 """
@@ -33,6 +34,7 @@ from .linalg import (
     ROUNDING_TOL,
     StructureError,
     apply_on_probe,
+    frobenius_norm,
     spectral,
     tensor,
 )
@@ -202,7 +204,7 @@ def noise(model: MeasurementModel, psi: Ket) -> float:
     which equals ||N (psi x xi)|| without building the composite operator.
     """
     model.check_object_state(psi)
-    return float(np.linalg.norm(model.reduced.w @ psi.amplitudes))
+    return frobenius_norm(model.reduced.w @ psi.amplitudes)
 
 
 def sup_noise(model: MeasurementModel) -> float:

@@ -6,6 +6,8 @@ exponential map), since that is the only way to get exactly conservative
 unitaries; oracle values in the tests themselves are computed independently.
 """
 
+import math
+
 import numpy as np
 
 import waylimit as w
@@ -72,6 +74,36 @@ def random_conservative_model(rng, object_dim=None, probe_dim=None,
     u = w.conservative_unitary(basis, theta)
     xi = w.random_ket(pd, rng)
     return w.MeasurementModel(od, pd, xi, u, m, a), pair
+
+
+def _dense_ratio(num, den):
+    if den < 1e-14:
+        return 0.0 if num < 1e-14 else math.inf
+    return num / den
+
+
+def dense_figures(model, pair, psi):
+    """(eps^2, sup noise, fundamental bound, Yanase-form bound) from np.kron
+    formulas on the composite space, an oracle for the reduced-form figures."""
+    io, ip = np.eye(model.object_dim), np.eye(model.probe_dim)
+    xi = model.xi.amplitudes
+    u = model.U.matrix
+    im, il2 = np.kron(io, model.M.matrix), np.kron(io, pair.L2.matrix)
+    ai, l1i = np.kron(model.A.matrix, ip), np.kron(pair.L1.matrix, ip)
+    n = u.conj().T @ im @ u - ai
+    v = np.kron(psi.amplitudes, xi)
+    eps_sq = float(np.linalg.norm(n @ v) ** 2)
+    embed = np.kron(io, xi[:, None])            # psi -> psi x xi
+    top = np.linalg.eigvalsh(embed.conj().T @ n @ n @ embed)[-1]
+    sup = float(np.sqrt(max(top, 0.0)))
+    object_term = ai @ l1i - l1i @ ai
+    rhs = u.conj().T @ (im @ il2 - il2 @ im) @ u - object_term
+    total = l1i + il2
+    tv = total @ v
+    den = 4.0 * (np.vdot(tv, tv).real - np.vdot(v, tv).real ** 2)
+    fb = _dense_ratio(abs(np.vdot(v, rhs @ v)) ** 2, den)
+    yb = _dense_ratio(abs(np.vdot(v, object_term @ v)) ** 2, den)
+    return eps_sq, sup, fb, yb
 
 
 def _partial_map(u_matrix, object_bra, object_ket, probe_dim):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import waylimit as w
 from waylimit.bounds import bound_terms
-from helpers import CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, random_conservative_model
+from helpers import (CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, dense_figures,
+                     random_conservative_model)
 
 RNG_SEED = 99
 
@@ -415,11 +416,21 @@ def test_bound_report_builds_the_dense_terms_once(monkeypatch):
                         counted("total", w.ConservationPair.total))
     monkeypatch.setattr(bounds_module, "_acl_residual",
                         counted("acl", bounds_module._acl_residual))
+    # operand dims of every commutator the bounds module forms; a D x D one
+    # is the dense [N, L1 x I + I x L2]
+    commutator_dims = []
+
+    def commutator(x, y, original=bounds_module._commutator_matrix):
+        commutator_dims.append(x.dim)
+        return original(x, y)
+
+    monkeypatch.setattr(bounds_module, "_commutator_matrix", commutator)
     psi = w.spin_basis("y").up
     model, pair = w.swap_demo_model()
     builds = _count_builds(monkeypatch)
     report = w.bound_report(model, pair, psi)
     assert calls == {"total": 1, "acl": 1}
+    assert commutator_dims.count(model.U.dim) == 1
     # composite lifts are np.kron calls: at most one tensor (the composite
     # ket), no identity, and only the tagged dense operators the report needs
     # (the total, the Heisenberg probe, the noise operator, and the spin
@@ -428,8 +439,10 @@ def test_bound_report_builds_the_dense_terms_once(monkeypatch):
     model48, pair48 = random_conservative_model(np.random.default_rng(RNG_SEED),
                                                 object_dim=4, probe_dim=8)
     builds.update(Operator=0, tensor=0, identity=0)
+    commutator_dims.clear()
     w.bound_report(model48, pair48, w.random_ket(4, np.random.default_rng(2)))
     assert builds["Operator"] <= 6 and builds["tensor"] <= 1 and builds["identity"] == 0
+    assert commutator_dims.count(32) == 1
     # the shared dense terms give the values the public functions give alone
     assert report.acl_residual == w.acl_residual(model, pair)
     assert report.commutator_identity_residual == w.commutator_identity_residual(model, pair)
@@ -454,37 +467,8 @@ def test_bound_report_builds_the_dense_terms_once(monkeypatch):
 ORACLE_TOL = 1e-10
 
 
-def _dense_ratio(num, den):
-    if den < 1e-14:
-        return 0.0 if num < 1e-14 else math.inf
-    return num / den
-
-
-def _dense_figures(model, pair, psi):
-    """(eps^2, sup noise, fundamental bound, Yanase-form bound) on the composite space."""
-    io, ip = np.eye(model.object_dim), np.eye(model.probe_dim)
-    xi = model.xi.amplitudes
-    u = model.U.matrix
-    im, il2 = np.kron(io, model.M.matrix), np.kron(io, pair.L2.matrix)
-    ai, l1i = np.kron(model.A.matrix, ip), np.kron(pair.L1.matrix, ip)
-    n = u.conj().T @ im @ u - ai
-    v = np.kron(psi.amplitudes, xi)
-    eps_sq = float(np.linalg.norm(n @ v) ** 2)
-    embed = np.kron(io, xi[:, None])            # psi -> psi x xi
-    top = np.linalg.eigvalsh(embed.conj().T @ n @ n @ embed)[-1]
-    sup = float(np.sqrt(max(top, 0.0)))
-    object_term = ai @ l1i - l1i @ ai
-    rhs = u.conj().T @ (im @ il2 - il2 @ im) @ u - object_term
-    total = l1i + il2
-    tv = total @ v
-    den = 4.0 * (np.vdot(tv, tv).real - np.vdot(v, tv).real ** 2)
-    fb = _dense_ratio(abs(np.vdot(v, rhs @ v)) ** 2, den)
-    yb = _dense_ratio(abs(np.vdot(v, object_term @ v)) ** 2, den)
-    return eps_sq, sup, fb, yb
-
-
 def _assert_matches_dense(model, pair, psi):
-    eps_sq, sup, fb, yb = _dense_figures(model, pair, psi)
+    eps_sq, sup, fb, yb = dense_figures(model, pair, psi)
     assert w.noise(model, psi) ** 2 == pytest.approx(eps_sq, rel=ORACLE_TOL, abs=ORACLE_TOL)
     assert w.sup_noise(model) == pytest.approx(sup, rel=ORACLE_TOL, abs=ORACLE_TOL)
     assert w.fundamental_bound(model, pair, psi) == \
@@ -531,7 +515,7 @@ def test_bound_terms_memo_alternating_pairs():
         for psi in states:
             fb = w.fundamental_bound(model, pair, psi)
             assert fb == w.fundamental_bound(_rebuilt(model), pair, psi)
-            _, _, dense_fb, dense_yb = _dense_figures(model, pair, psi)
+            _, _, dense_fb, dense_yb = dense_figures(model, pair, psi)
             assert fb == pytest.approx(dense_fb, rel=ORACLE_TOL, abs=ORACLE_TOL)
             if pair is yanase_pair:
                 yb = w.yanase_bound(model, pair, psi)
@@ -571,10 +555,10 @@ def test_bound_convention_at_joint_eigenstates():
     swap, _ = w.swap_demo_model()
     conservative = w.MeasurementModel(2, 2, xi, swap.U, sx, sx)
     assert w.fundamental_bound(conservative, pair, psi) == 0.0
-    assert _dense_figures(conservative, pair, psi)[2] == 0.0
+    assert dense_figures(conservative, pair, psi)[2] == 0.0
     commuting = w.MeasurementModel(2, 2, xi, swap.U, sz, sx)
     assert w.yanase_bound(commuting, pair, psi) == 0.0
-    assert _dense_figures(commuting, pair, psi)[3] == 0.0
+    assert dense_figures(commuting, pair, psi)[3] == 0.0
     # a probe rotation breaks the conservation law; <[M, L2]> survives while
     # both variances are 0, so no finite noise satisfies the bound
     rx = np.cos(np.pi / 4) * np.eye(2) - 2j * np.sin(np.pi / 4) * sx.matrix
@@ -582,7 +566,7 @@ def test_bound_convention_at_joint_eigenstates():
                                  sx, sx)
     assert w.acl_residual(rotated, pair) > 0.1
     assert math.isinf(w.fundamental_bound(rotated, pair, psi))
-    assert math.isinf(_dense_figures(rotated, pair, psi)[2])
+    assert math.isinf(dense_figures(rotated, pair, psi)[2])
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -610,6 +594,97 @@ def test_property_master_inequality_and_dense_agreement(seed, object_dim, probe_
     side = u.conj().T @ (im @ il2 - il2 @ im) @ u - (ai @ l1i - l1i @ ai)
     n = u.conj().T @ im @ u - ai
     total = l1i + il2
-    d = bound_terms(model, pair).d
+    d = bound_terms(model, pair).stack[0]
     assert np.linalg.norm(d - embed.conj().T @ side @ embed) < 1e-10
     assert np.linalg.norm(d - embed.conj().T @ (n @ total - total @ n) @ embed) < 1e-9
+
+
+# The shared per-state pass: both bounds read one set of figures per ket
+# object, kept on the compiled terms. A fresh model (no caches) and the dense
+# np.kron oracle are the references.
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), object_dim=st.integers(2, 4),
+       probe_dim=st.integers(2, 6),
+       calls=st.lists(st.tuples(st.sampled_from(("fundamental_bound", "yanase_bound")),
+                                st.integers(0, 1), st.integers(0, 1)),
+                      min_size=1, max_size=12))
+def test_shared_state_pass_interleaved_calls(seed, object_dim, probe_dim, calls):
+    rng = np.random.default_rng(seed)
+    model, pair = random_conservative_model(rng, object_dim, probe_dim,
+                                            spin_scenario=False)
+    # a second pair with the same L2, so the Yanase condition holds for both
+    pairs = (pair, w.ConservationPair(L1=w.random_hermitian(model.object_dim, rng),
+                                      L2=pair.L2))
+    states = [w.random_ket(model.object_dim, rng) for _ in range(2)]
+    for name, p, s in calls:
+        value = getattr(w, name)(model, pairs[p], states[s])
+        assert value == getattr(w, name)(_rebuilt(model), pairs[p], states[s])
+        dense = dense_figures(model, pairs[p], states[s])
+        expected = dense[2] if name == "fundamental_bound" else dense[3]
+        assert value == pytest.approx(expected, rel=ORACLE_TOL, abs=ORACLE_TOL)
+
+
+def test_shared_state_pass_keys_on_the_ket_object():
+    rng = np.random.default_rng(RNG_SEED + 4)
+    model, pair = random_conservative_model(rng, object_dim=3, probe_dim=4)
+    raw = w.random_ket(3, rng).amplitudes.copy()
+    psi = w.Ket(raw)
+    fb, yb = w.fundamental_bound(model, pair, psi), w.yanase_bound(model, pair, psi)
+    # a second ket with equal amplitudes gets its own figures, equal in value
+    twin = w.Ket(psi.amplitudes)
+    assert (w.fundamental_bound(model, pair, twin), w.yanase_bound(model, pair, twin)) == (fb, yb)
+    assert list(bound_terms(model, pair)._state) == [twin]
+    # a ket copies its amplitudes: changing the source array after a hit
+    # changes neither the cached figures nor the next ket's
+    raw[:] = w.random_ket(3, rng).amplitudes
+    other = w.Ket(raw)
+    assert w.fundamental_bound(model, pair, psi) == fb
+    assert w.fundamental_bound(model, pair, other) == \
+        w.fundamental_bound(_rebuilt(model), pair, other) != fb
+    assert w.yanase_bound(model, pair, other) == w.yanase_bound(_rebuilt(model), pair, other)
+
+
+def test_shared_state_pass_still_checks_each_ket():
+    rng = np.random.default_rng(RNG_SEED + 5)
+    model, pair = random_conservative_model(rng, object_dim=2, probe_dim=3)
+    psi = w.random_ket(2, rng)
+    wrong_dim = w.random_ket(3, rng)
+    unnormalized = w.Ket(psi.amplitudes, normalized=False)
+    for bound in (w.fundamental_bound, w.yanase_bound):
+        for first in (w.fundamental_bound, w.yanase_bound):
+            first(model, pair, psi)
+            bound(model, pair, psi)  # a hit
+            with pytest.raises(w.DimensionMismatch):
+                bound(model, pair, wrong_dim)
+            with pytest.raises(w.StructureError):
+                bound(model, pair, unnormalized)
+            assert bound(model, pair, psi) == bound(_rebuilt(model), pair, psi)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), object_dim=st.integers(2, 4),
+       probe_dim=st.integers(2, 6), yanase=st.booleans(), spin=st.booleans())
+def test_bound_report_fields_equal_the_public_functions(seed, object_dim, probe_dim,
+                                                        yanase, spin):
+    rng = np.random.default_rng(seed)
+    model, pair = random_conservative_model(
+        rng, object_dim, probe_dim, spin_scenario=spin and object_dim == 2, yanase=yanase)
+    psi = w.random_ket(model.object_dim, rng)
+    report = w.bound_report(model, pair, psi)
+    fresh = _rebuilt(model)
+    eps = w.noise(fresh, psi)
+    assert report.eps_sq == eps * eps
+    assert report.fundamental_bound == w.fundamental_bound(fresh, pair, psi)
+    assert report.yanase_residual == w.yanase_residual(model.M, pair.L2)
+    for name in ("yanase_bound", "spin_bound"):
+        if name in report.null_reasons:
+            assert getattr(report, name) is None
+            with pytest.raises(w.PreconditionError):
+                getattr(w, name)(fresh, pair, psi)
+        else:
+            assert getattr(report, name) == getattr(w, name)(fresh, pair, psi)
+    dense = dense_figures(model, pair, psi)
+    assert report.fundamental_bound == pytest.approx(dense[2], rel=ORACLE_TOL, abs=ORACLE_TOL)
+    if report.yanase_bound is not None:
+        assert report.yanase_bound == pytest.approx(dense[3], rel=ORACLE_TOL, abs=ORACLE_TOL)

@@ -185,6 +185,22 @@ def test_verify_dimension_mismatch_names_field(tmp_path, capsys):
     assert "xi" in err
 
 
+@pytest.mark.parametrize("field,message", [
+    ("L1", "L1 has dim 3, expected object_dim 2"),
+    ("L2", "L2 has dim 3, expected probe_dim 2"),
+])
+def test_verify_pair_dimension_is_an_input_error(tmp_path, capsys, field, message):
+    _, out, _ = run_cli(capsys, "demo", "swap")
+    doc = json.loads(out)
+    doc[field] = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_inline_state_and_csv(tmp_path, capsys):
     import csv
     import io

@@ -193,6 +193,53 @@ def test_ket_rejects_non_finite():
         w.Ket([np.nan, 0.0], normalized=False)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(0.0, np.inf), complex(0.0, -np.inf)])
+def test_ket_and_operator_reject_every_non_finite_entry(bad):
+    amps = np.array([1.0, 0.0, 0.0], dtype=complex)
+    amps[1] = bad
+    for normalized in (True, False):
+        with pytest.raises(w.StructureError, match="ket amplitudes must be finite"):
+            w.Ket(amps, normalized=normalized)
+    m = np.eye(3, dtype=complex)
+    m[2, 1] = m[1, 2] = bad
+    for build in (w.Operator.plain, w.Operator.hermitian, w.Operator.unitary):
+        with pytest.raises(w.StructureError, match="operator entries must be finite"):
+            build(m)
+
+
+def _layouts(a):
+    """a in C order, in Fortran order and as strided views without copies."""
+    yield np.ascontiguousarray(a)
+    yield np.asfortranarray(a)
+    if a.ndim == 1:
+        yield np.repeat(a, 2)[::2]
+        yield a[::-1]
+    else:
+        yield np.repeat(a, 2, axis=1)[:, ::2]
+        yield a.T
+        yield a.conj().T
+        yield a[::-1, 1:]
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (64,), (2, 2), (4, 4), (5, 3), (16, 16)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_frobenius_norm_is_numpy_norm_bit_for_bit(shape, kind):
+    rng = np.random.default_rng(RNG_SEED)
+    for scale in (1e-160, 1e-3, 1.0, 1e150):
+        a = scale * rng.standard_normal(shape)
+        if kind == "complex":
+            a = a + 1j * scale * rng.standard_normal(shape)
+        for x in _layouts(a):
+            assert w.frobenius_norm(x) == float(np.linalg.norm(x))
+    # Operators, nested lists and integer input take the same path
+    if kind == "complex" and len(shape) == 2 and shape[0] == shape[1]:
+        op = w.Operator.plain(a)
+        assert w.frobenius_norm(op) == float(np.linalg.norm(op.matrix))
+    assert w.frobenius_norm([[3, 4], [0, 12]]) == float(np.linalg.norm([[3, 4], [0, 12]])) == 13.0
+    assert w.frobenius_norm(np.zeros(shape)) == 0.0
+
+
 def test_operator_tags_validated():
     with pytest.raises(w.StructureError):
         w.Operator.hermitian([[0, 1], [0, 0]])
