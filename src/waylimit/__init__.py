@@ -82,6 +82,7 @@ _LAZY = {
         "CoherentAmplitudes",
         "FockSpace",
         "coherent_state",
+        "fock_cutoff",
         "lowering_operator",
         "m_z_operator",
         "number_operator",

@@ -139,12 +139,9 @@ def _dump_json(payload) -> str:
 
 
 def _fmt(x: float) -> str:
-    """CSV number format: 17 significant digits, locale independent."""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    """CSV number format: 17 significant digits, locale independent, JSON sentinels."""
+    s = _sanitize(x)
+    return s if isinstance(s, str) else f"{x:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +268,20 @@ def yw_model_from_dict(doc: dict):
     return yw, None, doc.get("metadata") or {}
 
 
-def _parse_state(spec: str, object_dim: int) -> Ket:
-    try:
-        ket = named_state(spec)
-    except ValueError:
+def _parse_state(spec, object_dim: int, path: str = "--state") -> Ket:
+    """A named state or a JSON ket, as text (``--state``) or parsed (``psi``)."""
+    if isinstance(spec, str):
         try:
-            value = json.loads(spec, parse_constant=_no_constants("--state"))
-        except json.JSONDecodeError as exc:
-            raise CliInputError(
-                f"--state must be a named state or a JSON ket, got {spec!r}") from exc
-        ket = ket_from_json(value, "--state")
+            spec = named_state(spec)
+        except ValueError:
+            try:
+                spec = json.loads(spec, parse_constant=_no_constants(path))
+            except json.JSONDecodeError as exc:
+                raise CliInputError(
+                    f"{path} must be a named state or a JSON ket, got {spec!r}") from exc
+    ket = spec if isinstance(spec, Ket) else ket_from_json(spec, path)
     if ket.dim != object_dim:
-        raise CliInputError(f"--state: ket has dim {ket.dim}, expected {object_dim}")
+        raise CliInputError(f"{path}: ket has dim {ket.dim}, expected {object_dim}")
     return ket
 
 
@@ -385,7 +384,7 @@ def cmd_sweep(args) -> int:
                                  seed=args.seed)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    rows = sweep_probe_size(args.family, sizes, config, n_max=args.n_max)
+    rows = sweep_probe_size(args.family, sizes, config)
     lines = ["family,size,var_mz,bound,achieved,gap_ratio,seed"]
     for row in rows:
         if row.error:
@@ -432,6 +431,10 @@ def _swap_theta(basis) -> np.ndarray:
 
 _JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool, "string": str}
 
+# the keys each form of probe may give
+_PROBE_KEYS = {"spin_ladder": ("family", "size"), "oscillator": ("family", "alpha", "beta"),
+               "explicit": ("L2", "M", "xi")}
+
 # the type of each optimizer setting a config file may give
 _CONFIG_TYPES = {"seed": "integer", "restarts": "integer", "max_iters": "integer",
                  "tol": "number", "objective": "string", "optimize_xi": "boolean"}
@@ -448,14 +451,13 @@ def _typed(value, path: str, kind: str):
 def _load_optimize_config(path: str):
     from .optimizer import (OptimizerConfig, commutant_basis, oscillator_probe,
                             spin_ladder_probe)
-    from .oscillator import CoherentAmplitudes
+    from .oscillator import CoherentAmplitudes, fock_cutoff
 
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CliInputError("config must be a JSON object")
 
-    known = {"seed", "restarts", "max_iters", "tol", "objective",
-             "optimize_xi", "theta0", "psi", "object", "probe"}
+    known = {*_CONFIG_TYPES, "theta0", "psi", "object", "probe"}
     unknown = set(doc) - known
     if unknown:
         raise CliInputError(f"unknown config fields: {sorted(unknown)}")
@@ -471,23 +473,27 @@ def _load_optimize_config(path: str):
     probe = doc.get("probe") or {"family": "spin_ladder", "size": 2}
     if not isinstance(probe, dict):
         raise CliInputError(f"probe: expected a JSON object, got {json.dumps(probe)}")
-    if "family" in probe:
-        if probe["family"] == "spin_ladder":
-            size = _typed(probe.get("size", 2), "probe.size", "integer")
-            try:
-                l2, m, xi = spin_ladder_probe(size)
-            except ValueError as exc:
-                raise CliInputError(f"probe.size: {exc}") from exc
-        elif probe["family"] == "oscillator":
-            n_max = _typed(probe.get("n_max", 2), "probe.n_max", "integer")
-            alpha = _complex_from_json(probe.get("alpha", [0.0, 0.0]), "probe.alpha")
-            beta = _complex_from_json(probe.get("beta", [0.0, 0.0]), "probe.beta")
-            try:
-                l2, m, xi = oscillator_probe(n_max, CoherentAmplitudes(alpha, beta))
-            except ValueError as exc:
-                raise CliInputError(f"probe: {exc}") from exc
-        else:
-            raise CliInputError(f"probe.family: unknown family {probe['family']!r}")
+    if "family" in probe and probe["family"] not in ("spin_ladder", "oscillator"):
+        raise CliInputError(f"probe.family: unknown family {probe['family']!r}")
+    form = probe.get("family", "explicit")
+    for key in probe:
+        if key not in _PROBE_KEYS[form]:
+            hint = "; the cutoff now follows from alpha and beta" if key == "n_max" else ""
+            raise CliInputError(f"probe.{key}: unknown key for a {form} probe, expected "
+                                f"one of {list(_PROBE_KEYS[form])}{hint}")
+    if form == "spin_ladder":
+        size = _typed(probe.get("size", 2), "probe.size", "integer")
+        try:
+            l2, m, xi = spin_ladder_probe(size)
+        except ValueError as exc:
+            raise CliInputError(f"probe.size: {exc}") from exc
+    elif form == "oscillator":
+        amps = CoherentAmplitudes(*(_complex_from_json(probe.get(k, [0.0, 0.0]), f"probe.{k}")
+                                    for k in ("alpha", "beta")))
+        try:
+            l2, m, xi = oscillator_probe(fock_cutoff(amps), amps)
+        except ValueError as exc:
+            raise CliInputError(f"probe: {exc}") from exc
     else:
         for key in ("L2", "M", "xi"):
             if key not in probe:
@@ -497,16 +503,7 @@ def _load_optimize_config(path: str):
         xi = ket_from_json(probe["xi"], "probe.xi")
 
     pair = ConservationPair(L1=l1, L2=l2)
-    psi_spec = doc.get("psi", "alpha_y")
-    if isinstance(psi_spec, str):
-        try:
-            psi = named_state(psi_spec)
-        except ValueError as exc:
-            raise CliInputError(f"psi: {exc}") from exc
-    else:
-        psi = ket_from_json(psi_spec, "psi")
-    if psi.dim != a.dim:
-        raise CliInputError(f"psi: ket has dim {psi.dim}, expected {a.dim}")
+    psi = _parse_state(doc.get("psi", "alpha_y"), a.dim, "psi")
 
     theta0 = doc.get("theta0", "zero")
     if theta0 == "zero":
@@ -614,8 +611,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--restarts", type=int, default=4)
     p_sweep.add_argument("--max-iters", type=int, default=40)
-    p_sweep.add_argument("--n-max", type=int, default=2,
-                         help="oscillator cutoff used when building full interactions")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_opt = sub.add_parser("optimize", help="minimize the noise over conservative interactions")

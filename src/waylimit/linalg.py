@@ -298,7 +298,7 @@ def spectral(x: Operator) -> SpectralDecomposition:
 
 def random_ket(dim: int, rng: np.random.Generator) -> Ket:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return Ket(v / np.linalg.norm(v))
+    return Ket(v / frobenius_norm(v))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> Operator:

@@ -46,11 +46,12 @@ from .measurement import MeasurementModel, noise, sup_noise
 from .oscillator import (
     CoherentAmplitudes,
     FockSpace,
+    MAX_CUTOFF,
+    fock_cutoff,
     m_z_operator,
     two_mode_coherent_state,
 )
 
-MAX_OSCILLATOR_N_MAX = 8
 INIT_STEP = 0.5
 MAX_BACKTRACKS = 40
 
@@ -305,7 +306,7 @@ class _Problem:
         if not self.config.optimize_xi:
             return theta, self.xi0
         raw = self._raw_xi(x)
-        nrm = np.linalg.norm(raw)
+        nrm = frobenius_norm(raw)
         if nrm < ROUNDING_TOL:
             raise ArithmeticError("probe-state parameters collapsed to zero")
         return theta, Ket(raw / nrm)
@@ -361,7 +362,7 @@ class _Problem:
         nn = u.conj().T @ m_un - (self.a.matrix @ n.reshape(do, -1)).reshape(n.shape)
         g = np.einsum("ak,apk->p", phis.conj(), nn.reshape(do, dp, count)) / count
         amps = xi.amplitudes
-        gxi = 2.0 * (g - np.real(np.vdot(amps, g)) * amps) / np.linalg.norm(self._raw_xi(x))
+        gxi = 2.0 * (g - np.real(np.vdot(amps, g)) * amps) / frobenius_norm(self._raw_xi(x))
         return np.concatenate([grad, gxi.real, gxi.imag])
 
     def check_soundness(self, x: np.ndarray):
@@ -382,27 +383,23 @@ class _Problem:
                     f"theta0 has length {t0.size}, expected {self.n_theta}")
             x[:self.n_theta] = t0
         if self.config.optimize_xi:
-            x[self.n_theta:self.n_theta + self.probe_dim] = np.real(self.xi0.amplitudes)
-            x[self.n_theta + self.probe_dim:] = np.imag(self.xi0.amplitudes)
+            x[self.n_theta:] = np.concatenate([self.xi0.amplitudes.real, self.xi0.amplitudes.imag])
         if restart > 0:
             rng = np.random.default_rng([self.config.seed, restart])
             x[:self.n_theta] = rng.uniform(-np.pi, np.pi, size=self.n_theta)
             if self.config.optimize_xi:
                 raw = rng.standard_normal(self.probe_dim) \
                     + 1j * rng.standard_normal(self.probe_dim)
-                raw /= np.linalg.norm(raw)
-                x[self.n_theta:self.n_theta + self.probe_dim] = np.real(raw)
-                x[self.n_theta + self.probe_dim:] = np.imag(raw)
+                raw /= frobenius_norm(raw)
+                x[self.n_theta:] = np.concatenate([raw.real, raw.imag])
         return x
 
     def _regauge(self, x: np.ndarray) -> np.ndarray:
         # The probe-state block is scale invariant; keep it on the unit sphere.
         if not self.config.optimize_xi:
             return x
-        nrm = np.linalg.norm(self._raw_xi(x))
         out = x.copy()
-        out[self.n_theta:self.n_theta + self.probe_dim] /= nrm
-        out[self.n_theta + self.probe_dim:] /= nrm
+        out[self.n_theta:] /= frobenius_norm(self._raw_xi(x))
         return out
 
     def descend(self, restart: int):
@@ -415,7 +412,7 @@ class _Problem:
         converged = False
         for _ in range(cfg.max_iters):
             g = self.gradient(x, model)
-            gnorm = float(np.linalg.norm(g))
+            gnorm = frobenius_norm(g)
             if gnorm < cfg.tol:
                 converged = True
                 break
@@ -481,23 +478,23 @@ def spin_ladder_probe(levels: int):
     values = j - np.arange(levels, dtype=float)
     l2 = Operator.hermitian(np.diag(values))
     xi = np.sin(np.arange(1, levels + 1) * np.pi / (levels + 1)).astype(np.complex128)
-    xi /= np.linalg.norm(xi)
+    xi /= frobenius_norm(xi)
     return l2, record_observable(l2), Ket(xi)
 
 
 def oscillator_probe(n_max: int, amps: CoherentAmplitudes):
-    """Truncated two-mode oscillator probe with a coherent initial state.
+    """Two-mode oscillator probe truncated at n_max (``fock_cutoff(amps)`` in
+    the sweep and ``optimize``), with a coherent initial state.
 
     The composite space has D = 2 (n_max + 1)^2 dimensions. One objective
     evaluation, and one gradient, costs O(D^3) = O(n_max^6) in products with
     the D x D eigenvector matrix (the sector eigendecompositions are smaller);
     the interaction has O(n_max^3) parameters. Full interactions are offered
-    for n_max <= 8 (D = 162, 822 parameters); the variance law itself is
-    validated at much larger cutoffs elsewhere.
+    up to MAX_CUTOFF; the variance law is validated at larger cutoffs elsewhere.
     """
-    if n_max > MAX_OSCILLATOR_N_MAX:
+    if n_max > MAX_CUTOFF:
         raise ValueError(
-            f"full oscillator interactions are limited to n_max <= {MAX_OSCILLATOR_N_MAX}")
+            f"full oscillator interactions are limited to n_max <= {MAX_CUTOFF}")
     space = FockSpace(n_max)
     l2 = m_z_operator(space)
     return l2, record_observable(l2), two_mode_coherent_state(amps, space)
@@ -517,12 +514,12 @@ class SweepRow:
     error: str = ""
 
 
-def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig,
-                     n_max: int = 2) -> list:
+def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> list:
     """Bound versus best achieved error for a family of growing probes.
 
-    The spin scenario is fixed (A = S_x, L1 = S_z, input state y-up); per-size
-    failures are recorded in the row and the sweep continues.
+    The spin scenario is fixed (A = S_x, L1 = S_z, input state y-up). An
+    oscillator size v is |alpha|^2 = |beta|^2 = v/2 at its ``fock_cutoff``.
+    Per-size failures are recorded in the row and the sweep continues.
     """
     from .bounds import optimal_spin_bound
     from .linalg import variance
@@ -539,7 +536,8 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig,
                 l2, m, xi = spin_ladder_probe(int(size))
             else:
                 half = np.sqrt(float(size) / 2.0)
-                l2, m, xi = oscillator_probe(n_max, CoherentAmplitudes(half, half))
+                amps = CoherentAmplitudes(half, half)
+                l2, m, xi = oscillator_probe(fock_cutoff(amps), amps)
             pair = ConservationPair(L1=sz, L2=l2)
             var = variance(l2, xi)
             bound = optimal_spin_bound(var)

@@ -17,6 +17,8 @@ import numpy as np
 from .bounds import optimal_spin_bound
 from .linalg import TAIL_TOL, Ket, Operator, tensor
 
+MAX_CUTOFF = 8  # largest n_max with full interactions (D = 162, 822 parameters)
+
 
 @dataclass(frozen=True, eq=False)
 class FockSpace:
@@ -31,10 +33,6 @@ class FockSpace:
     @property
     def per_mode_dim(self) -> int:
         return self.n_max + 1
-
-    @property
-    def dim(self) -> int:
-        return self.per_mode_dim ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,35 +59,42 @@ def number_operator(levels: int) -> Operator:
     return Operator.hermitian(np.diag(np.arange(levels, dtype=float)))
 
 
-def coherent_state(amp: complex, n_max: int) -> Ket:
-    """Truncated coherent state, renormalized; the dropped tail must be below TAIL_TOL.
-
-    The cutoff guard |amp|^2 <= n_max / 4 keeps the Poisson weight well away
-    from the truncation edge for the cutoffs used here; the tail itself is
-    checked as well so the renormalization is always a no-op to tolerance.
-    """
-    if abs(amp) ** 2 > n_max / 4.0:
-        raise ValueError(
-            f"cutoff too small: |amp|^2 = {abs(amp) ** 2:.6g} exceeds n_max/4 = {n_max / 4.0:.6g}")
+def _fock_weights(amp: complex, n_max: int):
+    """Fock weights 0..n_max of a coherent state and the mass they keep."""
     weights = np.empty(n_max + 1, dtype=np.complex128)
     weights[0] = np.exp(-0.5 * abs(amp) ** 2)
     for n in range(n_max):
         weights[n + 1] = weights[n] * amp / np.sqrt(n + 1.0)
-    kept = float(np.real(np.vdot(weights, weights)))
+    return weights, float(np.real(np.vdot(weights, weights)))
+
+
+def fock_cutoff(amps: CoherentAmplitudes) -> int:
+    """The smallest n_max at which coherent_state's tail check passes for
+    both modes; refused above MAX_CUTOFF, naming the n_max needed."""
+    n, modes = 0, (amps.alpha, amps.beta)
+    while short := [(w[-1], kept) for w, kept in (_fock_weights(a, n) for a in modes)
+                    if 1.0 - kept >= TAIL_TOL]:
+        # a zero weight, or one adding nothing to a kept mass > 0, lies past the Poisson peak
+        if any(last == 0 or 0 < kept == kept + abs(last) ** 2 for last, kept in short):
+            raise ValueError(f"no cutoff holds |alpha|^2 + |beta|^2 = {amps.magnitude_sq:.6g}")
+        n += 1
+    if n > MAX_CUTOFF:
+        raise ValueError(f"|alpha|^2 + |beta|^2 = {amps.magnitude_sq:.6g} needs n_max = {n}; "
+                         f"full oscillator interactions are limited to n_max <= {MAX_CUTOFF}")
+    return n
+
+
+def coherent_state(amp: complex, n_max: int) -> Ket:
+    """Truncated coherent state, renormalized; the tail it drops must be below TAIL_TOL."""
+    weights, kept = _fock_weights(amp, n_max)
     if 1.0 - kept >= TAIL_TOL:
-        raise ValueError(
-            f"cutoff too small: truncated tail mass {1.0 - kept:.3e} >= {TAIL_TOL:g}")
+        raise ValueError(f"cutoff too small: truncated tail mass {1.0 - kept:.3e} >= {TAIL_TOL:g}")
     return Ket(weights / np.sqrt(kept))
 
 
 def two_mode_coherent_state(amps: CoherentAmplitudes, space: FockSpace) -> Ket:
-    """Product of the two truncated coherent states on the composite space."""
-    if amps.magnitude_sq > space.n_max / 4.0:
-        raise ValueError(
-            f"cutoff too small: |alpha|^2 + |beta|^2 = {amps.magnitude_sq:.6g} "
-            f"exceeds n_max/4 = {space.n_max / 4.0:.6g}")
-    return tensor(coherent_state(amps.alpha, space.n_max),
-                  coherent_state(amps.beta, space.n_max))
+    """Product of the two truncated coherent states, each tail-checked."""
+    return tensor(*(coherent_state(amp, space.n_max) for amp in (amps.alpha, amps.beta)))
 
 
 def m_z_operator(space: FockSpace) -> Operator:

@@ -28,6 +28,7 @@ from .linalg import (
     ROUNDING_TOL,
     STRUCTURE_TOL,
     StructureError,
+    frobenius_norm,
 )
 from .measurement import MeasurementModel
 
@@ -152,8 +153,8 @@ class YWModel:
             raise StructureError(f"image overlap {abs(overlap):.3e} breaks orthogonality")
 
         m = self.M.matrix
-        rp = np.linalg.norm(m @ self.xi_plus.amplitudes - HALF * self.xi_plus.amplitudes)
-        rm = np.linalg.norm(m @ self.xi_minus.amplitudes + HALF * self.xi_minus.amplitudes)
+        rp = frobenius_norm(m @ self.xi_plus.amplitudes - HALF * self.xi_plus.amplitudes)
+        rm = frobenius_norm(m @ self.xi_minus.amplitudes + HALF * self.xi_minus.amplitudes)
         if rp > STRUCTURE_TOL or rm > STRUCTURE_TOL:
             raise StructureError(
                 f"xi_plus/xi_minus are not +/-1/2 eigenstates (residuals {rp:.3e}, {rm:.3e})")
@@ -179,9 +180,9 @@ def yw_error_at_alpha_y(yw: YWModel) -> float:
     """
     m = yw.M.matrix
     eye = np.eye(yw.probe_dim)
-    plus = np.linalg.norm((m - HALF * eye) @ yw.eta_plus.amplitudes) ** 2
-    minus = np.linalg.norm((m + HALF * eye) @ yw.eta_minus.amplitudes) ** 2
-    return 0.5 * float(plus) + 0.5 * float(minus)
+    plus = frobenius_norm((m - HALF * eye) @ yw.eta_plus.amplitudes) ** 2
+    minus = frobenius_norm((m + HALF * eye) @ yw.eta_minus.amplitudes) ** 2
+    return 0.5 * plus + 0.5 * minus
 
 
 def yw_check_bound(yw: YWModel, delta_mz_sq: float):
@@ -243,7 +244,7 @@ def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:
     # First image: the up_x branch keeps a random fraction, the rest leaks.
     keep = np.sqrt(rng.uniform(0.0, 1.0))
     eta_plus = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    eta_plus *= np.sqrt(1.0 - keep ** 2) / np.linalg.norm(eta_plus)
+    eta_plus *= np.sqrt(1.0 - keep ** 2) / frobenius_norm(eta_plus)
     xi_plus = keep * up
     v1 = np.kron(ax, xi_plus) + np.kron(bx, eta_plus)
 
@@ -256,7 +257,7 @@ def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:
     nrm = np.vdot(v1_in, v1_in)
     if abs(nrm) > ROUNDING_TOL ** 2:
         w = w - v1_in * (np.vdot(v1_in, w) / nrm)
-    w /= np.linalg.norm(w)
+    w /= frobenius_norm(w)
 
     return YWModel(
         probe_dim=d,

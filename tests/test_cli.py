@@ -250,10 +250,18 @@ def test_sweep_oscillator_bound_column(tmp_path, capsys):
                          "--sizes", "0,1,10", "--out", str(out),
                          "--seed", "3", "--restarts", "1", "--max-iters", "5")
     assert code == 0
-    rows = out.read_text().strip().split("\n")[1:]
-    bounds = [float(r.split(",")[3]) for r in rows]
+    rows = [[float(x) for x in r.split(",")[1:]]
+            for r in out.read_text().strip().split("\n")[1:]]
+    bounds = [row[2] for row in rows]
     assert bounds[0] == pytest.approx(0.25, abs=1e-15)
-    assert bounds[1] == pytest.approx(0.05, abs=1e-15)
+    # size 1 runs at its derived cutoff of 8, where the truncated variance
+    # of m_z reads 1.00000035; the bound is read from that variance
+    var_mz = rows[1][1]
+    assert var_mz == pytest.approx(1.0, abs=1e-6)
+    assert bounds[1] == 1.0 / (4.0 + 16.0 * var_mz)
+    assert rows[1][3] >= bounds[1] - 1e-9
+    # size 10 needs a cutoff above the limit; its failed row keeps the exact bound
+    assert math.isnan(rows[2][3])
     assert bounds[2] == pytest.approx(1.0 / 164.0, abs=1e-15)
 
 
@@ -273,13 +281,15 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys):
 def test_sweep_in_which_every_size_fails_exits_one(tmp_path, capsys):
     out = tmp_path / "osc.csv"
     code, _, err = run_cli(capsys, "sweep", "--family", "oscillator",
-                           "--sizes", "1,2", "--out", str(out))
+                           "--sizes", "2,3", "--out", str(out))
     assert code == 1
     rows = out.read_text().strip().split("\n")[1:]
     assert len(rows) == 2
     assert all(r.split(",")[4] == "nan" for r in rows)
-    assert err.startswith("size 1 failed: ")
-    assert "size 2 failed: " in err
+    # each row names the cutoff it needs and the limit
+    assert err.startswith("size 2 failed: |alpha|^2 + |beta|^2 = 2 needs n_max = 11; ")
+    assert "size 3 failed: |alpha|^2 + |beta|^2 = 3 needs n_max = 12; " in err
+    assert err.count("limited to n_max <= 8") == 2
 
 
 @pytest.mark.parametrize("option", [["--restarts", "0"], ["--max-iters", "-1"],
@@ -331,7 +341,8 @@ def test_lazy_exports_resolve_to_the_module_objects():
 
     exports = {
         waylimit.oscillator: (
-            "CoherentAmplitudes", "FockSpace", "coherent_state", "lowering_operator",
+            "CoherentAmplitudes", "FockSpace", "coherent_state", "fock_cutoff",
+            "lowering_operator",
             "m_z_operator", "number_operator", "oscillator_bound",
             "total_number_operator", "two_mode_coherent_state"),
         waylimit.optimizer: (
@@ -538,6 +549,12 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
     # json.dumps writes a float NaN as the non-standard literal NaN
     ({"tol": math.nan}, "NaN"),
     ({"probe": {"family": "oscillator", "alpha": [math.nan, 0]}}, "NaN"),
+    # unknown probe keys, one misspelling per form
+    ({"probe": {"family": "spin_ladder", "sise": 4}}, "probe.sise"),
+    ({"probe": {"family": "oscillator", "alpah": [0.1, 0]}}, "probe.alpah"),
+    ({"probe": {"L2": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+                "M": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+                "xi": [[1, 0], [0, 0]], "Xi": [[1, 0], [0, 0]]}}, "probe.Xi"),
 ])
 def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
@@ -546,6 +563,31 @@ def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, fie
     assert code == 1
     assert err.startswith("error: ")
     assert field in err
+
+
+def test_optimize_config_n_max_is_refused_with_the_rule(tmp_path, capsys):
+    # a config written for the old settable cutoff must not run with another one
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"probe": {"family": "oscillator", "n_max": 2,
+                                          "alpha": [0.02, 0], "beta": [0, 0.01]}}))
+    code, out, err = run_cli(capsys, "optimize", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: probe.n_max: ")
+    assert "the cutoff now follows from alpha and beta" in err
+
+
+def test_optimize_config_psi_messages_name_the_field(tmp_path, capsys):
+    # psi and --state share one reader; its messages name the field
+    path = tmp_path / "config.json"
+    for psi, message in (
+            ("gamma_q", "error: psi must be a named state or a JSON ket, got 'gamma_q'\n"),
+            ([[1, 0], [0, 0], [0, 0]], "error: psi: ket has dim 3, expected 2\n"),
+            ("[[1, 0], [0, 0], [0, 0]]", "error: psi: ket has dim 3, expected 2\n"),
+            ("[[NaN, 0], [1, 0]]",
+             "error: psi: non-standard JSON literal NaN; numbers must be finite\n")):
+        path.write_text(json.dumps({"restarts": 1, "max_iters": 1, "psi": psi}))
+        code, _, err = run_cli(capsys, "optimize", str(path))
+        assert (code, err) == (1, message)
 
 
 def test_optimize_config_l1_dimension_error_names_the_field(tmp_path, capsys):

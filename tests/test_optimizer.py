@@ -239,12 +239,24 @@ def test_sweep_rows_spin_ladder():
 
 def test_sweep_records_failures_in_row():
     config = w.OptimizerConfig(restarts=1, max_iters=5, seed=13)
-    rows = w.sweep_probe_size("oscillator", [0.0, 10.0], config, n_max=2)
+    rows = w.sweep_probe_size("oscillator", [0.0, 10.0], config)
     assert rows[0].error == ""
     assert rows[0].achieved >= rows[0].bound - 1e-9
-    assert rows[1].error != ""
+    # size 10 fails its row, naming the cutoff it needs and the limit
+    assert rows[1].error == ("|alpha|^2 + |beta|^2 = 10 needs n_max = 22; "
+                             "full oscillator interactions are limited to n_max <= 8")
     assert np.isnan(rows[1].achieved)
     assert rows[1].bound == pytest.approx(1.0 / 164.0, abs=1e-15)
+
+
+def test_oscillator_sweep_computes_every_size_up_to_the_cutoff_limit():
+    config = w.OptimizerConfig(restarts=1, max_iters=3, seed=13)
+    rows = w.sweep_probe_size("oscillator", [0.01, 0.1, 1.0], config)
+    for row in rows:
+        assert row.error == ""
+        assert np.isfinite(row.achieved)
+        assert row.achieved >= row.bound - 1e-9
+        assert row.bound == 1.0 / (4.0 + 16.0 * row.var_mz)
 
 
 def test_soundness_guard_never_trips_on_valid_problems():
@@ -356,8 +368,8 @@ def test_xi_gradient_at_the_ladder_sine_state_matches_the_oracle():
 
 
 def test_oscillator_probe_at_the_largest_cutoff():
-    # |alpha|^2 + |beta|^2 = 1: the oscillator sweep's size 1, out of reach
-    # of the cutoff guard below n_max = 8
+    # |alpha|^2 + |beta|^2 = 1: the oscillator sweep's size 1, whose derived
+    # cutoff is this limit
     sx, _, sz = w.spin_operators()
     half = np.sqrt(0.5)
     l2, m, xi = w.oscillator_probe(8, w.CoherentAmplitudes(half, 1j * half))

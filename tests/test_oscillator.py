@@ -42,10 +42,11 @@ def test_coherent_occupation_variance():
 
 
 def test_coherent_cutoff_guard():
-    with pytest.raises(ValueError):
-        w.coherent_state(2.0, 10)  # |amp|^2 = 4 > 10/4
-    with pytest.raises(ValueError):
-        w.coherent_state(2.0, 16)  # guard passes but the tail mass is ~1e-6
+    # the tail check is the only cutoff criterion
+    with pytest.raises(ValueError, match="truncated tail mass"):
+        w.coherent_state(2.0, 10)
+    with pytest.raises(ValueError, match="truncated tail mass"):
+        w.coherent_state(2.0, 16)  # tail mass ~1e-6
 
 
 def test_ladder_commutator_on_interior():
@@ -96,8 +97,8 @@ def test_m_z_mean_sign_convention():
 
 
 def test_variance_law_error_shrinks_with_cutoff():
-    # one displaced mode; n_max = 20 sits near the cutoff guard where the
-    # truncation error is still visible
+    # one displaced mode; n_max = 20 is the smallest cutoff its tail check
+    # accepts, where the truncation error is still visible
     amps = w.CoherentAmplitudes(2.0, 0.0)
     errors = []
     for n_max in (20, 28, 40):
@@ -123,5 +124,43 @@ def test_oscillator_bound_matches_spin_form_exactly():
 
 
 def test_two_mode_combined_guard():
-    with pytest.raises(ValueError):
+    # each mode's tail check refuses it; there is no separate joint guard
+    with pytest.raises(ValueError, match="truncated tail mass"):
         w.two_mode_coherent_state(w.CoherentAmplitudes(1.2, 1.2), w.FockSpace(10))
+
+
+def _amplitude_grid():
+    rng = np.random.default_rng(RNG_SEED)
+    # per-mode |amp|^2 up to 0.49, so every cutoff stays within the limit of 8
+    for mag_a in (0.0, 0.05, 0.2, 0.45, 0.6, 0.7):
+        for mag_b in (0.0, 0.1, 0.35, 0.5):
+            phase_a, phase_b = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+            yield w.CoherentAmplitudes(mag_a, mag_b)
+            yield w.CoherentAmplitudes(mag_a * phase_a, mag_b * phase_b)
+
+
+def test_fock_cutoff_is_the_smallest_that_passes_the_tail_check():
+    cutoffs = set()
+    for amps in _amplitude_grid():
+        n = w.fock_cutoff(amps)
+        cutoffs.add(n)
+        ket = w.two_mode_coherent_state(amps, w.FockSpace(n))
+        assert ket.dim == (n + 1) ** 2
+        if n > 0:
+            with pytest.raises(ValueError, match="truncated tail mass"):
+                w.two_mode_coherent_state(amps, w.FockSpace(n - 1))
+    assert min(cutoffs) == 0 and max(cutoffs) == 8
+
+
+def test_fock_cutoff_of_the_sweep_sizes():
+    # a sweep size v is |alpha|^2 = |beta|^2 = v / 2
+    def cutoff(size):
+        half = np.sqrt(size / 2.0)
+        return w.fock_cutoff(w.CoherentAmplitudes(half, half))
+
+    assert [cutoff(v) for v in (0.0, 0.005, 0.01, 0.1, 0.5, 1.0)] == [0, 2, 3, 4, 6, 8]
+    with pytest.raises(ValueError, match=r"needs n_max = 11; .* limited to n_max <= 8"):
+        cutoff(2.0)
+    # weights that underflow can meet no cutoff; the rule says so and stops
+    with pytest.raises(ValueError, match="no cutoff holds"):
+        cutoff(1e4)
