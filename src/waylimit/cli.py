@@ -1,12 +1,16 @@
 """Command-line surface: verify models, sweep probe sizes, optimize, emit demos.
 
-This module owns the on-disk schemas. Complex scalars are two-element
-[re, im] arrays, kets are arrays of those, matrices are nested row-major
-arrays, and infinities are serialized as the string "inf". Exit codes are
-0 (all applicable inequalities hold), 1 (input problem, a sweep in which
-every size failed, or an internal error, which is labeled as such), and 2
-(an inequality that is a theorem failed, the regression alarm). Set WAYLIMIT_DEBUG=1 to print the traceback
-of an internal error.
+This module owns the on-disk schemas. Complex scalars are [re, im] pairs of
+JSON numbers, kets are arrays of those, matrices are nested row-major arrays,
+and infinities are serialized as the string "inf". Each model-file kind has
+one field table, walked by both its writer and its reader. ``_typed`` is the
+one JSON type test: a JSON bool is neither an integer nor a number. Model
+files ignore keys outside their table; an ``optimize`` config rejects unknown
+keys at every level. Exit codes are 0 (all applicable inequalities hold), 1
+(input problem, a sweep in which every size failed, or an internal error,
+which is labeled as such), and 2 (an inequality that is a theorem failed, the
+regression alarm). Set WAYLIMIT_DEBUG=1 to print the traceback of an
+internal error.
 
 ``verify`` and ``demo`` need neither the optimizer nor the oscillator
 module, so ``sweep`` and ``optimize`` import what they use when they run;
@@ -25,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, ConservationPair, bound_report, check_pair
+from .bounds import ConservationPair, bound_report, check_pair
 from .linalg import (
     ACL_GATE_TOL,
     DimensionMismatch,
@@ -72,7 +76,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding
+# JSON values
+
+
+# json.load yields exact builtin types, so one exact-type test per JSON kind
+# needs no special case: a JSON bool (type bool) is neither an integer nor a number
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,),
+               "string": (str,), "array": (list,), "object": (dict,)}
+
+
+def _typed(value, path: str, kind: str):
+    """value when it has the JSON type kind, else an input error naming path."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise CliInputError(f"{path}: expected a JSON {kind}, got {json.dumps(value)}")
+    return value
 
 
 def _complex_to_json(z: complex):
@@ -80,10 +97,24 @@ def _complex_to_json(z: complex):
 
 
 def _complex_from_json(value, path: str) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        raise CliInputError(f"{path}: expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        re, im = _typed(value, path, "array")
+        return complex(_typed(re, path, "number"), _typed(im, path, "number"))
+    except (ValueError, OverflowError):
+        raise CliInputError(
+            f"{path}: expected a [re, im] pair of JSON numbers, got {json.dumps(value)}") from None
+
+
+def _complex_list(value, path: str) -> list:
+    """A JSON array of [re, im] pairs; entry k is named path[k] in errors."""
+    entries = _typed(value, path, "array")
+    try:
+        return [_complex_from_json(z, path) for z in entries]
+    except CliInputError:
+        # name the entry only now, so that a valid array formats no paths
+        for k, z in enumerate(entries):
+            _complex_from_json(z, f"{path}[{k}]")
+        raise
 
 
 def ket_to_json(ket: Ket):
@@ -91,9 +122,7 @@ def ket_to_json(ket: Ket):
 
 
 def ket_from_json(value, path: str, normalized: bool = True) -> Ket:
-    if not isinstance(value, list) or not value:
-        raise CliInputError(f"{path}: expected a nonempty array of [re, im] pairs")
-    amps = [_complex_from_json(z, f"{path}[{k}]") for k, z in enumerate(value)]
+    amps = _complex_list(value, path)
     try:
         return Ket(np.array(amps), normalized=normalized)
     except (StructureError, ValueError) as exc:
@@ -104,17 +133,14 @@ def operator_to_json(op: Operator):
     return [[_complex_to_json(z) for z in row] for row in op.matrix]
 
 
-def operator_from_json(value, path: str, structure: frozenset) -> Operator:
-    if not isinstance(value, list) or not value:
-        raise CliInputError(f"{path}: expected a nonempty nested array")
+def operator_from_json(value, path: str, tag: str) -> Operator:
     rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != len(value):
+    for i, row in enumerate(_typed(value, path, "array")):
+        if len(_typed(row, f"{path}[{i}]", "array")) != len(value):
             raise CliInputError(f"{path}: row {i} does not make the matrix square")
-        rows.append([_complex_from_json(z, f"{path}[{i}][{j}]")
-                     for j, z in enumerate(row)])
+        rows.append(_complex_list(row, f"{path}[{i}]"))
     try:
-        return Operator(np.array(rows), structure)
+        return Operator(np.array(rows), frozenset({tag}))
     except (StructureError, ValueError) as exc:
         raise CliInputError(f"{path}: {exc}") from exc
 
@@ -144,55 +170,6 @@ def _fmt(x: float) -> str:
     return s if isinstance(s, str) else f"{x:.17g}"
 
 
-# ---------------------------------------------------------------------------
-# Model files
-
-
-def model_to_dict(model: MeasurementModel, pair: ConservationPair,
-                  name: str = "", description: str = "") -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "object_dim": model.object_dim,
-        "probe_dim": model.probe_dim,
-        "A": operator_to_json(model.A),
-        "L1": operator_to_json(pair.L1),
-        "L2": operator_to_json(pair.L2),
-        "M": operator_to_json(model.M),
-        "U": operator_to_json(model.U),
-        "xi": ket_to_json(model.xi),
-        "metadata": {"name": name, "description": description},
-    }
-
-
-def model_from_dict(doc: dict):
-    if not isinstance(doc, dict):
-        raise CliInputError("model file must contain a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise CliInputError(f"schema: expected {SCHEMA_VERSION!r}, got {doc.get('schema')!r}")
-    for key in ("object_dim", "probe_dim", "A", "L1", "L2", "M", "U", "xi"):
-        if key not in doc:
-            raise CliInputError(f"{key}: missing required field")
-    object_dim = doc["object_dim"]
-    probe_dim = doc["probe_dim"]
-    if not isinstance(object_dim, int) or not isinstance(probe_dim, int):
-        raise CliInputError("object_dim/probe_dim: expected integers")
-    hermitian = frozenset({"hermitian"})
-    a = operator_from_json(doc["A"], "A", hermitian)
-    l1 = operator_from_json(doc["L1"], "L1", hermitian)
-    l2 = operator_from_json(doc["L2"], "L2", hermitian)
-    m = operator_from_json(doc["M"], "M", hermitian)
-    u = operator_from_json(doc["U"], "U", frozenset({"unitary"}))
-    xi = ket_from_json(doc["xi"], "xi")
-    try:
-        model = MeasurementModel(object_dim, probe_dim, xi, u, m, a)
-        pair = ConservationPair(L1=l1, L2=l2)
-        check_pair(model, pair)
-    except (DimensionMismatch, StructureError, ValueError) as exc:
-        raise CliInputError(str(exc)) from exc
-    metadata = doc.get("metadata") or {}
-    return model, pair, metadata
-
-
 def _no_constants(where: str):
     # python's json reads NaN, Infinity and -Infinity, which are not JSON numbers
     def reject(name: str):
@@ -219,53 +196,96 @@ def _write_text(path: str, text: str):
         raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
-def load_model_file(path: str):
-    """(model, pair, metadata) from a model file, or from the ``result_model``
-    of an ``optimize`` output. A ``kind: yw_model`` file holds partial
-    interaction data and no conservation pair; it loads as
-    (YWModel, None, metadata)."""
-    doc = _read_json(path)
-    if isinstance(doc, dict) and "result_model" in doc:
-        # an ``optimize`` output: verify the model it found
-        doc = doc["result_model"]
-    if isinstance(doc, dict) and doc.get("kind") == "yw_model":
-        return yw_model_from_dict(doc)
-    return model_from_dict(doc)
+# ---------------------------------------------------------------------------
+# Model files
 
 
-def yw_model_to_dict(yw) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "yw_model",
-        "probe_dim": yw.probe_dim,
-        "xi": ket_to_json(yw.xi),
-        "xi_plus": ket_to_json(yw.xi_plus),
-        "xi_minus": ket_to_json(yw.xi_minus),
-        "eta_plus": ket_to_json(yw.eta_plus),
-        "eta_minus": ket_to_json(yw.eta_minus),
-        "M": operator_to_json(yw.M),
-        "metadata": {"name": "yw-sample",
-                     "description": "partial interaction data with eps_y^2 = 0.1"},
-    }
+# each form a field can take: (reader(value, path), writer(value))
+_FORMS = {
+    "integer": (lambda v, path: _typed(v, path, "integer"), int),
+    "hermitian": (lambda v, path: operator_from_json(v, path, "hermitian"), operator_to_json),
+    "unitary": (lambda v, path: operator_from_json(v, path, "unitary"), operator_to_json),
+    "state": (ket_from_json, ket_to_json),
+    # kets whose norm is a weight below 1, such as a yw_model's branch amplitudes
+    "amplitudes": (lambda v, path: ket_from_json(v, path, normalized=False), ket_to_json),
+}
+
+# the fields of each model-file kind, in file order: key -> form. The writer
+# and the reader of the kind both walk its table.
+_MODEL_FIELDS = {"object_dim": "integer", "probe_dim": "integer", "A": "hermitian",
+                 "L1": "hermitian", "L2": "hermitian", "M": "hermitian", "U": "unitary",
+                 "xi": "state"}
+_YW_FIELDS = {"probe_dim": "integer", "xi": "state", "xi_plus": "amplitudes",
+              "xi_minus": "amplitudes", "eta_plus": "amplitudes", "eta_minus": "amplitudes",
+              "M": "hermitian"}
+
+
+def _fields_to_dict(head: dict, fields: dict, values: dict, name: str, description: str) -> dict:
+    """A model file: schema, head, each field of the table from values, then metadata."""
+    return {"schema": SCHEMA_VERSION, **head,
+            **{key: _FORMS[form][1](values[key]) for key, form in fields.items()},
+            "metadata": {"name": name, "description": description}}
+
+
+def _read_fields(doc: dict, fields: dict, prefix: str = "") -> dict:
+    """Every field of a table, parsed; any missing field is reported first."""
+    for key in fields:
+        if key not in doc:
+            raise CliInputError(f"{prefix}{key}: missing required field")
+    return {key: _FORMS[form][0](doc[key], prefix + key) for key, form in fields.items()}
+
+
+def _model_file(doc, fields: dict):
+    """The parsed fields and the metadata of a model file of one kind. Other
+    keys are ignored; metadata is optional, but its name is echoed, so a string."""
+    if _typed(doc, "model file", "object").get("schema") != SCHEMA_VERSION:
+        raise CliInputError(f"schema: expected {SCHEMA_VERSION!r}, got {doc.get('schema')!r}")
+    values = _read_fields(doc, fields)
+    metadata = _typed(doc.get("metadata", {}), "metadata", "object")
+    _typed(metadata.get("name", ""), "metadata.name", "string")
+    return values, metadata
+
+
+def model_to_dict(model: MeasurementModel, pair: ConservationPair,
+                  name: str = "", description: str = "") -> dict:
+    values = {**vars(model), "L1": pair.L1, "L2": pair.L2}
+    return _fields_to_dict({}, _MODEL_FIELDS, values, name, description)
+
+
+def model_from_dict(doc: dict):
+    f, metadata = _model_file(doc, _MODEL_FIELDS)
+    try:
+        model = MeasurementModel(f["object_dim"], f["probe_dim"], f["xi"], f["U"], f["M"], f["A"])
+        pair = ConservationPair(L1=f["L1"], L2=f["L2"])
+        check_pair(model, pair)
+    except (DimensionMismatch, StructureError, ValueError) as exc:
+        raise CliInputError(str(exc)) from exc
+    return model, pair, metadata
+
+
+def yw_model_to_dict(yw: YWModel, name: str = "", description: str = "") -> dict:
+    return _fields_to_dict({"kind": "yw_model"}, _YW_FIELDS, vars(yw), name, description)
 
 
 def yw_model_from_dict(doc: dict):
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise CliInputError(f"schema: expected {SCHEMA_VERSION!r}, got {doc.get('schema')!r}")
-    for key in ("probe_dim", "xi", "xi_plus", "xi_minus", "eta_plus", "eta_minus", "M"):
-        if key not in doc:
-            raise CliInputError(f"{key}: missing required field")
-    if not isinstance(doc["probe_dim"], int):
-        raise CliInputError("probe_dim: expected an integer")
-    # only xi is a state; the branch amplitudes carry weights below 1
-    kets = {key: ket_from_json(doc[key], key, normalized=key == "xi")
-            for key in ("xi", "xi_plus", "xi_minus", "eta_plus", "eta_minus")}
-    m = operator_from_json(doc["M"], "M", frozenset({"hermitian"}))
+    fields, metadata = _model_file(doc, _YW_FIELDS)
     try:
-        yw = YWModel(probe_dim=doc["probe_dim"], M=m, **kets)
+        return YWModel(**fields), None, metadata
     except (StructureError, ValueError) as exc:
         raise CliInputError(str(exc)) from exc
-    return yw, None, doc.get("metadata") or {}
+
+
+def load_model_file(path: str):
+    """(model, pair, metadata) from a model file, or from the ``result_model`` of
+    an ``optimize`` output. A ``kind: yw_model`` file holds partial interaction
+    data and no conservation pair; it loads as (YWModel, None, metadata)."""
+    doc = _typed(_read_json(path), "model file", "object")
+    if "result_model" in doc:
+        # an ``optimize`` output: verify the model it found
+        doc = _typed(doc["result_model"], "result_model", "object")
+    if doc.get("kind") == "yw_model":
+        return yw_model_from_dict(doc)
+    return model_from_dict(doc)
 
 
 def _parse_state(spec, object_dim: int, path: str = "--state") -> Ket:
@@ -289,26 +309,13 @@ def _parse_state(spec, object_dim: int, path: str = "--state") -> Ket:
 # verify
 
 
-_REPORT_FIELDS = (
-    "eps_sq", "fundamental_bound", "yanase_bound", "spin_bound",
-    "acl_residual", "yanase_residual", "commutator_identity_residual",
-    "uncertainty_lhs", "uncertainty_rhs",
-)
+_REPORT_FIELDS = ("eps_sq", "fundamental_bound", "yanase_bound", "spin_bound", "acl_residual",
+                  "yanase_residual", "commutator_identity_residual", "uncertainty_lhs",
+                  "uncertainty_rhs")
 
 
 def _environment(seed: Optional[int]) -> dict:
     return {"tool_version": __version__, "seed": seed, "tolerances": dict(TOLERANCES)}
-
-
-def report_to_dict(report: BoundReport, state_spec: str, name: str,
-                   seed: Optional[int] = None) -> dict:
-    payload = {"schema": SCHEMA_VERSION, "model_name": name, "state": state_spec}
-    for key in _REPORT_FIELDS:
-        payload[key] = getattr(report, key)
-    payload["violations"] = list(report.violations())
-    payload["null_reasons"] = dict(report.null_reasons)
-    payload["environment"] = _environment(seed)
-    return payload
 
 
 def _csv_field(value: str) -> str:
@@ -317,49 +324,45 @@ def _csv_field(value: str) -> str:
     return value
 
 
-def _verify_csv(fields: dict, violations, state_spec: str, name: str) -> str:
-    header = ["model_name", "state", *fields, "violations"]
-    row = [_csv_field(name), _csv_field(state_spec)]
-    row += ["" if value is None else _fmt(value) for value in fields.values()]
-    row.append("|".join(violations))
-    return ",".join(header) + "\n" + ",".join(row) + "\n"
+def _emit_verify(args, name: str, fields: dict, violations, head: dict, notes: dict) -> int:
+    """verify's JSON payload or CSV row for either file kind; 2 when an
+    inequality failed. Only the JSON carries head and notes."""
+    if args.csv:
+        row = [_csv_field(name), _csv_field(args.state)]
+        row += ["" if value is None else _fmt(value) for value in fields.values()]
+        row.append("|".join(violations))
+        header = ["model_name", "state", *fields, "violations"]
+        sys.stdout.write(",".join(header) + "\n" + ",".join(row) + "\n")
+    else:
+        sys.stdout.write(_dump_json({
+            "schema": SCHEMA_VERSION, **head, "model_name": name, "state": args.state,
+            **fields, "violations": list(violations), **notes,
+            "environment": _environment(None)}))
+    return 2 if violations else 0
 
 
-def _verify_yw(yw: YWModel, args, name: str) -> int:
+def _yw_figures(yw: YWModel, state_spec: str):
     """eps_y^2 and the squared noise at alpha_y of partial interaction data.
-
     2 eps(alpha_y)^2 <= eps_y^2 holds for every valid model (the record
-    spectrum lies in [-1/2, 1/2]), so a failure is the regression alarm.
-    """
-    if args.state != "alpha_y":
+    spectrum lies in [-1/2, 1/2]), so a failure is the regression alarm."""
+    if state_spec != "alpha_y":
         raise CliInputError(
-            f"--state: a yw_model file is verified at alpha_y only, got {args.state!r}")
+            f"--state: a yw_model file is verified at alpha_y only, got {state_spec!r}")
     fields = {"eps_y_sq": yw_eps_y(yw), "error_at_alpha_y": yw_error_at_alpha_y(yw)}
     ok = 2.0 * fields["error_at_alpha_y"] <= fields["eps_y_sq"] + INEQUALITY_SLACK
-    violations = [] if ok else ["yw_relation"]
-    if args.csv:
-        sys.stdout.write(_verify_csv(fields, violations, args.state, name))
-    else:
-        payload = {"schema": SCHEMA_VERSION, "kind": "yw_model", "model_name": name,
-                   "state": args.state, **fields, "violations": violations,
-                   "environment": _environment(None)}
-        sys.stdout.write(_dump_json(payload))
-    return 0 if ok else 2
+    return fields, [] if ok else ["yw_relation"]
 
 
 def cmd_verify(args) -> int:
     model, pair, metadata = load_model_file(args.model)
-    name = str(metadata.get("name", ""))
+    name = metadata.get("name", "")
     if isinstance(model, YWModel):
-        return _verify_yw(model, args, name)
-    psi = _parse_state(args.state, model.object_dim)
-    report = bound_report(model, pair, psi)
-    if args.csv:
-        fields = {key: getattr(report, key) for key in _REPORT_FIELDS}
-        sys.stdout.write(_verify_csv(fields, report.violations(), args.state, name))
-    else:
-        sys.stdout.write(_dump_json(report_to_dict(report, args.state, name)))
-    return 2 if report.violations() else 0
+        fields, violations = _yw_figures(model, args.state)
+        return _emit_verify(args, name, fields, violations, {"kind": "yw_model"}, {})
+    report = bound_report(model, pair, _parse_state(args.state, model.object_dim))
+    fields = {key: getattr(report, key) for key in _REPORT_FIELDS}
+    return _emit_verify(args, name, fields, report.violations(), {},
+                        {"null_reasons": dict(report.null_reasons)})
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +415,7 @@ def _observable_from_config(value, path: str) -> Operator:
                 f"{path}: unknown observable {value!r}, expected one of "
                 f"{sorted(_NAMED_OBSERVABLES)} or a matrix")
         return spin_operators()[_NAMED_OBSERVABLES[value]]
-    return operator_from_json(value, path, frozenset({"hermitian"}))
+    return operator_from_json(value, path, "hermitian")
 
 
 def _swap_theta(basis) -> np.ndarray:
@@ -429,23 +432,28 @@ def _swap_theta(basis) -> np.ndarray:
         raise CliInputError(f"theta0 'swap' is not conservative here: {exc}") from exc
 
 
-_JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool, "string": str}
+# the fields of an explicit probe: key -> form, as in the model-file tables
+_PROBE_FIELDS = {"L2": "hermitian", "M": "hermitian", "xi": "state"}
 
 # the keys each form of probe may give
 _PROBE_KEYS = {"spin_ladder": ("family", "size"), "oscillator": ("family", "alpha", "beta"),
-               "explicit": ("L2", "M", "xi")}
+               "explicit": tuple(_PROBE_FIELDS)}
 
 # the type of each optimizer setting a config file may give
 _CONFIG_TYPES = {"seed": "integer", "restarts": "integer", "max_iters": "integer",
                  "tol": "number", "objective": "string", "optimize_xi": "boolean"}
 
 
-def _typed(value, path: str, kind: str):
-    """value when it has the JSON type kind; a JSON bool is neither an
-    integer nor a number here."""
-    if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
-        raise CliInputError(f"{path}: expected a JSON {kind}, got {json.dumps(value)}")
-    return value
+def _config_object(value, path: str, known, hints: Optional[dict] = None) -> dict:
+    """value when it is a JSON object whose keys are all in known; path is its
+    place in the config, "" for the top level; hints[key] ends key's error."""
+    obj = _typed(value, path or "config", "object")
+    for key in obj:
+        if key not in known:
+            where = f"{path}.{key}" if path else key
+            hint = (hints or {}).get(key, "")
+            raise CliInputError(f"{where}: unknown key, expected one of {list(known)}{hint}")
+    return obj
 
 
 def _load_optimize_config(path: str):
@@ -453,34 +461,22 @@ def _load_optimize_config(path: str):
                             spin_ladder_probe)
     from .oscillator import CoherentAmplitudes, fock_cutoff
 
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise CliInputError("config must be a JSON object")
+    doc = _config_object(_read_json(path), "",
+                         (*_CONFIG_TYPES, "theta0", "psi", "object", "probe"))
 
-    known = {*_CONFIG_TYPES, "theta0", "psi", "object", "probe"}
-    unknown = set(doc) - known
-    if unknown:
-        raise CliInputError(f"unknown config fields: {sorted(unknown)}")
-
-    obj = doc.get("object") or {}
-    if not isinstance(obj, dict):
-        raise CliInputError(f"object: expected a JSON object, got {json.dumps(obj)}")
+    obj = _config_object(doc.get("object", {}), "object", ("A", "L1"))
     a = _observable_from_config(obj.get("A", "s_x"), "object.A")
     l1 = _observable_from_config(obj.get("L1", "s_z"), "object.L1")
     if l1.dim != a.dim:
         raise CliInputError(f"object.L1: has dim {l1.dim}, expected {a.dim} to match object.A")
 
-    probe = doc.get("probe") or {"family": "spin_ladder", "size": 2}
-    if not isinstance(probe, dict):
-        raise CliInputError(f"probe: expected a JSON object, got {json.dumps(probe)}")
+    probe = _typed(doc.get("probe", {"family": "spin_ladder", "size": 2}), "probe", "object")
     if "family" in probe and probe["family"] not in ("spin_ladder", "oscillator"):
         raise CliInputError(f"probe.family: unknown family {probe['family']!r}")
     form = probe.get("family", "explicit")
-    for key in probe:
-        if key not in _PROBE_KEYS[form]:
-            hint = "; the cutoff now follows from alpha and beta" if key == "n_max" else ""
-            raise CliInputError(f"probe.{key}: unknown key for a {form} probe, expected "
-                                f"one of {list(_PROBE_KEYS[form])}{hint}")
+    # a config written for the old settable cutoff learns why it is refused
+    _config_object(probe, "probe", _PROBE_KEYS[form],
+                   {"n_max": "; the cutoff now follows from alpha and beta"})
     if form == "spin_ladder":
         size = _typed(probe.get("size", 2), "probe.size", "integer")
         try:
@@ -495,12 +491,7 @@ def _load_optimize_config(path: str):
         except ValueError as exc:
             raise CliInputError(f"probe: {exc}") from exc
     else:
-        for key in ("L2", "M", "xi"):
-            if key not in probe:
-                raise CliInputError(f"probe.{key}: missing (explicit probes need L2, M, xi)")
-        l2 = operator_from_json(probe["L2"], "probe.L2", frozenset({"hermitian"}))
-        m = operator_from_json(probe["M"], "probe.M", frozenset({"hermitian"}))
-        xi = ket_from_json(probe["xi"], "probe.xi")
+        l2, m, xi = _read_fields(probe, _PROBE_FIELDS, "probe.").values()
 
     pair = ConservationPair(L1=l1, L2=l2)
     psi = _parse_state(doc.get("psi", "alpha_y"), a.dim, "psi")
@@ -510,14 +501,15 @@ def _load_optimize_config(path: str):
         theta0_value = None
     elif theta0 == "swap":
         theta0_value = tuple(_swap_theta(commutant_basis(pair.total())))
-    elif isinstance(theta0, list):
+    elif isinstance(theta0, str):
+        raise CliInputError(
+            f"theta0: expected 'zero', 'swap' or a JSON array, got {json.dumps(theta0)}")
+    else:
         theta0_value = tuple(float(_typed(t, f"theta0[{k}]", "number"))
-                             for k, t in enumerate(theta0))
+                             for k, t in enumerate(_typed(theta0, "theta0", "array")))
         size = commutant_basis(pair.total()).size
         if len(theta0_value) != size:
             raise CliInputError(f"theta0: has length {len(theta0_value)}, expected {size}")
-    else:
-        raise CliInputError(f"theta0: expected 'zero', 'swap', or a list, got {theta0!r}")
 
     # only the settings the file gives; the defaults live in OptimizerConfig
     settings = {key: _typed(doc[key], key, kind)
@@ -577,7 +569,8 @@ def cmd_demo(args) -> int:
         doc = model_to_dict(model, pair, name="trivial-demo",
                             description="identity interaction with a null record")
     elif args.name == "yw-sample":
-        doc = yw_model_to_dict(yw_sample_model())
+        doc = yw_model_to_dict(yw_sample_model(), name="yw-sample",
+                               description="partial interaction data with eps_y^2 = 0.1")
     else:
         raise CliInputError(
             f"unknown demo {args.name!r}; available: {', '.join(DEMO_NAMES)}")

@@ -70,14 +70,20 @@ def _fock_weights(amp: complex, n_max: int):
 
 def fock_cutoff(amps: CoherentAmplitudes) -> int:
     """The smallest n_max at which coherent_state's tail check passes for
-    both modes; refused above MAX_CUTOFF, naming the n_max needed."""
-    n, modes = 0, (amps.alpha, amps.beta)
-    while short := [(w[-1], kept) for w, kept in (_fock_weights(a, n) for a in modes)
-                    if 1.0 - kept >= TAIL_TOL]:
+    both modes; refused above MAX_CUTOFF, naming the n_max needed. Weights come
+    from _fock_weights up to a doubling cap; its recurrence runs in order, so
+    each prefix's np.vdot has coherent_state's bits."""
+    modes, n, cap = (amps.alpha, amps.beta), 0, MAX_CUTOFF
+    weights = [_fock_weights(a, cap)[0] for a in modes]
+    while short := [(w[n], kept) for w in weights
+                    if 1.0 - (kept := float(np.real(np.vdot(w[:n + 1], w[:n + 1])))) >= TAIL_TOL]:
         # a zero weight, or one adding nothing to a kept mass > 0, lies past the Poisson peak
         if any(last == 0 or 0 < kept == kept + abs(last) ** 2 for last, kept in short):
             raise ValueError(f"no cutoff holds |alpha|^2 + |beta|^2 = {amps.magnitude_sq:.6g}")
         n += 1
+        if n > cap:
+            cap *= 2
+            weights = [_fock_weights(a, cap)[0] for a in modes]
     if n > MAX_CUTOFF:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {amps.magnitude_sq:.6g} needs n_max = {n}; "
                          f"full oscillator interactions are limited to n_max <= {MAX_CUTOFF}")

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import waylimit as w
-from waylimit.cli import DEMO_NAMES, main, model_from_dict, model_to_dict
+from waylimit.cli import (DEMO_NAMES, main, model_from_dict, model_to_dict,
+                          yw_model_from_dict, yw_model_to_dict)
 from helpers import random_conservative_model
 
 
@@ -172,6 +173,15 @@ def test_verify_malformed_json_reports_position(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(path), "--state", "[[NaN, 0], [0, 0]]")
     assert code == 1
     assert err == "error: --state: non-standard JSON literal NaN; numbers must be finite\n"
+    # a JSON bool is not a number, even where it would read as 1
+    code, _, err = run_cli(capsys, "verify", str(path), "--state", "[[true, 0], [0, 0]]")
+    assert code == 1
+    assert err == ("error: --state[0]: expected a [re, im] pair of JSON numbers, "
+                   "got [true, 0]\n")
+    # an integer too large for a float is not a complex scalar either
+    code, _, err = run_cli(capsys, "verify", str(path), "--state", f"[[1{'0' * 400}, 0], [0, 0]]")
+    assert code == 1
+    assert err.startswith("error: --state[0]: expected a [re, im] pair of JSON numbers, got [1000")
 
 
 def test_verify_dimension_mismatch_names_field(tmp_path, capsys):
@@ -489,14 +499,59 @@ def test_non_finite_sentinels():
 
 
 def test_model_dict_roundtrip_exact():
-    model, pair = w.swap_demo_model()
-    doc = model_to_dict(model, pair, name="swap")
     # through real JSON text, as the files would be
-    reparsed, repair, metadata = model_from_dict(json.loads(json.dumps(doc)))
-    assert metadata["name"] == "swap"
-    np.testing.assert_array_equal(reparsed.U.matrix, model.U.matrix)
-    np.testing.assert_array_equal(repair.L2.matrix, pair.L2.matrix)
-    np.testing.assert_array_equal(reparsed.xi.amplitudes, model.xi.amplitudes)
+    def reread(doc):
+        return json.loads(json.dumps(doc))
+
+    rng = np.random.default_rng(29)
+    models = [w.swap_demo_model()] + [random_conservative_model(rng) for _ in range(6)]
+    for k, (model, pair) in enumerate(models):
+        meta = {"name": f"model-{k}", "description": "seeded"}
+        reparsed, repair, metadata = model_from_dict(reread(model_to_dict(model, pair, **meta)))
+        assert metadata == meta
+        assert (reparsed.object_dim, reparsed.probe_dim) == (model.object_dim, model.probe_dim)
+        for old, new in ((model.A, reparsed.A), (pair.L1, repair.L1), (pair.L2, repair.L2),
+                         (model.M, reparsed.M), (model.U, reparsed.U)):
+            np.testing.assert_array_equal(new.matrix, old.matrix)
+        np.testing.assert_array_equal(reparsed.xi.amplitudes, model.xi.amplitudes)
+    for k in range(6):
+        yw = w.random_yw_model(int(rng.integers(2, 9)), rng)
+        meta = {"name": f"yw-{k}", "description": ""}
+        reparsed, none, metadata = yw_model_from_dict(reread(yw_model_to_dict(yw, **meta)))
+        assert none is None and metadata == meta and reparsed.probe_dim == yw.probe_dim
+        for key in ("xi", "xi_plus", "xi_minus", "eta_plus", "eta_minus"):
+            np.testing.assert_array_equal(getattr(reparsed, key).amplitudes,
+                                          getattr(yw, key).amplitudes)
+        np.testing.assert_array_equal(reparsed.M.matrix, yw.M.matrix)
+
+
+@pytest.mark.parametrize("demo, where, value, message", [
+    # a bool where a number belongs: the swap U holds 1.0 and the probe state
+    # a zero imaginary part, so the values would read the same as numbers
+    ("swap", ("xi", 0, 1), False,
+     "xi[0]: expected a [re, im] pair of JSON numbers, got [0.7071067811865475, false]"),
+    ("swap", ("U", 0, 0, 0), True,
+     "U[0][0]: expected a [re, im] pair of JSON numbers, got [true, 0.0]"),
+    ("swap", ("probe_dim",), True, "probe_dim: expected a JSON integer, got true"),
+    ("swap", ("object_dim",), 2.0, "object_dim: expected a JSON integer, got 2.0"),
+    ("swap", ("metadata",), [], "metadata: expected a JSON object, got []"),
+    ("swap", ("metadata",), "x", 'metadata: expected a JSON object, got "x"'),
+    ("swap", ("metadata",), {"name": 5}, "metadata.name: expected a JSON string, got 5"),
+    ("yw-sample", ("probe_dim",), True, "probe_dim: expected a JSON integer, got true"),
+    ("yw-sample", ("eta_plus", 0, 0), True,
+     "eta_plus[0]: expected a [re, im] pair of JSON numbers, got [true, 0.0]"),
+], ids=["xi-bool", "U-bool", "probe_dim-bool", "object_dim-float", "metadata-array",
+        "metadata-string", "metadata-name-number", "yw-probe_dim-bool", "yw-eta_plus-bool"])
+def test_model_file_problems_are_input_errors(tmp_path, capsys, demo, where, value, message):
+    doc = json.loads(run_cli(capsys, "demo", demo)[1])
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypatch):
@@ -555,6 +610,18 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
     ({"probe": {"L2": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
                 "M": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
                 "xi": [[1, 0], [0, 0]], "Xi": [[1, 0], [0, 0]]}}, "probe.Xi"),
+    # unknown object keys, and JSON bools where numbers belong
+    ({"object": {"a": "s_z"}}, "object.a"),
+    ({"probe": {"family": "oscillator", "alpha": [True, 0]}}, "probe.alpha"),
+    ({"probe": {"L2": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+                "M": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+                "xi": [[True, 0], [0, 0]]}}, "probe.xi[0]"),
+    ({"psi": [[True, 0], [0, 0]]}, "psi[0]"),
+    # an empty probe is an explicit probe without its fields, not the default
+    ({"probe": {}}, "probe.L2: missing required field"),
+    # theta0 names its accepted forms
+    ({"theta0": "Swap"}, "theta0: expected 'zero', 'swap' or a JSON array, got \"Swap\""),
+    ({"theta0": 5}, "theta0: expected a JSON array, got 5"),
 ])
 def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"

@@ -159,8 +159,10 @@ def test_fock_cutoff_of_the_sweep_sizes():
         return w.fock_cutoff(w.CoherentAmplitudes(half, half))
 
     assert [cutoff(v) for v in (0.0, 0.005, 0.01, 0.1, 0.5, 1.0)] == [0, 2, 3, 4, 6, 8]
-    with pytest.raises(ValueError, match=r"needs n_max = 11; .* limited to n_max <= 8"):
-        cutoff(2.0)
-    # weights that underflow can meet no cutoff; the rule says so and stops
-    with pytest.raises(ValueError, match="no cutoff holds"):
-        cutoff(1e4)
+    # a refusal names the cutoff it would need; weights that underflow can
+    # meet no cutoff, and the rule says so and stops
+    for size, message in ((2.0, r"needs n_max = 11; .* limited to n_max <= 8"),
+                          (2000.0, r"needs n_max = 1182; "), (2965.0, "no cutoff holds"),
+                          (1e4, "no cutoff holds")):
+        with pytest.raises(ValueError, match=message):
+            cutoff(size)
