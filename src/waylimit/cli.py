@@ -85,10 +85,15 @@ _JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,),
                "string": (str,), "array": (list,), "object": (dict,)}
 
 
+def _excerpt(text: str) -> str:
+    """text as an error message echoes it: a short prefix, then "..." if cut."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _typed(value, path: str, kind: str):
     """value when it has the JSON type kind, else an input error naming path."""
     if type(value) not in _JSON_TYPES[kind]:
-        raise CliInputError(f"{path}: expected a JSON {kind}, got {json.dumps(value)}")
+        raise CliInputError(f"{path}: expected a JSON {kind}, got {_excerpt(json.dumps(value))}")
     return value
 
 
@@ -102,7 +107,8 @@ def _complex_from_json(value, path: str) -> complex:
         return complex(_typed(re, path, "number"), _typed(im, path, "number"))
     except (ValueError, OverflowError):
         raise CliInputError(
-            f"{path}: expected a [re, im] pair of JSON numbers, got {json.dumps(value)}") from None
+            f"{path}: expected a [re, im] pair of JSON numbers, got {_excerpt(json.dumps(value))}"
+        ) from None
 
 
 def _complex_list(value, path: str) -> list:
@@ -186,6 +192,11 @@ def _read_json(path: str):
     except json.JSONDecodeError as exc:
         raise CliInputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except CliInputError:
+        raise
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer literal past Python's digit limit
+        raise CliInputError(f"{path}: {exc}") from exc
 
 
 def _write_text(path: str, text: str):
@@ -239,7 +250,8 @@ def _model_file(doc, fields: dict):
     """The parsed fields and the metadata of a model file of one kind. Other
     keys are ignored; metadata is optional, but its name is echoed, so a string."""
     if _typed(doc, "model file", "object").get("schema") != SCHEMA_VERSION:
-        raise CliInputError(f"schema: expected {SCHEMA_VERSION!r}, got {doc.get('schema')!r}")
+        raise CliInputError(
+            f"schema: expected {SCHEMA_VERSION!r}, got {_excerpt(repr(doc.get('schema')))}")
     values = _read_fields(doc, fields)
     metadata = _typed(doc.get("metadata", {}), "metadata", "object")
     _typed(metadata.get("name", ""), "metadata.name", "string")
@@ -297,8 +309,12 @@ def _parse_state(spec, object_dim: int, path: str = "--state") -> Ket:
             try:
                 spec = json.loads(spec, parse_constant=_no_constants(path))
             except json.JSONDecodeError as exc:
-                raise CliInputError(
-                    f"{path} must be a named state or a JSON ket, got {spec!r}") from exc
+                raise CliInputError(f"{path} must be a named state or a JSON ket, "
+                                    f"got {_excerpt(repr(spec))}") from exc
+            except CliInputError:
+                raise
+            except ValueError as exc:  # an integer literal past Python's digit limit
+                raise CliInputError(f"{path}: {exc}") from exc
     ket = spec if isinstance(spec, Ket) else ket_from_json(spec, path)
     if ket.dim != object_dim:
         raise CliInputError(f"{path}: ket has dim {ket.dim}, expected {object_dim}")
@@ -472,7 +488,7 @@ def _load_optimize_config(path: str):
 
     probe = _typed(doc.get("probe", {"family": "spin_ladder", "size": 2}), "probe", "object")
     if "family" in probe and probe["family"] not in ("spin_ladder", "oscillator"):
-        raise CliInputError(f"probe.family: unknown family {probe['family']!r}")
+        raise CliInputError(f"probe.family: unknown family {_excerpt(repr(probe['family']))}")
     form = probe.get("family", "explicit")
     # a config written for the old settable cutoff learns why it is refused
     _config_object(probe, "probe", _PROBE_KEYS[form],
@@ -503,7 +519,7 @@ def _load_optimize_config(path: str):
         theta0_value = tuple(_swap_theta(commutant_basis(pair.total())))
     elif isinstance(theta0, str):
         raise CliInputError(
-            f"theta0: expected 'zero', 'swap' or a JSON array, got {json.dumps(theta0)}")
+            f"theta0: expected 'zero', 'swap' or a JSON array, got {_excerpt(json.dumps(theta0))}")
     else:
         theta0_value = tuple(float(_typed(t, f"theta0[{k}]", "number"))
                              for k, t in enumerate(_typed(theta0, "theta0", "array")))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -98,7 +98,7 @@ class CommutantBasis:
             raise ValueError(f"sector {bad[0]} fails to commute, "
                              f"residual bound {bound[bad[0]]:.3e}")
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum((stop - start) ** 2 for start, stop in self.sectors)
 
@@ -128,8 +128,10 @@ class CommutantBasis:
 
     def _exponential(self, theta: np.ndarray):
         """exp(i sum theta_k G_k) in sector form: (per group, the eigenvalues
-        and eigenvectors of the stacked blocks H_s; the matrix of U). The last
-        result is kept, so the gradient at an evaluated point reuses it."""
+        and eigenvectors of the stacked blocks H_s; U as a unitary-tagged
+        Operator). The last result is kept, so a repeated theta (a soundness
+        check or the final model at an evaluated point) and the gradient there
+        reuse it, and U's O(D^3) unitary check runs once per distinct theta."""
         key = theta.tobytes()
         if key not in self._memo:
             dim = self.conserved.dim
@@ -142,7 +144,7 @@ class CommutantBasis:
                                         k).transpose(1, 0, 2)
                 blocks.append((lam, q))
             self._memo.clear()
-            self._memo[key] = (tuple(blocks), vk @ self.vectors.conj().T)
+            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self.vectors.conj().T))
         return self._memo[key]
 
     def _gradient(self, theta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -168,8 +170,12 @@ class CommutantBasis:
         return grad
 
 
+@cache
 def _sector_generators(d: int) -> np.ndarray:
-    """The d^2 generators of one d x d sector block, in the basis's order."""
+    """The d^2 generators of one d x d sector block, in the basis's order.
+
+    A pure table of d, built once per size and shared read-only by every basis.
+    """
     e = np.zeros((d * d, d, d), dtype=np.complex128)
     k = 0
     for i in range(d):
@@ -180,6 +186,7 @@ def _sector_generators(d: int) -> np.ndarray:
             e[k + 1, i, j] = 1j / np.sqrt(2.0)
             e[k + 1, j, i] = -1j / np.sqrt(2.0)
             k += 2
+    e.setflags(write=False)
     return e
 
 
@@ -193,11 +200,15 @@ def commutant_basis(l_total: Operator) -> CommutantBasis:
 
 def conservative_unitary(basis: CommutantBasis, theta: Sequence[float]) -> Operator:
     """exp(i sum theta_k G_k) = V (+)_s exp(i H_s) V^dag, one small eigh per
-    sector; conserves the basis's operator by construction."""
+    sector; conserves the basis's operator by construction.
+
+    The result carries the unitary tag, checked when the basis first builds
+    it; called again at the basis's last theta, it returns that same object.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (basis.size,):
         raise ValueError(f"theta has length {theta.size}, expected {basis.size}")
-    return Operator.unitary(basis._exponential(theta)[1])
+    return basis._exponential(theta)[1]
 
 
 def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
@@ -296,6 +307,7 @@ class _Problem:
         self.basis = commutant_basis(pair.total())
         self.n_theta = self.basis.size
         self.n_params = self.n_theta + (2 * self.probe_dim if config.optimize_xi else 0)
+        self._models = {}
 
     def _raw_xi(self, x: np.ndarray) -> np.ndarray:
         return x[self.n_theta:self.n_theta + self.probe_dim] \
@@ -312,9 +324,17 @@ class _Problem:
         return theta, Ket(raw / nrm)
 
     def model_at(self, x: np.ndarray) -> MeasurementModel:
-        theta, xi = self.split(x)
-        u = conservative_unitary(self.basis, theta)
-        return MeasurementModel(self.object_dim, self.probe_dim, xi, u, self.m, self.a)
+        """The model at x. The last one is kept, keyed by x, so the soundness
+        check and the final model at an evaluated point reuse its reduced form
+        and bound terms. conservative_unitary is still called every time:
+        bench/run.py infers line-search evaluations from its calls."""
+        u = conservative_unitary(self.basis, x[:self.n_theta])
+        key = x.tobytes()
+        if key not in self._models:
+            self._models.clear()
+            self._models[key] = MeasurementModel(self.object_dim, self.probe_dim,
+                                                 self.split(x)[1], u, self.m, self.a)
+        return self._models[key]
 
     def evaluate(self, x: np.ndarray):
         """The objective at x and the model it was read from."""

@@ -184,6 +184,65 @@ def test_verify_malformed_json_reports_position(tmp_path, capsys):
     assert err.startswith("error: --state[0]: expected a [re, im] pair of JSON numbers, got [1000")
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_HUGE_INT = "9" * 5000
+needs_digit_limit = pytest.mark.skipif(
+    not _DIGIT_LIMIT or _DIGIT_LIMIT >= len(_HUGE_INT),
+    reason="this interpreter reads any integer literal")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["verify", "optimize"])
+def test_oversized_integer_literal_in_a_file_is_an_input_error(tmp_path, capsys, command):
+    if command == "verify":
+        _, text, _ = run_cli(capsys, "demo", "swap")
+        text = text.replace('"object_dim": 2', f'"object_dim": {_HUGE_INT}')
+    else:
+        text = f'{{"seed": {_HUGE_INT}}}'
+    assert _HUGE_INT in text
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert err.startswith(f"error: {path}: Exceeds the limit")
+
+
+@needs_digit_limit
+def test_oversized_integer_literal_in_an_inline_state_is_an_input_error(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "demo", "swap")
+    path = tmp_path / "swap.json"
+    path.write_text(out)
+    code, _, err = run_cli(capsys, "verify", str(path), "--state", f"[[{_HUGE_INT}, 0], [0, 0]]")
+    assert code == 1
+    assert err.startswith("error: --state: Exceeds the limit")
+
+
+def test_model_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "demo", "swap")
+    path = tmp_path / "utf16.json"
+    path.write_bytes(out.encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_error_messages_echo_a_short_prefix_of_the_value(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(list(range(3000))))
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert err.startswith("error: model file: expected a JSON object, got [0, 1, 2, ")
+    assert err.endswith("...\n")
+    _, out, _ = run_cli(capsys, "demo", "swap")
+    path.write_text(out)
+    code, _, err = run_cli(capsys, "verify", str(path), "--state", "x" * 3000)
+    assert code == 1
+    assert err.startswith("error: --state must be a named state or a JSON ket, got 'xxx")
+    assert len(err.encode()) < 300
+
+
 def test_verify_dimension_mismatch_names_field(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "demo", "swap")
     doc = json.loads(out)

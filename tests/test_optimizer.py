@@ -384,3 +384,88 @@ def test_oscillator_probe_at_the_largest_cutoff():
     assert w.acl_residual(run.result_model, pair) < 1e-9
     with pytest.raises(ValueError, match="n_max <= 8"):
         w.oscillator_probe(9, w.CoherentAmplitudes(half, half))
+
+
+def _ladder_problem(levels=3):
+    sx, _, sz = w.spin_operators()
+    l2, m, xi = w.spin_ladder_probe(levels)
+    return sx, w.ConservationPair(L1=sz, L2=l2), m, xi, w.named_state("alpha_y")
+
+
+def test_one_iteration_builds_each_point_once(monkeypatch):
+    # the benchmark's shape: bench/run.py infers line-search evaluations from
+    # the direct conservative_unitary calls (initial objective, soundness
+    # checks, line search, final model), so each must still happen
+    import waylimit.optimizer as opt
+
+    thetas, models, checks = [], [], []
+    real_unitary, real_model, real_check = (opt.conservative_unitary, opt.MeasurementModel,
+                                            w.Operator.unitary)
+
+    def counted_unitary(basis, theta):
+        thetas.append(np.asarray(theta, dtype=float).tobytes())
+        return real_unitary(basis, theta)
+
+    def counted_model(*args):
+        models.append(args)
+        return real_model(*args)
+
+    def counted_check(matrix):
+        checks.append(1)
+        return real_check(matrix)
+
+    monkeypatch.setattr(opt, "conservative_unitary", counted_unitary)
+    monkeypatch.setattr(opt, "MeasurementModel", counted_model)
+    monkeypatch.setattr(w.Operator, "unitary", staticmethod(counted_check))
+    a, pair, m, xi, psi = _ladder_problem()
+    run = w.optimize_noise(a, pair, m, xi, psi,
+                           w.OptimizerConfig(restarts=1, max_iters=1, seed=11))
+    assert len(run.objective_trace) == 2
+    assert len(thetas) == 5
+    assert len(models) == 2
+    assert len(checks) == len(set(thetas)) == 2
+
+
+def test_conservative_unitary_keeps_the_last_theta():
+    basis = w.commutant_basis(_two_qubit_total_sz())
+    theta = np.linspace(-1.0, 1.0, basis.size)
+    first = w.conservative_unitary(basis, theta)
+    assert first.has("unitary")
+    assert w.conservative_unitary(basis, theta.copy()) is first
+    other = w.conservative_unitary(basis, theta + 0.25)
+    assert other is not first
+    assert not np.array_equal(other.matrix, first.matrix)
+
+
+@pytest.mark.parametrize("config", [
+    w.OptimizerConfig(restarts=3, max_iters=20, seed=4),
+    w.OptimizerConfig(restarts=2, max_iters=10, seed=6, objective="sup", optimize_xi=True),
+])
+def test_result_model_unitary_matches_a_fresh_build(config):
+    a, pair, m, xi, psi = _ladder_problem()
+    run = w.optimize_noise(a, pair, m, xi, psi, config)
+    fresh = w.conservative_unitary(w.commutant_basis(pair.total()), run.theta)
+    assert run.result_model.U.matrix.tobytes() == fresh.matrix.tobytes()
+
+
+def test_sector_generators_table_is_shared_and_read_only():
+    from waylimit.optimizer import _sector_generators
+
+    for d in range(1, 7):
+        table = _sector_generators(d)
+        assert _sector_generators(d) is table
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 2.0
+        # the order the basis documents: |i><i|, then for each j > i the
+        # symmetric and the antisymmetric pair
+        expected = []
+        for i in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, i] = 1.0
+            expected.append(e)
+            for j in range(i + 1, d):
+                s, t = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+                s[i, j] = s[j, i] = 1.0 / np.sqrt(2.0)
+                t[i, j], t[j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+                expected += [s, t]
+        assert table.tobytes() == np.array(expected).tobytes()
