@@ -21,7 +21,6 @@ from .linalg import (
     Ket,
     Operator,
     PreconditionError,
-    SpectralDecomposition,
     StructureError,
     TheoremViolation,
     commutator,
@@ -31,7 +30,6 @@ from .linalg import (
     random_hermitian,
     random_ket,
     random_unitary,
-    spectral,
     tensor,
     variance,
 )

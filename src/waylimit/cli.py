@@ -91,9 +91,18 @@ def _excerpt(text: str) -> str:
 
 
 def _typed(value, path: str, kind: str):
-    """value when it has the JSON type kind, else an input error naming path."""
+    """value when it has the JSON type kind, else an input error naming path.
+    A number must be finite as a float; json reads 1e999 as infinity."""
     if type(value) not in _JSON_TYPES[kind]:
         raise CliInputError(f"{path}: expected a JSON {kind}, got {_excerpt(json.dumps(value))}")
+    if kind == "number":
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            raise CliInputError(f"{path}: expected a finite JSON number, got one that "
+                                f"overflows a float")
     return value
 
 
@@ -183,20 +192,31 @@ def _no_constants(where: str):
     return reject
 
 
+def _parse_json(text: str, where: str, malformed) -> object:
+    """text parsed as JSON, or an input error naming where; malformed(exc)
+    words a json.JSONDecodeError, which each caller words its own way."""
+    try:
+        return json.loads(text, parse_constant=_no_constants(where))
+    except json.JSONDecodeError as exc:
+        raise CliInputError(malformed(exc)) from exc
+    except CliInputError:
+        raise
+    except RecursionError:
+        raise CliInputError(f"{where}: JSON nested too deeply to read") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise CliInputError(f"{where}: {exc}") from exc
+
+
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_constant=_no_constants(path))
+            text = handle.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliInputError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except CliInputError:
-        raise
-    except ValueError as exc:
-        # bytes that are not UTF-8, or an integer literal past Python's digit limit
+    except ValueError as exc:  # bytes that are not UTF-8
         raise CliInputError(f"{path}: {exc}") from exc
+    return _parse_json(text, path, lambda exc: f"{path}: invalid JSON at line {exc.lineno}, "
+                                               f"column {exc.colno}: {exc.msg}")
 
 
 def _write_text(path: str, text: str):
@@ -306,15 +326,9 @@ def _parse_state(spec, object_dim: int, path: str = "--state") -> Ket:
         try:
             spec = named_state(spec)
         except ValueError:
-            try:
-                spec = json.loads(spec, parse_constant=_no_constants(path))
-            except json.JSONDecodeError as exc:
-                raise CliInputError(f"{path} must be a named state or a JSON ket, "
-                                    f"got {_excerpt(repr(spec))}") from exc
-            except CliInputError:
-                raise
-            except ValueError as exc:  # an integer literal past Python's digit limit
-                raise CliInputError(f"{path}: {exc}") from exc
+            text = spec
+            spec = _parse_json(text, path, lambda exc: f"{path} must be a named state or "
+                                                       f"a JSON ket, got {_excerpt(repr(text))}")
     ket = spec if isinstance(spec, Ket) else ket_from_json(spec, path)
     if ket.dim != object_dim:
         raise CliInputError(f"{path}: ket has dim {ket.dim}, expected {object_dim}")

@@ -1,5 +1,5 @@
-"""Dense complex kets and tagged operators, the spectral toolkit, and the
-tolerance table: every numeric threshold of the package, defined once here.
+"""Dense complex kets and tagged operators, and the tolerance table: every
+numeric threshold of the package, defined once here.
 
 Everything downstream (measurement models, conservation-law residuals and
 bounds, the interaction optimizer) is built on these primitives. Tags are
@@ -104,9 +104,9 @@ class Ket:
 class Operator:
     """A square complex matrix with declared structure tags.
 
-    Tags are a subset of {"hermitian", "unitary", "projection"}; each tag is
-    verified against its residual threshold at construction time, so a tagged
-    operator can be trusted downstream. "projection" implies "hermitian".
+    Tags are a subset of {"hermitian", "unitary"}; each tag is verified
+    against its residual threshold at construction time, so a tagged operator
+    can be trusted downstream.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -122,11 +122,9 @@ class Operator:
         object.__setattr__(self, "matrix", m)
 
         tags = frozenset(self.structure)
-        unknown = tags - {"hermitian", "unitary", "projection"}
+        unknown = tags - {"hermitian", "unitary"}
         if unknown:
             raise ValueError(f"unknown structure tags: {sorted(unknown)}")
-        if "projection" in tags:
-            tags = tags | {"hermitian"}
         object.__setattr__(self, "structure", tags)
 
         if "hermitian" in tags:
@@ -137,10 +135,6 @@ class Operator:
             r = frobenius_norm(m.conj().T @ m - np.eye(m.shape[0]))
             if r > STRUCTURE_TOL:
                 raise StructureError(f"unitary tag violated, residual {r:.3e}")
-        if "projection" in tags:
-            r = frobenius_norm(m @ m - m)
-            if r > STRUCTURE_TOL:
-                raise StructureError(f"projection tag violated, residual {r:.3e}")
 
     @property
     def dim(self) -> int:
@@ -158,44 +152,8 @@ class Operator:
         return cls(matrix, frozenset({"unitary"}))
 
     @classmethod
-    def projection(cls, matrix) -> "Operator":
-        return cls(matrix, frozenset({"projection", "hermitian"}))
-
-    @classmethod
     def plain(cls, matrix) -> "Operator":
         return cls(matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Merged eigenvalues (ascending) with their orthogonal projectors."""
-
-    eigenvalues: tuple
-    projectors: tuple
-
-    def __post_init__(self):
-        if len(self.eigenvalues) != len(self.projectors) or not self.projectors:
-            raise ValueError("eigenvalues and projectors must pair up")
-        dim = self.projectors[0].dim
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for p in self.projectors:
-            if p.dim != dim:
-                raise DimensionMismatch("projectors live on different spaces")
-            if not p.has("projection"):
-                raise StructureError("spectral projectors must carry the projection tag")
-            total = total + p.matrix
-        r = frobenius_norm(total - np.eye(dim))
-        if r > STRUCTURE_TOL:
-            raise StructureError(f"spectral projectors do not resolve the identity, residual {r:.3e}")
-        for i, p in enumerate(self.projectors):
-            for q in self.projectors[i + 1:]:
-                r = frobenius_norm(p.matrix @ q.matrix)
-                if r > STRUCTURE_TOL:
-                    raise StructureError(f"spectral projectors not mutually orthogonal, residual {r:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].dim
 
 
 def identity(dim: int) -> Operator:
@@ -208,7 +166,7 @@ def tensor(a, b):
         return Ket(np.kron(a.amplitudes, b.amplitudes),
                    normalized=a.normalized and b.normalized)
     if isinstance(a, Operator) and isinstance(b, Operator):
-        # kron preserves each of the three tags when both factors carry it
+        # kron preserves each tag when both factors carry it
         return Operator(np.kron(a.matrix, b.matrix), a.structure & b.structure)
     raise TypeError("tensor expects two kets or two operators, not a mix")
 
@@ -276,24 +234,6 @@ def spectrum_runs(w: np.ndarray, tol: float) -> tuple:
     chain and one run may span more than tol."""
     edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), len(w)]
     return tuple(zip(edges[:-1], edges[1:]))
-
-
-def spectral(x: Operator) -> SpectralDecomposition:
-    """Eigendecomposition with near-degenerate eigenvalues merged into one projector."""
-    if not x.has("hermitian"):
-        raise StructureError("spectral requires a hermitian-tagged operator")
-    w, vecs = np.linalg.eigh(x.matrix)
-    values = []
-    projectors = []
-    for start, stop in spectrum_runs(w, EQUALITY_TOL):
-        block = vecs[:, start:stop]
-        values.append(float(np.mean(w[start:stop])))
-        projectors.append(Operator.projection(block @ block.conj().T))
-    recon = sum(v * p.matrix for v, p in zip(values, projectors))
-    r = frobenius_norm(recon - x.matrix)
-    if r > EQUALITY_TOL:
-        raise ArithmeticError(f"spectral reconstruction residual {r:.3e}")
-    return SpectralDecomposition(tuple(values), tuple(projectors))
 
 
 def random_ket(dim: int, rng: np.random.Generator) -> Ket:

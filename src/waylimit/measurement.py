@@ -35,7 +35,7 @@ from .linalg import (
     StructureError,
     apply_on_probe,
     frobenius_norm,
-    spectral,
+    spectrum_runs,
     tensor,
 )
 
@@ -133,8 +133,8 @@ class OutcomeDistribution:
         if abs(total - 1.0) > EQUALITY_TOL:
             raise ValueError(f"probabilities sum to {total:.17g}, not 1")
 
-    def probability_near(self, value: float, tol: float = EQUALITY_TOL) -> float:
-        return sum(p for v, p in self.outcomes if abs(v - value) <= tol)
+    def probability_near(self, value: float) -> float:
+        return sum(p for v, p in self.outcomes if abs(v - value) <= EQUALITY_TOL)
 
     def probability_in_interval(self, lo: float, hi: float) -> float:
         """Mass of the spectral values contained in [lo, hi].
@@ -154,17 +154,35 @@ def heisenberg_probe(model: MeasurementModel) -> Operator:
     return Operator.hermitian(u.conj().T @ im @ u)
 
 
+def _levels(x: np.ndarray, v: np.ndarray) -> tuple:
+    """(value, weight) of each level of hermitian x in the unit vector v.
+
+    One eigh; eigenvalues within EQUALITY_TOL of their neighbour merge into
+    one level, valued at their mean, whose weight is ||V_k^dag v||^2 for its
+    eigenvector columns V_k. The merged spectrum must rebuild x within
+    EQUALITY_TOL; a weight, a sum of squares, may pass 1 by rounding only.
+    """
+    w, vecs = np.linalg.eigh(x)
+    runs = spectrum_runs(w, EQUALITY_TOL)
+    merged = np.concatenate([np.full(stop - start, np.mean(w[start:stop]))
+                             for start, stop in runs])
+    r = frobenius_norm((vecs * merged) @ vecs.conj().T - x)
+    if r > EQUALITY_TOL:
+        raise ArithmeticError(f"spectral reconstruction residual {r:.3e}")
+    c = vecs.conj().T @ v
+    levels = []
+    for start, stop in runs:
+        p = float(np.vdot(c[start:stop], c[start:stop]).real)
+        if p > 1.0 + ROUNDING_TOL:
+            raise ArithmeticError(f"outcome probability {p:.17g} outside clamp tolerance")
+        levels.append((float(merged[start]), min(p, 1.0)))
+    return tuple(levels)
+
+
 def outcome_distribution(model: MeasurementModel, psi: Ket) -> OutcomeDistribution:
     """Probability of each spectral value of the propagated record observable."""
     v = model.composite_state(psi).amplitudes
-    decomp = spectral(heisenberg_probe(model))
-    outcomes = []
-    for value, proj in zip(decomp.eigenvalues, decomp.projectors):
-        p = float(np.real(np.vdot(proj.matrix @ v, proj.matrix @ v)))
-        if p < -ROUNDING_TOL or p > 1.0 + ROUNDING_TOL:
-            raise ArithmeticError(f"outcome probability {p:.17g} outside clamp tolerance")
-        outcomes.append((value, min(max(p, 0.0), 1.0)))
-    return OutcomeDistribution(tuple(outcomes))
+    return OutcomeDistribution(_levels(heisenberg_probe(model).matrix, v))
 
 
 def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:
@@ -175,19 +193,10 @@ def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:
     spectrum of A is an unambiguous violation and enters the maximum whole.
     """
     dist = outcome_distribution(model, psi)
-    a_decomp = spectral(model.A)
-    deviation = 0.0
-    matched = [False] * len(dist.outcomes)
-    for value, proj in zip(a_decomp.eigenvalues, a_decomp.projectors):
-        pv = proj.matrix @ psi.amplitudes
-        born = float(np.real(np.vdot(pv, pv)))
-        measured = 0.0
-        for k, (outcome, p) in enumerate(dist.outcomes):
-            if abs(outcome - value) <= EQUALITY_TOL:
-                measured += p
-                matched[k] = True
-        deviation = max(deviation, abs(measured - born))
-    stray = sum(p for k, (_, p) in enumerate(dist.outcomes) if not matched[k])
+    born = _levels(model.A.matrix, psi.amplitudes)
+    deviation = max(abs(dist.probability_near(value) - q) for value, q in born)
+    stray = sum(p for outcome, p in dist.outcomes
+                if all(abs(outcome - value) > EQUALITY_TOL for value, _ in born))
     return max(deviation, stray)
 
 
@@ -223,7 +232,8 @@ def error_probability(model: MeasurementModel, psi: Ket) -> float:
     """Squared noise read as an error probability; spin-1/2 readouts only."""
     if model.object_dim != 2:
         raise PreconditionError("error probability is defined for two-level objects only")
-    values = spectral(model.A).eigenvalues
+    model.check_object_state(psi)
+    values = tuple(value for value, _ in _levels(model.A.matrix, psi.amplitudes))
     if len(values) != 2 or abs(values[0] + 0.5) > EQUALITY_TOL \
             or abs(values[1] - 0.5) > EQUALITY_TOL:
         raise PreconditionError(

@@ -522,7 +522,8 @@ def oscillator_probe(n_max: int, amps: CoherentAmplitudes):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One size of the probe-size sweep; achieved is NaN when that size failed."""
+    """One size of the probe-size sweep; achieved is NaN when that size failed,
+    and var_mz and bound too when its probe was never built."""
 
     family: str
     size: float
@@ -551,6 +552,8 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> l
     psi = named_state("alpha_y")
     rows = []
     for index, size in enumerate(sizes):
+        # a row whose probe was never built has no variance and no bound
+        var = bound = math.nan
         try:
             if family == "spin_ladder":
                 l2, m, xi = spin_ladder_probe(int(size))
@@ -567,9 +570,6 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> l
             rows.append(SweepRow(family, float(size), var, bound, achieved,
                                  achieved / bound, config.seed))
         except (ValueError, PreconditionError, ArithmeticError) as exc:
-            var = float(size) if family == "oscillator" else \
-                ((int(size) - 1) / 2.0) ** 2
-            rows.append(SweepRow(family, float(size), var,
-                                 optimal_spin_bound(var), math.nan, math.nan,
+            rows.append(SweepRow(family, float(size), var, bound, math.nan, math.nan,
                                  config.seed, error=str(exc)))
     return rows

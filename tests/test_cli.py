@@ -217,6 +217,42 @@ def test_oversized_integer_literal_in_an_inline_state_is_an_input_error(tmp_path
     assert err.startswith("error: --state: Exceeds the limit")
 
 
+_OVERFLOW = "1" + "0" * 400  # an integer literal whose float is infinite
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"tol": 1e999}', "tol"),
+    (f'{{"tol": {_OVERFLOW}}}', "tol"),
+    ('{"theta0": [1e999, 0, 0, 0, 0, 0]}', "theta0[0]"),
+    (f'{{"theta0": [{_OVERFLOW}, 0, 0, 0, 0, 0]}}', "theta0[0]"),
+], ids=["tol-1e999", "tol-401-digits", "theta0-1e999", "theta0-401-digits"])
+def test_config_number_that_overflows_a_float_is_an_input_error(tmp_path, capsys, text, field):
+    # json reads 1e999 as infinity and a long integer exactly; neither is a
+    # finite float, so neither may run a search or reach the optimizer
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "optimize", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {field}: expected a finite JSON number, got one that overflows a float\n"
+
+
+def test_deeply_nested_model_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert err == f"error: {path}: JSON nested too deeply to read\n"
+
+
+def test_deeply_nested_inline_state_is_an_input_error(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "demo", "swap")
+    path = tmp_path / "swap.json"
+    path.write_text(out)
+    code, _, err = run_cli(capsys, "verify", str(path), "--state", "[" * 5000 + "]" * 5000)
+    assert code == 1
+    assert err == "error: --state: JSON nested too deeply to read\n"
+
+
 def test_model_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "demo", "swap")
     path = tmp_path / "utf16.json"
@@ -329,9 +365,10 @@ def test_sweep_oscillator_bound_column(tmp_path, capsys):
     assert var_mz == pytest.approx(1.0, abs=1e-6)
     assert bounds[1] == 1.0 / (4.0 + 16.0 * var_mz)
     assert rows[1][3] >= bounds[1] - 1e-9
-    # size 10 needs a cutoff above the limit; its failed row keeps the exact bound
+    # size 10 needs a cutoff above the limit; its probe was never built, so
+    # its failed row has neither a variance nor a bound
     assert math.isnan(rows[2][3])
-    assert bounds[2] == pytest.approx(1.0 / 164.0, abs=1e-15)
+    assert math.isnan(rows[2][1]) and math.isnan(bounds[2])
 
 
 def test_sweep_rejects_bad_sizes(tmp_path, capsys):

@@ -138,50 +138,6 @@ def test_commutator_antisymmetry_is_exact():
                                       -w.commutator(y, x).matrix)
 
 
-def test_spectral_spin_z():
-    _, _, sz = w.spin_operators()
-    dec = w.spectral(sz)
-    np.testing.assert_allclose(dec.eigenvalues, [-0.5, 0.5])
-    down = w.spin_basis("z").down.amplitudes
-    up = w.spin_basis("z").up.amplitudes
-    np.testing.assert_allclose(dec.projectors[0].matrix, np.outer(down, down.conj()), atol=1e-12)
-    np.testing.assert_allclose(dec.projectors[1].matrix, np.outer(up, up.conj()), atol=1e-12)
-
-
-def test_spectral_merges_degenerate_identity():
-    dec = w.spectral(w.identity(2))
-    assert dec.eigenvalues == (1.0,)
-    np.testing.assert_allclose(dec.projectors[0].matrix, np.eye(2), atol=1e-12)
-
-
-def test_spectral_composite_spin_x():
-    # oracle: S_x x I diagonalized by hand in the x basis, rank-2 projectors
-    # P(+-) = |x,+-><x,+-| x I
-    up = w.spin_basis("x").up.amplitudes
-    down = w.spin_basis("x").down.amplitudes
-    p_plus = np.kron(np.outer(up, up.conj()), np.eye(2))
-    p_minus = np.kron(np.outer(down, down.conj()), np.eye(2))
-    sx, _, _ = w.spin_operators()
-    dec = w.spectral(w.tensor(sx, w.identity(2)))
-    np.testing.assert_allclose(dec.eigenvalues, [-0.5, 0.5])
-    np.testing.assert_allclose(dec.projectors[0].matrix, p_minus, atol=1e-12)
-    np.testing.assert_allclose(dec.projectors[1].matrix, p_plus, atol=1e-12)
-
-
-def test_spectral_reconstruction_up_to_dim_64():
-    rng = np.random.default_rng(RNG_SEED)
-    for dim in (3, 17, 64):
-        x = w.random_hermitian(dim, rng)
-        dec = w.spectral(x)
-        recon = sum(v * p.matrix for v, p in zip(dec.eigenvalues, dec.projectors))
-        assert w.frobenius_norm(recon - x.matrix) < 1e-9
-
-
-def test_spectral_requires_hermitian():
-    with pytest.raises(w.StructureError):
-        w.spectral(w.Operator.plain(np.array([[0, 1], [0, 0]])))
-
-
 def test_ket_normalization_enforced():
     with pytest.raises(w.StructureError):
         w.Ket([1.0, 1.0])
@@ -245,13 +201,13 @@ def test_operator_tags_validated():
         w.Operator.hermitian([[0, 1], [0, 0]])
     with pytest.raises(w.StructureError):
         w.Operator.unitary([[1, 0], [0, 2]])
-    with pytest.raises(w.StructureError):
-        w.Operator.projection([[0.5, 0], [0, 0.7]])
 
 
-def test_projection_tag_implies_hermitian():
-    p = w.Operator.projection([[1, 0], [0, 0]])
-    assert p.has("hermitian")
+def test_operator_rejects_unknown_tags():
+    # the tags are hermitian and unitary; a projector is a plain hermitian matrix
+    with pytest.raises(ValueError, match=r"unknown structure tags: \['projection'\]"):
+        w.Operator([[1, 0], [0, 0]], {"projection"})
+    assert not hasattr(w.Operator, "projection")
 
 
 def test_random_unitary_is_unitary():

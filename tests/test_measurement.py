@@ -81,6 +81,137 @@ def test_outcome_interval_probability():
         dist.probability_in_interval(1.0, 0.0)
 
 
+def _observable(values, rng):
+    """(operator, {level: projector}) for a hermitian matrix with the given
+    eigenvalues in a random basis; the projectors come from the basis, not
+    from an eigensolver."""
+    basis = w.random_unitary(len(values), rng).matrix
+    projectors = {}
+    for k, value in enumerate(values):
+        col = basis[:, k:k + 1]
+        projectors[value] = projectors.get(value, 0.0) + col @ col.conj().T
+    return w.Operator.hermitian((basis * values) @ basis.conj().T), projectors
+
+
+def _oracle_levels(projectors, v, tol=1e-9):
+    """(value, probability) per level, merging values within tol: a merged level
+    is valued at the rank-weighted mean of its values; p = ||P v||^2."""
+    groups = []
+    for value in sorted(projectors):
+        if groups and value - groups[-1][-1] <= tol:
+            groups[-1].append(value)
+        else:
+            groups.append([value])
+    levels = []
+    for group in groups:
+        p = sum(projectors[value] for value in group)
+        ranks = [np.trace(projectors[value]).real for value in group]
+        mean = sum(r * value for r, value in zip(ranks, group)) / sum(ranks)
+        levels.append((mean, float(np.linalg.norm(p @ v) ** 2)))
+    return levels
+
+
+def test_outcome_statistics_match_projector_oracle_up_to_dim_64():
+    # oracle: with M = sum_k m_k Q_k and A = sum_j a_j R_j, the outcome m_k has
+    # probability ||U^dag (I x Q_k) U (psi x xi)||^2 and the Born weight of a_j
+    # is ||R_j psi||^2. Both spectra hold a pair closer than EQUALITY_TOL,
+    # which must come out as one level, and M has levels A lacks.
+    rng = np.random.default_rng(RNG_SEED)
+    for od, pd in ((2, 2), (2, 5), (3, 4), (4, 8), (2, 32), (4, 16)):
+        model, _ = random_conservative_model(rng, object_dim=od, probe_dim=pd)
+        m_values = list(rng.choice([-0.5, 0.5, 1.5, 0.5 + 4e-10], size=pd - 2)) + [-0.5, 0.5]
+        a_values = list(rng.choice([-0.5, 0.5, -0.5 + 6e-10], size=od - 2)) + [-0.5, 0.5]
+        m, m_proj = _observable(m_values, rng)
+        a, a_proj = _observable(a_values, rng)
+        model = w.MeasurementModel(od, pd, model.xi, model.U, m, a)
+        u = model.U.matrix
+        lifted = {value: u.conj().T @ np.kron(np.eye(od), q) @ u for value, q in m_proj.items()}
+        for _ in range(3):
+            psi = w.random_ket(od, rng)
+            v = np.kron(psi.amplitudes, model.xi.amplitudes)
+            expected = _oracle_levels(lifted, v)
+            got = w.outcome_distribution(model, psi).outcomes
+            assert len(got) == len(expected)
+            for (value, p), (want_value, want_p) in zip(got, expected):
+                assert value == pytest.approx(want_value, abs=1e-12)
+                assert p == pytest.approx(want_p, abs=1e-12)
+            born = _oracle_levels(a_proj, psi.amplitudes)
+            deviation = max(abs(sum(p for value, p in expected if abs(value - b) <= 1e-9) - q)
+                            for b, q in born)
+            stray = sum(p for value, p in expected
+                        if all(abs(value - b) > 1e-9 for b, _ in born))
+            assert w.bsf_deviation(model, psi) == pytest.approx(max(deviation, stray), abs=1e-12)
+
+
+def test_outcome_distribution_merges_a_level_pair_closer_than_equality_tol():
+    # record values 0.3 and 0.3 + 4e-10 are one outcome, valued at their mean
+    _, _, sz = w.spin_operators()
+    m = w.Operator.hermitian(np.diag([0.3, 0.3 + 4e-10, 2.0]))
+    model = w.MeasurementModel(2, 3, w.Ket([0.6, 0.8, 0.0]), w.identity(6), m, sz)
+    dist = w.outcome_distribution(model, w.spin_basis("x").up)
+    assert len(dist.outcomes) == 2
+    assert dist.outcomes[0][0] == pytest.approx(0.3 + 2e-10, abs=1e-15)
+    assert dist.outcomes[0][1] == pytest.approx(1.0, abs=1e-12)
+    assert dist.outcomes[1] == (2.0, 0.0)
+
+
+def test_outcome_distribution_refuses_a_level_chain_it_cannot_rebuild():
+    # gaps of 0.9e-9 chain ten values into one level whose mean misses the
+    # ends by 4e-9, so the merged spectrum does not rebuild the record
+    _, _, sz = w.spin_operators()
+    m = w.Operator.hermitian(np.diag(0.9e-9 * np.arange(10)))
+    xi = w.Ket(np.eye(10)[0])
+    model = w.MeasurementModel(2, 10, xi, w.identity(20), m, sz)
+    with pytest.raises(ArithmeticError, match="spectral reconstruction residual"):
+        w.outcome_distribution(model, w.spin_basis("z").up)
+
+
+def test_outcome_distribution_spin_z_levels():
+    # oracle: the CNOT readout of S_z has the levels -1/2 < +1/2 with the z
+    # statistics of psi; a z eigenstate puts all its weight on one level
+    _, _, sz = w.spin_operators()
+    model = w.MeasurementModel(
+        2, 2, w.spin_basis("z").up, w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sz)
+    assert w.outcome_distribution(model, w.spin_basis("z").up).outcomes == ((-0.5, 0.0), (0.5, 1.0))
+    assert w.outcome_distribution(model, w.spin_basis("z").down).outcomes == ((-0.5, 1.0), (0.5, 0.0))
+
+
+def test_outcome_distribution_merges_degenerate_identity():
+    # a record M = I has one level, 1, of probability 1
+    trivial, _ = w.trivial_demo_model()
+    model = w.MeasurementModel(2, 2, trivial.xi, trivial.U, w.identity(2), trivial.A)
+    (value, p), = w.outcome_distribution(model, w.spin_basis("y").up).outcomes
+    assert value == 1.0
+    assert p == pytest.approx(1.0, abs=1e-12)
+
+
+def test_outcome_distribution_composite_spin_x():
+    # oracle: the swap model propagates its record to S_x x I, whose doubly
+    # degenerate levels have the rank-2 projectors P(+-) = |x,+-><x,+-| x I
+    up = w.spin_basis("x").up.amplitudes
+    down = w.spin_basis("x").down.amplitudes
+    p_plus = np.kron(np.outer(up, up.conj()), np.eye(2))
+    p_minus = np.kron(np.outer(down, down.conj()), np.eye(2))
+    model = _swap_model()
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(10):
+        psi = w.random_ket(2, rng)
+        v = np.kron(psi.amplitudes, model.xi.amplitudes)
+        dist = w.outcome_distribution(model, psi)
+        assert [value for value, _ in dist.outcomes] == pytest.approx([-0.5, 0.5], abs=1e-12)
+        assert dist.outcomes[0][1] == pytest.approx(np.linalg.norm(p_minus @ v) ** 2, abs=1e-12)
+        assert dist.outcomes[1][1] == pytest.approx(np.linalg.norm(p_plus @ v) ** 2, abs=1e-12)
+
+
+def test_outcome_statistics_need_hermitian_tagged_observables():
+    # the statistics read M and A as plain arrays; the model checks their tags
+    sx, _, _ = w.spin_operators()
+    plain = w.Operator.plain(sx.matrix)
+    for m, a in ((plain, sx), (sx, plain)):
+        with pytest.raises(w.StructureError, match="must carry the hermitian tag"):
+            w.MeasurementModel(2, 2, w.spin_basis("x").up, w.identity(4), m, a)
+
+
 def test_outcome_distribution_phase_invariance():
     rng = np.random.default_rng(RNG_SEED)
     model, _ = random_conservative_model(rng)
@@ -214,12 +345,34 @@ def test_error_probability_values():
     assert w.error_probability(trivial, w.spin_basis("y").up) == pytest.approx(0.25, abs=1e-12)
 
 
+def test_error_probability_matches_dense_oracle():
+    # oracle: ||(U^dag (I x M) U - A x I)(psi x xi)||^2 for A of spectrum
+    # {-1/2, 1/2}, one end moved by less than EQUALITY_TOL
+    rng = np.random.default_rng(RNG_SEED)
+    for pd in (2, 5, 32):
+        model, _ = random_conservative_model(rng, object_dim=2, probe_dim=pd)
+        a, _ = _observable([-0.5, 0.5 + 5e-10], rng)
+        model = w.MeasurementModel(2, pd, model.xi, model.U, model.M, a)
+        u = model.U.matrix
+        n = u.conj().T @ np.kron(np.eye(2), model.M.matrix) @ u - np.kron(a.matrix, np.eye(pd))
+        for _ in range(3):
+            psi = w.random_ket(2, rng)
+            v = np.kron(psi.amplitudes, model.xi.amplitudes)
+            assert w.error_probability(model, psi) == pytest.approx(
+                np.linalg.norm(n @ v) ** 2, abs=1e-12)
+
+
 def test_error_probability_requires_half_spectrum():
     trivial, _ = w.trivial_demo_model()
     bad = w.MeasurementModel(2, 2, trivial.xi, trivial.U, trivial.M,
                              w.Operator.hermitian(np.diag([1.0, -1.0])))
     with pytest.raises(w.PreconditionError):
         w.error_probability(bad, w.spin_basis("y").up)
+    # 1/2 and 1/2 + 4e-10 are one level, so the spectrum has one value
+    merged = w.MeasurementModel(2, 2, trivial.xi, trivial.U, trivial.M,
+                                w.Operator.hermitian(np.diag([0.5, 0.5 + 4e-10])))
+    with pytest.raises(w.PreconditionError, match="got \\(0.5000000002,\\)"):
+        w.error_probability(merged, w.spin_basis("y").up)
 
 
 def test_error_probability_qubit_probe_floor():
