@@ -14,9 +14,9 @@ the one ACL threshold); ``bound_report`` keeps those messages as null reasons.
 The bounds read terms that depend only on (model, pair) from ``bound_terms``,
 which compiles them on the object space once, in O(D d_o (d_o + d_p) + d_p^3)
 (D = d_o d_p), and keeps them on the model. Each state then costs one
-O(d_o^2) pass that both bounds share: the terms keep its figures for the last
-ket object they saw. The residuals of the derivation chain stay dense and
-independent.
+O(d_o^2) pass that both bounds share, two products and a dot: the terms keep
+its figures for the last ket object they saw. The residuals of the derivation
+chain stay dense and independent.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from .linalg import (
     PreconditionError,
     RATIO_FLOOR,
     TheoremViolation,
+    _moment_variance,
     apply_on_probe,
     array_variance,
     expectation,
     frobenius_norm,
-    image_variance,
     tensor,
     variance,
 )
@@ -210,8 +210,8 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
     The model keeps the terms of one pair at a time, keyed by the pair object
     itself: a ConservationPair compares by identity (eq=False), and the key
     keeps it alive, so no other pair can match it. The pair is checked
-    against the model on every miss. Model and pair are frozen and their
-    arrays read-only, so a hit cannot be stale.
+    against the model on every miss, so var(L2, xi) needs no check of its own.
+    Model and pair are frozen and their arrays read-only, so a hit cannot be stale.
     """
     terms = model._bound_terms.get(pair)
     if terms is None:
@@ -220,8 +220,8 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
         k = _commutator_matrix(model.M, pair.L2)
         c = _commutator_matrix(model.A, pair.L1)
         ky = apply_on_probe(k, y, model.object_dim)
-        terms = BoundTerms(np.array((y.conj().T @ ky - c, c, pair.L1.matrix)),
-                           frobenius_norm(k), variance(pair.L2, model.xi))
+        terms = BoundTerms(np.array((y.conj().T @ ky - c, c, pair.L1.matrix)), frobenius_norm(k),
+                           array_variance(pair.L2.matrix, model.xi.amplitudes))
         model._bound_terms.clear()
         model._bound_terms[pair] = terms
     return terms
@@ -230,6 +230,7 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
 def _state_figures(terms: BoundTerms, psi: Ket) -> tuple:
     """(<psi|d|psi>, <psi|c|psi>, 4 var(L1 x I + I x L2)) in psi x xi, in one pass.
 
+    The images of psi under the stack, times conj(psi), give the three means.
     On a product state that variance is var(L1, psi) + var(L2, xi)
     (variance additivity); the second term is compiled with the pair.
     The terms keep the figures of one state at a time, keyed by the ket
@@ -240,9 +241,11 @@ def _state_figures(terms: BoundTerms, psi: Ket) -> tuple:
     figures = terms._state.get(psi)
     if figures is None:
         a = psi.amplitudes
-        da, ca, la = terms.stack @ a
-        figures = (complex(np.vdot(a, da)), complex(np.vdot(a, ca)),
-                   4.0 * image_variance(la, a) + 4.0 * terms.var_l2)
+        images = terms.stack @ a
+        d, c, l1 = (images @ a.conj()).tolist()
+        la = images[2]
+        var_l1 = _moment_variance(float(np.vdot(la, la).real), l1)
+        figures = (d, c, 4.0 * var_l1 + 4.0 * terms.var_l2)
         terms._state.clear()
         terms._state[psi] = figures
     return figures

@@ -57,12 +57,14 @@ def frobenius_norm(x) -> float:
 
     This is numpy's own formula from ``np.linalg.norm``, so the bits are the
     same, without the cost of its argument dispatch, which dominated the tag
-    checks on small matrices.
+    checks on small matrices; a plain float or complex array skips even the
+    conversions, and a contiguous 1-D one the ``ravel``.
     """
-    m = x.matrix if isinstance(x, Operator) else np.asarray(x)
-    if m.dtype.kind not in "fc":
-        m = m.astype(float)
-    r = m.ravel(order="K")
+    if type(x) is not np.ndarray or x.dtype.kind not in "fc":
+        x = x.matrix if isinstance(x, Operator) else np.asarray(x)
+        if x.dtype.kind not in "fc":
+            x = x.astype(float)
+    r = x if x.ndim == 1 and x.flags.c_contiguous else x.ravel(order="K")
     if r.dtype.kind == "c":
         re, im = r.real, r.imag
         return math.sqrt(re.dot(re) + im.dot(im))
@@ -209,8 +211,12 @@ def array_variance(x: np.ndarray, v: np.ndarray) -> float:
 
 def image_variance(xv: np.ndarray, v: np.ndarray) -> float:
     """``array_variance`` from the image xv = x v, for callers that have it."""
-    second = float(np.vdot(xv, xv).real)
-    mean = complex(np.vdot(v, xv))
+    return _moment_variance(float(np.vdot(xv, xv).real), complex(np.vdot(v, xv)))
+
+
+def _moment_variance(second: float, mean: complex) -> float:
+    """second - mean^2 from ||x v||^2 and <v|x|v>; it alarms on an imaginary
+    mean and on a variance below -ROUNDING_TOL, and clamps a smaller one to 0."""
     if abs(mean.imag) > STRUCTURE_TOL:
         raise StructureError(f"variance mean has imaginary residue {mean.imag:.3e}")
     var = second - mean.real ** 2

@@ -12,8 +12,8 @@ in: two D x d_o matrices (D = d_o d_p) built once per model in O(D^2 d_o),
 then O(D d_o) work per state for the noise. The bounds' terms for one
 conservation pair are compiled from that form once, in
 O(D d_o (d_o + d_p) + d_p^3), and kept on the model (see
-``bounds.bound_terms``); each state then costs one O(d_o^2) pass that both
-bounds share, kept on the terms for the last ket object.
+``bounds.bound_terms``); each state then costs one O(d_o^2) pass of two
+products and a dot that both bounds share, kept for the last ket object.
 The dense composite-space operators stay available for the statistics and
 for the derivation-chain checks.
 """

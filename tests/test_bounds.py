@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import waylimit as w
-from waylimit.bounds import bound_terms
+from waylimit.bounds import BoundTerms, _state_figures, bound_terms
+from waylimit.linalg import RATIO_FLOOR, ROUNDING_TOL, STRUCTURE_TOL
 from helpers import (CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, dense_figures,
                      random_conservative_model)
 
@@ -546,6 +547,36 @@ def test_bound_terms_memo_still_checks_new_pairs():
     assert w.fundamental_bound(model, pair, psi) == first
 
 
+# An oracle for the state pass, which forms the three means <psi|d|psi>,
+# <psi|c|psi> and <psi|L1|psi> from one product of the images with conj(psi):
+# the same figures with one np.vdot per mean and per norm.
+
+def _vdot_figures(terms, psi):
+    a = psi.amplitudes
+    da, ca, la = terms.stack @ a
+    second = float(np.vdot(la, la).real)
+    mean = complex(np.vdot(a, la))
+    assert abs(mean.imag) <= STRUCTURE_TOL
+    var = second - mean.real ** 2
+    if var < 0.0:
+        assert var >= -ROUNDING_TOL
+        var = 0.0
+    return (complex(np.vdot(a, da)), complex(np.vdot(a, ca)),
+            4.0 * var + 4.0 * terms.var_l2)
+
+
+def _ratio(num, den):
+    if den < RATIO_FLOOR:
+        return 0.0 if num < RATIO_FLOOR else math.inf
+    return num / den
+
+
+def _vdot_bounds(model, pair, psi):
+    """(fundamental, Yanase-form) bound from the np.vdot figures."""
+    d, c, den = _vdot_figures(bound_terms(model, pair), psi)
+    return _ratio(abs(d) ** 2, den), _ratio(abs(c) ** 2, den)
+
+
 def test_bound_convention_at_joint_eigenstates():
     # psi and xi eigenstates of L1 and L2: both variances vanish
     sx, _, sz = w.spin_operators()
@@ -556,9 +587,10 @@ def test_bound_convention_at_joint_eigenstates():
     conservative = w.MeasurementModel(2, 2, xi, swap.U, sx, sx)
     assert w.fundamental_bound(conservative, pair, psi) == 0.0
     assert dense_figures(conservative, pair, psi)[2] == 0.0
+    assert _vdot_bounds(conservative, pair, psi)[0] == 0.0
     commuting = w.MeasurementModel(2, 2, xi, swap.U, sz, sx)
     assert w.yanase_bound(commuting, pair, psi) == 0.0
-    assert dense_figures(commuting, pair, psi)[3] == 0.0
+    assert dense_figures(commuting, pair, psi)[3] == _vdot_bounds(commuting, pair, psi)[1] == 0.0
     # a probe rotation breaks the conservation law; <[M, L2]> survives while
     # both variances are 0, so no finite noise satisfies the bound
     rx = np.cos(np.pi / 4) * np.eye(2) - 2j * np.sin(np.pi / 4) * sx.matrix
@@ -567,6 +599,7 @@ def test_bound_convention_at_joint_eigenstates():
     assert w.acl_residual(rotated, pair) > 0.1
     assert math.isinf(w.fundamental_bound(rotated, pair, psi))
     assert math.isinf(dense_figures(rotated, pair, psi)[2])
+    assert math.isinf(_vdot_bounds(rotated, pair, psi)[0])
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -688,3 +721,50 @@ def test_bound_report_fields_equal_the_public_functions(seed, object_dim, probe_
     assert report.fundamental_bound == pytest.approx(dense[2], rel=ORACLE_TOL, abs=ORACLE_TOL)
     if report.yanase_bound is not None:
         assert report.yanase_bound == pytest.approx(dense[3], rel=ORACLE_TOL, abs=ORACLE_TOL)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), object_dim=st.integers(2, 4),
+       probe_dim=st.integers(2, 8), ladder=st.booleans(), yanase=st.booleans())
+def test_state_pass_matches_the_vdot_oracle(seed, object_dim, probe_dim, ladder, yanase):
+    rng = np.random.default_rng(seed)
+    model, pair = random_conservative_model(rng, object_dim, probe_dim, spin_scenario=False,
+                                            probe_ladder=ladder, yanase=yanase)
+    terms = bound_terms(model, pair)
+    for _ in range(5):
+        psi = w.random_ket(object_dim, rng)
+        got, want = _state_figures(terms, psi), _vdot_figures(terms, psi)
+        for g, x in zip(got[:2], want[:2]):
+            assert abs(g - x) <= 1e-15 * max(1.0, abs(x))
+        # the denominator is a difference, 4 ||L1 psi||^2 - 4 <L1>^2 + 4 var(L2, xi),
+        # which each formula rounds on its own; scale by the terms, not the result
+        la = terms.stack[2] @ psi.amplitudes
+        mean = np.vdot(psi.amplitudes, la).real
+        scale = 4.0 * (np.vdot(la, la).real + mean ** 2 + terms.var_l2)
+        assert abs(got[2] - want[2]) <= 1e-15 * max(1.0, scale)
+        # the bounds are the ratios of those figures
+        assert w.fundamental_bound(model, pair, psi) == _ratio(abs(got[0]) ** 2, got[2])
+        if yanase:
+            assert w.yanase_bound(model, pair, psi) == _ratio(abs(got[1]) ** 2, got[2])
+
+
+def _hand_terms(l1):
+    """BoundTerms with d = c = 0 and the given L1 slot; var(L2, xi) is 1/4."""
+    zero = np.zeros_like(l1, dtype=complex)
+    return BoundTerms(np.array((zero, zero, l1), dtype=complex), 0.0, 0.25)
+
+
+def test_state_pass_variance_alarms():
+    # a non-hermitian L1 slot whose mean has an imaginary residue
+    with pytest.raises(w.StructureError, match="imaginary residue"):
+        _state_figures(_hand_terms(np.diag([1j, 0.0])), w.Ket([1.0, 0.0]))
+    # a ket tagged normalized may miss norm 1 by ROUNDING_TOL; with L1 = diag(4, 0)
+    # that puts ||L1 psi||^2 = 16 r^2 below <L1>^2 = 16 r^4 by about 32 (r - 1)
+    r = 1.0 + 2.0 ** -40
+    with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
+        _state_figures(_hand_terms(np.diag([4.0, 0.0])), w.Ket([r, 0.0]))
+    # with L1 = diag(1, 0) and r - 1 = 2^-46 the variance is about -2.8e-14,
+    # within the tolerance, and is clamped to 0: 4 var(L1) + 4 var(L2) = 1
+    r = 1.0 + 2.0 ** -46
+    assert r * r - (r * r) ** 2 < 0.0
+    assert _state_figures(_hand_terms(np.diag([1.0, 0.0])), w.Ket([r, 0.0]))[2] == 1.0

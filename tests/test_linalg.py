@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import waylimit as w
+from waylimit.linalg import array_variance, image_variance
 
 RNG_SEED = 2024
 
@@ -111,6 +112,29 @@ def test_variance_matches_moment_formula_and_is_nonnegative():
         assert var == pytest.approx(second - mean ** 2, abs=1e-12)
 
 
+def test_variance_alarms_and_clamp():
+    # a non-hermitian x whose mean <v|x|v> has an imaginary residue
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(w.StructureError, match="imaginary residue"):
+        image_variance(np.array([1j, 0.0]), e0)
+    with pytest.raises(w.StructureError, match="imaginary residue"):
+        array_variance(np.diag([1j, 0.0]), e0)
+    # a ket tagged normalized may miss norm 1 by ROUNDING_TOL; with
+    # X = diag(4, 0) that puts ||X v||^2 = 16 r^2 below <X>^2 = 16 r^4 by
+    # about 32 (r - 1), beyond the tolerance
+    r = 1.0 + 2.0 ** -40
+    with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
+        w.variance(w.Operator.hermitian(np.diag([4.0, 0.0])), w.Ket([r, 0.0]))
+    with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
+        image_variance(np.array([4.0 * r, 0.0]), np.array([r, 0.0]))
+    # with X = diag(1, 0) and r - 1 = 2^-46 the variance is about -2.8e-14,
+    # within the tolerance, and is clamped to 0
+    r = 1.0 + 2.0 ** -46
+    assert r * r - (r * r) ** 2 < 0.0
+    assert w.variance(w.Operator.hermitian(np.diag([1.0, 0.0])), w.Ket([r, 0.0])) == 0.0
+    assert image_variance(np.array([r, 0.0]), np.array([r, 0.0])) == 0.0
+
+
 def test_commutator_spin_relation():
     sx, sy, sz = w.spin_operators()
     got = w.commutator(sx, sz).matrix
@@ -165,17 +189,23 @@ def test_ket_and_operator_reject_every_non_finite_entry(bad):
 
 
 def _layouts(a):
-    """a in C order, in Fortran order and as strided views without copies."""
+    """a in C order, in Fortran order, read-only and as strided views without copies."""
     yield np.ascontiguousarray(a)
     yield np.asfortranarray(a)
+    frozen = a.copy()
+    frozen.setflags(write=False)
+    yield frozen
     if a.ndim == 1:
         yield np.repeat(a, 2)[::2]
+        yield a[::2]
         yield a[::-1]
+        yield a[::-2]
     else:
         yield np.repeat(a, 2, axis=1)[:, ::2]
         yield a.T
         yield a.conj().T
         yield a[::-1, 1:]
+        yield np.asfortranarray(a).T
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (64,), (2, 2), (4, 4), (5, 3), (16, 16)])
@@ -194,6 +224,13 @@ def test_frobenius_norm_is_numpy_norm_bit_for_bit(shape, kind):
         assert w.frobenius_norm(op) == float(np.linalg.norm(op.matrix))
     assert w.frobenius_norm([[3, 4], [0, 12]]) == float(np.linalg.norm([[3, 4], [0, 12]])) == 13.0
     assert w.frobenius_norm(np.zeros(shape)) == 0.0
+    # integer arrays of every layout, and nested lists of each kind
+    ints = rng.integers(-1000, 1000, size=shape)
+    for dtype in (np.int64, np.int32, np.uint8):
+        for x in _layouts(ints.astype(dtype)):
+            assert w.frobenius_norm(x) == float(np.linalg.norm(x))
+    for values in (ints, a):
+        assert w.frobenius_norm(values.tolist()) == float(np.linalg.norm(values.tolist()))
 
 
 def test_operator_tags_validated():
