@@ -353,19 +353,13 @@ class BoundReport:
 
     def violations(self) -> tuple:
         """Names of the applicable inequalities that fail, empty when all hold."""
-        bad = []
-        if self.acl_residual < ACL_GATE_TOL:
-            if not self.eps_sq >= self.fundamental_bound - INEQUALITY_SLACK:
-                bad.append("fundamental_bound")
-            if self.yanase_bound is not None \
-                    and not self.eps_sq >= self.yanase_bound - INEQUALITY_SLACK:
-                bad.append("yanase_bound")
-            if self.spin_bound is not None \
-                    and not self.eps_sq >= self.spin_bound - INEQUALITY_SLACK:
-                bad.append("spin_bound")
-        if not self.uncertainty_lhs >= self.uncertainty_rhs - INEQUALITY_SLACK:
-            bad.append("uncertainty")
-        return tuple(bad)
+        # (name, lhs, rhs) of each inequality lhs >= rhs; the bounds need the ACL
+        tests = [(name, self.eps_sq, getattr(self, name)) for name in
+                 ("fundamental_bound", "yanase_bound", "spin_bound")
+                 if self.acl_residual < ACL_GATE_TOL]
+        tests.append(("uncertainty", self.uncertainty_lhs, self.uncertainty_rhs))
+        return tuple(name for name, lhs, rhs in tests
+                     if rhs is not None and not lhs >= rhs - INEQUALITY_SLACK)
 
 
 def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> BoundReport:

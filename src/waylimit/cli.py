@@ -44,6 +44,7 @@ from .linalg import (
 )
 from .measurement import MeasurementModel
 from .spin import (
+    SWAP,
     YWModel,
     named_state,
     spin_operators,
@@ -453,9 +454,7 @@ def _swap_theta(basis) -> np.ndarray:
 
     if basis.conserved.dim != 4:
         raise CliInputError("theta0 'swap' needs a two-qubit composite space")
-    swap = np.zeros((4, 4))
-    swap[0, 0] = swap[2, 1] = swap[1, 2] = swap[3, 3] = 1.0
-    h = Operator.hermitian((np.pi / 2.0) * (np.eye(4) - swap))
+    h = Operator.hermitian((np.pi / 2.0) * (np.eye(4) - SWAP))
     try:
         return hermitian_coordinates(basis, h)
     except ValueError as exc:
@@ -471,18 +470,17 @@ _PROBE_KEYS = {"spin_ladder": ("family", "size"), "oscillator": ("family", "alph
 
 # the type of each optimizer setting a config file may give
 _CONFIG_TYPES = {"seed": "integer", "restarts": "integer", "max_iters": "integer",
-                 "tol": "number", "objective": "string", "optimize_xi": "boolean"}
+                 "objective": "string", "optimize_xi": "boolean"}
 
 
-def _config_object(value, path: str, known, hints: Optional[dict] = None) -> dict:
+def _config_object(value, path: str, known) -> dict:
     """value when it is a JSON object whose keys are all in known; path is its
-    place in the config, "" for the top level; hints[key] ends key's error."""
+    place in the config, "" for the top level."""
     obj = _typed(value, path or "config", "object")
     for key in obj:
         if key not in known:
             where = f"{path}.{key}" if path else key
-            hint = (hints or {}).get(key, "")
-            raise CliInputError(f"{where}: unknown key, expected one of {list(known)}{hint}")
+            raise CliInputError(f"{where}: unknown key, expected one of {list(known)}")
     return obj
 
 
@@ -504,9 +502,7 @@ def _load_optimize_config(path: str):
     if "family" in probe and probe["family"] not in ("spin_ladder", "oscillator"):
         raise CliInputError(f"probe.family: unknown family {_excerpt(repr(probe['family']))}")
     form = probe.get("family", "explicit")
-    # a config written for the old settable cutoff learns why it is refused
-    _config_object(probe, "probe", _PROBE_KEYS[form],
-                   {"n_max": "; the cutoff now follows from alpha and beta"})
+    _config_object(probe, "probe", _PROBE_KEYS[form])
     if form == "spin_ladder":
         size = _typed(probe.get("size", 2), "probe.size", "integer")
         try:
@@ -534,12 +530,9 @@ def _load_optimize_config(path: str):
     elif isinstance(theta0, str):
         raise CliInputError(
             f"theta0: expected 'zero', 'swap' or a JSON array, got {_excerpt(json.dumps(theta0))}")
-    else:
+    else:  # its length is the optimizer's check
         theta0_value = tuple(float(_typed(t, f"theta0[{k}]", "number"))
                              for k, t in enumerate(_typed(theta0, "theta0", "array")))
-        size = commutant_basis(pair.total()).size
-        if len(theta0_value) != size:
-            raise CliInputError(f"theta0: has length {len(theta0_value)}, expected {size}")
 
     # only the settings the file gives; the defaults live in OptimizerConfig
     settings = {key: _typed(doc[key], key, kind)
@@ -585,26 +578,23 @@ def cmd_optimize(args) -> int:
 # demo
 
 
-DEMO_NAMES = ("swap", "trivial", "yw-sample")
+# name -> writer of the demo's model file
+_DEMOS = {
+    "swap": lambda: model_to_dict(*swap_demo_model(), "swap-demo", "conservative zero-noise "
+                                  "readout that violates the Yanase condition"),
+    "trivial": lambda: model_to_dict(*trivial_demo_model(), "trivial-demo",
+                                     "identity interaction with a null record"),
+    "yw-sample": lambda: yw_model_to_dict(yw_sample_model(), "yw-sample",
+                                          "partial interaction data with eps_y^2 = 0.1"),
+}
+DEMO_NAMES = tuple(_DEMOS)
 
 
 def cmd_demo(args) -> int:
-    if args.name == "swap":
-        model, pair = swap_demo_model()
-        doc = model_to_dict(model, pair, name="swap-demo",
-                            description="conservative zero-noise readout that "
-                                        "violates the Yanase condition")
-    elif args.name == "trivial":
-        model, pair = trivial_demo_model()
-        doc = model_to_dict(model, pair, name="trivial-demo",
-                            description="identity interaction with a null record")
-    elif args.name == "yw-sample":
-        doc = yw_model_to_dict(yw_sample_model(), name="yw-sample",
-                               description="partial interaction data with eps_y^2 = 0.1")
-    else:
+    if args.name not in _DEMOS:
         raise CliInputError(
             f"unknown demo {args.name!r}; available: {', '.join(DEMO_NAMES)}")
-    sys.stdout.write(_dump_json(doc))
+    sys.stdout.write(_dump_json(_DEMOS[args.name]()))
     return 0
 
 

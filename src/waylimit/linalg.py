@@ -95,9 +95,6 @@ class Ket:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def norm(self) -> float:
-        return frobenius_norm(self.amplitudes)
-
     def norm_sq(self) -> float:
         return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
 
@@ -153,10 +150,6 @@ class Operator:
     def unitary(cls, matrix) -> "Operator":
         return cls(matrix, frozenset({"unitary"}))
 
-    @classmethod
-    def plain(cls, matrix) -> "Operator":
-        return cls(matrix)
-
 
 def identity(dim: int) -> Operator:
     return Operator(np.eye(dim), frozenset({"hermitian", "unitary"}))
@@ -206,22 +199,19 @@ def array_variance(x: np.ndarray, v: np.ndarray) -> float:
     """``variance`` on plain arrays, for callers that have already checked that
     x is hermitian, that the dimensions agree and that v is normalized; the
     imaginary-residue and negative-clamp alarms stay."""
-    return image_variance(x @ v, v)
-
-
-def image_variance(xv: np.ndarray, v: np.ndarray) -> float:
-    """``array_variance`` from the image xv = x v, for callers that have it."""
+    xv = x @ v
     return _moment_variance(float(np.vdot(xv, xv).real), complex(np.vdot(v, xv)))
 
 
 def _moment_variance(second: float, mean: complex) -> float:
     """second - mean^2 from ||x v||^2 and <v|x|v>; it alarms on an imaginary
-    mean and on a variance below -ROUNDING_TOL, and clamps a smaller one to 0."""
+    mean and on a variance below -ROUNDING_TOL * max(1, second) (rounding
+    grows with the second moment), and clamps a smaller one to 0."""
     if abs(mean.imag) > STRUCTURE_TOL:
         raise StructureError(f"variance mean has imaginary residue {mean.imag:.3e}")
     var = second - mean.real ** 2
     if var < 0.0:
-        if var < -ROUNDING_TOL:
+        if var < -ROUNDING_TOL * max(1.0, second):
             raise ArithmeticError(f"variance {var:.3e} negative beyond tolerance")
         var = 0.0
     return var
@@ -247,9 +237,9 @@ def random_ket(dim: int, rng: np.random.Generator) -> Ket:
     return Ket(v / frobenius_norm(v))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> Operator:
+def random_hermitian(dim: int, rng: np.random.Generator) -> Operator:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) * (scale / (2.0 * np.sqrt(dim)))
+    h = (g + g.conj().T) * (1.0 / (2.0 * np.sqrt(dim)))
     return Operator.hermitian(h)
 
 

@@ -24,12 +24,14 @@ import numpy as np
 from .bounds import (
     ConservationPair,
     TheoremViolation,
+    optimal_spin_bound,
     require_yanase,
     yanase_bound,
     yanase_residual,
 )
 from .linalg import (
     DESCENT_MARGIN,
+    DimensionMismatch,
     EQUALITY_TOL,
     GENERATOR_COMMUTATION_TOL,
     GRADIENT_TOL,
@@ -41,6 +43,7 @@ from .linalg import (
     apply_on_probe,
     frobenius_norm,
     spectrum_runs,
+    variance,
 )
 from .measurement import MeasurementModel, noise, sup_noise
 from .oscillator import (
@@ -51,6 +54,7 @@ from .oscillator import (
     m_z_operator,
     two_mode_coherent_state,
 )
+from .spin import named_state, spin_operators
 
 INIT_STEP = 0.5
 MAX_BACKTRACKS = 40
@@ -246,7 +250,6 @@ def record_observable(l2: Operator) -> Operator:
 class OptimizerConfig:
     restarts: int = 16
     max_iters: int = 80
-    tol: float = GRADIENT_TOL         # stop when the gradient norm falls below
     seed: int = 0
     objective: str = "state"          # "state" minimizes eps(psi)^2, "sup" the worst case
     optimize_xi: bool = False
@@ -399,7 +402,7 @@ class _Problem:
         if self.config.theta0 is not None:
             t0 = np.asarray(self.config.theta0, dtype=float)
             if t0.shape != (self.n_theta,):
-                raise ValueError(
+                raise DimensionMismatch(
                     f"theta0 has length {t0.size}, expected {self.n_theta}")
             x[:self.n_theta] = t0
         if self.config.optimize_xi:
@@ -433,7 +436,7 @@ class _Problem:
         for _ in range(cfg.max_iters):
             g = self.gradient(x, model)
             gnorm = frobenius_norm(g)
-            if gnorm < cfg.tol:
+            if gnorm < GRADIENT_TOL:
                 converged = True
                 break
             alpha = step / max(gnorm, 1.0)
@@ -542,10 +545,6 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> l
     oscillator size v is |alpha|^2 = |beta|^2 = v/2 at its ``fock_cutoff``.
     Per-size failures are recorded in the row and the sweep continues.
     """
-    from .bounds import optimal_spin_bound
-    from .linalg import variance
-    from .spin import named_state, spin_operators
-
     if family not in ("spin_ladder", "oscillator"):
         raise ValueError(f"unknown probe family {family!r}")
     sx, _, sz = spin_operators()

@@ -16,6 +16,7 @@ are nonunique and nothing below needs one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -37,6 +38,10 @@ HALF = 0.5
 _SX = np.array([[0.0, HALF], [HALF, 0.0]], dtype=np.complex128)
 _SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 _SZ = np.array([[HALF, 0.0], [0.0, -HALF]], dtype=np.complex128)
+
+# exchanges the two qubits of object (x) probe
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+SWAP.setflags(write=False)
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _KETS = {
@@ -79,6 +84,15 @@ def named_state(name: str) -> Ket:
         raise ValueError(f"unknown named state {name!r}") from None
 
 
+def _two_qubit_demo(u: Operator, m: Optional[Operator] = None):
+    """A demo model on two qubits: A = S_x, L1 = L2 = S_z, xi = up_x, the
+    interaction u and the record m (S_x when None)."""
+    sx, _, sz = spin_operators()
+    model = MeasurementModel(object_dim=2, probe_dim=2, xi=spin_basis("x").up, U=u,
+                             M=sx if m is None else m, A=sx)
+    return model, ConservationPair(L1=sz, L2=sz)
+
+
 def swap_demo_model():
     """Two-qubit model with U = SWAP: conservative, zero noise, Yanase-violating.
 
@@ -86,32 +100,12 @@ def swap_demo_model():
     noiseless measurement once the record observable is allowed to clash
     with the probe's conserved quantity.
     """
-    swap = np.zeros((4, 4))
-    swap[0, 0] = swap[2, 1] = swap[1, 2] = swap[3, 3] = 1.0
-    sx, _, sz = spin_operators()
-    model = MeasurementModel(
-        object_dim=2,
-        probe_dim=2,
-        xi=spin_basis("x").up,
-        U=Operator.unitary(swap),
-        M=sx,
-        A=sx,
-    )
-    return model, ConservationPair(L1=sz, L2=sz)
+    return _two_qubit_demo(Operator.unitary(SWAP))
 
 
 def trivial_demo_model():
     """No interaction and a null record: the noise is the full spread of A."""
-    sx, _, sz = spin_operators()
-    model = MeasurementModel(
-        object_dim=2,
-        probe_dim=2,
-        xi=spin_basis("x").up,
-        U=Operator.unitary(np.eye(4)),
-        M=Operator.hermitian(np.zeros((2, 2))),
-        A=sx,
-    )
-    return model, ConservationPair(L1=sz, L2=sz)
+    return _two_qubit_demo(Operator.unitary(np.eye(4)), Operator.hermitian(np.zeros((2, 2))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,6 +29,16 @@ CNOT_Z_CONTROL_X_FLIP = np.array([
 ], dtype=complex)
 
 
+def large_eigenvalue_probe_model():
+    """(model, pair) with xi = (e^{0.05i}, 0), an exact eigenstate of
+    L2 = diag(100, 0), U = I, A = S_x, L1 = S_z and M = diag(1/2, -1/2).
+    var(L2, xi) is 0, but ||L2 xi||^2 - <L2>^2 rounds to -3.6e-12."""
+    sx, _, sz = w.spin_operators()
+    model = w.MeasurementModel(2, 2, w.Ket([np.exp(0.05j), 0.0]), w.identity(4),
+                               w.Operator.hermitian(np.diag([0.5, -0.5])), sx)
+    return model, w.ConservationPair(L1=sz, L2=w.Operator.hermitian(np.diag([100.0, 0.0])))
+
+
 def random_conservative_model(rng, object_dim=None, probe_dim=None,
                               spin_scenario=None, probe_ladder=None,
                               yanase=True):

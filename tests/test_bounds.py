@@ -10,7 +10,7 @@ import waylimit as w
 from waylimit.bounds import BoundTerms, _state_figures, bound_terms
 from waylimit.linalg import RATIO_FLOOR, ROUNDING_TOL, STRUCTURE_TOL
 from helpers import (CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, dense_figures,
-                     random_conservative_model)
+                     large_eigenvalue_probe_model, random_conservative_model)
 
 RNG_SEED = 99
 
@@ -768,3 +768,14 @@ def test_state_pass_variance_alarms():
     r = 1.0 + 2.0 ** -46
     assert r * r - (r * r) ** 2 < 0.0
     assert _state_figures(_hand_terms(np.diag([1.0, 0.0])), w.Ket([r, 0.0]))[2] == 1.0
+
+
+def test_bounds_at_an_exact_eigenstate_of_a_large_probe_quantity():
+    # var(L2, xi) rounds to -3.6e-12 at L2 = diag(100, 0); an alarm relative
+    # to the second moment clamps it to 0, so the bounds are the spin floor
+    model, pair = large_eigenvalue_probe_model()
+    psi = w.named_state("alpha_y")
+    assert bound_terms(model, pair).var_l2 == 0.0
+    assert w.fundamental_bound(model, pair, psi) == pytest.approx(0.25, abs=1e-15)
+    assert w.yanase_bound(model, pair, psi) == w.fundamental_bound(model, pair, psi)
+    assert w.bound_report(model, pair, psi).violations() == ()

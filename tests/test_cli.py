@@ -13,7 +13,7 @@ import pytest
 import waylimit as w
 from waylimit.cli import (DEMO_NAMES, main, model_from_dict, model_to_dict,
                           yw_model_from_dict, yw_model_to_dict)
-from helpers import random_conservative_model
+from helpers import large_eigenvalue_probe_model, random_conservative_model
 
 
 def run_cli(capsys, *argv):
@@ -221,11 +221,9 @@ _OVERFLOW = "1" + "0" * 400  # an integer literal whose float is infinite
 
 
 @pytest.mark.parametrize("text, field", [
-    ('{"tol": 1e999}', "tol"),
-    (f'{{"tol": {_OVERFLOW}}}', "tol"),
     ('{"theta0": [1e999, 0, 0, 0, 0, 0]}', "theta0[0]"),
     (f'{{"theta0": [{_OVERFLOW}, 0, 0, 0, 0, 0]}}', "theta0[0]"),
-], ids=["tol-1e999", "tol-401-digits", "theta0-1e999", "theta0-401-digits"])
+], ids=["theta0-1e999", "theta0-401-digits"])
 def test_config_number_that_overflows_a_float_is_an_input_error(tmp_path, capsys, text, field):
     # json reads 1e999 as infinity and a long integer exactly; neither is a
     # finite float, so neither may run a search or reach the optimizer
@@ -688,8 +686,8 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
     ({"max_iters": True}, "max_iters"),
     ({"seed": "3"}, "seed"),
     ({"seed": -1}, "seed"),
-    ({"tol": "1e-10"}, "tol"),
-    ({"tol": False}, "tol"),
+    ({"theta0": [0.1, "1e-10", 0.3, 0.4, 0.5, 0.6]}, "theta0[1]"),
+    ({"theta0": [False, 0.2, 0.3, 0.4, 0.5, 0.6]}, "theta0[0]"),
     ({"objective": 5}, "objective"),
     ({"probe": {"family": "spin_ladder", "size": 2.9}}, "probe.size"),
     ({"probe": {"family": "oscillator", "n_max": None}}, "probe.n_max"),
@@ -698,7 +696,7 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
     ({"object": "s_x"}, "object"),
     ({"theta0": ["0.1", 0.2, 0.3, 0.4, 0.5, 0.6]}, "theta0[0]"),
     # json.dumps writes a float NaN as the non-standard literal NaN
-    ({"tol": math.nan}, "NaN"),
+    ({"theta0": [math.nan, 0.2, 0.3, 0.4, 0.5, 0.6]}, "NaN"),
     ({"probe": {"family": "oscillator", "alpha": [math.nan, 0]}}, "NaN"),
     # unknown probe keys, one misspelling per form
     ({"probe": {"family": "spin_ladder", "sise": 4}}, "probe.sise"),
@@ -734,9 +732,53 @@ def test_optimize_config_n_max_is_refused_with_the_rule(tmp_path, capsys):
     path.write_text(json.dumps({"probe": {"family": "oscillator", "n_max": 2,
                                           "alpha": [0.02, 0], "beta": [0, 0.01]}}))
     code, out, err = run_cli(capsys, "optimize", str(path))
-    assert code == 1 and out == ""
-    assert err.startswith("error: probe.n_max: ")
-    assert "the cutoff now follows from alpha and beta" in err
+    assert (code, out) == (1, "")
+    assert err == "error: probe.n_max: unknown key, expected one of ['family', 'alpha', 'beta']\n"
+
+
+def test_optimize_config_tol_is_an_unknown_key(tmp_path, capsys):
+    # the optimizer stops at GRADIENT_TOL; a config cannot set another
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tol": 1e-8}))
+    code, out, err = run_cli(capsys, "optimize", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tol: unknown key, expected one of ['seed', ")
+    assert "'tol'" not in err
+
+
+def test_optimize_theta0_of_the_wrong_length_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"restarts": 1, "max_iters": 1, "theta0": [0.1, 0.2]}))
+    code, out, err = run_cli(capsys, "optimize", str(path))
+    assert (code, out, err) == (1, "", "error: theta0 has length 2, expected 6\n")
+
+
+def test_optimize_array_theta0_builds_one_commutant_basis(tmp_path, capsys, monkeypatch):
+    # the optimizer checks theta0's length on the basis it builds anyway
+    import waylimit.optimizer as opt
+    calls = []
+    original = opt.commutant_basis
+
+    def counted(l_total):
+        calls.append(l_total.dim)
+        return original(l_total)
+    monkeypatch.setattr(opt, "commutant_basis", counted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"restarts": 1, "max_iters": 2, "theta0": [0.1] * 6}))
+    code, _, _ = run_cli(capsys, "optimize", str(path), "--out", str(tmp_path / "run.json"))
+    assert code == 0
+    assert calls == [4]
+
+
+def test_verify_at_an_exact_eigenstate_of_a_large_probe_quantity(tmp_path, capsys):
+    # var(L2, xi) rounds to -3.6e-12 here; it is clamped, not an internal error
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(*large_eigenvalue_probe_model())))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["fundamental_bound"] == pytest.approx(0.25, abs=1e-15)
+    assert report["violations"] == []
 
 
 def test_optimize_config_psi_messages_name_the_field(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import waylimit as w
-from waylimit.linalg import array_variance, image_variance
+from waylimit.linalg import ROUNDING_TOL, array_variance
 
 RNG_SEED = 2024
 
@@ -69,7 +69,7 @@ def test_expectation_transverse_component_vanishes():
 
 
 def test_expectation_requires_hermitian_tag():
-    plain = w.Operator.plain(np.array([[0, 1], [0, 0]]))
+    plain = w.Operator(np.array([[0, 1], [0, 0]]))
     with pytest.raises(w.StructureError):
         w.expectation(plain, w.spin_basis("z").up)
 
@@ -116,8 +116,6 @@ def test_variance_alarms_and_clamp():
     # a non-hermitian x whose mean <v|x|v> has an imaginary residue
     e0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(w.StructureError, match="imaginary residue"):
-        image_variance(np.array([1j, 0.0]), e0)
-    with pytest.raises(w.StructureError, match="imaginary residue"):
         array_variance(np.diag([1j, 0.0]), e0)
     # a ket tagged normalized may miss norm 1 by ROUNDING_TOL; with
     # X = diag(4, 0) that puts ||X v||^2 = 16 r^2 below <X>^2 = 16 r^4 by
@@ -126,13 +124,28 @@ def test_variance_alarms_and_clamp():
     with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
         w.variance(w.Operator.hermitian(np.diag([4.0, 0.0])), w.Ket([r, 0.0]))
     with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
-        image_variance(np.array([4.0 * r, 0.0]), np.array([r, 0.0]))
+        array_variance(np.diag([4.0, 0.0]), np.array([r, 0.0]))
     # with X = diag(1, 0) and r - 1 = 2^-46 the variance is about -2.8e-14,
     # within the tolerance, and is clamped to 0
     r = 1.0 + 2.0 ** -46
     assert r * r - (r * r) ** 2 < 0.0
     assert w.variance(w.Operator.hermitian(np.diag([1.0, 0.0])), w.Ket([r, 0.0])) == 0.0
-    assert image_variance(np.array([r, 0.0]), np.array([r, 0.0])) == 0.0
+    assert array_variance(np.diag([1.0, 0.0]), np.array([r, 0.0])) == 0.0
+
+
+def test_variance_alarm_scales_with_the_second_moment():
+    # an exact eigenstate of diag(100, 0) has variance 0, but the rounding of
+    # ||X v||^2 - <X>^2 grows with the second moment 10^4, to a few 1e-12 of
+    # either sign, beyond the absolute ROUNDING_TOL; the alarm scales with it
+    x = w.Operator.hermitian(np.diag([100.0, 0.0]))
+    raw = []
+    for phi in np.linspace(0.0, 3.0, 301):
+        v = w.Ket([np.exp(1j * phi), 0.0])
+        xv = x.matrix @ v.amplitudes
+        raw.append(float(np.vdot(xv, xv).real) - complex(np.vdot(v.amplitudes, xv)).real ** 2)
+        assert 0.0 <= w.variance(x, v) <= 1e4 * ROUNDING_TOL
+    # the phases at which an alarm at -ROUNDING_TOL would have fired
+    assert sum(r < -ROUNDING_TOL for r in raw) == 67
 
 
 def test_commutator_spin_relation():
@@ -183,7 +196,7 @@ def test_ket_and_operator_reject_every_non_finite_entry(bad):
             w.Ket(amps, normalized=normalized)
     m = np.eye(3, dtype=complex)
     m[2, 1] = m[1, 2] = bad
-    for build in (w.Operator.plain, w.Operator.hermitian, w.Operator.unitary):
+    for build in (w.Operator, w.Operator.hermitian, w.Operator.unitary):
         with pytest.raises(w.StructureError, match="operator entries must be finite"):
             build(m)
 
@@ -220,7 +233,7 @@ def test_frobenius_norm_is_numpy_norm_bit_for_bit(shape, kind):
             assert w.frobenius_norm(x) == float(np.linalg.norm(x))
     # Operators, nested lists and integer input take the same path
     if kind == "complex" and len(shape) == 2 and shape[0] == shape[1]:
-        op = w.Operator.plain(a)
+        op = w.Operator(a)
         assert w.frobenius_norm(op) == float(np.linalg.norm(op.matrix))
     assert w.frobenius_norm([[3, 4], [0, 12]]) == float(np.linalg.norm([[3, 4], [0, 12]])) == 13.0
     assert w.frobenius_norm(np.zeros(shape)) == 0.0

@@ -206,7 +206,7 @@ def test_outcome_distribution_composite_spin_x():
 def test_outcome_statistics_need_hermitian_tagged_observables():
     # the statistics read M and A as plain arrays; the model checks their tags
     sx, _, _ = w.spin_operators()
-    plain = w.Operator.plain(sx.matrix)
+    plain = w.Operator(sx.matrix)
     for m, a in ((plain, sx), (sx, plain)):
         with pytest.raises(w.StructureError, match="must carry the hermitian tag"):
             w.MeasurementModel(2, 2, w.spin_basis("x").up, w.identity(4), m, a)
@@ -402,4 +402,4 @@ def test_model_validation_errors():
                            w.Operator.unitary(np.eye(6)), sx, sx)
     with pytest.raises(w.StructureError):
         w.MeasurementModel(2, 2, w.spin_basis("x").up,
-                           w.Operator.plain(np.eye(4)), sx, sx)
+                           w.Operator(np.eye(4)), sx, sx)

@@ -287,7 +287,7 @@ def test_optimize_xi_moves_the_probe_state():
     run = w.optimize_noise(sx, pair, m, xi0, psi, config)
     xi = run.result_model.xi
     assert xi.normalized
-    assert xi.norm() == pytest.approx(1.0, abs=1e-12)
+    assert w.frobenius_norm(xi.amplitudes) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(xi.amplitudes - xi0.amplitudes) > 1e-6
     assert run.final_objective == pytest.approx(w.noise(run.result_model, psi) ** 2,
                                                 abs=1e-12)
