@@ -15,8 +15,10 @@ The bounds read terms that depend only on (model, pair) from ``bound_terms``,
 which compiles them on the object space once, in O(D d_o (d_o + d_p) + d_p^3)
 (D = d_o d_p), and keeps them on the model. Each state then costs one
 O(d_o^2) pass that both bounds share, two products and a dot: the terms keep
-its figures for the last ket object they saw. The residuals of the derivation
-chain stay dense and independent.
+its figures for the last ket object they saw. The derivation-chain checks
+build their own composite-space terms instead: [U, L] (L = L1 x I + I x L2)
+for the ACL, [N, L] and the lifts of [M, L2] and [A, L1] for the commutator
+identity, and only N v and L v (v = psi x xi) for the uncertainty pair.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .linalg import (
     _moment_variance,
     apply_on_probe,
     array_variance,
-    expectation,
     frobenius_norm,
     tensor,
     variance,
@@ -76,20 +77,14 @@ def check_pair(model: MeasurementModel, pair: ConservationPair):
         raise DimensionMismatch(f"L2 has dim {pair.L2.dim}, expected probe_dim {model.probe_dim}")
 
 
+def _commutator_matrix(x: Operator, y: Operator) -> np.ndarray:
+    return x.matrix @ y.matrix - y.matrix @ x.matrix
+
+
 def acl_residual(model: MeasurementModel, pair: ConservationPair) -> float:
     """Frobenius norm of [U, L1 x I + I x L2]; zero means the interaction conserves the sum."""
     check_pair(model, pair)
-    return _acl_residual(model, pair.total())
-
-
-def _acl_residual(model: MeasurementModel, ltot: Operator) -> float:
-    u = model.U.matrix
-    l = ltot.matrix
-    return frobenius_norm(u @ l - l @ u)
-
-
-def _commutator_matrix(x: Operator, y: Operator) -> np.ndarray:
-    return x.matrix @ y.matrix - y.matrix @ x.matrix
+    return frobenius_norm(_commutator_matrix(model.U, pair.total()))
 
 
 def yanase_residual(m: Operator, l2: Operator) -> float:
@@ -109,51 +104,37 @@ def require_yanase(residual: float):
 def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair) -> float:
     """Residual of the ACL-derived commutator identity; requires a conservative model.
 
-    Both sides are built densely on the composite space,
-    [N, L1 x I + I x L2] = U^dag (I x [M, L2]) U - [A, L1] x I, so this stays
-    an independent check of the reduced form the bounds are evaluated from.
+    [N, L1 x I + I x L2] = U^dag (I x [M, L2]) U - [A, L1] x I, the left side
+    dense and the right one from the lifts of [M, L2] and [A, L1], so this
+    stays an independent check of the reduced form the bounds are evaluated from.
     """
-    check_pair(model, pair)
-    ltot = pair.total()
-    return _identity_residual(model, pair, _commutator_matrix(noise_operator(model), ltot),
-                              _acl_residual(model, ltot))
-
-
-def _identity_residual(model: MeasurementModel, pair: ConservationPair,
-                       lhs: np.ndarray, acl: float) -> float:
-    """The commutator identity's residual from the dense commutator
-    lhs = [N, L1 x I + I x L2] and the ACL residual acl; the caller has
-    checked the pair."""
+    acl = acl_residual(model, pair)
     if acl >= ACL_GATE_TOL:
         raise PreconditionError(f"conservation law fails: acl residual {acl:.3e}, "
                                 f"tolerance {ACL_GATE_TOL:g}")
     u = model.U.matrix
-    im = np.kron(np.eye(model.object_dim), model.M.matrix)
-    il2 = np.kron(np.eye(model.object_dim), pair.L2.matrix)
-    ai = np.kron(model.A.matrix, np.eye(model.probe_dim))
-    l1i = np.kron(pair.L1.matrix, np.eye(model.probe_dim))
-    probe_term = u.conj().T @ (im @ il2 - il2 @ im) @ u
-    object_term = ai @ l1i - l1i @ ai
-    return frobenius_norm(lhs - (probe_term - object_term))
+    lhs = _commutator_matrix(noise_operator(model), pair.total())
+    ik = np.kron(np.eye(model.object_dim), _commutator_matrix(model.M, pair.L2))
+    ci = np.kron(_commutator_matrix(model.A, pair.L1), np.eye(model.probe_dim))
+    return frobenius_norm(lhs - (u.conj().T @ ik @ u - ci))
 
 
 def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     """Robertson pair for the noise operator against the total conserved quantity.
 
     Returns (lhs, rhs) with lhs the product of variances and rhs the squared
-    half-magnitude of the commutator expectation, both in psi x xi.
+    half-magnitude of the commutator expectation, both in v = psi x xi. As
+    <v|[N, L]|v> = 2i Im<Nv|Lv> for hermitian N and L, the images N v and L v give both.
     """
     check_pair(model, pair)
-    n, ltot = noise_operator(model), pair.total()
-    return _robertson_pair(model.composite_state(psi), n, ltot, _commutator_matrix(n, ltot))
-
-
-def _robertson_pair(v: Ket, n: Operator, ltot: Operator, comm: np.ndarray):
-    """``uncertainty_pair`` in the composite state v, from the dense noise
-    operator, the total and their commutator comm."""
-    lhs = variance(n, v) * variance(ltot, v)
-    mean = complex(np.vdot(v.amplitudes, comm @ v.amplitudes))
-    rhs = 0.25 * abs(mean) ** 2
+    v = model.composite_state(psi).amplitudes
+    u, xi = model.U.matrix, model.xi.amplitudes
+    a, do = psi.amplitudes, model.object_dim
+    n = u.conj().T @ apply_on_probe(model.M.matrix, u @ v, do) - np.kron(model.A.matrix @ a, xi)
+    l = np.kron(pair.L1.matrix @ a, xi) + apply_on_probe(pair.L2.matrix, v, do)
+    lhs = _moment_variance(float(np.vdot(n, n).real), complex(np.vdot(v, n))) \
+        * _moment_variance(float(np.vdot(l, l).real), complex(np.vdot(v, l)))
+    rhs = float(np.vdot(n, l).imag) ** 2
     if lhs < rhs - INEQUALITY_SLACK:
         raise TheoremViolation(
             f"uncertainty relation failed: lhs {lhs:.17g} < rhs {rhs:.17g}")
@@ -290,9 +271,10 @@ def _spin_xyz():
 
 def spin_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
     """Closed-form noise floor for the spin-1/2 scenario A = S_x, L1 = S_z,
-    which needs the Yanase condition too."""
-    terms = bound_terms(model, pair)
-    sx, sy, sz = _spin_xyz()
+    which needs the Yanase condition too. There [A, L1] = -i S_y, so the floor
+    <S_y>^2 / (4 var(S_z, psi) + 4 var(L2, xi)) is the Yanase bound itself."""
+    check_pair(model, pair)
+    sx, _, sz = _spin_xyz()
     # the first part of the scenario the model lacks
     if model.object_dim != 2:
         gap = "a two-level object"
@@ -304,10 +286,7 @@ def spin_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> flo
         gap = None
     if gap:
         raise PreconditionError(f"not the spin scenario: needs {gap}")
-    require_yanase(terms.yanase_residual)
-    mean_sy = expectation(sy, psi)
-    den = 4.0 * variance(sz, psi) + 4.0 * terms.var_l2
-    return _bounded_ratio(mean_sy ** 2, den)
+    return yanase_bound(model, pair, psi)
 
 
 def optimal_spin_bound(delta_mz_sq: float) -> float:
@@ -365,32 +344,29 @@ class BoundReport:
 def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> BoundReport:
     """Evaluate everything that applies to (model, pair, psi) in one record.
 
-    A field whose function raises PreconditionError is None, with the message
-    as its null reason. The dense checks share one total L1 x I + I x L2, one
-    ACL residual, one noise operator and one commutator of the two; they stay
-    independent of the reduced form.
+    Each field is the value of the public function of the same name; one
+    whose function raises PreconditionError is None, with the message as its
+    null reason. The chain checks build their own dense terms, apart from the
+    reduced form: [U, L] for the ACL, [N, L] and the lifts of [M, L2] and
+    [A, L1] for the identity, and only N v and L v for the uncertainty pair.
     """
     terms = bound_terms(model, pair)
-    ltot = pair.total()
-    acl = _acl_residual(model, ltot)
     eps = noise(model, psi)
     fb = fundamental_bound(model, pair, psi)
-    n = noise_operator(model)
-    comm = _commutator_matrix(n, ltot)
     optional, reasons = {}, {}
     for name, fn, args in (("yanase_bound", yanase_bound, (model, pair, psi)),
                            ("spin_bound", spin_bound, (model, pair, psi)),
-                           ("commutator_identity_residual", _identity_residual,
-                            (model, pair, comm, acl))):
+                           ("commutator_identity_residual", commutator_identity_residual,
+                            (model, pair))):
         try:
             optional[name] = fn(*args)
         except PreconditionError as exc:
             optional[name], reasons[name] = None, str(exc)
-    lhs, rhs = _robertson_pair(model.composite_state(psi), n, ltot, comm)
+    lhs, rhs = uncertainty_pair(model, pair, psi)
     return BoundReport(
         eps_sq=eps * eps,
         fundamental_bound=fb,
-        acl_residual=acl,
+        acl_residual=acl_residual(model, pair),
         yanase_residual=terms.yanase_residual,
         uncertainty_lhs=lhs,
         uncertainty_rhs=rhs,

@@ -525,8 +525,8 @@ def oscillator_probe(n_max: int, amps: CoherentAmplitudes):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One size of the probe-size sweep; achieved is NaN when that size failed,
-    and var_mz and bound too when its probe was never built."""
+    """One size of the probe-size sweep, searched with seed ``seed``; achieved is
+    NaN when that size failed, and var_mz and bound too when its probe was never built."""
 
     family: str
     size: float
@@ -543,7 +543,7 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> l
 
     The spin scenario is fixed (A = S_x, L1 = S_z, input state y-up). An
     oscillator size v is |alpha|^2 = |beta|^2 = v/2 at its ``fock_cutoff``.
-    Per-size failures are recorded in the row and the sweep continues.
+    Row k searches with seed config.seed + k; a failure is kept in its row, and the sweep goes on.
     """
     if family not in ("spin_ladder", "oscillator"):
         raise ValueError(f"unknown probe family {family!r}")
@@ -551,6 +551,7 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> l
     psi = named_state("alpha_y")
     rows = []
     for index, size in enumerate(sizes):
+        row_config = replace(config, seed=config.seed + index)
         # a row whose probe was never built has no variance and no bound
         var = bound = math.nan
         try:
@@ -563,12 +564,10 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> l
             pair = ConservationPair(L1=sz, L2=l2)
             var = variance(l2, xi)
             bound = optimal_spin_bound(var)
-            run = optimize_noise(sx, pair, m, xi, psi,
-                                 replace(config, seed=config.seed + index))
-            achieved = run.final_objective
+            achieved = optimize_noise(sx, pair, m, xi, psi, row_config).final_objective
             rows.append(SweepRow(family, float(size), var, bound, achieved,
-                                 achieved / bound, config.seed))
+                                 achieved / bound, row_config.seed))
         except (ValueError, PreconditionError, ArithmeticError) as exc:
             rows.append(SweepRow(family, float(size), var, bound, math.nan, math.nan,
-                                 config.seed, error=str(exc)))
+                                 row_config.seed, error=str(exc)))
     return rows

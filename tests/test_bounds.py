@@ -122,6 +122,60 @@ def test_uncertainty_pair_commuting_case():
     assert rhs == pytest.approx(0.0, abs=1e-14)
 
 
+def _dense_robertson(model, pair, psi):
+    """(var(N) var(L), |<v|[N, L]|v>|^2 / 4) in v = psi x xi, with N and
+    L = L1 x I + I x L2 built by np.kron on the composite space."""
+    io, ip = np.eye(model.object_dim), np.eye(model.probe_dim)
+    u = model.U.matrix
+    n = u.conj().T @ np.kron(io, model.M.matrix) @ u - np.kron(model.A.matrix, ip)
+    total = np.kron(pair.L1.matrix, ip) + np.kron(io, pair.L2.matrix)
+    v = np.kron(psi.amplitudes, model.xi.amplitudes)
+
+    def var(x):
+        xv = x @ v
+        return np.vdot(xv, xv).real - np.vdot(v, xv).real ** 2
+
+    return var(n) * var(total), abs(np.vdot(v, (n @ total - total @ n) @ v)) ** 2 / 4.0
+
+
+def test_uncertainty_pair_matches_the_kron_oracle():
+    # Robertson's relation needs no conservation law, so the oracle covers
+    # conservative, non-Yanase and non-conservative models alike
+    rng = np.random.default_rng(RNG_SEED + 6)
+    sx, _, sz = w.spin_operators()
+    cases = [random_conservative_model(rng, yanase=yanase)
+             for yanase in (True, False) for _ in range(20)]
+    for _ in range(20):
+        od, pd = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+        model = w.MeasurementModel(od, pd, w.random_ket(pd, rng), w.random_unitary(od * pd, rng),
+                                   w.random_hermitian(pd, rng), w.random_hermitian(od, rng))
+        pair = w.ConservationPair(L1=w.random_hermitian(od, rng), L2=w.random_hermitian(pd, rng))
+        assert w.acl_residual(model, pair) > 0.1
+        cases.append((model, pair))
+    cnot = w.MeasurementModel(2, 2, w.spin_basis("x").up,
+                              w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sx)
+    cases.append((cnot, w.ConservationPair(L1=sz, L2=sz)))
+    for model, pair in cases:
+        psi = w.random_ket(model.object_dim, rng)
+        lhs, rhs = w.uncertainty_pair(model, pair, psi)
+        dense_lhs, dense_rhs = _dense_robertson(model, pair, psi)
+        assert lhs == pytest.approx(dense_lhs, rel=1e-12)
+        assert rhs == pytest.approx(dense_rhs, rel=1e-12)
+
+
+def test_uncertainty_pair_alarm_on_a_broken_variance(monkeypatch):
+    # Robertson's relation is a theorem, so only a broken variance can trip it
+    import waylimit.bounds as bounds_module
+
+    swap, pair = w.swap_demo_model()
+    # the swap demo with U a CNOT has rhs 1/16 at y-up
+    model = w.MeasurementModel(2, 2, swap.xi, w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP),
+                               swap.M, swap.A)
+    monkeypatch.setattr(bounds_module, "_moment_variance", lambda second, mean: 0.0)
+    with pytest.raises(w.TheoremViolation, match="uncertainty relation failed"):
+        w.uncertainty_pair(model, pair, w.spin_basis("y").up)
+
+
 def test_variance_additivity_exact_cases():
     _, _, sz = w.spin_operators()
     pair = w.ConservationPair(L1=sz, L2=sz)
@@ -237,6 +291,18 @@ def test_spin_bound_scenario_preconditions():
                                w.Operator.unitary(np.eye(4)), sz, sz)
     with pytest.raises(w.PreconditionError):
         w.spin_bound(model, pair, w.spin_basis("y").up)  # A != S_x
+
+
+def test_spin_bound_matches_the_closed_form_oracle():
+    # [S_x, S_z] = -i S_y, so the floor is <S_y>^2 / (4 var(S_z, psi) + 4 var(L2, xi))
+    rng = np.random.default_rng(RNG_SEED + 7)
+    _, sy, sz = w.spin_operators()
+    for _ in range(100):
+        model, pair = random_conservative_model(rng, object_dim=2, spin_scenario=True)
+        psi = w.random_ket(2, rng)
+        oracle = w.expectation(sy, psi) ** 2 \
+            / (4.0 * w.variance(sz, psi) + 4.0 * w.variance(pair.L2, model.xi))
+        assert w.spin_bound(model, pair, psi) == pytest.approx(oracle, rel=1e-15)
 
 
 def test_optimal_spin_bound_values():
@@ -372,93 +438,6 @@ def test_bound_report_demo_models():
     assert report.yanase_bound == pytest.approx(0.125, abs=1e-12)
     assert report.spin_bound == pytest.approx(0.125, abs=1e-12)
     assert report.violations() == ()
-
-
-def _count_builds(monkeypatch):
-    """Count Operator constructions and tensor/identity calls made from any
-    waylimit module while the test runs."""
-    import sys
-
-    import waylimit.linalg as linalg_module
-
-    counts = {"Operator": 0, "tensor": 0, "identity": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(w.Operator, "__post_init__",
-                        counted("Operator", w.Operator.__post_init__))
-    for key in ("tensor", "identity"):
-        original = getattr(linalg_module, key)
-        wrapper = counted(key, original)
-        for name, module in list(sys.modules.items()):
-            if name == "waylimit" or name.startswith("waylimit."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
-    return counts
-
-
-def test_bound_report_builds_the_dense_terms_once(monkeypatch):
-    import waylimit.bounds as bounds_module
-
-    calls = {"total": 0, "acl": 0}
-
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(w.ConservationPair, "total",
-                        counted("total", w.ConservationPair.total))
-    monkeypatch.setattr(bounds_module, "_acl_residual",
-                        counted("acl", bounds_module._acl_residual))
-    # operand dims of every commutator the bounds module forms; a D x D one
-    # is the dense [N, L1 x I + I x L2]
-    commutator_dims = []
-
-    def commutator(x, y, original=bounds_module._commutator_matrix):
-        commutator_dims.append(x.dim)
-        return original(x, y)
-
-    monkeypatch.setattr(bounds_module, "_commutator_matrix", commutator)
-    psi = w.spin_basis("y").up
-    model, pair = w.swap_demo_model()
-    builds = _count_builds(monkeypatch)
-    report = w.bound_report(model, pair, psi)
-    assert calls == {"total": 1, "acl": 1}
-    assert commutator_dims.count(model.U.dim) == 1
-    # composite lifts are np.kron calls: at most one tensor (the composite
-    # ket), no identity, and only the tagged dense operators the report needs
-    # (the total, the Heisenberg probe, the noise operator, and the spin
-    # operators on first use)
-    assert builds["Operator"] <= 6 and builds["tensor"] <= 1 and builds["identity"] == 0
-    model48, pair48 = random_conservative_model(np.random.default_rng(RNG_SEED),
-                                                object_dim=4, probe_dim=8)
-    builds.update(Operator=0, tensor=0, identity=0)
-    commutator_dims.clear()
-    w.bound_report(model48, pair48, w.random_ket(4, np.random.default_rng(2)))
-    assert builds["Operator"] <= 6 and builds["tensor"] <= 1 and builds["identity"] == 0
-    assert commutator_dims.count(32) == 1
-    # the shared dense terms give the values the public functions give alone
-    assert report.acl_residual == w.acl_residual(model, pair)
-    assert report.commutator_identity_residual == w.commutator_identity_residual(model, pair)
-    assert (report.uncertainty_lhs, report.uncertainty_rhs) == w.uncertainty_pair(model, pair, psi)
-    rng = np.random.default_rng(RNG_SEED)
-    for _ in range(5):
-        model, pair = random_conservative_model(rng, yanase=False)
-        psi = w.random_ket(model.object_dim, rng)
-        report = w.bound_report(model, pair, psi)
-        assert report.acl_residual == w.acl_residual(model, pair)
-        assert report.commutator_identity_residual == \
-            w.commutator_identity_residual(model, pair)
-        assert (report.uncertainty_lhs, report.uncertainty_rhs) == \
-            w.uncertainty_pair(model, pair, psi)
-
 
 
 # Reduced-form figures against composite-space np.kron formulas. The models
@@ -695,14 +674,18 @@ def test_shared_state_pass_still_checks_each_ket():
             assert bound(model, pair, psi) == bound(_rebuilt(model), pair, psi)
 
 
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), object_dim=st.integers(2, 4),
-       probe_dim=st.integers(2, 6), yanase=st.booleans(), spin=st.booleans())
+       probe_dim=st.integers(2, 6), yanase=st.booleans(), spin=st.booleans(),
+       conservative=st.booleans())
 def test_bound_report_fields_equal_the_public_functions(seed, object_dim, probe_dim,
-                                                        yanase, spin):
+                                                        yanase, spin, conservative):
     rng = np.random.default_rng(seed)
     model, pair = random_conservative_model(
         rng, object_dim, probe_dim, spin_scenario=spin and object_dim == 2, yanase=yanase)
+    if not conservative:
+        model = w.MeasurementModel(model.object_dim, model.probe_dim, model.xi,
+                                   w.random_unitary(model.U.dim, rng), model.M, model.A)
     psi = w.random_ket(model.object_dim, rng)
     report = w.bound_report(model, pair, psi)
     fresh = _rebuilt(model)
@@ -710,13 +693,19 @@ def test_bound_report_fields_equal_the_public_functions(seed, object_dim, probe_
     assert report.eps_sq == eps * eps
     assert report.fundamental_bound == w.fundamental_bound(fresh, pair, psi)
     assert report.yanase_residual == w.yanase_residual(model.M, pair.L2)
-    for name in ("yanase_bound", "spin_bound"):
+    assert report.acl_residual == w.acl_residual(fresh, pair)
+    assert (report.uncertainty_lhs, report.uncertainty_rhs) == \
+        w.uncertainty_pair(fresh, pair, psi)
+    for name in ("yanase_bound", "spin_bound", "commutator_identity_residual"):
+        args = (fresh, pair) if name == "commutator_identity_residual" else (fresh, pair, psi)
         if name in report.null_reasons:
             assert getattr(report, name) is None
-            with pytest.raises(w.PreconditionError):
-                getattr(w, name)(fresh, pair, psi)
+            with pytest.raises(w.PreconditionError) as info:
+                getattr(w, name)(*args)
+            assert str(info.value) == report.null_reasons[name]
         else:
-            assert getattr(report, name) == getattr(w, name)(fresh, pair, psi)
+            assert getattr(report, name) == getattr(w, name)(*args)
+    assert ("commutator_identity_residual" in report.null_reasons) is not conservative
     dense = dense_figures(model, pair, psi)
     assert report.fundamental_bound == pytest.approx(dense[2], rel=ORACLE_TOL, abs=ORACLE_TOL)
     if report.yanase_bound is not None:

@@ -347,6 +347,25 @@ def test_sweep_deterministic_and_formatted(tmp_path, capsys):
         float(fields[3])  # parses without locale surprises
 
 
+def test_sweep_rows_record_the_seed_they_ran_with(tmp_path, capsys):
+    out = tmp_path / "seeds.csv"
+    search = {"restarts": 2, "max_iters": 15}
+    code, _, _ = run_cli(capsys, "sweep", "--family", "spin_ladder", "--sizes", "2,3",
+                         "--seed", "3", "--restarts", "2", "--max-iters", "15",
+                         "--out", str(out))
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [row[6] for row in rows] == ["3", "4"]
+    # optimize at a row's seed, with the same search settings, is that row's search
+    config = tmp_path / "config.json"
+    for row in rows:
+        config.write_text(json.dumps({"seed": int(row[6]), **search, "probe": {
+            "family": "spin_ladder", "size": int(row[1])}}))
+        code, out_text, _ = run_cli(capsys, "optimize", str(config))
+        assert code == 0
+        assert json.loads(out_text)["final_objective"] == float(row[4])
+
+
 def test_sweep_oscillator_bound_column(tmp_path, capsys):
     out = tmp_path / "osc.csv"
     code, _, _ = run_cli(capsys, "sweep", "--family", "oscillator",
@@ -367,6 +386,8 @@ def test_sweep_oscillator_bound_column(tmp_path, capsys):
     # its failed row has neither a variance nor a bound
     assert math.isnan(rows[2][3])
     assert math.isnan(rows[2][1]) and math.isnan(bounds[2])
+    # each row, the failed one too, records the seed its search was given
+    assert [row[5] for row in rows] == [3.0, 4.0, 5.0]
 
 
 def test_sweep_rejects_bad_sizes(tmp_path, capsys):

@@ -249,6 +249,8 @@ def test_sweep_records_failures_in_row():
     # the probe was never built, so it has neither a variance nor a bound
     assert np.isnan(rows[1].var_mz)
     assert np.isnan(rows[1].bound)
+    # row k searched with seed config.seed + k, the failed row too
+    assert [row.seed for row in rows] == [13, 14]
 
 
 def test_oscillator_sweep_computes_every_size_up_to_the_cutoff_limit():
