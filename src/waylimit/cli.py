@@ -9,8 +9,10 @@ files ignore keys outside their table; an ``optimize`` config rejects unknown
 keys at every level. Exit codes are 0 (all applicable inequalities hold), 1
 (input problem, a sweep in which every size failed, or an internal error,
 which is labeled as such), and 2 (an inequality that is a theorem failed, the
-regression alarm). Set WAYLIMIT_DEBUG=1 to print the traceback of an
-internal error.
+regression alarm). A library ValueError raised where a command reads its
+input comes from that input: ``_input_errors`` makes it an input error. One
+raised inside the search is a bug, an internal error. Set WAYLIMIT_DEBUG=1
+to print the traceback of an internal error.
 
 ``verify`` and ``demo`` need neither the optimizer nor the oscillator
 module, so ``sweep`` and ``optimize`` import what they use when they run;
@@ -20,10 +22,12 @@ a cold ``verify`` then compiles and loads only the modules it runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -39,7 +43,6 @@ from .linalg import (
     PRECONDITION_TOL,
     PreconditionError,
     STRUCTURE_TOL,
-    StructureError,
     TheoremViolation,
 )
 from .measurement import MeasurementModel
@@ -74,6 +77,18 @@ class CliInputError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliInputError(message)
+
+
+@contextmanager
+def _input_errors(where: str = ""):
+    """A library ValueError raised in the block becomes an input error, its
+    message after ``where: ``; a CliInputError passes through unchanged."""
+    try:
+        yield
+    except CliInputError:
+        raise
+    except ValueError as exc:
+        raise CliInputError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +154,8 @@ def ket_to_json(ket: Ket):
 
 def ket_from_json(value, path: str, normalized: bool = True) -> Ket:
     amps = _complex_list(value, path)
-    try:
+    with _input_errors(path):
         return Ket(np.array(amps), normalized=normalized)
-    except (StructureError, ValueError) as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
 
 
 def operator_to_json(op: Operator):
@@ -155,10 +168,8 @@ def operator_from_json(value, path: str, tag: str) -> Operator:
         if len(_typed(row, f"{path}[{i}]", "array")) != len(value):
             raise CliInputError(f"{path}: row {i} does not make the matrix square")
         rows.append(_complex_list(row, f"{path}[{i}]"))
-    try:
+    with _input_errors(path):
         return Operator(np.array(rows), frozenset({tag}))
-    except (StructureError, ValueError) as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
 
 
 def _sanitize(value):
@@ -180,10 +191,11 @@ def _dump_json(payload) -> str:
     return json.dumps(_sanitize(payload), indent=2) + "\n"
 
 
-def _fmt(x: float) -> str:
-    """CSV number format: 17 significant digits, locale independent, JSON sentinels."""
+def _fmt(x) -> str:
+    """CSV field format: a string as it is, an integer in full, a float to 17
+    significant digits, locale independent, with the JSON sentinels."""
     s = _sanitize(x)
-    return s if isinstance(s, str) else f"{x:.17g}"
+    return str(s) if isinstance(s, (str, int)) else f"{x:.17g}"
 
 
 def _no_constants(where: str):
@@ -196,16 +208,13 @@ def _no_constants(where: str):
 def _parse_json(text: str, where: str, malformed) -> object:
     """text parsed as JSON, or an input error naming where; malformed(exc)
     words a json.JSONDecodeError, which each caller words its own way."""
-    try:
-        return json.loads(text, parse_constant=_no_constants(where))
-    except json.JSONDecodeError as exc:
-        raise CliInputError(malformed(exc)) from exc
-    except CliInputError:
-        raise
-    except RecursionError:
-        raise CliInputError(f"{where}: JSON nested too deeply to read") from None
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise CliInputError(f"{where}: {exc}") from exc
+    with _input_errors(where):  # an integer literal past Python's digit limit
+        try:
+            return json.loads(text, parse_constant=_no_constants(where))
+        except json.JSONDecodeError as exc:
+            raise CliInputError(malformed(exc)) from exc
+        except RecursionError:
+            raise CliInputError(f"{where}: JSON nested too deeply to read") from None
 
 
 def _read_json(path: str):
@@ -287,12 +296,10 @@ def model_to_dict(model: MeasurementModel, pair: ConservationPair,
 
 def model_from_dict(doc: dict):
     f, metadata = _model_file(doc, _MODEL_FIELDS)
-    try:
+    with _input_errors():
         model = MeasurementModel(f["object_dim"], f["probe_dim"], f["xi"], f["U"], f["M"], f["A"])
         pair = ConservationPair(L1=f["L1"], L2=f["L2"])
         check_pair(model, pair)
-    except (DimensionMismatch, StructureError, ValueError) as exc:
-        raise CliInputError(str(exc)) from exc
     return model, pair, metadata
 
 
@@ -302,10 +309,8 @@ def yw_model_to_dict(yw: YWModel, name: str = "", description: str = "") -> dict
 
 def yw_model_from_dict(doc: dict):
     fields, metadata = _model_file(doc, _YW_FIELDS)
-    try:
+    with _input_errors():
         return YWModel(**fields), None, metadata
-    except (StructureError, ValueError) as exc:
-        raise CliInputError(str(exc)) from exc
 
 
 def load_model_file(path: str):
@@ -340,17 +345,12 @@ def _parse_state(spec, object_dim: int, path: str = "--state") -> Ket:
 # verify
 
 
-_REPORT_FIELDS = ("eps_sq", "fundamental_bound", "yanase_bound", "spin_bound", "acl_residual",
-                  "yanase_residual", "commutator_identity_residual", "uncertainty_lhs",
-                  "uncertainty_rhs")
-
-
 def _environment(seed: Optional[int]) -> dict:
     return {"tool_version": __version__, "seed": seed, "tolerances": dict(TOLERANCES)}
 
 
 def _csv_field(value: str) -> str:
-    if any(c in value for c in ',"\n'):
+    if any(c in value for c in ',"\r\n'):
         return '"' + value.replace('"', '""') + '"'
     return value
 
@@ -391,7 +391,8 @@ def cmd_verify(args) -> int:
         fields, violations = _yw_figures(model, args.state)
         return _emit_verify(args, name, fields, violations, {"kind": "yw_model"}, {})
     report = bound_report(model, pair, _parse_state(args.state, model.object_dim))
-    fields = {key: getattr(report, key) for key in _REPORT_FIELDS}
+    # the report's fields in order; its null reasons are a note of the JSON only
+    fields = {key: value for key, value in vars(report).items() if key != "null_reasons"}
     return _emit_verify(args, name, fields, report.violations(), {},
                         {"null_reasons": dict(report.null_reasons)})
 
@@ -401,32 +402,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .optimizer import OptimizerConfig, sweep_probe_size
+    from .optimizer import OptimizerConfig, SweepRow, sweep_probe_size
 
     parse_size = int if args.family == "spin_ladder" else float
-    try:
+    with _input_errors("--sizes"):
         sizes = [parse_size(s) for s in args.sizes.split(",") if s]
-    except ValueError as exc:
-        raise CliInputError(f"--sizes: {exc}") from exc
     if not sizes:
         raise CliInputError("--sizes: need at least one size")
     bad = [s for s in sizes if not (math.isfinite(s) and s >= 0)]
     if bad:
         raise CliInputError(f"--sizes: sizes must be finite and nonnegative, got {bad[0]!r}")
-    try:
+    with _input_errors():
         config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters,
                                  seed=args.seed)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
     rows = sweep_probe_size(args.family, sizes, config)
-    lines = ["family,size,var_mz,bound,achieved,gap_ratio,seed"]
+    # the row's fields in order; a failure goes to stderr instead
+    columns = [f.name for f in dataclasses.fields(SweepRow) if f.name != "error"]
+    lines = [",".join(columns)]
     for row in rows:
         if row.error:
             print(f"size {_fmt(row.size)} failed: {row.error}", file=sys.stderr)
-        lines.append(",".join([
-            row.family, _fmt(row.size), _fmt(row.var_mz), _fmt(row.bound),
-            _fmt(row.achieved), _fmt(row.gap_ratio), str(row.seed),
-        ]))
+        lines.append(",".join(_fmt(getattr(row, key)) for key in columns))
     _write_text(args.out, "\n".join(lines) + "\n")
     # a sweep in which no size succeeded must not look like a success
     return 1 if all(row.error for row in rows) else 0
@@ -455,10 +451,8 @@ def _swap_theta(basis) -> np.ndarray:
     if basis.conserved.dim != 4:
         raise CliInputError("theta0 'swap' needs a two-qubit composite space")
     h = Operator.hermitian((np.pi / 2.0) * (np.eye(4) - SWAP))
-    try:
+    with _input_errors("theta0 'swap' is not conservative here"):
         return hermitian_coordinates(basis, h)
-    except ValueError as exc:
-        raise CliInputError(f"theta0 'swap' is not conservative here: {exc}") from exc
 
 
 # the fields of an explicit probe: key -> form, as in the model-file tables
@@ -505,17 +499,13 @@ def _load_optimize_config(path: str):
     _config_object(probe, "probe", _PROBE_KEYS[form])
     if form == "spin_ladder":
         size = _typed(probe.get("size", 2), "probe.size", "integer")
-        try:
+        with _input_errors("probe.size"):
             l2, m, xi = spin_ladder_probe(size)
-        except ValueError as exc:
-            raise CliInputError(f"probe.size: {exc}") from exc
     elif form == "oscillator":
         amps = CoherentAmplitudes(*(_complex_from_json(probe.get(k, [0.0, 0.0]), f"probe.{k}")
                                     for k in ("alpha", "beta")))
-        try:
+        with _input_errors("probe"):
             l2, m, xi = oscillator_probe(fock_cutoff(amps), amps)
-        except ValueError as exc:
-            raise CliInputError(f"probe: {exc}") from exc
     else:
         l2, m, xi = _read_fields(probe, _PROBE_FIELDS, "probe.").values()
 
@@ -537,10 +527,8 @@ def _load_optimize_config(path: str):
     # only the settings the file gives; the defaults live in OptimizerConfig
     settings = {key: _typed(doc[key], key, kind)
                 for key, kind in _CONFIG_TYPES.items() if key in doc}
-    try:
+    with _input_errors("config"):
         config = OptimizerConfig(theta0=theta0_value, **settings)
-    except ValueError as exc:
-        raise CliInputError(f"config: {exc}") from exc
     return a, pair, m, xi, psi, config
 
 
@@ -553,20 +541,11 @@ def cmd_optimize(args) -> int:
     except (DimensionMismatch, PreconditionError) as exc:
         # the config's operators do not fit together or break the Yanase condition
         raise CliInputError(str(exc)) from exc
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "seed": run.seed,
-        "objective": config.objective,
-        "final_objective": run.final_objective,
-        "bound_value": run.bound_value,
-        "converged": run.converged,
-        "theta": [float(t) for t in run.theta],
-        "objective_trace": list(run.objective_trace),
-        "restart_final_objectives": list(run.restart_final_objectives),
-        "result_model": model_to_dict(run.result_model, pair, name="optimized"),
-        "environment": _environment(run.seed),
-    }
-    text = _dump_json(payload)
+    # the run's fields in order; the array and the model are converted in place
+    text = _dump_json({"schema": SCHEMA_VERSION, **vars(run),
+                       "theta": [float(t) for t in run.theta],
+                       "result_model": model_to_dict(run.result_model, pair, name="optimized"),
+                       "environment": _environment(run.seed)})
     if args.out:
         _write_text(args.out, text)
     else:

@@ -263,21 +263,23 @@ class OptimizerConfig:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.max_iters < 0:
-            raise ValueError("invalid optimizer parameters")
+            raise ValueError("max_iters must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationRun:
-    """Record of one optimization: winning restart plus per-restart summaries."""
+    """Record of one optimization: winning restart plus per-restart summaries.
+    The fields are in the order in which ``waylimit optimize`` writes them."""
 
     seed: int
+    objective: str
+    final_objective: float
+    bound_value: float
+    converged: bool
     theta: np.ndarray
     objective_trace: tuple
-    result_model: MeasurementModel
-    bound_value: float
-    final_objective: float
-    converged: bool
     restart_final_objectives: tuple
+    result_model: MeasurementModel
 
 
 def numerical_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -477,6 +479,7 @@ def optimize_noise(a: Operator, pair: ConservationPair, m: Operator, xi0: Ket,
     floor = yanase_bound(model, pair, psi)
     return OptimizationRun(
         seed=config.seed,
+        objective=config.objective,
         theta=np.array(theta, dtype=float),
         objective_trace=best_trace,
         result_model=model,

@@ -1,5 +1,8 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -305,9 +308,6 @@ def test_verify_pair_dimension_is_an_input_error(tmp_path, capsys, field, messag
 
 
 def test_verify_inline_state_and_csv(tmp_path, capsys):
-    import csv
-    import io
-
     _, out, _ = run_cli(capsys, "demo", "trivial")
     path = tmp_path / "trivial.json"
     path.write_text(out)
@@ -318,6 +318,41 @@ def test_verify_inline_state_and_csv(tmp_path, capsys):
     assert header[:3] == ["model_name", "state", "eps_sq"]
     assert row[1] == state  # comma-bearing field survives quoting
     assert float(row[2]) == pytest.approx(0.25, abs=1e-12)
+
+
+def _record_fields(record, *left_out):
+    return [f.name for f in dataclasses.fields(record) if f.name not in left_out]
+
+
+def test_verify_outputs_follow_the_bound_report(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "demo", "swap")
+    path = tmp_path / "swap.json"
+    path.write_text(out)
+    figures = _record_fields(w.BoundReport, "null_reasons")
+    code, out, _ = run_cli(capsys, "verify", str(path), "--csv")
+    assert code == 0
+    header, row = list(csv.reader(io.StringIO(out, newline="")))
+    assert header == ["model_name", "state", *figures, "violations"]
+    assert len(row) == len(header)
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert list(json.loads(out)) == ["schema", "model_name", "state", *figures, "violations",
+                                     "null_reasons", "environment"]
+
+
+def test_verify_csv_quotes_a_carriage_return(tmp_path, capsys):
+    # a JSON string may hold a \r, and JSON reads one as whitespace in a ket;
+    # unquoted, a \r ends the CSV record early
+    doc = json.loads(run_cli(capsys, "demo", "swap")[1])
+    doc["metadata"]["name"] = "swap\rdemo"
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(doc))
+    for state in ("alpha_y", "[[1, 0],\r[0, 0]]"):
+        code, out, _ = run_cli(capsys, "verify", str(path), "--csv", "--state", state)
+        assert code == 0
+        header, row = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(row) == len(header)
+        assert row[:2] == ["swap\rdemo", state]
 
 
 def test_verify_named_state_dimension_is_an_input_error(tmp_path, capsys):
@@ -340,6 +375,7 @@ def test_sweep_deterministic_and_formatted(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
     lines = out_a.read_text().strip().split("\n")
     assert lines[0] == "family,size,var_mz,bound,achieved,gap_ratio,seed"
+    assert lines[0].split(",") == _record_fields(w.SweepRow, "error")
     assert len(lines) == 3
     for line in lines[1:]:
         fields = line.split(",")
@@ -364,6 +400,17 @@ def test_sweep_rows_record_the_seed_they_ran_with(tmp_path, capsys):
         code, out_text, _ = run_cli(capsys, "optimize", str(config))
         assert code == 0
         assert json.loads(out_text)["final_objective"] == float(row[4])
+
+
+def test_sweep_seed_column_keeps_every_digit(tmp_path, capsys):
+    # a seed past 1e17 has more digits than a float's 17 significant ones
+    out = tmp_path / "seed.csv"
+    seed = "123456789012345678901"
+    code, _, _ = run_cli(capsys, "sweep", "--family", "spin_ladder", "--sizes", "2",
+                         "--seed", seed, "--restarts", "1", "--max-iters", "0",
+                         "--out", str(out))
+    assert code == 0
+    assert out.read_text().strip().split("\n")[1].split(",")[-1] == seed
 
 
 def test_sweep_oscillator_bound_column(tmp_path, capsys):
@@ -401,6 +448,10 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys):
         assert err.startswith("error: --sizes: ")
         # rejected before any row runs
         assert not out.exists()
+    code, _, err = run_cli(capsys, "sweep", "--family", "spin_ladder", "--sizes", ",",
+                           "--out", str(out))
+    assert (code, err) == (1, "error: --sizes: need at least one size\n")
+    assert not out.exists()
 
 
 def test_sweep_in_which_every_size_fails_exits_one(tmp_path, capsys):
@@ -420,10 +471,12 @@ def test_sweep_in_which_every_size_fails_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("option", [["--restarts", "0"], ["--max-iters", "-1"],
                                     ["--seed", "-1"]])
 def test_sweep_invalid_optimizer_options_are_input_errors(tmp_path, capsys, option):
+    message = {"--restarts": "restarts must be at least 1",
+               "--max-iters": "max_iters must be nonnegative",
+               "--seed": "seed must be nonnegative"}[option[0]]
     code, _, err = run_cli(capsys, "sweep", "--family", "spin_ladder", "--sizes", "2",
                            "--out", str(tmp_path / "x.csv"), *option)
-    assert code == 1
-    assert err.startswith("error: ")
+    assert (code, err) == (1, f"error: {message}\n")
 
 
 def test_cli_import_skips_concurrent_futures():
@@ -503,6 +556,34 @@ def test_optimize_default_config(tmp_path, capsys):
     assert run["bound_value"] == pytest.approx(0.125, abs=1e-9)
     trace = run["objective_trace"]
     assert all(a >= b - 1e-15 for a, b in zip(trace, trace[1:]))
+
+
+def test_optimize_output_follows_the_optimization_run(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"objective": "sup", "restarts": 1, "max_iters": 2}))
+    code, out, _ = run_cli(capsys, "optimize", str(config))
+    assert code == 0
+    run = json.loads(out)
+    assert list(run) == ["schema", *_record_fields(w.OptimizationRun), "environment"]
+    assert run["objective"] == "sup"
+
+
+def test_verify_reads_an_oscillator_optimize_output(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"probe": {"family": "oscillator", "alpha": [0.1, 0.0],
+                                            "beta": [0.0, 0.1]},
+                                  "restarts": 2, "max_iters": 5}))
+    out = tmp_path / "run.json"
+    assert run_cli(capsys, "optimize", str(config), "--out", str(out))[0] == 0
+    run = json.loads(out.read_text())
+    assert run["result_model"]["probe_dim"] == 16  # (n_max + 1)^2 at the derived n_max = 3
+    assert run["final_objective"] >= run["bound_value"] - 1e-9
+    code, text, _ = run_cli(capsys, "verify", str(out))
+    assert code == 0
+    report = json.loads(text)
+    assert report["eps_sq"] == run["final_objective"]
+    assert report["yanase_bound"] == run["bound_value"]
+    assert report["violations"] == []
 
 
 def test_verify_reads_an_optimize_output(tmp_path, capsys):
@@ -655,8 +736,13 @@ def test_model_dict_roundtrip_exact():
     ("yw-sample", ("probe_dim",), True, "probe_dim: expected a JSON integer, got true"),
     ("yw-sample", ("eta_plus", 0, 0), True,
      "eta_plus[0]: expected a [re, im] pair of JSON numbers, got [true, 0.0]"),
+    ("swap", ("schema",), "v2", "schema: expected 'v1', got 'v2'"),
+    ("swap", ("U", 0), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+     "U: row 0 does not make the matrix square"),
+    ("yw-sample", ("xi_plus",), [[0.1, 0.0], [0.0, 0.0]], "xi_plus has dim 2, expected 4"),
 ], ids=["xi-bool", "U-bool", "probe_dim-bool", "object_dim-float", "metadata-array",
-        "metadata-string", "metadata-name-number", "yw-probe_dim-bool", "yw-eta_plus-bool"])
+        "metadata-string", "metadata-name-number", "yw-probe_dim-bool", "yw-eta_plus-bool",
+        "schema-v2", "U-short-row", "yw-xi_plus-dim"])
 def test_model_file_problems_are_input_errors(tmp_path, capsys, demo, where, value, message):
     doc = json.loads(run_cli(capsys, "demo", demo)[1])
     target = doc
@@ -745,6 +831,31 @@ def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, fie
     assert code == 1
     assert err.startswith("error: ")
     assert field in err
+
+
+@pytest.mark.parametrize("config, line", [
+    ({"object": {"A": "s_w"}},
+     "object.A: unknown observable 's_w', expected one of ['s_x', 's_y', 's_z'] or a matrix"),
+    ({"probe": {"family": "harmonic"}}, "probe.family: unknown family 'harmonic'"),
+    ({"theta0": "swap", "probe": {"family": "spin_ladder", "size": 3}},
+     "theta0 'swap' needs a two-qubit composite space"),
+    # the residual that follows depends on the basis, so only the prefix is pinned
+    ({"theta0": "swap", "object": {"L1": "s_x"}}, "theta0 'swap' is not conservative here: "),
+    ({"probe": {"family": "oscillator", "alpha": [1, 0], "beta": [1, 0]}},
+     "probe: |alpha|^2 + |beta|^2 = 2 needs n_max = 11; full oscillator interactions "
+     "are limited to n_max <= 8"),
+    ({"max_iters": -2}, "config: max_iters must be nonnegative"),
+], ids=["object-A-unknown", "probe-family-unknown", "swap-three-levels", "swap-not-conservative",
+        "oscillator-cutoff", "max_iters-negative"])
+def test_optimize_config_error_lines(tmp_path, capsys, config, line):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"restarts": 1, "max_iters": 1, **config}))
+    code, out, err = run_cli(capsys, "optimize", str(path))
+    assert (code, out) == (1, "")
+    if line.endswith(": "):
+        assert err.startswith(f"error: {line}") and err.count("\n") == 1
+    else:
+        assert err == f"error: {line}\n"
 
 
 def test_optimize_config_n_max_is_refused_with_the_rule(tmp_path, capsys):
