@@ -138,14 +138,8 @@ def _complex_from_json(value, path: str) -> complex:
 
 def _complex_list(value, path: str) -> list:
     """A JSON array of [re, im] pairs; entry k is named path[k] in errors."""
-    entries = _typed(value, path, "array")
-    try:
-        return [_complex_from_json(z, path) for z in entries]
-    except CliInputError:
-        # name the entry only now, so that a valid array formats no paths
-        for k, z in enumerate(entries):
-            _complex_from_json(z, f"{path}[{k}]")
-        raise
+    return [_complex_from_json(z, f"{path}[{k}]")
+            for k, z in enumerate(_typed(value, path, "array"))]
 
 
 def ket_to_json(ket: Ket):

@@ -49,7 +49,6 @@ from .measurement import MeasurementModel, noise, sup_noise
 from .oscillator import (
     CoherentAmplitudes,
     FockSpace,
-    MAX_CUTOFF,
     fock_cutoff,
     m_z_operator,
     two_mode_coherent_state,
@@ -58,6 +57,7 @@ from .spin import named_state, spin_operators
 
 INIT_STEP = 0.5
 MAX_BACKTRACKS = 40
+MAX_CUTOFF = 8  # largest oscillator n_max with full interactions (D = 162, 822 parameters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,12 +515,13 @@ def oscillator_probe(n_max: int, amps: CoherentAmplitudes):
     The composite space has D = 2 (n_max + 1)^2 dimensions. One objective
     evaluation, and one gradient, costs O(D^3) = O(n_max^6) in products with
     the D x D eigenvector matrix (the sector eigendecompositions are smaller);
-    the interaction has O(n_max^3) parameters. Full interactions are offered
-    up to MAX_CUTOFF; the variance law is validated at larger cutoffs elsewhere.
+    the interaction has O(n_max^3) parameters. This is the one place that
+    refuses n_max above MAX_CUTOFF, naming the amplitudes; the variance law is
+    validated at larger cutoffs elsewhere.
     """
     if n_max > MAX_CUTOFF:
-        raise ValueError(
-            f"full oscillator interactions are limited to n_max <= {MAX_CUTOFF}")
+        raise ValueError(f"|alpha|^2 + |beta|^2 = {amps.magnitude_sq:.6g} needs n_max = {n_max}; "
+                         f"full oscillator interactions are limited to n_max <= {MAX_CUTOFF}")
     space = FockSpace(n_max)
     l2 = m_z_operator(space)
     return l2, record_observable(l2), two_mode_coherent_state(amps, space)

@@ -10,14 +10,14 @@ y index fastest.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import optimal_spin_bound
 from .linalg import TAIL_TOL, Ket, Operator, tensor
-
-MAX_CUTOFF = 8  # largest n_max with full interactions (D = 162, 822 parameters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,43 +59,42 @@ def number_operator(levels: int) -> Operator:
     return Operator.hermitian(np.diag(np.arange(levels, dtype=float)))
 
 
-def _fock_weights(amp: complex, n_max: int):
-    """Fock weights 0..n_max of a coherent state and the mass they keep."""
-    weights = np.empty(n_max + 1, dtype=np.complex128)
-    weights[0] = np.exp(-0.5 * abs(amp) ** 2)
-    for n in range(n_max):
-        weights[n + 1] = weights[n] * amp / np.sqrt(n + 1.0)
-    return weights, float(np.real(np.vdot(weights, weights)))
+def _fock_weights(amp: complex):
+    """Fock weights n = 0, 1, ... of a coherent state, each with the mass kept up to it."""
+    amp = complex(amp)  # numpy scalars would make each step a numpy operation
+    weight, kept = complex(math.exp(-0.5 * abs(amp) ** 2)), 0.0
+    for n in itertools.count(1):
+        kept += weight.real ** 2 + weight.imag ** 2
+        yield weight, kept
+        weight = weight * amp / math.sqrt(n)
 
 
 def fock_cutoff(amps: CoherentAmplitudes) -> int:
     """The smallest n_max at which coherent_state's tail check passes for
-    both modes; refused above MAX_CUTOFF, naming the n_max needed. Weights come
-    from _fock_weights up to a doubling cap; its recurrence runs in order, so
-    each prefix's np.vdot has coherent_state's bits."""
-    modes, n, cap = (amps.alpha, amps.beta), 0, MAX_CUTOFF
-    weights = [_fock_weights(a, cap)[0] for a in modes]
-    while short := [(w[n], kept) for w in weights
-                    if 1.0 - (kept := float(np.real(np.vdot(w[:n + 1], w[:n + 1])))) >= TAIL_TOL]:
-        # a zero weight, or one adding nothing to a kept mass > 0, lies past the Poisson peak
-        if any(last == 0 or 0 < kept == kept + abs(last) ** 2 for last, kept in short):
-            raise ValueError(f"no cutoff holds |alpha|^2 + |beta|^2 = {amps.magnitude_sq:.6g}")
-        n += 1
-        if n > cap:
-            cap *= 2
-            weights = [_fock_weights(a, cap)[0] for a in modes]
-    if n > MAX_CUTOFF:
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {amps.magnitude_sq:.6g} needs n_max = {n}; "
-                         f"full oscillator interactions are limited to n_max <= {MAX_CUTOFF}")
-    return n
+    both modes: each mode reads the weights until its dropped tail is below
+    TAIL_TOL. Refused when the weights underflow before that."""
+    cutoffs = []
+    for amp in (amps.alpha, amps.beta):
+        previous = 0.0
+        for n, (weight, kept) in enumerate(_fock_weights(amp)):
+            if not 1.0 - kept >= TAIL_TOL:  # coherent_state's tail check passes
+                break
+            # a zero weight, or one adding nothing to a kept mass > 0, lies past the Poisson peak
+            if weight == 0 or 0 < previous == kept:
+                raise ValueError(f"no cutoff holds |alpha|^2 + |beta|^2 = {amps.magnitude_sq:.6g}")
+            previous = kept
+        cutoffs.append(n)
+    return max(cutoffs)
 
 
 def coherent_state(amp: complex, n_max: int) -> Ket:
-    """Truncated coherent state, renormalized; the tail it drops must be below TAIL_TOL."""
-    weights, kept = _fock_weights(amp, n_max)
+    """Coherent state truncated at n_max, renormalized; the tail it drops must be
+    below TAIL_TOL, the check ``fock_cutoff`` meets."""
+    weights = list(itertools.islice(_fock_weights(amp), n_max + 1))
+    kept = weights[-1][1]
     if 1.0 - kept >= TAIL_TOL:
         raise ValueError(f"cutoff too small: truncated tail mass {1.0 - kept:.3e} >= {TAIL_TOL:g}")
-    return Ket(weights / np.sqrt(kept))
+    return Ket(np.array([weight for weight, _ in weights]) / math.sqrt(kept))
 
 
 def two_mode_coherent_state(amps: CoherentAmplitudes, space: FockSpace) -> Ket:

@@ -126,13 +126,13 @@ class YWModel:
     M: Operator
 
     def __post_init__(self):
-        for name in ("xi", "xi_plus", "xi_minus", "eta_plus", "eta_minus"):
-            ket = getattr(self, name)
-            if ket.dim != self.probe_dim:
-                raise ValueError(f"{name} has dim {ket.dim}, expected {self.probe_dim}")
+        for name in ("xi", "xi_plus", "xi_minus", "eta_plus", "eta_minus", "M"):
+            dim = getattr(self, name).dim
+            if dim != self.probe_dim:
+                raise ValueError(f"{name} has dim {dim}, expected {self.probe_dim}")
         if not self.xi.normalized:
             raise StructureError("xi must be normalized")
-        if self.M.dim != self.probe_dim or not self.M.has("hermitian"):
+        if not self.M.has("hermitian"):
             raise StructureError("M must be hermitian on the probe space")
 
         plus = self.xi_plus.norm_sq() + self.eta_plus.norm_sq()

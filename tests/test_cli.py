@@ -675,6 +675,38 @@ def test_theorem_violation_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     assert "theorem violation" in err
 
 
+def test_optimizer_soundness_alarm_fires(tmp_path, capsys, monkeypatch):
+    # a floor above every reachable noise stands in for a broken bound: the
+    # check on each accepted iterate must raise, and optimize must exit 2
+    import waylimit.optimizer
+
+    monkeypatch.setattr(waylimit.optimizer, "yanase_bound", lambda model, pair, psi: 2.0)
+    sx, _, sz = w.spin_operators()
+    l2, m, xi = w.spin_ladder_probe(2)
+    with pytest.raises(w.TheoremViolation,
+                       match=r"^accepted iterate has squared noise \S+ below the bound 2$"):
+        w.optimize_noise(sx, w.ConservationPair(L1=sz, L2=l2), m, xi, w.named_state("alpha_y"),
+                         w.OptimizerConfig(restarts=1, max_iters=3))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 1, "max_iters": 3}))
+    code, out, err = run_cli(capsys, "optimize", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("theorem violation: accepted iterate has squared noise ")
+
+
+def test_out_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 1, "max_iters": 1}))
+    out = tmp_path / "missing" / "out.txt"
+    for argv in (("sweep", "--family", "spin_ladder", "--sizes", "2", "--restarts", "1",
+                  "--max-iters", "1", "--out", str(out)),
+                 ("optimize", str(config), "--out", str(out))):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_exit_codes_stay_in_contract(tmp_path, capsys):
     codes = set()
     codes.add(run_cli(capsys, "demo", "swap")[0])
@@ -740,9 +772,21 @@ def test_model_dict_roundtrip_exact():
     ("swap", ("U", 0), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
      "U: row 0 does not make the matrix square"),
     ("yw-sample", ("xi_plus",), [[0.1, 0.0], [0.0, 0.0]], "xi_plus has dim 2, expected 4"),
+    ("swap", ("object_dim",), 0, "dimensions must be positive"),
+    ("swap", ("M",), [[[0.5, 0.0]]], "M has dim 1, expected probe_dim 2"),
+    ("swap", ("A",), [[[0.5, 0.0]]], "A has dim 1, expected object_dim 2"),
+    ("swap", ("U",), [], "U: operator must be a nonempty square matrix, got shape (0,)"),
+    ("yw-sample", ("M",), [[[0.5, 0.0]]], "M has dim 1, expected 4"),
+    ("yw-sample", ("M", 2, 2), [0.9, 0.0], "record spectrum [-0.5, 0.9] leaves [-1/2, 1/2]"),
+    ("yw-sample", ("eta_minus", 3), [0.2, 0.0],
+     "image norms 1, 0.99 break the isometry condition"),
+    ("yw-sample", ("eta_minus",), [[0.22360679774997896, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                   [0.0, 0.0]],
+     "image overlap 2.179e-01 breaks orthogonality"),
 ], ids=["xi-bool", "U-bool", "probe_dim-bool", "object_dim-float", "metadata-array",
         "metadata-string", "metadata-name-number", "yw-probe_dim-bool", "yw-eta_plus-bool",
-        "schema-v2", "U-short-row", "yw-xi_plus-dim"])
+        "schema-v2", "U-short-row", "yw-xi_plus-dim", "object_dim-zero", "M-dim", "A-dim",
+        "U-empty", "yw-M-dim", "yw-M-spectrum", "yw-isometry", "yw-orthogonality"])
 def test_model_file_problems_are_input_errors(tmp_path, capsys, demo, where, value, message):
     doc = json.loads(run_cli(capsys, "demo", demo)[1])
     target = doc

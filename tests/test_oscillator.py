@@ -159,10 +159,14 @@ def test_fock_cutoff_of_the_sweep_sizes():
         return w.fock_cutoff(w.CoherentAmplitudes(half, half))
 
     assert [cutoff(v) for v in (0.0, 0.005, 0.01, 0.1, 0.5, 1.0)] == [0, 2, 3, 4, 6, 8]
-    # a refusal names the cutoff it would need; weights that underflow can
-    # meet no cutoff, and the rule says so and stops
-    for size, message in ((2.0, r"needs n_max = 11; .* limited to n_max <= 8"),
-                          (2000.0, r"needs n_max = 1182; "), (2965.0, "no cutoff holds"),
-                          (1e4, "no cutoff holds")):
-        with pytest.raises(ValueError, match=message):
+    # the tail rule holds at any size; only the full interactions are limited
+    assert [cutoff(v) for v in (2.0, 2000.0)] == [11, 1182]
+    amps = w.CoherentAmplitudes(1.0, 1.0)  # size 2
+    with pytest.raises(ValueError) as refusal:
+        w.oscillator_probe(w.fock_cutoff(amps), amps)
+    assert str(refusal.value) == ("|alpha|^2 + |beta|^2 = 2 needs n_max = 11; "
+                                  "full oscillator interactions are limited to n_max <= 8")
+    # weights that underflow can meet no cutoff, and the rule says so and stops
+    for size in (2965.0, 1e4):
+        with pytest.raises(ValueError, match="no cutoff holds"):
             cutoff(size)

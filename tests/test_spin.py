@@ -86,6 +86,15 @@ def test_yw_model_validation():
                   eta_minus=w.Ket([0, 0], normalized=False),
                   M=w.Operator.hermitian(np.diag([0.5, -1.5])))
 
+    # an untagged M, though its matrix is hermitian
+    with pytest.raises(w.StructureError, match="^M must be hermitian on the probe space$"):
+        w.YWModel(probe_dim=2, xi=w.Ket([1, 0]),
+                  xi_plus=w.Ket([1, 0], normalized=False),
+                  xi_minus=w.Ket([0, 1], normalized=False),
+                  eta_plus=w.Ket([0, 0], normalized=False),
+                  eta_minus=w.Ket([0, 0], normalized=False),
+                  M=w.Operator(np.diag([0.5, -0.5])))
+
 
 def test_yw_eps_y_values():
     sample = w.yw_sample_model()
