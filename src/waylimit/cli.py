@@ -510,7 +510,7 @@ def _load_optimize_config(path: str):
     if theta0 == "zero":
         theta0_value = None
     elif theta0 == "swap":
-        theta0_value = tuple(_swap_theta(commutant_basis(pair.total())))
+        theta0_value = tuple(_swap_theta(commutant_basis(pair)))
     elif isinstance(theta0, str):
         raise CliInputError(
             f"theta0: expected 'zero', 'swap' or a JSON array, got {_excerpt(json.dumps(theta0))}")

@@ -4,12 +4,13 @@ Feasibility is exact by construction: interactions are generated as
 exp(i sum_k theta_k G_k) where the G_k span the hermitian commutant of the
 total conserved quantity, so every candidate satisfies the conservation law
 to rounding. The commutant is block diagonal in the eigenbasis of that
-quantity, so an interaction is built from one small eigendecomposition per
-eigenspace, and the same decompositions give the exact gradient
-(Daleckii-Krein divided differences). The search itself is plain local
-descent on that gradient with seeded random restarts; the lower bounds
-provide the certificate on the other side, so no global-optimality claim is
-needed or made.
+quantity, which is V1 x V2, the kron of the eigenvectors of L1 and L2, so no
+D x D eigendecomposition is needed; theta are coordinates in that basis. An
+interaction is built from one small eigendecomposition per eigenspace, and
+the same decompositions give the exact gradient (Daleckii-Krein divided
+differences). The search itself is plain local descent on that gradient
+with seeded random restarts; the lower bounds provide the certificate on the
+other side, so no global-optimality claim is needed or made.
 """
 
 from __future__ import annotations
@@ -194,12 +195,26 @@ def _sector_generators(d: int) -> np.ndarray:
     return e
 
 
-def commutant_basis(l_total: Operator) -> CommutantBasis:
-    """Hermitian commutant of l_total, one d^2 block of generators per eigenspace."""
-    if not l_total.has("hermitian"):
+def commutant_basis(conserved: Operator | ConservationPair) -> CommutantBasis:
+    """Hermitian commutant of a hermitian operator, one d^2 block of generators
+    per eigenspace.
+
+    Given a ConservationPair, the operator is L1 x I + I x L2 and its
+    eigenbasis is V1 x V2, the kron of the eigenvectors of L1 and L2 with
+    eigenvalues w1[i] + w2[j], sorted stably: two small eigh, no D x D one.
+    The optimizer's theta are coordinates in this basis.
+    """
+    if isinstance(conserved, ConservationPair):
+        w1, v1 = np.linalg.eigh(conserved.L1.matrix)
+        w2, v2 = np.linalg.eigh(conserved.L2.matrix)
+        sums = np.add.outer(w1, w2).ravel()
+        order = np.argsort(sums, kind="stable")
+        return CommutantBasis(conserved.total(), np.kron(v1, v2)[:, order],
+                              spectrum_runs(sums[order], ROUNDING_TOL))
+    if not conserved.has("hermitian"):
         raise ValueError("commutant_basis needs a hermitian operator")
-    w, vecs = np.linalg.eigh(l_total.matrix)
-    return CommutantBasis(l_total, vecs, spectrum_runs(w, ROUNDING_TOL))
+    w, vecs = np.linalg.eigh(conserved.matrix)
+    return CommutantBasis(conserved, vecs, spectrum_runs(w, ROUNDING_TOL))
 
 
 def conservative_unitary(basis: CommutantBasis, theta: Sequence[float]) -> Operator:
@@ -309,7 +324,7 @@ class _Problem:
         self.config = config
         self.object_dim = a.dim
         self.probe_dim = pair.L2.dim
-        self.basis = commutant_basis(pair.total())
+        self.basis = commutant_basis(pair)
         self.n_theta = self.basis.size
         self.n_params = self.n_theta + (2 * self.probe_dim if config.optimize_xi else 0)
         self._models = {}

@@ -90,6 +90,8 @@ def fock_cutoff(amps: CoherentAmplitudes) -> int:
 def coherent_state(amp: complex, n_max: int) -> Ket:
     """Coherent state truncated at n_max, renormalized; the tail it drops must be
     below TAIL_TOL, the check ``fock_cutoff`` meets."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     weights = list(itertools.islice(_fock_weights(amp), n_max + 1))
     kept = weights[-1][1]
     if 1.0 - kept >= TAIL_TOL:

@@ -16,7 +16,7 @@ import pytest
 import waylimit as w
 from waylimit.cli import (DEMO_NAMES, main, model_from_dict, model_to_dict,
                           yw_model_from_dict, yw_model_to_dict)
-from helpers import large_eigenvalue_probe_model, random_conservative_model
+from helpers import SWAP_MATRIX, large_eigenvalue_probe_model, random_conservative_model
 
 
 def run_cli(capsys, *argv):
@@ -624,6 +624,23 @@ def test_optimize_sup_objective_on_swap_theta(tmp_path, capsys):
     assert run["final_objective"] < 1e-10
 
 
+def test_optimize_swap_theta_is_swap_in_a_non_diagonal_basis(tmp_path, capsys):
+    # with L1 = L2 = S_x the eigenbasis of the total is not the standard one,
+    # so the swap coordinates give SWAP only if the CLI and the optimizer
+    # take them in the same commutant basis
+    sx = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "restarts": 1, "max_iters": 0, "theta0": "swap",
+        "object": {"L1": "s_x"},
+        "probe": {"L2": sx, "M": sx, "xi": [[1.0, 0.0], [0.0, 0.0]]},
+    }))
+    code, _, _ = run_cli(capsys, "optimize", str(config), "--out", str(tmp_path / "run.json"))
+    assert code == 0
+    u = np.array(json.loads((tmp_path / "run.json").read_text())["result_model"]["U"])
+    np.testing.assert_allclose(u[..., 0] + 1j * u[..., 1], SWAP_MATRIX, rtol=0, atol=1e-12)
+
+
 def test_optimize_deterministic_output(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 11, "restarts": 2, "max_iters": 20}))
@@ -935,15 +952,15 @@ def test_optimize_array_theta0_builds_one_commutant_basis(tmp_path, capsys, monk
     calls = []
     original = opt.commutant_basis
 
-    def counted(l_total):
-        calls.append(l_total.dim)
-        return original(l_total)
+    def counted(conserved):
+        calls.append(conserved)
+        return original(conserved)
     monkeypatch.setattr(opt, "commutant_basis", counted)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"restarts": 1, "max_iters": 2, "theta0": [0.1] * 6}))
     code, _, _ = run_cli(capsys, "optimize", str(path), "--out", str(tmp_path / "run.json"))
     assert code == 0
-    assert calls == [4]
+    assert len(calls) == 1
 
 
 def test_verify_at_an_exact_eigenstate_of_a_large_probe_quantity(tmp_path, capsys):

@@ -113,6 +113,69 @@ def test_commutant_basis_rejects_perturbed_sector_vector():
         w.CommutantBasis(basis.conserved, basis.vectors, basis.sectors[1:])
 
 
+def _pairs_with_every_sector_kind(rng):
+    """A degenerate L2 in a random basis, a degenerate L1 whose sums with L2
+    coincide across levels, and random spectra (one-dimensional sectors)."""
+    def rotated(values):
+        v = w.random_unitary(len(values), rng).matrix
+        return w.Operator.hermitian((v * values) @ v.conj().T)
+
+    _, _, sz = w.spin_operators()
+    return (w.ConservationPair(L1=sz, L2=rotated(np.array([1.0, 0.0, 0.0, -1.0, -1.0]))),
+            w.ConservationPair(L1=rotated(np.array([0.5, 0.5, -0.5])),
+                               L2=rotated(np.array([1.5, 0.5, -0.5, -1.5]))),
+            w.ConservationPair(L1=w.random_hermitian(3, rng), L2=w.random_hermitian(4, rng)))
+
+
+def test_pair_basis_spans_the_dense_commutant():
+    rng = np.random.default_rng(RNG_SEED)
+    expected = ([2, 4, 3, 1], [1, 3, 3, 3, 2], [1] * 12)
+    for pair, oracle in zip(_pairs_with_every_sector_kind(rng), expected):
+        dense = w.commutant_basis(pair.total())
+        basis = w.commutant_basis(pair)
+        sizes = [stop - start for start, stop in basis.sectors]
+        assert sizes == [stop - start for start, stop in dense.sectors] == oracle
+        for (start, stop), (d_start, d_stop) in zip(basis.sectors, dense.sectors):
+            vs, ds = basis.vectors[:, start:stop], dense.vectors[:, d_start:d_stop]
+            np.testing.assert_allclose(vs @ vs.conj().T, ds @ ds.conj().T, rtol=0, atol=1e-12)
+        for g in dense.generators:
+            w.hermitian_coordinates(basis, g)  # raises outside the span
+
+
+def test_pair_basis_with_misgrouped_factors_is_refused():
+    rng = np.random.default_rng(RNG_SEED)
+    pair = _pairs_with_every_sector_kind(rng)[0]
+    basis = w.commutant_basis(pair)
+    _, v1 = np.linalg.eigh(pair.L1.matrix)
+    _, v2 = np.linalg.eigh(pair.L2.matrix)
+    # the kron columns unsorted, and the factors in the wrong order
+    for vectors in (np.kron(v1, v2), np.kron(v2, v1)):
+        with pytest.raises(ValueError, match="fails to commute"):
+            w.CommutantBasis(basis.conserved, vectors, basis.sectors)
+
+
+def test_restart_zero_does_not_depend_on_the_eigenbasis(monkeypatch):
+    # plain descent from theta = 0 is invariant under an orthogonal change of
+    # coordinates inside each sector, so the dense eigenbasis gives the same path
+    import waylimit.optimizer as opt
+
+    sx, _, sz = w.spin_operators()
+    # the ladder's two bases differ by a permutation, the oscillator's by a rotation
+    l2, m, xi = w.oscillator_probe(2, w.CoherentAmplitudes(0.01, 0.01j))
+    oscillator = (sx, w.ConservationPair(L1=sz, L2=l2), m, xi, w.named_state("alpha_y"))
+    config = w.OptimizerConfig(restarts=1, max_iters=30, seed=3)
+    for problem in (_ladder_problem(5), oscillator):
+        pair_run = w.optimize_noise(*problem, config)
+        original = opt.commutant_basis
+        monkeypatch.setattr(opt, "commutant_basis", lambda pair: original(pair.total()))
+        dense_run = w.optimize_noise(*problem, config)
+        monkeypatch.undo()
+        assert pair_run.final_objective == pytest.approx(dense_run.final_objective,
+                                                         rel=0, abs=1e-12)
+        np.testing.assert_allclose(pair_run.result_model.U.matrix,
+                                   dense_run.result_model.U.matrix, rtol=0, atol=1e-9)
+
+
 def test_conservative_unitary_length_mismatch():
     basis = w.commutant_basis(_two_qubit_total_sz())
     with pytest.raises(ValueError):
@@ -448,7 +511,8 @@ def test_conservative_unitary_keeps_the_last_theta():
 def test_result_model_unitary_matches_a_fresh_build(config):
     a, pair, m, xi, psi = _ladder_problem()
     run = w.optimize_noise(a, pair, m, xi, psi, config)
-    fresh = w.conservative_unitary(w.commutant_basis(pair.total()), run.theta)
+    # theta are coordinates in the pair's basis, V1 x V2 sorted
+    fresh = w.conservative_unitary(w.commutant_basis(pair), run.theta)
     assert run.result_model.U.matrix.tobytes() == fresh.matrix.tobytes()
 
 

@@ -49,6 +49,11 @@ def test_coherent_cutoff_guard():
         w.coherent_state(2.0, 16)  # tail mass ~1e-6
 
 
+def test_coherent_state_refuses_a_negative_cutoff():
+    with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
+        w.coherent_state(0.1, -1)
+
+
 def test_ladder_commutator_on_interior():
     levels = 12
     a = w.lowering_operator(levels).matrix
