@@ -60,11 +60,9 @@ from .bounds import (
     yanase_residual,
 )
 from .spin import (
-    SpinBasis,
     YWModel,
     named_state,
     random_yw_model,
-    spin_basis,
     spin_operators,
     swap_demo_model,
     trivial_demo_model,

@@ -23,7 +23,6 @@ identity, and only N v and L v (v = psi x xi) for the uncertainty pair.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -261,20 +260,15 @@ def yanase_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> f
     return _bounded_ratio(abs(mean) ** 2, den)
 
 
-@functools.cache
-def _spin_xyz():
-    # imported here because spin imports this module; the operators are
-    # immutable, so one set serves every call
-    from .spin import spin_operators
-    return spin_operators()
-
-
 def spin_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
     """Closed-form noise floor for the spin-1/2 scenario A = S_x, L1 = S_z,
     which needs the Yanase condition too. There [A, L1] = -i S_y, so the floor
     <S_y>^2 / (4 var(S_z, psi) + 4 var(L2, xi)) is the Yanase bound itself."""
+    # imported here because spin imports this module
+    from .spin import spin_operators
+
     check_pair(model, pair)
-    sx, _, sz = _spin_xyz()
+    sx, _, sz = spin_operators()
     # the first part of the scenario the model lacks
     if model.object_dim != 2:
         gap = "a two-level object"

@@ -442,7 +442,7 @@ def _observable_from_config(value, path: str) -> Operator:
 def _swap_theta(basis) -> np.ndarray:
     from .optimizer import hermitian_coordinates
 
-    if basis.conserved.dim != 4:
+    if len(basis.vectors) != 4:
         raise CliInputError("theta0 'swap' needs a two-qubit composite space")
     h = Operator.hermitian((np.pi / 2.0) * (np.eye(4) - SWAP))
     with _input_errors("theta0 'swap' is not conservative here"):

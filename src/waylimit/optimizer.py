@@ -4,11 +4,12 @@ Feasibility is exact by construction: interactions are generated as
 exp(i sum_k theta_k G_k) where the G_k span the hermitian commutant of the
 total conserved quantity, so every candidate satisfies the conservation law
 to rounding. The commutant is block diagonal in the eigenbasis of that
-quantity, which is V1 x V2, the kron of the eigenvectors of L1 and L2, so no
-D x D eigendecomposition is needed; theta are coordinates in that basis. An
-interaction is built from one small eigendecomposition per eigenspace, and
-the same decompositions give the exact gradient (Daleckii-Krein divided
-differences). The search itself is plain local descent on that gradient
+quantity, which is V1 x V2, the kron of the eigenvectors of L1 and L2, so
+neither a D x D eigendecomposition nor a D x D matrix of the quantity is
+needed; a basis is V, its sectors and per-size generator blocks, and theta
+are coordinates in it. An interaction is built from one small
+eigendecomposition per eigenspace, and the same decompositions give the
+exact gradient (Daleckii-Krein divided differences). The search itself is plain local descent on that gradient
 with seeded random restarts; the lower bounds provide the certificate on the
 other side, so no global-optimality claim is needed or made.
 """
@@ -16,7 +17,7 @@ other side, so no global-optimality claim is needed or made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
@@ -63,39 +64,40 @@ MAX_CUTOFF = 8  # largest oscillator n_max with full interactions (D = 162, 822 
 
 @dataclass(frozen=True, eq=False)
 class CommutantBasis:
-    """Hermitian commutant of a fixed operator, held in that operator's eigenbasis.
+    """Hermitian commutant of a conserved operator L, held in L's eigenbasis.
 
-    ``vectors`` are the eigenvectors of ``conserved`` as columns and
-    ``sectors`` the ``(start, stop)`` column ranges of its eigenspaces. An
-    operator commutes with ``conserved`` exactly when it is block diagonal in
-    this basis. The generators are, sector by sector, a Frobenius-orthonormal
-    hermitian basis of the d x d block, mapped back with the sector's vectors:
-    for each i, |i><i| and then, for each j > i, (|i><j| + |j><i|)/sqrt2 and
-    i(|i><j| - |j><i|)/sqrt2. They are built on first use; the optimizer
-    works on the blocks.
+    ``vectors`` are eigenvectors of L as columns and ``sectors`` the
+    ``(start, stop)`` column ranges of its eigenspaces; ``image`` is
+    L @ vectors, read only by the constructor's check and not kept. An
+    operator commutes with L exactly when it is block diagonal in this basis.
+    The generators are, sector by sector, a Frobenius-orthonormal hermitian
+    basis of the d x d block, mapped back with the sector's vectors: for each
+    i, |i><i| and then, for each j > i, (|i><j| + |j><i|)/sqrt2 and
+    i(|i><j| - |j><i|)/sqrt2. The optimizer works on the blocks; the dense
+    ``generators`` are built only when asked for.
     """
 
-    conserved: Operator
     vectors: np.ndarray = field(repr=False)
     sectors: tuple
+    image: InitVar[np.ndarray]
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, image):
         v = np.array(self.vectors, dtype=np.complex128)
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
-        dim = self.conserved.dim
         edges = [0] + [stop for _, stop in self.sectors]
-        if v.shape != (dim, dim) or edges[-1] != dim or np.any(np.diff(edges) <= 0) \
+        if v.shape != (edges[-1], edges[-1]) or np.any(np.diff(edges) <= 0) \
                 or [start for start, _ in self.sectors] != edges[:-1]:
             raise ValueError("sectors must tile the columns of a square eigenvector matrix")
+        if np.shape(image) != v.shape:
+            raise ValueError(f"image has shape {np.shape(image)}, expected {v.shape}")
         # With c the sector's mean Rayleigh quotient and R = L V_s - c V_s,
         # [L, V_s E V_s^dag] = R E V_s^dag - V_s E R^dag; every generator's
         # block E has spectral norm <= 1, so 2 ||R|| ||V_s|| bounds them all.
-        lv = self.conserved.matrix @ v
         starts, sizes = edges[:-1], np.diff(edges)
-        c = np.add.reduceat(np.real(np.sum(v.conj() * lv, axis=0)), starts) / sizes
-        r_sq = np.add.reduceat(np.sum(np.abs(lv - v * np.repeat(c, sizes)) ** 2, axis=0), starts)
+        c = np.add.reduceat(np.real(np.sum(v.conj() * image, axis=0)), starts) / sizes
+        r_sq = np.add.reduceat(np.sum(np.abs(image - v * np.repeat(c, sizes)) ** 2, axis=0), starts)
         v_sq = np.add.reduceat(np.sum(np.abs(v) ** 2, axis=0), starts)
         bound = 2.0 * np.sqrt(r_sq * v_sq)
         bad = np.flatnonzero(bound > GENERATOR_COMMUTATION_TOL)
@@ -139,8 +141,7 @@ class CommutantBasis:
         reuse it, and U's O(D^3) unitary check runs once per distinct theta."""
         key = theta.tobytes()
         if key not in self._memo:
-            dim = self.conserved.dim
-            vk = np.empty((dim, dim), dtype=np.complex128)
+            vk = np.empty(self.vectors.shape, dtype=np.complex128)
             blocks = []
             for d, cols, params, gens in self._groups:
                 lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
@@ -199,22 +200,25 @@ def commutant_basis(conserved: Operator | ConservationPair) -> CommutantBasis:
     """Hermitian commutant of a hermitian operator, one d^2 block of generators
     per eigenspace.
 
-    Given a ConservationPair, the operator is L1 x I + I x L2 and its
-    eigenbasis is V1 x V2, the kron of the eigenvectors of L1 and L2 with
-    eigenvalues w1[i] + w2[j], sorted stably: two small eigh, no D x D one.
-    The optimizer's theta are coordinates in this basis.
+    Given a ConservationPair, the operator is L = L1 x I + I x L2 and its
+    eigenbasis is V = V1 x V2, the kron of the eigenvectors of L1 and L2 with
+    eigenvalues w1[i] + w2[j], sorted stably: two small eigh, and L V for the
+    sector check formed factor by factor, with no D x D L. The optimizer's
+    theta are coordinates in this basis.
     """
     if isinstance(conserved, ConservationPair):
-        w1, v1 = np.linalg.eigh(conserved.L1.matrix)
-        w2, v2 = np.linalg.eigh(conserved.L2.matrix)
+        l1, l2 = conserved.L1.matrix, conserved.L2.matrix
+        w1, v1 = np.linalg.eigh(l1)
+        w2, v2 = np.linalg.eigh(l2)
         sums = np.add.outer(w1, w2).ravel()
         order = np.argsort(sums, kind="stable")
-        return CommutantBasis(conserved.total(), np.kron(v1, v2)[:, order],
-                              spectrum_runs(sums[order], ROUNDING_TOL))
+        v = np.kron(v1, v2)[:, order]
+        image = (l1 @ v.reshape(len(l1), -1)).reshape(v.shape) + apply_on_probe(l2, v, len(l1))
+        return CommutantBasis(v, spectrum_runs(sums[order], ROUNDING_TOL), image)
     if not conserved.has("hermitian"):
         raise ValueError("commutant_basis needs a hermitian operator")
     w, vecs = np.linalg.eigh(conserved.matrix)
-    return CommutantBasis(conserved, vecs, spectrum_runs(w, ROUNDING_TOL))
+    return CommutantBasis(vecs, spectrum_runs(w, ROUNDING_TOL), conserved.matrix @ vecs)
 
 
 def conservative_unitary(basis: CommutantBasis, theta: Sequence[float]) -> Operator:
@@ -231,13 +235,17 @@ def conservative_unitary(basis: CommutantBasis, theta: Sequence[float]) -> Opera
 
 
 def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
-    """Coefficients of a hermitian matrix in the basis; fails if it lies outside."""
-    theta = np.array([float(np.real(np.trace(g.matrix.conj().T @ h.matrix)))
-                      for g in basis.generators])
-    recon = np.zeros_like(h.matrix)
-    for t, g in zip(theta, basis.generators):
-        recon = recon + t * g.matrix
-    r = frobenius_norm(recon - h.matrix)
+    """Coefficients of a hermitian matrix in the basis; fails if it lies outside.
+
+    Projects V^dag H V onto each sector's generator blocks; for a unitary V
+    the norm of what the rebuilt blocks leave is ||sum theta_k G_k - H||."""
+    rest = basis.vectors.conj().T @ h.matrix @ basis.vectors
+    theta = np.empty(basis.size)
+    for d, cols, params, gens in basis._groups:
+        block = (cols[:, :, None], cols[:, None, :])
+        theta[params] = (rest[block].reshape(len(cols), d * d) @ gens.conj().T).real
+        rest[block] -= (theta[params] @ gens).reshape(-1, d, d)
+    r = frobenius_norm(rest)
     if r > EQUALITY_TOL:
         raise ValueError(f"matrix lies outside the commutant span, residual {r:.3e}")
     return theta

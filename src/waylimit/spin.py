@@ -11,10 +11,14 @@ with xi_plus / xi_minus eigenstates of the record observable at +1/2 and
 and eps_y^2 = |eta_plus|^2 + |eta_minus|^2 is the total weight of those
 unsuccessful branches. No full unitary is ever constructed here; extensions
 are nonunique and nothing below needs one.
+
+``named_state`` is the one constructor of the six spin eigenkets (alpha_x
+... beta_z) and ``spin_operators`` the one shared set of S_x, S_y and S_z.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,28 +58,17 @@ _KETS = {
 }
 
 
+@functools.cache
 def spin_operators():
-    """The three spin-1/2 observables (S_x, S_y, S_z) in the z basis, hbar = 1."""
+    """The three spin-1/2 observables (S_x, S_y, S_z) in the z basis, hbar = 1.
+
+    One immutable set, built on first use and shared by every caller."""
     return (Operator.hermitian(_SX), Operator.hermitian(_SY), Operator.hermitian(_SZ))
 
 
-@dataclass(frozen=True, eq=False)
-class SpinBasis:
-    """Up/down eigenkets of the spin component along one axis."""
-
-    axis: str
-    up: Ket
-    down: Ket
-
-
-def spin_basis(axis: str) -> SpinBasis:
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"unknown spin axis {axis!r}")
-    return SpinBasis(axis, Ket(_KETS[(axis, +1)]), Ket(_KETS[(axis, -1)]))
-
-
 def named_state(name: str) -> Ket:
-    """Shorthand kets alpha_x ... beta_z used by the command line."""
+    """The up (alpha) and down (beta) eigenkets of S_x, S_y and S_z, named
+    alpha_x ... beta_z as on the command line."""
     try:
         kind, axis = name.split("_")
         sign = {"alpha": +1, "beta": -1}[kind]
@@ -88,7 +81,7 @@ def _two_qubit_demo(u: Operator, m: Optional[Operator] = None):
     """A demo model on two qubits: A = S_x, L1 = L2 = S_z, xi = up_x, the
     interaction u and the record m (S_x when None)."""
     sx, _, sz = spin_operators()
-    model = MeasurementModel(object_dim=2, probe_dim=2, xi=spin_basis("x").up, U=u,
+    model = MeasurementModel(object_dim=2, probe_dim=2, xi=named_state("alpha_x"), U=u,
                              M=sx if m is None else m, A=sx)
     return model, ConservationPair(L1=sz, L2=sz)
 
@@ -232,8 +225,7 @@ def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:
     up = basis[:, 0]
     down = basis[:, 1]
 
-    ax = np.array([_SQRT_HALF, _SQRT_HALF])
-    bx = np.array([_SQRT_HALF, -_SQRT_HALF])
+    ax, bx = _KETS[("x", +1)], _KETS[("x", -1)]
 
     # First image: the up_x branch keeps a random fraction, the rest leaks.
     keep = np.sqrt(rng.uniform(0.0, 1.0))

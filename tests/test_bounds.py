@@ -31,7 +31,7 @@ def test_acl_residual_cnot_violates():
     oracle = np.linalg.norm(CNOT_Z_CONTROL_X_FLIP @ total - total @ CNOT_Z_CONTROL_X_FLIP)
     assert oracle > 0.5
     _, _, sz = w.spin_operators()
-    model = w.MeasurementModel(2, 2, w.spin_basis("z").up,
+    model = w.MeasurementModel(2, 2, w.named_state("alpha_z"),
                                w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sz)
     pair = w.ConservationPair(L1=sz, L2=sz)
     assert w.acl_residual(model, pair) == pytest.approx(oracle, abs=1e-12)
@@ -72,7 +72,7 @@ def test_commutator_identity_swap():
 
 def test_commutator_identity_all_terms_vanish():
     _, _, sz = w.spin_operators()
-    model = w.MeasurementModel(2, 2, w.spin_basis("z").up,
+    model = w.MeasurementModel(2, 2, w.named_state("alpha_z"),
                                w.Operator.unitary(np.eye(4)), sz, sz)
     pair = w.ConservationPair(L1=sz, L2=sz)
     assert w.commutator_identity_residual(model, pair) < 1e-14
@@ -87,7 +87,7 @@ def test_commutator_identity_random_conservative():
 
 def test_commutator_identity_precondition_distinct():
     _, _, sz = w.spin_operators()
-    model = w.MeasurementModel(2, 2, w.spin_basis("z").up,
+    model = w.MeasurementModel(2, 2, w.named_state("alpha_z"),
                                w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sz)
     pair = w.ConservationPair(L1=sz, L2=sz)
     with pytest.raises(w.PreconditionError):
@@ -97,9 +97,15 @@ def test_commutator_identity_precondition_distinct():
         w.commutator_identity_residual(model, bad_pair)
 
 
+def test_conservation_pair_refuses_an_untagged_operator():
+    _, _, sz = w.spin_operators()
+    with pytest.raises(ValueError, match="^conserved quantities must carry the hermitian tag$"):
+        w.ConservationPair(L1=sz, L2=w.Operator(sz.matrix))
+
+
 def test_uncertainty_pair_swap():
     model, pair = w.swap_demo_model()
-    lhs, rhs = w.uncertainty_pair(model, pair, w.spin_basis("y").up)
+    lhs, rhs = w.uncertainty_pair(model, pair, w.named_state("alpha_y"))
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -115,10 +121,10 @@ def test_uncertainty_pair_random():
 def test_uncertainty_pair_commuting_case():
     # N commutes with the total conserved quantity when A = M = L1 = L2 = S_z
     _, _, sz = w.spin_operators()
-    model = w.MeasurementModel(2, 2, w.spin_basis("x").up,
+    model = w.MeasurementModel(2, 2, w.named_state("alpha_x"),
                                w.Operator.unitary(np.eye(4)), sz, sz)
     pair = w.ConservationPair(L1=sz, L2=sz)
-    _, rhs = w.uncertainty_pair(model, pair, w.spin_basis("y").up)
+    _, rhs = w.uncertainty_pair(model, pair, w.named_state("alpha_y"))
     assert rhs == pytest.approx(0.0, abs=1e-14)
 
 
@@ -152,7 +158,7 @@ def test_uncertainty_pair_matches_the_kron_oracle():
         pair = w.ConservationPair(L1=w.random_hermitian(od, rng), L2=w.random_hermitian(pd, rng))
         assert w.acl_residual(model, pair) > 0.1
         cases.append((model, pair))
-    cnot = w.MeasurementModel(2, 2, w.spin_basis("x").up,
+    cnot = w.MeasurementModel(2, 2, w.named_state("alpha_x"),
                               w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sx)
     cases.append((cnot, w.ConservationPair(L1=sz, L2=sz)))
     for model, pair in cases:
@@ -173,13 +179,13 @@ def test_uncertainty_pair_alarm_on_a_broken_variance(monkeypatch):
                                swap.M, swap.A)
     monkeypatch.setattr(bounds_module, "_moment_variance", lambda second, mean: 0.0)
     with pytest.raises(w.TheoremViolation, match="uncertainty relation failed"):
-        w.uncertainty_pair(model, pair, w.spin_basis("y").up)
+        w.uncertainty_pair(model, pair, w.named_state("alpha_y"))
 
 
 def test_variance_additivity_exact_cases():
     _, _, sz = w.spin_operators()
     pair = w.ConservationPair(L1=sz, L2=sz)
-    res = w.variance_additivity_residual(pair, w.spin_basis("y").up, w.spin_basis("z").up)
+    res = w.variance_additivity_residual(pair, w.named_state("alpha_y"), w.named_state("alpha_z"))
     # oracle by 2x2 arithmetic: 1/4 + 0 on the parts, 1/4 total
     assert res < 1e-13
 
@@ -206,7 +212,7 @@ def test_fundamental_bound_swap_numerator_cancels():
     object_side = np.kron(sx.matrix @ sz.matrix - sz.matrix @ sx.matrix, np.eye(2))
     assert np.linalg.norm(propagated - object_side) < 1e-14
     model, pair = w.swap_demo_model()
-    assert w.fundamental_bound(model, pair, w.spin_basis("y").up) == pytest.approx(0.0, abs=1e-12)
+    assert w.fundamental_bound(model, pair, w.named_state("alpha_y")) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fundamental_reduces_to_yanase_bound():
@@ -233,64 +239,64 @@ def test_fundamental_bound_degenerate_denominator_convention():
     # expectation then vanishes with them, so the bound returns 0 (no
     # constraint) rather than dividing by zero
     sx, _, sz = w.spin_operators()
-    model = w.MeasurementModel(2, 2, w.spin_basis("z").up,
+    model = w.MeasurementModel(2, 2, w.named_state("alpha_z"),
                                w.Operator.unitary(np.eye(4)),
                                w.Operator.hermitian(np.zeros((2, 2))), sx)
     pair = w.ConservationPair(L1=sz, L2=sz)
-    assert w.fundamental_bound(model, pair, w.spin_basis("z").up) == 0.0
+    assert w.fundamental_bound(model, pair, w.named_state("alpha_z")) == 0.0
 
 
 def test_yanase_bound_closed_form():
     # spin scenario: numerator <S_y>^2 = 1/4 at the y-up state, denominator
     # 4 (1/4) + 4 v, so the bound is 1 / (4 + 16 v)
     sx, _, sz = w.spin_operators()
-    for xi, var in ((w.spin_basis("x").up, 0.25), (w.spin_basis("z").up, 0.0)):
+    for xi, var in ((w.named_state("alpha_x"), 0.25), (w.named_state("alpha_z"), 0.0)):
         model = w.MeasurementModel(2, 2, xi, w.Operator.unitary(np.eye(4)),
                                    sz, sx)
         pair = w.ConservationPair(L1=sz, L2=sz)
-        got = w.yanase_bound(model, pair, w.spin_basis("y").up)
+        got = w.yanase_bound(model, pair, w.named_state("alpha_y"))
         assert got == pytest.approx(1.0 / (4.0 + 16.0 * var), abs=1e-12)
 
 
 def test_yanase_bound_commuting_observable():
     _, _, sz = w.spin_operators()
-    model = w.MeasurementModel(2, 2, w.spin_basis("x").up,
+    model = w.MeasurementModel(2, 2, w.named_state("alpha_x"),
                                w.Operator.unitary(np.eye(4)), sz, sz)
     pair = w.ConservationPair(L1=sz, L2=sz)
-    assert w.yanase_bound(model, pair, w.spin_basis("y").up) == 0.0
+    assert w.yanase_bound(model, pair, w.named_state("alpha_y")) == 0.0
 
 
 def test_yanase_bound_precondition():
     model, pair = w.swap_demo_model()  # [M, L2] != 0 there
     with pytest.raises(w.PreconditionError):
-        w.yanase_bound(model, pair, w.spin_basis("y").up)
+        w.yanase_bound(model, pair, w.named_state("alpha_y"))
 
 
 def test_spin_bound_substitutions():
     sx, _, sz = w.spin_operators()
     pair = w.ConservationPair(L1=sz, L2=sz)
-    model = w.MeasurementModel(2, 2, w.spin_basis("z").up,
+    model = w.MeasurementModel(2, 2, w.named_state("alpha_z"),
                                w.Operator.unitary(np.eye(4)), sz, sx)
     # probe eigenstate: v = 0, bound 1/4
-    assert w.spin_bound(model, pair, w.spin_basis("y").up) == pytest.approx(0.25, abs=1e-12)
+    assert w.spin_bound(model, pair, w.named_state("alpha_y")) == pytest.approx(0.25, abs=1e-12)
     # <S_y> = 0 at a z eigenstate
-    assert w.spin_bound(model, pair, w.spin_basis("z").up) == pytest.approx(0.0, abs=1e-12)
+    assert w.spin_bound(model, pair, w.named_state("alpha_z")) == pytest.approx(0.0, abs=1e-12)
     # probe variance 1 via a three-level ladder
     ladder = w.Operator.hermitian(np.diag([1.0, 0.0, -1.0]))
     xi = w.Ket(np.array([1.0, 0.0, 1.0]) / np.sqrt(2))
     model3 = w.MeasurementModel(2, 3, xi, w.Operator.unitary(np.eye(6)),
                                 ladder, sx)
     pair3 = w.ConservationPair(L1=sz, L2=ladder)
-    assert w.spin_bound(model3, pair3, w.spin_basis("y").up) == pytest.approx(1.0 / 20.0, abs=1e-12)
+    assert w.spin_bound(model3, pair3, w.named_state("alpha_y")) == pytest.approx(1.0 / 20.0, abs=1e-12)
 
 
 def test_spin_bound_scenario_preconditions():
     _, _, sz = w.spin_operators()
     pair = w.ConservationPair(L1=sz, L2=sz)
-    model = w.MeasurementModel(2, 2, w.spin_basis("z").up,
+    model = w.MeasurementModel(2, 2, w.named_state("alpha_z"),
                                w.Operator.unitary(np.eye(4)), sz, sz)
     with pytest.raises(w.PreconditionError):
-        w.spin_bound(model, pair, w.spin_basis("y").up)  # A != S_x
+        w.spin_bound(model, pair, w.named_state("alpha_y"))  # A != S_x
 
 
 def test_spin_bound_matches_the_closed_form_oracle():
@@ -360,7 +366,7 @@ def test_bound_report_violation_flags():
 
 
 def test_bound_report_null_reasons():
-    psi = w.spin_basis("y").up
+    psi = w.named_state("alpha_y")
     sx, _, sz = w.spin_operators()
     swap, pair = w.swap_demo_model()
     reasons = w.bound_report(swap, pair, psi).null_reasons
@@ -369,7 +375,7 @@ def test_bound_report_null_reasons():
     trivial, tpair = w.trivial_demo_model()
     assert w.bound_report(trivial, tpair, psi).null_reasons == {}
     # each part of the spin scenario, and the conservation law
-    a_sz = w.MeasurementModel(2, 2, w.spin_basis("z").up, w.Operator.unitary(np.eye(4)), sz, sz)
+    a_sz = w.MeasurementModel(2, 2, w.named_state("alpha_z"), w.Operator.unitary(np.eye(4)), sz, sz)
     assert w.bound_report(a_sz, tpair, psi).null_reasons == \
         {"spin_bound": "not the spin scenario: needs A = S_x"}
     l1_sx = w.ConservationPair(L1=sx, L2=sz)
@@ -379,7 +385,7 @@ def test_bound_report_null_reasons():
     model3, pair3 = random_conservative_model(np.random.default_rng(RNG_SEED), object_dim=3)
     report = w.bound_report(model3, pair3, w.random_ket(3, np.random.default_rng(1)))
     assert report.null_reasons == {"spin_bound": "not the spin scenario: needs a two-level object"}
-    cnot = w.MeasurementModel(2, 2, w.spin_basis("z").up,
+    cnot = w.MeasurementModel(2, 2, w.named_state("alpha_z"),
                               w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sx)
     report = w.bound_report(cnot, tpair, psi)
     assert report.commutator_identity_residual is None
@@ -410,7 +416,7 @@ def test_acl_band_between_the_old_thresholds(eps, acl):
     lam, vecs = np.linalg.eigh(h)
     u = model.U.matrix @ ((vecs * np.exp(1j * eps * lam)) @ vecs.conj().T)
     near = w.MeasurementModel(2, 2, model.xi, w.Operator.unitary(u), model.M, model.A)
-    report = w.bound_report(near, pair, w.spin_basis("y").up)
+    report = w.bound_report(near, pair, w.named_state("alpha_y"))
     assert report.acl_residual == pytest.approx(acl, rel=1e-2)
     assert report.commutator_identity_residual is None
     reason = report.null_reasons["commutator_identity_residual"]
@@ -424,7 +430,7 @@ def test_acl_band_between_the_old_thresholds(eps, acl):
 
 
 def test_bound_report_demo_models():
-    psi = w.spin_basis("y").up
+    psi = w.named_state("alpha_y")
     model, pair = w.swap_demo_model()
     report = w.bound_report(model, pair, psi)
     assert report.eps_sq == pytest.approx(0.0, abs=1e-12)
@@ -560,7 +566,7 @@ def test_bound_convention_at_joint_eigenstates():
     # psi and xi eigenstates of L1 and L2: both variances vanish
     sx, _, sz = w.spin_operators()
     pair = w.ConservationPair(L1=sz, L2=sz)
-    psi, xi = w.spin_basis("z").up, w.spin_basis("z").down
+    psi, xi = w.named_state("alpha_z"), w.named_state("beta_z")
     # conservative: U (psi x xi) stays in one sector, so the numerator vanishes too
     swap, _ = w.swap_demo_model()
     conservative = w.MeasurementModel(2, 2, xi, swap.U, sx, sx)

@@ -365,6 +365,14 @@ def test_verify_named_state_dimension_is_an_input_error(tmp_path, capsys):
     assert err == "error: --state: ket has dim 2, expected 3\n"
 
 
+def test_verify_empty_inline_state_is_an_input_error(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "demo", "swap")
+    path = tmp_path / "swap.json"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "verify", str(path), "--state", "[]")
+    assert (code, out, err) == (1, "", "error: --state: ket needs at least one amplitude\n")
+
+
 def test_sweep_deterministic_and_formatted(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -906,8 +914,11 @@ def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, fie
      "probe: |alpha|^2 + |beta|^2 = 2 needs n_max = 11; full oscillator interactions "
      "are limited to n_max <= 8"),
     ({"max_iters": -2}, "config: max_iters must be nonnegative"),
+    ({"probe": {"L2": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]],
+                "M": [[[float(i == j), 0] for j in range(3)] for i in range(3)],
+                "xi": [[1, 0], [0, 0]]}}, "M has dim 3, L2 has dim 2"),
 ], ids=["object-A-unknown", "probe-family-unknown", "swap-three-levels", "swap-not-conservative",
-        "oscillator-cutoff", "max_iters-negative"])
+        "oscillator-cutoff", "max_iters-negative", "probe-M-dim"])
 def test_optimize_config_error_lines(tmp_path, capsys, config, line):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"restarts": 1, "max_iters": 1, **config}))
@@ -982,7 +993,8 @@ def test_optimize_config_psi_messages_name_the_field(tmp_path, capsys):
             ([[1, 0], [0, 0], [0, 0]], "error: psi: ket has dim 3, expected 2\n"),
             ("[[1, 0], [0, 0], [0, 0]]", "error: psi: ket has dim 3, expected 2\n"),
             ("[[NaN, 0], [1, 0]]",
-             "error: psi: non-standard JSON literal NaN; numbers must be finite\n")):
+             "error: psi: non-standard JSON literal NaN; numbers must be finite\n"),
+            ([], "error: psi: ket needs at least one amplitude\n")):
         path.write_text(json.dumps({"restarts": 1, "max_iters": 1, "psi": psi}))
         code, _, err = run_cli(capsys, "optimize", str(path))
         assert (code, err) == (1, message)

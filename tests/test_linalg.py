@@ -16,7 +16,7 @@ def test_tensor_identity_case():
 
 
 def test_tensor_basis_kets_fixed_convention():
-    up = w.spin_basis("z").up
+    up = w.named_state("alpha_z")
     out = w.tensor(up, up)
     np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0])
 
@@ -27,7 +27,7 @@ def test_tensor_total_spin_z_annihilates_opposite_pair():
     _, _, sz = w.spin_operators()
     lib = w.tensor(sz, w.identity(2)).matrix + w.tensor(w.identity(2), sz).matrix
     np.testing.assert_allclose(lib, total, atol=1e-15)
-    pair_state = w.tensor(w.spin_basis("z").up, w.spin_basis("z").down)
+    pair_state = w.tensor(w.named_state("alpha_z"), w.named_state("beta_z"))
     np.testing.assert_allclose(total @ pair_state.amplitudes, np.zeros(4), atol=1e-15)
 
 
@@ -44,17 +44,17 @@ def test_tensor_associative_under_fixed_flattening():
 
 def test_tensor_rejects_mixed_kinds():
     with pytest.raises(TypeError):
-        w.tensor(w.identity(2), w.spin_basis("z").up)
+        w.tensor(w.identity(2), w.named_state("alpha_z"))
 
 
 def test_expectation_eigenstate():
     _, _, sz = w.spin_operators()
-    assert w.expectation(sz, w.spin_basis("z").up) == pytest.approx(0.5, abs=1e-15)
+    assert w.expectation(sz, w.named_state("alpha_z")) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_expectation_y_eigenstate():
     _, sy, _ = w.spin_operators()
-    assert w.expectation(sy, w.spin_basis("y").up) == pytest.approx(0.5, abs=1e-15)
+    assert w.expectation(sy, w.named_state("alpha_y")) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_expectation_transverse_component_vanishes():
@@ -65,28 +65,39 @@ def test_expectation_transverse_component_vanishes():
     oracle = 0.5 * abs(coeff_up) ** 2 - 0.5 * abs(coeff_dn) ** 2
     assert oracle == 0.0
     sx, _, _ = w.spin_operators()
-    assert w.expectation(sx, w.spin_basis("y").up) == pytest.approx(0.0, abs=1e-15)
+    assert w.expectation(sx, w.named_state("alpha_y")) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_expectation_requires_hermitian_tag():
     plain = w.Operator(np.array([[0, 1], [0, 0]]))
     with pytest.raises(w.StructureError):
-        w.expectation(plain, w.spin_basis("z").up)
+        w.expectation(plain, w.named_state("alpha_z"))
 
 
 def test_expectation_dim_mismatch():
     with pytest.raises(w.DimensionMismatch):
-        w.expectation(w.identity(3), w.spin_basis("z").up)
+        w.expectation(w.identity(3), w.named_state("alpha_z"))
+
+
+def test_variance_refuses_an_unnormalized_ket():
+    _, _, sz = w.spin_operators()
+    with pytest.raises(w.StructureError, match="^variance requires a normalized ket$"):
+        w.variance(sz, w.Ket([1.0, 1.0], normalized=False))
+
+
+def test_commutator_dim_mismatch():
+    with pytest.raises(w.DimensionMismatch, match="^commutator: dims 2 vs 3$"):
+        w.commutator(w.identity(2), w.identity(3))
 
 
 def test_variance_eigenstate_is_zero():
     _, _, sz = w.spin_operators()
-    assert w.variance(sz, w.spin_basis("z").up) == 0.0
+    assert w.variance(sz, w.named_state("alpha_z")) == 0.0
 
 
 def test_variance_conjugate_state():
     _, _, sz = w.spin_operators()
-    assert w.variance(sz, w.spin_basis("y").up) == pytest.approx(0.25, abs=1e-15)
+    assert w.variance(sz, w.named_state("alpha_y")) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_variance_of_sum_on_up_state():
@@ -96,7 +107,7 @@ def test_variance_of_sum_on_up_state():
     sq = (sx.matrix + sz.matrix) @ (sx.matrix + sz.matrix)
     np.testing.assert_allclose(sq, 0.5 * np.eye(2), atol=1e-15)
     total = w.Operator.hermitian(sx.matrix + sz.matrix)
-    assert w.variance(total, w.spin_basis("z").up) == pytest.approx(0.25, abs=1e-15)
+    assert w.variance(total, w.named_state("alpha_z")) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_variance_matches_moment_formula_and_is_nonnegative():

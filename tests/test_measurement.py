@@ -36,7 +36,7 @@ def test_heisenberg_probe_cnot_gives_precise_z_readout():
     expected = CNOT_Z_CONTROL_X_FLIP.conj().T \
         @ np.kron(np.eye(2), sz.matrix) @ CNOT_Z_CONTROL_X_FLIP
     model = w.MeasurementModel(
-        2, 2, w.spin_basis("z").up, w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sz)
+        2, 2, w.named_state("alpha_z"), w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sz)
     np.testing.assert_allclose(w.heisenberg_probe(model).matrix, expected, atol=1e-15)
     # the readout reproduces the z statistics of any input state
     rng = np.random.default_rng(RNG_SEED)
@@ -46,16 +46,16 @@ def test_heisenberg_probe_cnot_gives_precise_z_readout():
 
 def test_outcome_distribution_swap_eigenstate():
     # oracle: for U = SWAP the outcome statistics are the x statistics of psi
-    dist = w.outcome_distribution(_swap_model(), w.spin_basis("x").up)
+    dist = w.outcome_distribution(_swap_model(), w.named_state("alpha_x"))
     assert len(dist.outcomes) == 2
     assert dist.probability_near(0.5) == pytest.approx(1.0, abs=1e-12)
     assert dist.probability_near(-0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_outcome_distribution_swap_superposition():
-    psi = w.spin_basis("y").up
-    up = w.spin_basis("x").up.amplitudes
-    down = w.spin_basis("x").down.amplitudes
+    psi = w.named_state("alpha_y")
+    up = w.named_state("alpha_x").amplitudes
+    down = w.named_state("beta_x").amplitudes
     p_up = abs(np.vdot(up, psi.amplitudes)) ** 2
     p_down = abs(np.vdot(down, psi.amplitudes)) ** 2
     dist = w.outcome_distribution(_swap_model(), psi)
@@ -73,7 +73,7 @@ def test_outcome_probabilities_sum_to_one():
 
 
 def test_outcome_interval_probability():
-    dist = w.outcome_distribution(_swap_model(), w.spin_basis("y").up)
+    dist = w.outcome_distribution(_swap_model(), w.named_state("alpha_y"))
     assert dist.probability_in_interval(-1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert dist.probability_in_interval(0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
     assert dist.probability_in_interval(0.6, 1.0) == 0.0
@@ -148,7 +148,7 @@ def test_outcome_distribution_merges_a_level_pair_closer_than_equality_tol():
     _, _, sz = w.spin_operators()
     m = w.Operator.hermitian(np.diag([0.3, 0.3 + 4e-10, 2.0]))
     model = w.MeasurementModel(2, 3, w.Ket([0.6, 0.8, 0.0]), w.identity(6), m, sz)
-    dist = w.outcome_distribution(model, w.spin_basis("x").up)
+    dist = w.outcome_distribution(model, w.named_state("alpha_x"))
     assert len(dist.outcomes) == 2
     assert dist.outcomes[0][0] == pytest.approx(0.3 + 2e-10, abs=1e-15)
     assert dist.outcomes[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -163,7 +163,7 @@ def test_outcome_distribution_refuses_a_level_chain_it_cannot_rebuild():
     xi = w.Ket(np.eye(10)[0])
     model = w.MeasurementModel(2, 10, xi, w.identity(20), m, sz)
     with pytest.raises(ArithmeticError, match="spectral reconstruction residual"):
-        w.outcome_distribution(model, w.spin_basis("z").up)
+        w.outcome_distribution(model, w.named_state("alpha_z"))
 
 
 def test_outcome_distribution_spin_z_levels():
@@ -171,16 +171,16 @@ def test_outcome_distribution_spin_z_levels():
     # statistics of psi; a z eigenstate puts all its weight on one level
     _, _, sz = w.spin_operators()
     model = w.MeasurementModel(
-        2, 2, w.spin_basis("z").up, w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sz)
-    assert w.outcome_distribution(model, w.spin_basis("z").up).outcomes == ((-0.5, 0.0), (0.5, 1.0))
-    assert w.outcome_distribution(model, w.spin_basis("z").down).outcomes == ((-0.5, 1.0), (0.5, 0.0))
+        2, 2, w.named_state("alpha_z"), w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP), sz, sz)
+    assert w.outcome_distribution(model, w.named_state("alpha_z")).outcomes == ((-0.5, 0.0), (0.5, 1.0))
+    assert w.outcome_distribution(model, w.named_state("beta_z")).outcomes == ((-0.5, 1.0), (0.5, 0.0))
 
 
 def test_outcome_distribution_merges_degenerate_identity():
     # a record M = I has one level, 1, of probability 1
     trivial, _ = w.trivial_demo_model()
     model = w.MeasurementModel(2, 2, trivial.xi, trivial.U, w.identity(2), trivial.A)
-    (value, p), = w.outcome_distribution(model, w.spin_basis("y").up).outcomes
+    (value, p), = w.outcome_distribution(model, w.named_state("alpha_y")).outcomes
     assert value == 1.0
     assert p == pytest.approx(1.0, abs=1e-12)
 
@@ -188,8 +188,8 @@ def test_outcome_distribution_merges_degenerate_identity():
 def test_outcome_distribution_composite_spin_x():
     # oracle: the swap model propagates its record to S_x x I, whose doubly
     # degenerate levels have the rank-2 projectors P(+-) = |x,+-><x,+-| x I
-    up = w.spin_basis("x").up.amplitudes
-    down = w.spin_basis("x").down.amplitudes
+    up = w.named_state("alpha_x").amplitudes
+    down = w.named_state("beta_x").amplitudes
     p_plus = np.kron(np.outer(up, up.conj()), np.eye(2))
     p_minus = np.kron(np.outer(down, down.conj()), np.eye(2))
     model = _swap_model()
@@ -209,7 +209,7 @@ def test_outcome_statistics_need_hermitian_tagged_observables():
     plain = w.Operator(sx.matrix)
     for m, a in ((plain, sx), (sx, plain)):
         with pytest.raises(w.StructureError, match="must carry the hermitian tag"):
-            w.MeasurementModel(2, 2, w.spin_basis("x").up, w.identity(4), m, a)
+            w.MeasurementModel(2, 2, w.named_state("alpha_x"), w.identity(4), m, a)
 
 
 def test_outcome_distribution_phase_invariance():
@@ -241,7 +241,7 @@ def test_bsf_deviation_disjoint_spectra_is_one():
     # record values {5, 7} never meet spec(A) = {-1/2, 1/2}
     sx, _, _ = w.spin_operators()
     model = w.MeasurementModel(
-        2, 2, w.spin_basis("z").up, w.Operator.unitary(np.eye(4)),
+        2, 2, w.named_state("alpha_z"), w.Operator.unitary(np.eye(4)),
         w.Operator.hermitian(np.diag([5.0, 7.0])), sx)
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(10):
@@ -251,11 +251,11 @@ def test_bsf_deviation_disjoint_spectra_is_one():
 def test_bsf_deviation_mismatched_eigenstates():
     _, _, sz = w.spin_operators()
     model = w.MeasurementModel(
-        2, 2, w.spin_basis("z").up, w.Operator.unitary(np.eye(4)), sz, sz)
+        2, 2, w.named_state("alpha_z"), w.Operator.unitary(np.eye(4)), sz, sz)
     # probe sits at +1/2 while the object is at -1/2: both values off by 1
-    assert w.bsf_deviation(model, w.spin_basis("z").down) == pytest.approx(1.0, abs=1e-12)
+    assert w.bsf_deviation(model, w.named_state("beta_z")) == pytest.approx(1.0, abs=1e-12)
     # matching value: perfect
-    assert w.bsf_deviation(model, w.spin_basis("z").up) == pytest.approx(0.0, abs=1e-12)
+    assert w.bsf_deviation(model, w.named_state("alpha_z")) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_noise_operator_swap_vanishes():
@@ -284,7 +284,7 @@ def test_noise_values():
     for _ in range(5):
         assert w.noise(swap, w.random_ket(2, rng)) < 1e-14
     trivial, _ = w.trivial_demo_model()
-    assert w.noise(trivial, w.spin_basis("x").up) == pytest.approx(0.5, abs=1e-12)
+    assert w.noise(trivial, w.named_state("alpha_x")) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_noise_dominates_noise_operator_spread():
@@ -340,9 +340,9 @@ def test_sup_noise_attained_by_top_eigenvector():
 
 
 def test_error_probability_values():
-    assert w.error_probability(_swap_model(), w.spin_basis("y").up) < 1e-14
+    assert w.error_probability(_swap_model(), w.named_state("alpha_y")) < 1e-14
     trivial, _ = w.trivial_demo_model()
-    assert w.error_probability(trivial, w.spin_basis("y").up) == pytest.approx(0.25, abs=1e-12)
+    assert w.error_probability(trivial, w.named_state("alpha_y")) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_error_probability_matches_dense_oracle():
@@ -364,15 +364,19 @@ def test_error_probability_matches_dense_oracle():
 
 def test_error_probability_requires_half_spectrum():
     trivial, _ = w.trivial_demo_model()
+    three = w.MeasurementModel(3, 2, trivial.xi, w.Operator.unitary(np.eye(6)), trivial.M,
+                               w.identity(3))
+    with pytest.raises(w.PreconditionError, match="two-level objects only"):
+        w.error_probability(three, w.Ket([1.0, 0.0, 0.0]))
     bad = w.MeasurementModel(2, 2, trivial.xi, trivial.U, trivial.M,
                              w.Operator.hermitian(np.diag([1.0, -1.0])))
     with pytest.raises(w.PreconditionError):
-        w.error_probability(bad, w.spin_basis("y").up)
+        w.error_probability(bad, w.named_state("alpha_y"))
     # 1/2 and 1/2 + 4e-10 are one level, so the spectrum has one value
     merged = w.MeasurementModel(2, 2, trivial.xi, trivial.U, trivial.M,
                                 w.Operator.hermitian(np.diag([0.5, 0.5 + 4e-10])))
     with pytest.raises(w.PreconditionError, match="got \\(0.5000000002,\\)"):
-        w.error_probability(merged, w.spin_basis("y").up)
+        w.error_probability(merged, w.named_state("alpha_y"))
 
 
 def test_error_probability_qubit_probe_floor():
@@ -380,7 +384,7 @@ def test_error_probability_qubit_probe_floor():
     # floor is 1/(4 + 16/4) = 1/8 for every conservative Yanase-compliant
     # spin model whose probe conserved quantity is the qubit spin itself
     rng = np.random.default_rng(RNG_SEED)
-    psi = w.spin_basis("y").up
+    psi = w.named_state("alpha_y")
     for _ in range(50):
         model, pair = random_conservative_model(rng, object_dim=2, probe_dim=2,
                                                 spin_scenario=True, probe_ladder=True)
@@ -398,8 +402,18 @@ def test_noiseless_implies_precise_on_the_zero_noise_witness():
 def test_model_validation_errors():
     sx, _, _ = w.spin_operators()
     with pytest.raises(w.DimensionMismatch):
-        w.MeasurementModel(2, 2, w.spin_basis("x").up,
+        w.MeasurementModel(2, 2, w.named_state("alpha_x"),
                            w.Operator.unitary(np.eye(6)), sx, sx)
     with pytest.raises(w.StructureError):
-        w.MeasurementModel(2, 2, w.spin_basis("x").up,
+        w.MeasurementModel(2, 2, w.named_state("alpha_x"),
                            w.Operator(np.eye(4)), sx, sx)
+    with pytest.raises(w.StructureError, match="^probe state xi must be normalized$"):
+        w.MeasurementModel(2, 2, w.Ket([1.0, 1.0], normalized=False),
+                           w.Operator.unitary(np.eye(4)), sx, sx)
+
+
+def test_outcome_distribution_refuses_invalid_probabilities():
+    with pytest.raises(ValueError, match=r"^probability 1\.5 for outcome 0\.5 outside \[0, 1\]$"):
+        w.OutcomeDistribution(((0.5, 1.5), (-0.5, -0.5)))
+    with pytest.raises(ValueError, match="^probabilities sum to 0.90000000000000002, not 1$"):
+        w.OutcomeDistribution(((0.5, 0.4), (-0.5, 0.5)))

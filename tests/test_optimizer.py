@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import waylimit as w
-from helpers import SWAP_MATRIX
+from helpers import SWAP_MATRIX, random_conservative_model
 from waylimit.optimizer import _Problem
 
 RNG_SEED = 40
@@ -25,6 +25,18 @@ def test_commutant_count_identity_and_nondegenerate():
     assert w.commutant_basis(w.identity(3)).size == 9
     nondeg = w.Operator.hermitian(np.diag([0.3, 1.1, -2.0, 0.9]))
     assert w.commutant_basis(nondeg).size == 4
+    with pytest.raises(ValueError, match="^commutant_basis needs a hermitian operator$"):
+        w.commutant_basis(w.Operator(nondeg.matrix))
+
+
+def test_operator_basis_is_the_eigh_of_its_matrix():
+    # the benchmark's seeded models are built on this basis, bit for bit
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(8):
+        _, pair = random_conservative_model(rng)
+        for op in (pair.L2, pair.total()):
+            vectors = np.linalg.eigh(op.matrix)[1]
+            assert w.commutant_basis(op).vectors.tobytes() == vectors.tobytes()
 
 
 def test_commutant_generators_orthonormal_and_commuting():
@@ -102,15 +114,18 @@ def test_sector_unitary_matches_dense_oracle():
 def test_commutant_basis_rejects_perturbed_sector_vector():
     _, _, sz = w.spin_operators()
     l2, _, _ = w.spin_ladder_probe(3)
-    basis = w.commutant_basis(w.ConservationPair(L1=sz, L2=l2).total())
-    rebuilt = w.CommutantBasis(basis.conserved, basis.vectors, basis.sectors)
+    total = w.ConservationPair(L1=sz, L2=l2).total().matrix
+    basis = w.commutant_basis(w.Operator.hermitian(total))
+    rebuilt = w.CommutantBasis(basis.vectors, basis.sectors, total @ basis.vectors)
     assert rebuilt.size == basis.size
     vectors = basis.vectors.copy()
     vectors[:, 1] += 1e-6 * np.arange(vectors.shape[0])
     with pytest.raises(ValueError, match="fails to commute"):
-        w.CommutantBasis(basis.conserved, vectors, basis.sectors)
+        w.CommutantBasis(vectors, basis.sectors, total @ vectors)
     with pytest.raises(ValueError, match="tile"):
-        w.CommutantBasis(basis.conserved, basis.vectors, basis.sectors[1:])
+        w.CommutantBasis(basis.vectors, basis.sectors[1:], total @ basis.vectors)
+    with pytest.raises(ValueError, match="image has shape"):
+        w.CommutantBasis(basis.vectors, basis.sectors, (total @ basis.vectors)[:, 1:])
 
 
 def _pairs_with_every_sector_kind(rng):
@@ -151,7 +166,16 @@ def test_pair_basis_with_misgrouped_factors_is_refused():
     # the kron columns unsorted, and the factors in the wrong order
     for vectors in (np.kron(v1, v2), np.kron(v2, v1)):
         with pytest.raises(ValueError, match="fails to commute"):
-            w.CommutantBasis(basis.conserved, vectors, basis.sectors)
+            w.CommutantBasis(vectors, basis.sectors, pair.total().matrix @ vectors)
+
+
+def test_pair_basis_never_forms_the_total(monkeypatch):
+    pair = _pairs_with_every_sector_kind(np.random.default_rng(RNG_SEED))[1]
+    calls = []
+    monkeypatch.setattr(w.ConservationPair, "total", lambda self: calls.append(self))
+    basis = w.commutant_basis(pair)
+    assert calls == [] and basis.vectors.shape == (12, 12)
+    assert not hasattr(basis, "conserved")
 
 
 def test_restart_zero_does_not_depend_on_the_eigenbasis(monkeypatch):
@@ -192,6 +216,14 @@ def test_hermitian_coordinates_roundtrip():
     outside = w.Operator.hermitian(np.kron(sx.matrix, np.eye(2)))
     with pytest.raises(ValueError):
         w.hermitian_coordinates(basis, outside)
+    # block diagonal but anti-hermitian: no real theta rebuilds it
+    with pytest.raises(ValueError, match="outside the commutant span, residual 2.000e"):
+        w.hermitian_coordinates(basis, w.Operator(1j * np.eye(4)))
+    # every generator maps to its unit vector, in the standard basis and in a rotated one
+    for b in (basis, w.commutant_basis(w.ConservationPair(L1=sx, L2=sx))):
+        for k, g in enumerate(b.generators):
+            np.testing.assert_allclose(w.hermitian_coordinates(b, g), np.eye(b.size)[k],
+                                       rtol=0, atol=1e-15)
 
 
 def test_record_observable_patterns():
@@ -211,7 +243,7 @@ def test_optimizer_requires_yanase():
     sx, _, sz = w.spin_operators()
     pair = w.ConservationPair(L1=sz, L2=sz)
     with pytest.raises(w.PreconditionError):
-        w.optimize_noise(sx, pair, sx, w.spin_basis("x").up,
+        w.optimize_noise(sx, pair, sx, w.named_state("alpha_x"),
                          w.named_state("alpha_y"), w.OptimizerConfig(restarts=1))
 
 
@@ -314,6 +346,9 @@ def test_sweep_records_failures_in_row():
     assert np.isnan(rows[1].bound)
     # row k searched with seed config.seed + k, the failed row too
     assert [row.seed for row in rows] == [13, 14]
+    # an unknown family is refused before any row
+    with pytest.raises(ValueError, match="^unknown probe family 'harmonic'$"):
+        w.sweep_probe_size("harmonic", [1.0], config)
 
 
 def test_oscillator_sweep_computes_every_size_up_to_the_cutoff_limit():

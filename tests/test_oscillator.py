@@ -52,6 +52,8 @@ def test_coherent_cutoff_guard():
 def test_coherent_state_refuses_a_negative_cutoff():
     with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
         w.coherent_state(0.1, -1)
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        w.FockSpace(-1)
 
 
 def test_ladder_commutator_on_interior():

@@ -29,25 +29,25 @@ def test_spin_squares():
 def test_spin_bases_eigenrelations():
     ops = dict(zip("xyz", w.spin_operators()))
     for axis, op in ops.items():
-        basis = w.spin_basis(axis)
-        np.testing.assert_allclose(op.matrix @ basis.up.amplitudes,
-                                   0.5 * basis.up.amplitudes, atol=1e-15)
-        np.testing.assert_allclose(op.matrix @ basis.down.amplitudes,
-                                   -0.5 * basis.down.amplitudes, atol=1e-15)
-        assert abs(np.vdot(basis.up.amplitudes, basis.down.amplitudes)) < 1e-15
+        up = w.named_state(f"alpha_{axis}").amplitudes
+        down = w.named_state(f"beta_{axis}").amplitudes
+        np.testing.assert_allclose(op.matrix @ up, 0.5 * up, atol=1e-15)
+        np.testing.assert_allclose(op.matrix @ down, -0.5 * down, atol=1e-15)
+        assert abs(np.vdot(up, down)) < 1e-15
 
 
 def test_y_up_from_x_basis_combination():
-    x = w.spin_basis("x")
-    combo = ((1 + 1j) * x.up.amplitudes + (1 - 1j) * x.down.amplitudes) / 2.0
-    np.testing.assert_allclose(combo, w.spin_basis("y").up.amplitudes, atol=1e-12)
+    up, down = w.named_state("alpha_x").amplitudes, w.named_state("beta_x").amplitudes
+    combo = ((1 + 1j) * up + (1 - 1j) * down) / 2.0
+    np.testing.assert_allclose(combo, w.named_state("alpha_y").amplitudes, atol=1e-12)
 
 
 def test_named_state_lookup():
     np.testing.assert_allclose(w.named_state("beta_y").amplitudes,
-                               w.spin_basis("y").down.amplitudes)
-    with pytest.raises(ValueError):
-        w.named_state("gamma_w")
+                               np.array([1.0, -1.0j]) / np.sqrt(2.0))
+    for bad in ("gamma_w", "alpha_w", "alpha", "alpha_x_y"):
+        with pytest.raises(ValueError, match="unknown named state"):
+            w.named_state(bad)
 
 
 def test_swap_demo_witness():
@@ -85,6 +85,14 @@ def test_yw_model_validation():
                   eta_plus=w.Ket([0, 0], normalized=False),
                   eta_minus=w.Ket([0, 0], normalized=False),
                   M=w.Operator.hermitian(np.diag([0.5, -1.5])))
+
+    with pytest.raises(w.StructureError, match="^xi must be normalized$"):
+        w.YWModel(probe_dim=2, xi=w.Ket([1, 1], normalized=False),
+                  xi_plus=w.Ket([1, 0], normalized=False),
+                  xi_minus=w.Ket([0, 1], normalized=False),
+                  eta_plus=w.Ket([0, 0], normalized=False),
+                  eta_minus=w.Ket([0, 0], normalized=False),
+                  M=w.Operator.hermitian(np.diag([0.5, -0.5])))
 
     # an untagged M, though its matrix is hermitian
     with pytest.raises(w.StructureError, match="^M must be hermitian on the probe space$"):
@@ -142,8 +150,8 @@ def test_yw_error_independent_reconstruction():
     # partial data, using 2 alpha_y = (1+i) alpha_x + (1-i) beta_x and the
     # defining images, instead of the closed form
     rng = np.random.default_rng(RNG_SEED)
-    ax = w.spin_basis("x").up.amplitudes
-    bx = w.spin_basis("x").down.amplitudes
+    ax = w.named_state("alpha_x").amplitudes
+    bx = w.named_state("beta_x").amplitudes
     for _ in range(50):
         d = int(rng.integers(2, 7))
         yw = w.random_yw_model(d, rng)
@@ -163,6 +171,8 @@ def test_yw_relation_random_models():
     for _ in range(200):
         yw = w.random_yw_model(int(rng.integers(2, 9)), rng)
         assert 2.0 * w.yw_error_at_alpha_y(yw) <= w.yw_eps_y(yw) + 1e-10
+    with pytest.raises(ValueError, match="^probe_dim must be at least 2$"):
+        w.random_yw_model(1, rng)
 
 
 def test_yw_check_bound_substitutions():
@@ -199,8 +209,8 @@ def test_yw_check_bound_swap_embedding():
     # hand-built conservative embedding on a qubit probe: U = SWAP with
     # xi = up_x gives xi+ = up_x, eta- = down_x, everything else zero,
     # and the record I/2 commutes with the probe spin
-    ax = w.spin_basis("x").up
-    bx = w.spin_basis("x").down
+    ax = w.named_state("alpha_x")
+    bx = w.named_state("beta_x")
     yw = w.YWModel(probe_dim=2, xi=ax,
                    xi_plus=w.Ket(ax.amplitudes, normalized=False),
                    xi_minus=w.Ket([0, 0], normalized=False),
