@@ -7,11 +7,16 @@ to rounding. The commutant is block diagonal in the eigenbasis of that
 quantity, which is V1 x V2, the kron of the eigenvectors of L1 and L2, so
 neither a D x D eigendecomposition nor a D x D matrix of the quantity is
 needed; a basis is V, its sectors and per-size generator blocks, and theta
-are coordinates in it. An interaction is built from one small
-eigendecomposition per eigenspace, and the same decompositions give the
-exact gradient (Daleckii-Krein divided differences). The search itself is plain local descent on that gradient
-with seeded random restarts; the lower bounds provide the certificate on the
-other side, so no global-optimality claim is needed or made.
+are coordinates in it. The sector check reads per-column eigenvalues and
+residual bounds, taken from the factors' own eigendecompositions. An
+interaction is built from one small eigendecomposition per eigenspace of
+dimension two or more (a one-dimensional block is a phase), and the same
+decompositions give the exact gradient (Daleckii-Krein divided
+differences). The search itself is plain local descent on that gradient
+with seeded random restarts, checked on every accepted iterate against the
+Yanase floor, computed once per probe state; the lower bounds provide the
+certificate on the other side, so no global-optimality claim is needed or
+made.
 """
 
 from __future__ import annotations
@@ -67,22 +72,24 @@ class CommutantBasis:
     """Hermitian commutant of a conserved operator L, held in L's eigenbasis.
 
     ``vectors`` are eigenvectors of L as columns and ``sectors`` the
-    ``(start, stop)`` column ranges of its eigenspaces; ``image`` is
-    L @ vectors, read only by the constructor's check and not kept. An
-    operator commutes with L exactly when it is block diagonal in this basis.
-    The generators are, sector by sector, a Frobenius-orthonormal hermitian
-    basis of the d x d block, mapped back with the sector's vectors: for each
-    i, |i><i| and then, for each j > i, (|i><j| + |j><i|)/sqrt2 and
-    i(|i><j| - |j><i|)/sqrt2. The optimizer works on the blocks; the dense
-    ``generators`` are built only when asked for.
+    ``(start, stop)`` column ranges of its eigenspaces. ``values`` and
+    ``residuals`` give, per column k, an eigenvalue lam_k and a bound res_k
+    on ||L v_k - lam_k v_k||; the constructor's check reads them and does not
+    keep them. An operator commutes with L exactly when it is block diagonal
+    in this basis. The generators are, sector by sector, a
+    Frobenius-orthonormal hermitian basis of the d x d block, mapped back
+    with the sector's vectors: for each i, |i><i| and then, for each j > i,
+    (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2. The optimizer
+    works on the blocks; the dense ``generators`` are built only when asked for.
     """
 
     vectors: np.ndarray = field(repr=False)
     sectors: tuple
-    image: InitVar[np.ndarray]
+    values: InitVar[np.ndarray]
+    residuals: InitVar[np.ndarray]
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self, image):
+    def __post_init__(self, values, residuals):
         v = np.array(self.vectors, dtype=np.complex128)
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -90,17 +97,12 @@ class CommutantBasis:
         if v.shape != (edges[-1], edges[-1]) or np.any(np.diff(edges) <= 0) \
                 or [start for start, _ in self.sectors] != edges[:-1]:
             raise ValueError("sectors must tile the columns of a square eigenvector matrix")
-        if np.shape(image) != v.shape:
-            raise ValueError(f"image has shape {np.shape(image)}, expected {v.shape}")
-        # With c the sector's mean Rayleigh quotient and R = L V_s - c V_s,
-        # [L, V_s E V_s^dag] = R E V_s^dag - V_s E R^dag; every generator's
-        # block E has spectral norm <= 1, so 2 ||R|| ||V_s|| bounds them all.
-        starts, sizes = edges[:-1], np.diff(edges)
-        c = np.add.reduceat(np.real(np.sum(v.conj() * image, axis=0)), starts) / sizes
-        r_sq = np.add.reduceat(np.sum(np.abs(image - v * np.repeat(c, sizes)) ** 2, axis=0), starts)
-        v_sq = np.add.reduceat(np.sum(np.abs(v) ** 2, axis=0), starts)
-        bound = 2.0 * np.sqrt(r_sq * v_sq)
-        bad = np.flatnonzero(bound > GENERATOR_COMMUTATION_TOL)
+        for name, given in (("values", values), ("residuals", residuals)):
+            if np.shape(given) != (len(v),):
+                raise ValueError(f"{name} has shape {np.shape(given)}, expected {(len(v),)}")
+        bound = _sector_commutator_bounds(v, edges, values, residuals)
+        # "not <=" so that a NaN bound fails too
+        bad = np.flatnonzero(~(bound <= GENERATOR_COMMUTATION_TOL))
         if bad.size:
             raise ValueError(f"sector {bad[0]} fails to commute, "
                              f"residual bound {bound[bad[0]]:.3e}")
@@ -119,38 +121,51 @@ class CommutantBasis:
         return tuple(out)
 
     @cached_property
+    def _vh(self) -> np.ndarray:
+        """V^dag, formed once per basis."""
+        return self.vectors.conj().T
+
+    @cached_property
     def _groups(self) -> tuple:
         """Sectors grouped by size d: (d, columns (n, d), theta indices (n, d^2),
-        generator blocks flattened to (d^2, d^2)); one batched eigh per group."""
-        offsets = np.cumsum([0] + [(stop - start) ** 2 for start, stop in self.sectors])
-        by_size = {}
-        for (start, stop), offset in zip(self.sectors, offsets):
-            by_size.setdefault(stop - start, []).append((start, offset))
+        generator blocks flattened to (d^2, d^2)); one batched eigh per group
+        with d > 1. The tables come from array arithmetic on the sector edges."""
+        edges = np.array([0] + [stop for _, stop in self.sectors])
+        starts, sizes = edges[:-1], np.diff(edges)
+        offsets = np.cumsum(sizes ** 2) - sizes ** 2
         groups = []
-        for d, members in sorted(by_size.items()):
-            cols = np.array([np.arange(start, start + d) for start, _ in members])
-            params = np.array([np.arange(offset, offset + d * d) for _, offset in members])
+        for d in sorted(set(sizes.tolist())):
+            members = sizes == d
+            cols = starts[members][:, None] + np.arange(d)
+            params = offsets[members][:, None] + np.arange(d * d)
             groups.append((d, cols, params, _sector_generators(d).reshape(d * d, d * d)))
         return tuple(groups)
 
     def _exponential(self, theta: np.ndarray):
         """exp(i sum theta_k G_k) in sector form: (per group, the eigenvalues
-        and eigenvectors of the stacked blocks H_s; U as a unitary-tagged
-        Operator). The last result is kept, so a repeated theta (a soundness
-        check or the final model at an evaluated point) and the gradient there
-        reuse it, and U's O(D^3) unitary check runs once per distinct theta."""
+        and eigenvectors of the stacked blocks H_s, where one-dimensional
+        sectors take no eigh and have no eigenvectors; U as a
+        unitary-tagged Operator). The last result is kept, so a repeated
+        theta (a soundness check or the final model at an evaluated point)
+        and the gradient there reuse it, and U's O(D^3) unitary check runs
+        once per distinct theta."""
         key = theta.tobytes()
         if key not in self._memo:
             vk = np.empty(self.vectors.shape, dtype=np.complex128)
             blocks = []
             for d, cols, params, gens in self._groups:
-                lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
-                k = (q * np.exp(1j * lam)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+                if d == 1:
+                    # a 1 x 1 block H_s = theta is its own eigenvalue
+                    lam, q = theta[params], None
+                    k = np.exp(1j * lam)[:, :, None]
+                else:
+                    lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
+                    k = (q * np.exp(1j * lam)[:, None, :]) @ q.conj().transpose(0, 2, 1)
                 vk[:, cols] = np.matmul(self.vectors[:, cols].transpose(1, 0, 2),
                                         k).transpose(1, 0, 2)
                 blocks.append((lam, q))
             self._memo.clear()
-            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self.vectors.conj().T))
+            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self._vh))
         return self._memo[key]
 
     def _gradient(self, theta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -158,15 +173,18 @@ class CommutantBasis:
 
         Daleckii-Krein: with H_s = Q diag(lam) Q^dag, d exp(iH_s) =
         Q (F o (Q^dag dH_s Q)) Q^dag, F holding the divided differences of
-        exp(ix). Only the diagonal blocks of V^dag Gamma V enter.
+        exp(ix); a 1 x 1 block has F = i e^{i theta}. Only the diagonal
+        blocks of V^dag Gamma V enter.
         """
         blocks, _ = self._exponential(theta)
-        vh = self.vectors.conj().T
-        lt, rt = vh @ left, vh @ right
+        lt, rt = self._vh @ left, self._vh @ right
         grad = np.empty(self.size)
         for (d, cols, params, gens), (lam, q) in zip(self._groups, blocks):
-            qh = q.conj().transpose(0, 2, 1)
             gamma = lt[cols] @ rt[cols].conj().transpose(0, 2, 1)
+            if q is None:
+                grad[params] = ((1j * np.exp(1j * lam)).conj() * gamma[:, 0]).real
+                continue
+            qh = q.conj().transpose(0, 2, 1)
             a, b = lam[:, :, None], lam[:, None, :]
             # (e^{ia} - e^{ib}) / (a - b) = i e^{i(a+b)/2} sinc((a-b)/2), which
             # is i e^{ia} on the diagonal without a separate case
@@ -196,29 +214,60 @@ def _sector_generators(d: int) -> np.ndarray:
     return e
 
 
+def _sector_commutator_bounds(v: np.ndarray, edges: list, values, residuals) -> np.ndarray:
+    """Per sector s, a bound on the commutator of L with each of its generators.
+
+    With c_s the mean of the sector's values and R_s = L V_s - c_s V_s,
+    [L, V_s E V_s^dag] = R_s E V_s^dag - V_s E R_s^dag; every generator's
+    block E has spectral norm <= 1, so 2 ||R_s||_F ||V_s||_F bounds them all.
+    Column k of R_s is (L v_k - lam_k v_k) + (lam_k - c_s) v_k, so
+    ||R_s||_F^2 <= sum_k (res_k + |lam_k - c_s| ||v_k||)^2, with no L in sight.
+    """
+    edges = np.asarray(edges)
+    starts, sizes = edges[:-1], np.diff(edges)
+    c = np.add.reduceat(values, starts) / sizes
+    norms = np.linalg.norm(v, axis=0)
+    cols = residuals + np.abs(values - np.repeat(c, sizes)) * norms
+    return 2.0 * np.sqrt(np.add.reduceat(cols ** 2, starts) * np.add.reduceat(norms ** 2, starts))
+
+
+def _eigh_residuals(op: Operator) -> tuple:
+    """eigh of a hermitian L, w and V, with the norms of V's columns and of
+    the residual columns of L V - V diag(w)."""
+    l = op.matrix
+    w, v = np.linalg.eigh(l)
+    norms = np.linalg.norm(np.stack((v, l @ v - v * w)), axis=1)
+    return w, v, norms[0], norms[1]
+
+
 def commutant_basis(conserved: Operator | ConservationPair) -> CommutantBasis:
     """Hermitian commutant of a hermitian operator, one d^2 block of generators
     per eigenspace.
 
     Given a ConservationPair, the operator is L = L1 x I + I x L2 and its
     eigenbasis is V = V1 x V2, the kron of the eigenvectors of L1 and L2 with
-    eigenvalues w1[i] + w2[j], sorted stably: two small eigh, and L V for the
-    sector check formed factor by factor, with no D x D L. The optimizer's
-    theta are coordinates in this basis.
+    eigenvalues w1[i] + w2[j], sorted stably: two small eigh and no D x D L.
+    As L (v1_i x v2_j) - (w1[i] + w2[j]) v1_i x v2_j = e1_i x v2_j + v1_i x e2_j
+    exactly, with e = L V - V diag(w) per factor, column (i, j) has residual
+    at most ||e1_i|| ||v2_j|| + ||v1_i|| ||e2_j||: the sector check certifies
+    the factors, not the assembly of V. The optimizer's theta are
+    coordinates in this basis.
     """
     if isinstance(conserved, ConservationPair):
-        l1, l2 = conserved.L1.matrix, conserved.L2.matrix
-        w1, v1 = np.linalg.eigh(l1)
-        w2, v2 = np.linalg.eigh(l2)
+        (w1, v1, n1, r1), (w2, v2, n2, r2) = map(_eigh_residuals, (conserved.L1, conserved.L2))
         sums = np.add.outer(w1, w2).ravel()
         order = np.argsort(sums, kind="stable")
-        v = np.kron(v1, v2)[:, order]
-        image = (l1 @ v.reshape(len(l1), -1)).reshape(v.shape) + apply_on_probe(l2, v, len(l1))
-        return CommutantBasis(v, spectrum_runs(sums[order], ROUNDING_TOL), image)
+        values = sums[order]
+        # column k is v1_i x v2_j for (i, j) = divmod(order[k], d_p): the
+        # columns of np.kron(v1, v2)[:, order], bit for bit, in one pass
+        i, j = np.divmod(order, len(w2))
+        v = (v1[:, None, i] * v2[None, :, j]).reshape(len(order), len(order))
+        return CommutantBasis(v, spectrum_runs(values, ROUNDING_TOL), values,
+                              r1[i] * n2[j] + n1[i] * r2[j])
     if not conserved.has("hermitian"):
         raise ValueError("commutant_basis needs a hermitian operator")
-    w, vecs = np.linalg.eigh(conserved.matrix)
-    return CommutantBasis(vecs, spectrum_runs(w, ROUNDING_TOL), conserved.matrix @ vecs)
+    w, vecs, _, residuals = _eigh_residuals(conserved)
+    return CommutantBasis(vecs, spectrum_runs(w, ROUNDING_TOL), w, residuals)
 
 
 def conservative_unitary(basis: CommutantBasis, theta: Sequence[float]) -> Operator:
@@ -239,7 +288,7 @@ def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
 
     Projects V^dag H V onto each sector's generator blocks; for a unitary V
     the norm of what the rebuilt blocks leave is ||sum theta_k G_k - H||."""
-    rest = basis.vectors.conj().T @ h.matrix @ basis.vectors
+    rest = basis._vh @ h.matrix @ basis.vectors
     theta = np.empty(basis.size)
     for d, cols, params, gens in basis._groups:
         block = (cols[:, :, None], cols[:, None, :])
@@ -336,6 +385,7 @@ class _Problem:
         self.n_theta = self.basis.size
         self.n_params = self.n_theta + (2 * self.probe_dim if config.optimize_xi else 0)
         self._models = {}
+        self._floors = {}
 
     def _raw_xi(self, x: np.ndarray) -> np.ndarray:
         return x[self.n_theta:self.n_theta + self.probe_dim] \
@@ -413,10 +463,21 @@ class _Problem:
         gxi = 2.0 * (g - np.real(np.vdot(amps, g)) * amps) / frobenius_norm(self._raw_xi(x))
         return np.concatenate([grad, gxi.real, gxi.imag])
 
+    def floor(self, model: MeasurementModel) -> float:
+        """The Yanase floor |<psi|[A, L1]|psi>|^2 / (4 var(L1, psi) + 4 var(L2, xi))
+        at the model's probe state. It does not depend on U, so yanase_bound
+        runs on the first model with each probe state, and the value of the
+        last state is kept."""
+        key = model.xi.amplitudes.tobytes()
+        if key not in self._floors:
+            self._floors.clear()
+            self._floors[key] = yanase_bound(model, self.pair, self.psi)
+        return self._floors[key]
+
     def check_soundness(self, x: np.ndarray):
         model = self.model_at(x)
         e = noise(model, self.psi)
-        floor = yanase_bound(model, self.pair, self.psi)
+        floor = self.floor(model)
         if e * e < floor - INEQUALITY_SLACK:
             raise TheoremViolation(
                 f"accepted iterate has squared noise {e * e:.17g} below the "
@@ -499,7 +560,7 @@ def optimize_noise(a: Operator, pair: ConservationPair, m: Operator, xi0: Ket,
     best_f, best_trace, best_x, best_converged = results[best_index]
     theta, _ = problem.split(best_x)
     model = problem.model_at(best_x)
-    floor = yanase_bound(model, pair, psi)
+    floor = problem.floor(model)
     return OptimizationRun(
         seed=config.seed,
         objective=config.objective,

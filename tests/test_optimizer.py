@@ -111,21 +111,118 @@ def test_sector_unitary_matches_dense_oracle():
             np.testing.assert_allclose(u.matrix, _dense_unitary(basis, theta), atol=1e-12)
 
 
-def test_commutant_basis_rejects_perturbed_sector_vector():
+def _pairs_with_one_dimensional_sectors(rng):
+    """Random L1 (3 levels) and L2 (4 levels): twelve 1 x 1 sectors; and the
+    S_z object with a three-level ladder: sectors of size 1, 2 and 2."""
+    _, _, sz = w.spin_operators()
+    l2, _, _ = w.spin_ladder_probe(3)
+    return (w.ConservationPair(L1=w.random_hermitian(3, rng), L2=w.random_hermitian(4, rng)),
+            w.ConservationPair(L1=sz, L2=l2))
+
+
+def test_pair_basis_unitary_matches_dense_oracle_on_one_dimensional_sectors():
+    # the 1 x 1 sectors take e^{i theta} in closed form, with no eigh
+    rng = np.random.default_rng(RNG_SEED)
+    for pair, sizes in zip(_pairs_with_one_dimensional_sectors(rng), ([1] * 12, [1, 2, 2, 1])):
+        basis = w.commutant_basis(pair)
+        assert [stop - start for start, stop in basis.sectors] == sizes
+        for _ in range(5):
+            theta = rng.uniform(-np.pi, np.pi, basis.size)
+            u = w.conservative_unitary(basis, theta)
+            np.testing.assert_allclose(u.matrix, _dense_unitary(basis, theta), rtol=0, atol=1e-12)
+
+
+def test_sector_gradient_on_one_dimensional_sectors():
+    # d Re tr(Gamma^dag U(theta)) for a random Gamma = left @ right^dag: a
+    # 1 x 1 block's divided difference is i e^{i theta}
+    rng = np.random.default_rng(RNG_SEED)
+    for pair in _pairs_with_one_dimensional_sectors(rng):
+        basis = w.commutant_basis(pair)
+        dim = basis.vectors.shape[0]
+        left, right = (rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+                       for _ in range(2))
+        gamma = left @ right.conj().T
+
+        def f(theta):
+            return float(np.real(np.vdot(gamma, w.conservative_unitary(basis, theta).matrix)))
+
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, basis.size)
+            g = basis._gradient(theta, left, right)
+            oracle = w.numerical_gradient(f, theta, 1e-5)
+            assert np.linalg.norm(oracle) > 0.1
+            assert np.linalg.norm(g - oracle) <= 1e-6 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("objective", ["state", "sup"])
+def test_analytic_gradient_on_one_dimensional_sectors(objective):
+    # with every sector 1 x 1, U and a Yanase M are both diagonal in V, so the
+    # objective does not depend on theta and both gradients vanish; the
+    # mixed pair has a gradient to match
+    rng = np.random.default_rng(RNG_SEED)
+    for pair in _pairs_with_one_dimensional_sectors(rng):
+        do, dp = pair.L1.dim, pair.L2.dim
+        problem = _Problem(w.random_hermitian(do, rng), pair, w.record_observable(pair.L2),
+                           w.random_ket(dp, rng), w.random_ket(do, rng),
+                           w.OptimizerConfig(restarts=1, seed=RNG_SEED, objective=objective))
+        for restart in (1, 2, 3):
+            x = problem.initial_point(restart)
+            f, model = problem.evaluate(x)
+            if objective == "sup":
+                top = np.linalg.eigvalsh(model.reduced.w.conj().T @ model.reduced.w)
+                assert top[-1] - top[-2] > 1e-3
+            g = problem.gradient(x, model)
+            oracle = w.numerical_gradient(problem.objective, x, 1e-5)
+            if pair.L1.dim == 3:
+                np.testing.assert_allclose(g, 0.0, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(oracle, 0.0, rtol=0, atol=1e-9)
+            else:
+                assert np.linalg.norm(oracle) > 1e-3
+                assert np.linalg.norm(g - oracle) <= 1e-6 * np.linalg.norm(oracle)
+
+
+def _dense_check_inputs(total, vectors):
+    """The constructor's per-column inputs taken densely from L V: each
+    column's Rayleigh quotient and ||L v_k - lam_k v_k||."""
+    image = total @ vectors
+    values = np.real(np.sum(vectors.conj() * image, axis=0)
+                     / np.sum(np.abs(vectors) ** 2, axis=0))
+    return values, np.linalg.norm(image - vectors * values, axis=0)
+
+
+def _ladder_total_basis():
     _, _, sz = w.spin_operators()
     l2, _, _ = w.spin_ladder_probe(3)
     total = w.ConservationPair(L1=sz, L2=l2).total().matrix
-    basis = w.commutant_basis(w.Operator.hermitian(total))
-    rebuilt = w.CommutantBasis(basis.vectors, basis.sectors, total @ basis.vectors)
+    return total, w.commutant_basis(w.Operator.hermitian(total))
+
+
+def _perturbed(vectors):
+    out = vectors.copy()
+    out[:, 1] += 1e-6 * np.arange(out.shape[0])
+    return out
+
+
+def test_commutant_basis_rejects_perturbed_sector_vector():
+    total, basis = _ladder_total_basis()
+    rebuilt = w.CommutantBasis(basis.vectors, basis.sectors,
+                               *_dense_check_inputs(total, basis.vectors))
     assert rebuilt.size == basis.size
-    vectors = basis.vectors.copy()
-    vectors[:, 1] += 1e-6 * np.arange(vectors.shape[0])
+    vectors = _perturbed(basis.vectors)
     with pytest.raises(ValueError, match="fails to commute"):
-        w.CommutantBasis(vectors, basis.sectors, total @ vectors)
+        w.CommutantBasis(vectors, basis.sectors, *_dense_check_inputs(total, vectors))
+    values, residuals = _dense_check_inputs(total, basis.vectors)
     with pytest.raises(ValueError, match="tile"):
-        w.CommutantBasis(basis.vectors, basis.sectors[1:], total @ basis.vectors)
-    with pytest.raises(ValueError, match="image has shape"):
-        w.CommutantBasis(basis.vectors, basis.sectors, (total @ basis.vectors)[:, 1:])
+        w.CommutantBasis(basis.vectors, basis.sectors[1:], values, residuals)
+    with pytest.raises(ValueError, match=r"^values has shape \(5,\), expected \(6,\)$"):
+        w.CommutantBasis(basis.vectors, basis.sectors, values[1:], residuals)
+    with pytest.raises(ValueError, match=r"^residuals has shape \(1, 6\), expected \(6,\)$"):
+        w.CommutantBasis(basis.vectors, basis.sectors, values, residuals[None, :])
+    for k in range(2):
+        inputs = [values.copy(), residuals.copy()]
+        inputs[k][2] = np.nan
+        with pytest.raises(ValueError, match="^sector 1 fails to commute, residual bound nan$"):
+            w.CommutantBasis(basis.vectors, basis.sectors, *inputs)
 
 
 def _pairs_with_every_sector_kind(rng):
@@ -157,6 +254,16 @@ def test_pair_basis_spans_the_dense_commutant():
             w.hermitian_coordinates(basis, g)  # raises outside the span
 
 
+def test_pair_basis_is_the_sorted_kron_of_the_factors():
+    # the sector check certifies the factors, not the assembly: this pins it
+    for pair in _pairs_with_every_sector_kind(np.random.default_rng(RNG_SEED)):
+        w1, v1 = np.linalg.eigh(pair.L1.matrix)
+        w2, v2 = np.linalg.eigh(pair.L2.matrix)
+        order = np.argsort(np.add.outer(w1, w2).ravel(), kind="stable")
+        vectors = w.commutant_basis(pair).vectors
+        assert vectors.tobytes() == np.kron(v1, v2)[:, order].tobytes()
+
+
 def test_pair_basis_with_misgrouped_factors_is_refused():
     rng = np.random.default_rng(RNG_SEED)
     pair = _pairs_with_every_sector_kind(rng)[0]
@@ -166,7 +273,57 @@ def test_pair_basis_with_misgrouped_factors_is_refused():
     # the kron columns unsorted, and the factors in the wrong order
     for vectors in (np.kron(v1, v2), np.kron(v2, v1)):
         with pytest.raises(ValueError, match="fails to commute"):
-            w.CommutantBasis(vectors, basis.sectors, pair.total().matrix @ vectors)
+            w.CommutantBasis(vectors, basis.sectors,
+                             *_dense_check_inputs(pair.total().matrix, vectors))
+
+
+def _exact_sector_bounds(total, vectors, sectors, values):
+    """2 ||L V_s - c_s V_s||_F ||V_s||_F from a dense L, c_s the mean of the
+    sector's values: the figure the per-column bound must not undercut."""
+    out = []
+    for start, stop in sectors:
+        vs = vectors[:, start:stop]
+        c = np.mean(values[start:stop])
+        out.append(2.0 * np.linalg.norm(total @ vs - c * vs) * np.linalg.norm(vs))
+    return np.array(out)
+
+
+def test_sector_bound_is_at_least_the_exact_residual(monkeypatch):
+    import waylimit.optimizer as opt
+
+    # the constructor tests' bases, with the inputs taken densely
+    total, basis = _ladder_total_basis()
+    rng = np.random.default_rng(RNG_SEED)
+    pair = _pairs_with_every_sector_kind(rng)[0]
+    _, v1 = np.linalg.eigh(pair.L1.matrix)
+    _, v2 = np.linalg.eigh(pair.L2.matrix)
+    misgrouped = w.commutant_basis(pair).sectors
+    cases = [(total, basis.vectors, basis.sectors), (total, _perturbed(basis.vectors), basis.sectors),
+             (pair.total().matrix, np.kron(v1, v2), misgrouped),
+             (pair.total().matrix, np.kron(v2, v1), misgrouped)]
+    for dense, vectors, sectors in cases:
+        values, residuals = _dense_check_inputs(dense, vectors)
+        edges = [0] + [stop for _, stop in sectors]
+        bound = opt._sector_commutator_bounds(vectors, edges, values, residuals)
+        exact = _exact_sector_bounds(dense, vectors, sectors, values)
+        assert np.all(bound >= exact * (1.0 - 1e-12))
+    # and the factor residuals of commutant_basis(pair), read where the check reads them
+    seen = []
+    real = opt._sector_commutator_bounds
+
+    def spy(v, edges, values, residuals):
+        seen.append((v, values, real(v, edges, values, residuals)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(opt, "_sector_commutator_bounds", spy)
+    for pair in _pairs_with_every_sector_kind(rng):
+        basis = w.commutant_basis(pair)
+        (v, values, bound), = seen
+        seen.clear()
+        exact = _exact_sector_bounds(pair.total().matrix, v, basis.sectors, values)
+        # both are at rounding level here; the bound may fall below the exact
+        # figure only by the rounding of forming L V densely
+        assert np.all(bound >= exact - 1e-14) and np.all(bound < 1e-12)
 
 
 def test_pair_basis_never_forms_the_total(monkeypatch):
@@ -494,15 +651,25 @@ def _ladder_problem(levels=3):
     return sx, w.ConservationPair(L1=sz, L2=l2), m, xi, w.named_state("alpha_y")
 
 
+def _oscillator_problem():
+    # the oscillator-optimize benchmark's shape: n_max = 5, D = 72, 32 sectors
+    sx, _, sz = w.spin_operators()
+    l2, m, xi = w.oscillator_probe(5, w.CoherentAmplitudes(0.15, 0.12j))
+    return sx, w.ConservationPair(L1=sz, L2=l2), m, xi, w.named_state("alpha_y")
+
+
 def test_one_iteration_builds_each_point_once(monkeypatch):
     # the benchmark's shape: bench/run.py infers line-search evaluations from
     # the direct conservative_unitary calls (initial objective, soundness
-    # checks, line search, final model), so each must still happen
+    # checks, line search, final model), so each must still happen; the
+    # bounds are compiled once, for the one probe state
+    import waylimit.bounds as bounds
     import waylimit.optimizer as opt
 
-    thetas, models, checks = [], [], []
+    thetas, models, checks, compiles = [], [], [], []
     real_unitary, real_model, real_check = (opt.conservative_unitary, opt.MeasurementModel,
                                             w.Operator.unitary)
+    real_terms = bounds.BoundTerms
 
     def counted_unitary(basis, theta):
         thetas.append(np.asarray(theta, dtype=float).tobytes())
@@ -516,16 +683,81 @@ def test_one_iteration_builds_each_point_once(monkeypatch):
         checks.append(1)
         return real_check(matrix)
 
+    def counted_terms(*args):
+        compiles.append(1)
+        return real_terms(*args)
+
     monkeypatch.setattr(opt, "conservative_unitary", counted_unitary)
     monkeypatch.setattr(opt, "MeasurementModel", counted_model)
     monkeypatch.setattr(w.Operator, "unitary", staticmethod(counted_check))
+    monkeypatch.setattr(bounds, "BoundTerms", counted_terms)
+    for problem in (_ladder_problem, _oscillator_problem):
+        a, pair, m, xi, psi = problem()
+        for spy in (thetas, models, checks, compiles):
+            spy.clear()
+        run = w.optimize_noise(a, pair, m, xi, psi,
+                               w.OptimizerConfig(restarts=1, max_iters=1, seed=11))
+        assert len(run.objective_trace) == 2
+        assert len(thetas) == 5
+        assert len(models) == 2
+        assert len(checks) == len(set(thetas)) == 2
+        assert len(compiles) == 1
+
+
+LADDER_CONFIGS = [
+    w.OptimizerConfig(restarts=3, max_iters=20, seed=4),
+    w.OptimizerConfig(restarts=2, max_iters=10, seed=6, objective="sup", optimize_xi=True),
+]
+
+
+@pytest.mark.parametrize("config", LADDER_CONFIGS)
+def test_floor_is_one_yanase_bound_per_probe_state(monkeypatch, config):
+    # the floor does not depend on U: it is computed once per probe state and
+    # is the bits that yanase_bound gives on the result model
+    import waylimit.optimizer as opt
+
+    computed, checked = [], []
+    real_bound, real_check = opt.yanase_bound, _Problem.check_soundness
+
+    def counted_bound(model, pair, psi):
+        computed.append(model.xi.amplitudes.tobytes())
+        return real_bound(model, pair, psi)
+
+    def counted_check(self, x):
+        checked.append(self.model_at(x).xi.amplitudes.tobytes())
+        return real_check(self, x)
+
+    monkeypatch.setattr(opt, "yanase_bound", counted_bound)
+    monkeypatch.setattr(_Problem, "check_soundness", counted_check)
     a, pair, m, xi, psi = _ladder_problem()
-    run = w.optimize_noise(a, pair, m, xi, psi,
-                           w.OptimizerConfig(restarts=1, max_iters=1, seed=11))
-    assert len(run.objective_trace) == 2
-    assert len(thetas) == 5
-    assert len(models) == 2
-    assert len(checks) == len(set(thetas)) == 2
+    run = w.optimize_noise(a, pair, m, xi, psi, config)
+    assert run.bound_value == w.yanase_bound(run.result_model, pair, psi)
+    states = set(checked) | {run.result_model.xi.amplitudes.tobytes()}
+    assert len(computed) == len(set(computed)) == len(states)
+    assert set(computed) == states
+    if not config.optimize_xi:
+        assert computed == [xi.amplitudes.tobytes()]
+
+
+def test_soundness_alarm_stays_on_every_accepted_iterate(monkeypatch):
+    # the floor is kept, the comparison is not: an accepted iterate whose
+    # noise reads 0 still raises
+    import waylimit.optimizer as opt
+
+    calls = []
+    real_noise = opt.noise
+
+    def noise_zero_on_the_accepted_step(model, psi):
+        calls.append(1)
+        # initial objective, initial soundness check, one line-search point;
+        # then the soundness check of the accepted step
+        return real_noise(model, psi) if len(calls) <= 3 else 0.0
+
+    monkeypatch.setattr(opt, "noise", noise_zero_on_the_accepted_step)
+    a, pair, m, xi, psi = _ladder_problem()
+    with pytest.raises(w.TheoremViolation, match="accepted iterate has squared noise 0 below"):
+        w.optimize_noise(a, pair, m, xi, psi, w.OptimizerConfig(restarts=1, max_iters=1, seed=11))
+    assert len(calls) == 4
 
 
 def test_conservative_unitary_keeps_the_last_theta():
@@ -539,10 +771,7 @@ def test_conservative_unitary_keeps_the_last_theta():
     assert not np.array_equal(other.matrix, first.matrix)
 
 
-@pytest.mark.parametrize("config", [
-    w.OptimizerConfig(restarts=3, max_iters=20, seed=4),
-    w.OptimizerConfig(restarts=2, max_iters=10, seed=6, objective="sup", optimize_xi=True),
-])
+@pytest.mark.parametrize("config", LADDER_CONFIGS)
 def test_result_model_unitary_matches_a_fresh_build(config):
     a, pair, m, xi, psi = _ladder_problem()
     run = w.optimize_noise(a, pair, m, xi, psi, config)
