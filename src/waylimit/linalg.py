@@ -131,11 +131,7 @@ class Operator:
             if r > STRUCTURE_TOL:
                 raise StructureError(f"hermitian tag violated, residual {r:.3e}")
         if "unitary" in tags:
-            # U^dag U - I on the fresh product, in place: the diagonal's real
-            # parts lose 1, the same bits as subtracting np.eye
-            p = m.conj().T @ m
-            p.ravel()[::m.shape[0] + 1] -= 1.0
-            r = frobenius_norm(p)
+            r = frobenius_norm(m.conj().T @ m - np.eye(m.shape[0]))
             # written so that a NaN residual (an overflowing product) fails too
             if not r <= STRUCTURE_TOL:
                 raise StructureError(f"unitary tag violated, residual {r:.3e}")

@@ -9,9 +9,8 @@ neither a D x D eigendecomposition nor a D x D matrix of the quantity is
 needed; a basis is V, its sectors and per-size generator blocks, and theta
 are coordinates in it. The sector check reads per-column eigenvalues and
 residual bounds, taken from the factors' own eigendecompositions. An
-interaction is built from one small eigendecomposition per eigenspace of
-dimension two or more (a one-dimensional block is a phase), and the same
-decompositions give the exact gradient (Daleckii-Krein divided
+interaction is built from one small eigendecomposition per eigenspace, and
+the same decompositions give the exact gradient (Daleckii-Krein divided
 differences). The search itself is plain local descent on that gradient
 with seeded random restarts, checked on every accepted iterate against the
 Yanase floor, computed once per probe state; the lower bounds provide the
@@ -121,15 +120,10 @@ class CommutantBasis:
         return tuple(out)
 
     @cached_property
-    def _vh(self) -> np.ndarray:
-        """V^dag, formed once per basis."""
-        return self.vectors.conj().T
-
-    @cached_property
     def _groups(self) -> tuple:
         """Sectors grouped by size d: (d, columns (n, d), theta indices (n, d^2),
-        generator blocks flattened to (d^2, d^2)); one batched eigh per group
-        with d > 1. The tables come from array arithmetic on the sector edges."""
+        generator blocks flattened to (d^2, d^2)); one batched eigh per group.
+        The tables come from array arithmetic on the sector edges."""
         edges = np.array([0] + [stop for _, stop in self.sectors])
         starts, sizes = edges[:-1], np.diff(edges)
         offsets = np.cumsum(sizes ** 2) - sizes ** 2
@@ -143,29 +137,22 @@ class CommutantBasis:
 
     def _exponential(self, theta: np.ndarray):
         """exp(i sum theta_k G_k) in sector form: (per group, the eigenvalues
-        and eigenvectors of the stacked blocks H_s, where one-dimensional
-        sectors take no eigh and have no eigenvectors; U as a
-        unitary-tagged Operator). The last result is kept, so a repeated
-        theta (a soundness check or the final model at an evaluated point)
-        and the gradient there reuse it, and U's O(D^3) unitary check runs
-        once per distinct theta."""
+        and eigenvectors of the stacked blocks H_s; U as a unitary-tagged
+        Operator). The last result is kept, so a repeated theta (a soundness
+        check or the final model at an evaluated point) and the gradient there
+        reuse it, and U's O(D^3) unitary check runs once per distinct theta."""
         key = theta.tobytes()
         if key not in self._memo:
             vk = np.empty(self.vectors.shape, dtype=np.complex128)
             blocks = []
             for d, cols, params, gens in self._groups:
-                if d == 1:
-                    # a 1 x 1 block H_s = theta is its own eigenvalue
-                    lam, q = theta[params], None
-                    k = np.exp(1j * lam)[:, :, None]
-                else:
-                    lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
-                    k = (q * np.exp(1j * lam)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+                lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
+                k = (q * np.exp(1j * lam)[:, None, :]) @ q.conj().transpose(0, 2, 1)
                 vk[:, cols] = np.matmul(self.vectors[:, cols].transpose(1, 0, 2),
                                         k).transpose(1, 0, 2)
                 blocks.append((lam, q))
             self._memo.clear()
-            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self._vh))
+            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self.vectors.conj().T))
         return self._memo[key]
 
     def _gradient(self, theta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -173,17 +160,14 @@ class CommutantBasis:
 
         Daleckii-Krein: with H_s = Q diag(lam) Q^dag, d exp(iH_s) =
         Q (F o (Q^dag dH_s Q)) Q^dag, F holding the divided differences of
-        exp(ix); a 1 x 1 block has F = i e^{i theta}. Only the diagonal
-        blocks of V^dag Gamma V enter.
+        exp(ix). Only the diagonal blocks of V^dag Gamma V enter.
         """
         blocks, _ = self._exponential(theta)
-        lt, rt = self._vh @ left, self._vh @ right
+        vh = self.vectors.conj().T
+        lt, rt = vh @ left, vh @ right
         grad = np.empty(self.size)
         for (d, cols, params, gens), (lam, q) in zip(self._groups, blocks):
             gamma = lt[cols] @ rt[cols].conj().transpose(0, 2, 1)
-            if q is None:
-                grad[params] = ((1j * np.exp(1j * lam)).conj() * gamma[:, 0]).real
-                continue
             qh = q.conj().transpose(0, 2, 1)
             a, b = lam[:, :, None], lam[:, None, :]
             # (e^{ia} - e^{ib}) / (a - b) = i e^{i(a+b)/2} sinc((a-b)/2), which
@@ -288,7 +272,7 @@ def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
 
     Projects V^dag H V onto each sector's generator blocks; for a unitary V
     the norm of what the rebuilt blocks leave is ||sum theta_k G_k - H||."""
-    rest = basis._vh @ h.matrix @ basis.vectors
+    rest = basis.vectors.conj().T @ h.matrix @ basis.vectors
     theta = np.empty(basis.size)
     for d, cols, params, gens in basis._groups:
         block = (cols[:, :, None], cols[:, None, :])

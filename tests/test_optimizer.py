@@ -121,7 +121,7 @@ def _pairs_with_one_dimensional_sectors(rng):
 
 
 def test_pair_basis_unitary_matches_dense_oracle_on_one_dimensional_sectors():
-    # the 1 x 1 sectors take e^{i theta} in closed form, with no eigh
+    # a batched eigh of 1 x 1 blocks gives e^{i theta} on each column
     rng = np.random.default_rng(RNG_SEED)
     for pair, sizes in zip(_pairs_with_one_dimensional_sectors(rng), ([1] * 12, [1, 2, 2, 1])):
         basis = w.commutant_basis(pair)
@@ -133,8 +133,8 @@ def test_pair_basis_unitary_matches_dense_oracle_on_one_dimensional_sectors():
 
 
 def test_sector_gradient_on_one_dimensional_sectors():
-    # d Re tr(Gamma^dag U(theta)) for a random Gamma = left @ right^dag: a
-    # 1 x 1 block's divided difference is i e^{i theta}
+    # d Re tr(Gamma^dag U(theta)) for a random Gamma = left @ right^dag: on a
+    # 1 x 1 block the divided difference reduces to i e^{i theta}
     rng = np.random.default_rng(RNG_SEED)
     for pair in _pairs_with_one_dimensional_sectors(rng):
         basis = w.commutant_basis(pair)
