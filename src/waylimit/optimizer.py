@@ -167,8 +167,8 @@ class CommutantBasis:
         lt, rt = vh @ left, vh @ right
         grad = np.empty(self.size)
         for (d, cols, params, gens), (lam, q) in zip(self._groups, blocks):
-            gamma = lt[cols] @ rt[cols].conj().transpose(0, 2, 1)
             qh = q.conj().transpose(0, 2, 1)
+            gamma = lt[cols] @ rt[cols].conj().transpose(0, 2, 1)
             a, b = lam[:, :, None], lam[:, None, :]
             # (e^{ia} - e^{ib}) / (a - b) = i e^{i(a+b)/2} sinc((a-b)/2), which
             # is i e^{ia} on the diagonal without a separate case
