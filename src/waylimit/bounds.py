@@ -11,13 +11,11 @@ Each function that needs a step's condition checks it and raises
 ``PreconditionError`` (``require_yanase`` is the Yanase test, ``ACL_GATE_TOL``
 the one ACL threshold); ``bound_report`` keeps those messages as null reasons.
 
-The bounds read terms that depend only on (model, pair) from ``bound_terms``,
-which compiles them on the object space once, in O(D d_o (d_o + d_p) + d_p^3)
-(D = d_o d_p), and keeps them on the model. Each state then costs one
-O(d_o^2) pass that both bounds share, two products and a dot: the terms keep
-its figures for the last ket object they saw. The derivation-chain checks
-build their own composite-space terms instead: [U, L] (L = L1 x I + I x L2)
-for the ACL, [N, L] and the lifts of [M, L2] and [A, L1] for the commutator
+The bounds read their (model, pair) terms from ``bound_terms``, compiled on
+the object space once in O(D d_o (d_o + d_p) + d_p^3) (D = d_o d_p), and each
+state costs one O(d_o^2) pass that both bounds share. The derivation-chain
+checks build their own composite-space terms: [U, L] (L = L1 x I + I x L2) for
+the ACL, [N, L] and the lifts of [M, L2] and [A, L1] for the commutator
 identity, and only N v and L v (v = psi x xi) for the uncertainty pair.
 """
 
@@ -126,7 +124,8 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     <v|[N, L]|v> = 2i Im<Nv|Lv> for hermitian N and L, the images N v and L v give both.
     """
     check_pair(model, pair)
-    v = model.composite_state(psi).amplitudes
+    model.check_object_state(psi)
+    v = tensor(psi, model.xi).amplitudes
     u, xi = model.U.matrix, model.xi.amplitudes
     a, do = psi.amplitudes, model.object_dim
     n = u.conj().T @ apply_on_probe(model.M.matrix, u @ v, do) - np.kron(model.A.matrix @ a, xi)
@@ -237,9 +236,8 @@ def fundamental_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket)
     The numerator is |<psi|D|psi>|^2 with D = Y^dag (I x [M, L2]) Y - [A, L1]
     and Y = U (I x xi), the probe-traced expectation of the ACL side of the
     commutator identity; the denominator is 4 var(L1, psi) + 4 var(L2, xi).
-    D and var(L2, xi) are compiled once per (model, pair) by ``bound_terms``
-    in O(D d_o (d_o + d_p) + d_p^3); each state then costs one O(d_o^2) pass,
-    shared with ``yanase_bound``.
+    Both come from ``bound_terms`` and one per-state pass shared with
+    ``yanase_bound`` (see the module docstring).
     """
     terms = bound_terms(model, pair)
     model.check_object_state(psi)
@@ -340,9 +338,8 @@ def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> B
 
     Each field is the value of the public function of the same name; one
     whose function raises PreconditionError is None, with the message as its
-    null reason. The chain checks build their own dense terms, apart from the
-    reduced form: [U, L] for the ACL, [N, L] and the lifts of [M, L2] and
-    [A, L1] for the identity, and only N v and L v for the uncertainty pair.
+    null reason. The chain checks build their own terms, apart from the
+    reduced form (see the module docstring).
     """
     terms = bound_terms(model, pair)
     eps = noise(model, psi)

@@ -79,16 +79,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+# the refusal of finite input whose arithmetic overflows; see cmd_verify
+_OVERFLOW = "values overflow double precision"
+
+
 @contextmanager
 def _input_errors(where: str = ""):
-    """A library ValueError raised in the block becomes an input error, its
-    message after ``where: ``; a CliInputError passes through unchanged."""
+    """A library ValueError, or the FloatingPointError of an overflow in verify,
+    becomes an input error after ``where: ``; a CliInputError passes through."""
     try:
         yield
     except CliInputError:
         raise
-    except ValueError as exc:
-        raise CliInputError(f"{where}: {exc}" if where else str(exc)) from exc
+    except (ValueError, FloatingPointError) as exc:
+        text = _OVERFLOW if isinstance(exc, FloatingPointError) else str(exc)
+        raise CliInputError(f"{where}: {text}" if where else text) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +141,25 @@ def _complex_from_json(value, path: str) -> complex:
         ) from None
 
 
-def _complex_list(value, path: str) -> list:
-    """A JSON array of [re, im] pairs; entry k is named path[k] in errors."""
-    return [_complex_from_json(z, f"{path}[{k}]")
-            for k, z in enumerate(_typed(value, path, "array"))]
+def _complex_list(value, path: str) -> np.ndarray:
+    """A JSON array of [re, im] pairs, as a complex array; entry k is named
+    path[k] in errors."""
+    return np.array([_complex_from_json(z, f"{path}[{k}]")
+                     for k, z in enumerate(_typed(value, path, "array"))], dtype=np.complex128)
+
+
+def _vector_to_json(v: np.ndarray) -> list:
+    return [_complex_to_json(z) for z in v]
 
 
 def ket_to_json(ket: Ket):
-    return [_complex_to_json(z) for z in ket.amplitudes]
+    return _vector_to_json(ket.amplitudes)
 
 
-def ket_from_json(value, path: str, normalized: bool = True) -> Ket:
+def ket_from_json(value, path: str) -> Ket:
     amps = _complex_list(value, path)
     with _input_errors(path):
-        return Ket(np.array(amps), normalized=normalized)
+        return Ket(amps)
 
 
 def operator_to_json(op: Operator):
@@ -241,8 +251,8 @@ _FORMS = {
     "hermitian": (lambda v, path: operator_from_json(v, path, "hermitian"), operator_to_json),
     "unitary": (lambda v, path: operator_from_json(v, path, "unitary"), operator_to_json),
     "state": (ket_from_json, ket_to_json),
-    # kets whose norm is a weight below 1, such as a yw_model's branch amplitudes
-    "amplitudes": (lambda v, path: ket_from_json(v, path, normalized=False), ket_to_json),
+    # complex vectors whose squared norm is a weight, such as a yw_model's branches
+    "amplitudes": (_complex_list, _vector_to_json),
 }
 
 # the fields of each model-file kind, in file order: key -> form. The writer
@@ -351,7 +361,11 @@ def _csv_field(value: str) -> str:
 
 def _emit_verify(args, name: str, fields: dict, violations, head: dict, notes: dict) -> int:
     """verify's JSON payload or CSV row for either file kind; 2 when an
-    inequality failed. Only the JSON carries head and notes."""
+    inequality failed. Only the JSON carries head and notes. A figure other
+    than a bound (infinite as its sentinel) is infinite only by overflow."""
+    if any(value is not None and not math.isfinite(value)
+           for key, value in fields.items() if not key.endswith("_bound")):
+        raise OverflowError("an infinite figure")
     if args.csv:
         row = [_csv_field(name), _csv_field(args.state)]
         row += ["" if value is None else _fmt(value) for value in fields.values()]
@@ -379,16 +393,22 @@ def _yw_figures(yw: YWModel, state_spec: str):
 
 
 def cmd_verify(args) -> int:
-    model, pair, metadata = load_model_file(args.model)
-    name = metadata.get("name", "")
-    if isinstance(model, YWModel):
-        fields, violations = _yw_figures(model, args.state)
-        return _emit_verify(args, name, fields, violations, {"kind": "yw_model"}, {})
-    report = bound_report(model, pair, _parse_state(args.state, model.object_dim))
-    # the report's fields in order; its null reasons are a note of the JSON only
-    fields = {key: value for key, value in vars(report).items() if key != "null_reasons"}
-    return _emit_verify(args, name, fields, report.violations(), {},
-                        {"null_reasons": dict(report.null_reasons)})
+    # finite entries can still overflow: numpy raises here instead of warning (a
+    # field's check names it), and so do Python's float power and _emit_verify
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            model, pair, metadata = load_model_file(args.model)
+            name = metadata.get("name", "")
+            if isinstance(model, YWModel):
+                fields, violations = _yw_figures(model, args.state)
+                return _emit_verify(args, name, fields, violations, {"kind": "yw_model"}, {})
+            report = bound_report(model, pair, _parse_state(args.state, model.object_dim))
+            # the report's fields in order; its null reasons are a note of the JSON only
+            fields = {key: value for key, value in vars(report).items() if key != "null_reasons"}
+            return _emit_verify(args, name, fields, report.violations(), {},
+                                {"null_reasons": dict(report.null_reasons)})
+    except (FloatingPointError, OverflowError) as exc:
+        raise CliInputError(f"the model's {_OVERFLOW}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,9 @@ def frobenius_norm(x) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """A state vector; ``normalized=False`` marks intentionally unnormalized data."""
+    """A unit state vector, checked where it is built; unnormalized data are arrays."""
 
     amplitudes: np.ndarray = field(repr=False)
-    normalized: bool = True
 
     def __post_init__(self):
         amp = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
@@ -86,17 +85,13 @@ class Ket:
             raise StructureError("ket amplitudes must be finite")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-        if self.normalized:
-            n = frobenius_norm(amp)
-            if abs(n - 1.0) > ROUNDING_TOL:
-                raise StructureError(f"ket tagged normalized has norm {n:.17g}")
+        n = frobenius_norm(amp)
+        if abs(n - 1.0) > ROUNDING_TOL:
+            raise StructureError(f"ket tagged normalized has norm {n:.17g}")
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +126,11 @@ class Operator:
             if r > STRUCTURE_TOL:
                 raise StructureError(f"hermitian tag violated, residual {r:.3e}")
         if "unitary" in tags:
-            r = frobenius_norm(m.conj().T @ m - np.eye(m.shape[0]))
-            # written so that a NaN residual (an overflowing product) fails too
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+                r = frobenius_norm(m.conj().T @ m - np.eye(m.shape[0]))
             if not r <= STRUCTURE_TOL:
-                raise StructureError(f"unitary tag violated, residual {r:.3e}")
+                raise StructureError(f"unitary tag violated, residual {r:.3e}" if math.isfinite(r)
+                                     else "values overflow the unitary check")
 
     @property
     def dim(self) -> int:
@@ -159,8 +155,7 @@ def identity(dim: int) -> Operator:
 def tensor(a, b):
     """Kronecker product of two kets or two operators (first factor's index is slow)."""
     if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amplitudes, b.amplitudes),
-                   normalized=a.normalized and b.normalized)
+        return Ket(np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, Operator) and isinstance(b, Operator):
         # kron preserves each tag when both factors carry it
         return Operator(np.kron(a.matrix, b.matrix), a.structure & b.structure)
@@ -177,15 +172,15 @@ def _check_state_input(x: Operator, v: Ket, what: str):
         raise StructureError(f"{what} requires a hermitian-tagged operator")
     if x.dim != v.dim:
         raise DimensionMismatch(f"{what}: operator dim {x.dim} vs ket dim {v.dim}")
-    if not v.normalized:
-        raise StructureError(f"{what} requires a normalized ket")
 
 
 def expectation(x: Operator, v: Ket) -> float:
-    """<v|X|v> for hermitian X; the imaginary residue is checked and dropped."""
+    """<v|X|v> for hermitian X; an imaginary residue beyond STRUCTURE_TOL x
+    max(1, ||X v||) is an alarm (rounding grows with X v), a smaller one dropped."""
     _check_state_input(x, v, "expectation")
-    val = complex(np.vdot(v.amplitudes, x.matrix @ v.amplitudes))
-    if abs(val.imag) > STRUCTURE_TOL:
+    xv = x.matrix @ v.amplitudes
+    val = complex(np.vdot(v.amplitudes, xv))
+    if abs(val.imag) > STRUCTURE_TOL and abs(val.imag) > STRUCTURE_TOL * frobenius_norm(xv):
         raise StructureError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
@@ -198,7 +193,7 @@ def variance(x: Operator, v: Ket) -> float:
 
 def array_variance(x: np.ndarray, v: np.ndarray) -> float:
     """``variance`` on plain arrays, for callers that have already checked that
-    x is hermitian, that the dimensions agree and that v is normalized; the
+    x is hermitian, that the dimensions agree and that v is a unit vector; the
     imaginary-residue and negative-clamp alarms stay."""
     xv = x @ v
     return _moment_variance(float(np.vdot(xv, xv).real), complex(np.vdot(v, xv)))
@@ -206,9 +201,10 @@ def array_variance(x: np.ndarray, v: np.ndarray) -> float:
 
 def _moment_variance(second: float, mean: complex) -> float:
     """second - mean^2 from ||x v||^2 and <v|x|v>; it alarms on an imaginary
-    mean and on a variance below -ROUNDING_TOL * max(1, second) (rounding
-    grows with the second moment), and clamps a smaller one to 0."""
-    if abs(mean.imag) > STRUCTURE_TOL:
+    mean beyond STRUCTURE_TOL * max(1, ||x v||) and on a variance below
+    -ROUNDING_TOL * max(1, second) (rounding grows with x v), and clamps a
+    smaller one to 0."""
+    if abs(mean.imag) > STRUCTURE_TOL and abs(mean.imag) > STRUCTURE_TOL * math.sqrt(second):
         raise StructureError(f"variance mean has imaginary residue {mean.imag:.3e}")
     var = second - mean.real ** 2
     if var < 0.0:

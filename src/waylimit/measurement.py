@@ -1,21 +1,17 @@
 """Indirect measurement models and their noise figures.
 
 A model is the tuple (probe state xi, interaction U, record observable M)
-together with the object observable A it is meant to measure. All statistics
-are computed in the Heisenberg picture: the recorded quantity after the
-interaction is U^dag (I x M) U and the noise operator N is its mismatch with
-A x I.
+together with the object observable A it is meant to measure. In the
+Heisenberg picture the recorded quantity after the interaction is
+U^dag (I x M) U, and the noise operator N is its mismatch with A x I.
 
-Per-state figures (noise, worst-case noise, the conservation-law bounds) are
-read off the model's reduced form, where the probe state is already traced
-in: two D x d_o matrices (D = d_o d_p) built once per model in O(D^2 d_o),
-then O(D d_o) work per state for the noise. The bounds' terms for one
-conservation pair are compiled from that form once, in
-O(D d_o (d_o + d_p) + d_p^3), and kept on the model (see
-``bounds.bound_terms``); each state then costs one O(d_o^2) pass of two
-products and a dot that both bounds share, kept for the last ket object.
-The dense composite-space operators stay available for the statistics and
-for the derivation-chain checks.
+Per-state figures (noise, worst-case noise, the outcome statistics and the
+conservation-law bounds) are read off the model's reduced form, where the
+probe state is already traced in: two D x d_o matrices (D = d_o d_p) built
+once per model in O(D^2 d_o), then O(D d_o) work per state for the noise and
+M's levels in Y psi for the statistics. The bounds compile their terms from
+that form (see ``bounds``). The dense composite-space operators stay
+available for the derivation-chain checks.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from .linalg import (
     apply_on_probe,
     frobenius_norm,
     spectrum_runs,
-    tensor,
 )
 
 
@@ -58,8 +53,6 @@ class MeasurementModel:
             raise ValueError("dimensions must be positive")
         if self.xi.dim != self.probe_dim:
             raise DimensionMismatch(f"xi has dim {self.xi.dim}, expected probe_dim {self.probe_dim}")
-        if not self.xi.normalized:
-            raise StructureError("probe state xi must be normalized")
         if self.U.dim != self.object_dim * self.probe_dim:
             raise DimensionMismatch(
                 f"U has dim {self.U.dim}, expected {self.object_dim * self.probe_dim}")
@@ -77,12 +70,6 @@ class MeasurementModel:
     def check_object_state(self, psi: Ket):
         if psi.dim != self.object_dim:
             raise DimensionMismatch(f"psi has dim {psi.dim}, expected object_dim {self.object_dim}")
-        if not psi.normalized:
-            raise StructureError("object state psi must be normalized")
-
-    def composite_state(self, psi: Ket) -> Ket:
-        self.check_object_state(psi)
-        return tensor(psi, self.xi)
 
     @cached_property
     def reduced(self) -> "ReducedForm":
@@ -155,10 +142,11 @@ def heisenberg_probe(model: MeasurementModel) -> Operator:
 
 
 def _levels(x: np.ndarray, v: np.ndarray) -> tuple:
-    """(value, weight) of each level of hermitian x in the unit vector v.
+    """(value, weight) of each level of hermitian x in v, a unit vector or
+    columns whose squared norms sum to 1.
 
     One eigh; eigenvalues within EQUALITY_TOL of their neighbour merge into
-    one level, valued at their mean, whose weight is ||V_k^dag v||^2 for its
+    one level, valued at their mean, whose weight is ||V_k^dag v||_F^2 for its
     eigenvector columns V_k. The merged spectrum must rebuild x within
     EQUALITY_TOL; a weight, a sum of squares, may pass 1 by rounding only.
     """
@@ -180,9 +168,11 @@ def _levels(x: np.ndarray, v: np.ndarray) -> tuple:
 
 
 def outcome_distribution(model: MeasurementModel, psi: Ket) -> OutcomeDistribution:
-    """Probability of each spectral value of the propagated record observable."""
-    v = model.composite_state(psi).amplitudes
-    return OutcomeDistribution(_levels(heisenberg_probe(model).matrix, v))
+    """Probability of each spectral value of the propagated record observable:
+    M's levels in the probe columns of U (psi x xi) = Y psi, no D x D operator."""
+    model.check_object_state(psi)
+    after = (model.reduced.y @ psi.amplitudes).reshape(model.object_dim, -1).T
+    return OutcomeDistribution(_levels(model.M.matrix, after))
 
 
 def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:

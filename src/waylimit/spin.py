@@ -101,47 +101,57 @@ def trivial_demo_model():
     return _two_qubit_demo(Operator.unitary(np.eye(4)), Operator.hermitian(np.zeros((2, 2))))
 
 
+def _weight(amplitudes: np.ndarray) -> float:
+    return float(np.vdot(amplitudes, amplitudes).real)
+
+
 @dataclass(frozen=True, eq=False)
 class YWModel:
     """Partial interaction data for +/- 1/2 readouts; see the module docstring.
 
-    Validity means: each input image has unit norm (isometry), the two images
-    are orthogonal, xi_plus / xi_minus are record-observable eigenstates at
-    +/- 1/2, and the record spectrum lies inside [-1/2, 1/2].
+    The branches are read-only complex arrays, not kets: their squared norms
+    are weights. Validity means: each input image has unit norm (isometry),
+    the two images are orthogonal, xi_plus / xi_minus are record-observable
+    eigenstates at +/- 1/2, and the record spectrum lies inside [-1/2, 1/2].
     """
 
     probe_dim: int
     xi: Ket
-    xi_plus: Ket
-    xi_minus: Ket
-    eta_plus: Ket
-    eta_minus: Ket
+    xi_plus: np.ndarray
+    xi_minus: np.ndarray
+    eta_plus: np.ndarray
+    eta_minus: np.ndarray
     M: Operator
 
     def __post_init__(self):
         for name in ("xi", "xi_plus", "xi_minus", "eta_plus", "eta_minus", "M"):
-            dim = getattr(self, name).dim
+            value = getattr(self, name)
+            if name not in ("xi", "M"):  # a branch: a plain complex array
+                value = np.array(value, dtype=np.complex128).reshape(-1)
+                if not np.isfinite(value).all():
+                    raise StructureError(f"{name} amplitudes must be finite")
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+            dim = value.size if isinstance(value, np.ndarray) else value.dim
             if dim != self.probe_dim:
                 raise ValueError(f"{name} has dim {dim}, expected {self.probe_dim}")
-        if not self.xi.normalized:
-            raise StructureError("xi must be normalized")
         if not self.M.has("hermitian"):
             raise StructureError("M must be hermitian on the probe space")
 
-        plus = self.xi_plus.norm_sq() + self.eta_plus.norm_sq()
-        minus = self.xi_minus.norm_sq() + self.eta_minus.norm_sq()
+        plus = _weight(self.xi_plus) + _weight(self.eta_plus)
+        minus = _weight(self.xi_minus) + _weight(self.eta_minus)
         if abs(plus - 1.0) > STRUCTURE_TOL or abs(minus - 1.0) > STRUCTURE_TOL:
             raise StructureError(
                 f"image norms {plus:.12g}, {minus:.12g} break the isometry condition")
 
-        overlap = complex(np.vdot(self.xi_plus.amplitudes, self.eta_minus.amplitudes)) \
-            + complex(np.vdot(self.eta_plus.amplitudes, self.xi_minus.amplitudes))
+        overlap = complex(np.vdot(self.xi_plus, self.eta_minus)) \
+            + complex(np.vdot(self.eta_plus, self.xi_minus))
         if abs(overlap) > STRUCTURE_TOL:
             raise StructureError(f"image overlap {abs(overlap):.3e} breaks orthogonality")
 
         m = self.M.matrix
-        rp = frobenius_norm(m @ self.xi_plus.amplitudes - HALF * self.xi_plus.amplitudes)
-        rm = frobenius_norm(m @ self.xi_minus.amplitudes + HALF * self.xi_minus.amplitudes)
+        rp = frobenius_norm(m @ self.xi_plus - HALF * self.xi_plus)
+        rm = frobenius_norm(m @ self.xi_minus + HALF * self.xi_minus)
         if rp > STRUCTURE_TOL or rm > STRUCTURE_TOL:
             raise StructureError(
                 f"xi_plus/xi_minus are not +/-1/2 eigenstates (residuals {rp:.3e}, {rm:.3e})")
@@ -154,7 +164,7 @@ class YWModel:
 
 def yw_eps_y(yw: YWModel) -> float:
     """Summed weight of the two unsuccessful branches (the squared figure)."""
-    return yw.eta_plus.norm_sq() + yw.eta_minus.norm_sq()
+    return _weight(yw.eta_plus) + _weight(yw.eta_minus)
 
 
 def yw_error_at_alpha_y(yw: YWModel) -> float:
@@ -167,8 +177,8 @@ def yw_error_at_alpha_y(yw: YWModel) -> float:
     """
     m = yw.M.matrix
     eye = np.eye(yw.probe_dim)
-    plus = frobenius_norm((m - HALF * eye) @ yw.eta_plus.amplitudes) ** 2
-    minus = frobenius_norm((m + HALF * eye) @ yw.eta_minus.amplitudes) ** 2
+    plus = frobenius_norm((m - HALF * eye) @ yw.eta_plus) ** 2
+    minus = frobenius_norm((m + HALF * eye) @ yw.eta_minus) ** 2
     return 0.5 * plus + 0.5 * minus
 
 
@@ -186,25 +196,11 @@ def yw_check_bound(yw: YWModel, delta_mz_sq: float):
 
 
 def yw_sample_model() -> YWModel:
-    """Fixed well-formed sample with eps_y^2 = 0.1, used by the demo command."""
-    zeros = np.zeros(4)
-
-    def unit(index, scale):
-        v = zeros.copy()
-        v[index] = scale
-        return Ket(v, normalized=False)
-
-    keep = np.sqrt(0.95)
-    leak = np.sqrt(0.05)
-    return YWModel(
-        probe_dim=4,
-        xi=Ket([1.0, 0.0, 0.0, 0.0]),
-        xi_plus=unit(0, keep),
-        xi_minus=unit(1, keep),
-        eta_plus=unit(2, leak),
-        eta_minus=unit(3, leak),
-        M=Operator.hermitian(np.diag([HALF, -HALF, 0.25, -0.25])),
-    )
+    """Fixed well-formed sample with eps_y^2 = 0.1, used by the demo command:
+    xi_plus, xi_minus, eta_plus and eta_minus are the rows of one diagonal."""
+    branches = np.diag(np.sqrt([0.95, 0.95, 0.05, 0.05]))
+    return YWModel(4, Ket([1.0, 0.0, 0.0, 0.0]), *branches,
+                   M=Operator.hermitian(np.diag([HALF, -HALF, 0.25, -0.25])))
 
 
 def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:
@@ -248,10 +244,10 @@ def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:
     return YWModel(
         probe_dim=d,
         xi=Ket(basis[:, int(rng.integers(0, d))]),
-        xi_plus=Ket(xi_plus, normalized=False),
-        xi_minus=Ket(_extract(w, bx, d), normalized=False),
-        eta_plus=Ket(eta_plus, normalized=False),
-        eta_minus=Ket(_extract(w, ax, d), normalized=False),
+        xi_plus=xi_plus,
+        xi_minus=_extract(w, bx, d),
+        eta_plus=eta_plus,
+        eta_minus=_extract(w, ax, d),
         M=Operator.hermitian(m),
     )
 

@@ -217,10 +217,10 @@ def conservative_yw_embedding(rng, probe_values, attempts=40):
         yw = w.YWModel(
             probe_dim=d,
             xi=w.Ket(xi_vec),
-            xi_plus=w.Ket(xi_plus, normalized=False),
-            xi_minus=w.Ket(xi_minus, normalized=False),
-            eta_plus=w.Ket(eta_plus, normalized=False),
-            eta_minus=w.Ket(eta_minus, normalized=False),
+            xi_plus=xi_plus,
+            xi_minus=xi_minus,
+            eta_plus=eta_plus,
+            eta_minus=eta_minus,
             M=w.Operator.hermitian(m),
         )
         model = w.MeasurementModel(2, d, w.Ket(xi_vec), u,

@@ -668,15 +668,12 @@ def test_shared_state_pass_still_checks_each_ket():
     model, pair = random_conservative_model(rng, object_dim=2, probe_dim=3)
     psi = w.random_ket(2, rng)
     wrong_dim = w.random_ket(3, rng)
-    unnormalized = w.Ket(psi.amplitudes, normalized=False)
     for bound in (w.fundamental_bound, w.yanase_bound):
         for first in (w.fundamental_bound, w.yanase_bound):
             first(model, pair, psi)
             bound(model, pair, psi)  # a hit
             with pytest.raises(w.DimensionMismatch):
                 bound(model, pair, wrong_dim)
-            with pytest.raises(w.StructureError):
-                bound(model, pair, unnormalized)
             assert bound(model, pair, psi) == bound(_rebuilt(model), pair, psi)
 
 

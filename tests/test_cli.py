@@ -772,9 +772,9 @@ def test_model_dict_roundtrip_exact():
         meta = {"name": f"yw-{k}", "description": ""}
         reparsed, none, metadata = yw_model_from_dict(reread(yw_model_to_dict(yw, **meta)))
         assert none is None and metadata == meta and reparsed.probe_dim == yw.probe_dim
-        for key in ("xi", "xi_plus", "xi_minus", "eta_plus", "eta_minus"):
-            np.testing.assert_array_equal(getattr(reparsed, key).amplitudes,
-                                          getattr(yw, key).amplitudes)
+        np.testing.assert_array_equal(reparsed.xi.amplitudes, yw.xi.amplitudes)
+        for key in ("xi_plus", "xi_minus", "eta_plus", "eta_minus"):
+            np.testing.assert_array_equal(getattr(reparsed, key), getattr(yw, key))
         np.testing.assert_array_equal(reparsed.M.matrix, yw.M.matrix)
 
 
@@ -797,6 +797,7 @@ def test_model_dict_roundtrip_exact():
     ("swap", ("U", 0), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
      "U: row 0 does not make the matrix square"),
     ("yw-sample", ("xi_plus",), [[0.1, 0.0], [0.0, 0.0]], "xi_plus has dim 2, expected 4"),
+    ("yw-sample", ("xi_plus",), [], "xi_plus has dim 0, expected 4"),
     ("swap", ("object_dim",), 0, "dimensions must be positive"),
     ("swap", ("M",), [[[0.5, 0.0]]], "M has dim 1, expected probe_dim 2"),
     ("swap", ("A",), [[[0.5, 0.0]]], "A has dim 1, expected object_dim 2"),
@@ -810,7 +811,7 @@ def test_model_dict_roundtrip_exact():
      "image overlap 2.179e-01 breaks orthogonality"),
 ], ids=["xi-bool", "U-bool", "probe_dim-bool", "object_dim-float", "metadata-array",
         "metadata-string", "metadata-name-number", "yw-probe_dim-bool", "yw-eta_plus-bool",
-        "schema-v2", "U-short-row", "yw-xi_plus-dim", "object_dim-zero", "M-dim", "A-dim",
+        "schema-v2", "U-short-row", "yw-xi_plus-dim", "yw-xi_plus-empty", "object_dim-zero", "M-dim", "A-dim",
         "U-empty", "yw-M-dim", "yw-M-spectrum", "yw-isometry", "yw-orthogonality"])
 def test_model_file_problems_are_input_errors(tmp_path, capsys, demo, where, value, message):
     doc = json.loads(run_cli(capsys, "demo", demo)[1])
@@ -822,6 +823,64 @@ def test_model_file_problems_are_input_errors(tmp_path, capsys, demo, where, val
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def _swap_with(tmp_path, capsys, entries=(), scaled=()) -> str:
+    """The swap demo's file with, for each (field, value) of entries, entry [0]
+    of a ket or [0][0] of a matrix set to value, and each (field, factor) of
+    scaled multiplying every entry of a matrix."""
+    doc = json.loads(run_cli(capsys, "demo", "swap")[1])
+    for field, value in entries:
+        if field == "xi":
+            doc[field][0] = [value, 0.0]
+        else:
+            doc[field][0][0] = [value, 0.0]
+    for field, factor in scaled:
+        doc[field] = [[[re * factor, im * factor] for re, im in row] for row in doc[field]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_EVALUATION_OVERFLOW = "error: the model's values overflow double precision\n"
+
+
+@pytest.mark.parametrize("entries, message", [
+    ((("U", 1e200),), "error: U: values overflow the unitary check\n"),
+    ((("xi", 1e200),), "error: xi: values overflow double precision\n"),
+    ((("A", 1e160),), _EVALUATION_OVERFLOW),
+    ((("L1", 1e160),), _EVALUATION_OVERFLOW),
+    ((("L2", 1e160),), _EVALUATION_OVERFLOW),
+    ((("M", 1e160),), _EVALUATION_OVERFLOW),
+    # no numpy product overflows here, only the float product of two variances
+    ((("A", 1e80), ("L1", 1e80)), _EVALUATION_OVERFLOW),
+], ids=["U-1e200", "xi-1e200", "A-1e160", "L1-1e160", "L2-1e160", "M-1e160", "A-L1-1e80"])
+def test_overflowing_model_file_is_one_input_error_line(tmp_path, capsys, entries, message):
+    # finite entries whose arithmetic overflows: exit 1 and one line, with no
+    # numpy warning (the suite makes a RuntimeWarning an error); a check of
+    # one field names it
+    path = _swap_with(tmp_path, capsys, entries)
+    for extra in ((), ("--csv",)):
+        assert run_cli(capsys, "verify", path, *extra) == (1, "", message)
+
+
+@pytest.mark.parametrize("field", ["A", "L1", "L2", "M"])
+def test_large_finite_model_file_still_verifies(tmp_path, capsys, field):
+    # at 1e100 nothing overflows: the report is computed as before
+    code, out, err = run_cli(capsys, "verify", _swap_with(tmp_path, capsys, ((field, 1e100),)))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["violations"] == [] and math.isfinite(report["eps_sq"])
+
+
+def test_conserved_quantities_at_1e8_verify_without_a_residue_alarm(tmp_path, capsys):
+    # the imaginary residue of <v|L|v> rounds in proportion to L v; with L1
+    # and L2 scaled by 1e8 it passes STRUCTURE_TOL, not the scaled threshold
+    path = _swap_with(tmp_path, capsys, scaled=(("L1", 1e8), ("L2", 1e8)))
+    code, out, err = run_cli(capsys, "verify", path,
+                             "--state", "[[0.6,0.1],[0.3,-0.7348469228349535]]")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["violations"] == []
 
 
 def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
 """Core operator/ket layer: tagged construction, moments, spectra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import waylimit as w
-from waylimit.linalg import ROUNDING_TOL, array_variance
+from waylimit.linalg import ROUNDING_TOL, STRUCTURE_TOL, array_variance
 
 RNG_SEED = 2024
 
@@ -79,10 +81,35 @@ def test_expectation_dim_mismatch():
         w.expectation(w.identity(3), w.named_state("alpha_z"))
 
 
-def test_variance_refuses_an_unnormalized_ket():
-    _, _, sz = w.spin_operators()
-    with pytest.raises(w.StructureError, match="^variance requires a normalized ket$"):
-        w.variance(sz, w.Ket([1.0, 1.0], normalized=False))
+def test_imaginary_residue_alarms_scale_with_x_v():
+    # rounding of <v|X v> grows with X v: at 1e8 x a random hermitian matrix
+    # the residue passes the absolute STRUCTURE_TOL, not the scaled threshold
+    passed = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x = w.Operator.hermitian(1e8 * w.random_hermitian(8, rng).matrix)
+        v = w.random_ket(8, rng)
+        mean = np.vdot(v.amplitudes, x.matrix @ v.amplitudes)
+        passed += abs(mean.imag) > STRUCTURE_TOL
+        assert w.expectation(x, v) == mean.real
+        w.variance(x, v)
+    assert passed >= 5
+    # at unit scale the threshold stays absolute
+    with pytest.raises(w.StructureError, match="^variance mean has imaginary residue 2.000e-10$"):
+        array_variance(np.diag([2e-10j, 0.0]), np.array([1.0, 0.0]))
+
+
+def test_expectation_residue_alarm_near_the_kernel_of_a_large_operator():
+    # X v near zero leaves the threshold at STRUCTURE_TOL, while the rounding
+    # of X v is of order eps ||X||: at a null vector of 1e10 x a random
+    # hermitian matrix that reaches the alarm, though X carries the tag
+    rng = np.random.default_rng(RNG_SEED + 12)
+    h = w.random_hermitian(8, rng).matrix
+    values, vectors = np.linalg.eigh(h)
+    x = 1e10 * (h - values[3] * np.eye(8))
+    x = w.Operator.hermitian((x + x.conj().T) / 2)
+    with pytest.raises(w.StructureError, match="^expectation has imaginary residue"):
+        w.expectation(x, w.Ket(vectors[:, 3] / w.frobenius_norm(vectors[:, 3])))
 
 
 def test_commutator_dim_mismatch():
@@ -187,14 +214,16 @@ def test_commutator_antisymmetry_is_exact():
 
 
 def test_ket_normalization_enforced():
-    with pytest.raises(w.StructureError):
+    # a Ket is always a unit vector; unnormalized data are plain arrays
+    with pytest.raises(w.StructureError, match="^ket tagged normalized has norm 1.414"):
         w.Ket([1.0, 1.0])
-    w.Ket([1.0, 1.0], normalized=False)  # explicit opt-out is fine
+    assert [f.name for f in dataclasses.fields(w.Ket)] == ["amplitudes"]
+    assert not hasattr(w.Ket, "norm_sq")
 
 
 def test_ket_rejects_non_finite():
     with pytest.raises(w.StructureError):
-        w.Ket([np.nan, 0.0], normalized=False)
+        w.Ket([np.nan, 0.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
@@ -202,9 +231,8 @@ def test_ket_rejects_non_finite():
 def test_ket_and_operator_reject_every_non_finite_entry(bad):
     amps = np.array([1.0, 0.0, 0.0], dtype=complex)
     amps[1] = bad
-    for normalized in (True, False):
-        with pytest.raises(w.StructureError, match="ket amplitudes must be finite"):
-            w.Ket(amps, normalized=normalized)
+    with pytest.raises(w.StructureError, match="ket amplitudes must be finite"):
+        w.Ket(amps)
     m = np.eye(3, dtype=complex)
     m[2, 1] = m[1, 2] = bad
     for build in (w.Operator, w.Operator.hermitian, w.Operator.unitary):
@@ -267,13 +295,13 @@ def test_operator_tags_validated():
 def test_unitary_check_refuses_an_overflowing_product():
     # finite entries whose product overflows give a NaN residual (inf * 0 in
     # the complex products), which a plain "> tol" test would let through;
-    # a finite product whose norm overflows gives an infinite one
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, text in (([[1e200, 0.0], [0.0, 1.0]], "nan"),
-                        ([[1e200, 1e200], [1e200, -1e200]], "nan"),
-                        ([[1e154, 0.0], [0.0, 1.0]], "inf")):
-            with pytest.raises(w.StructureError, match=f"^unitary tag violated, residual {text}$"):
-                w.Operator.unitary(m)
+    # a finite product whose norm overflows gives an infinite one. Either is
+    # refused as an overflow, with no numpy warning (the suite makes a
+    # RuntimeWarning an error)
+    for m in ([[1e200, 0.0], [0.0, 1.0]], [[1e200, 1e200], [1e200, -1e200]],
+              [[1e154, 0.0], [0.0, 1.0]]):
+        with pytest.raises(w.StructureError, match="^values overflow the unitary check$"):
+            w.Operator.unitary(m)
 
 
 def test_operator_rejects_unknown_tags():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import waylimit as w
+from waylimit.measurement import _levels
 from helpers import CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, random_conservative_model
 
 RNG_SEED = 515
@@ -141,6 +142,37 @@ def test_outcome_statistics_match_projector_oracle_up_to_dim_64():
             stray = sum(p for value, p in expected
                         if all(abs(value - b) > 1e-9 for b, _ in born))
             assert w.bsf_deviation(model, psi) == pytest.approx(max(deviation, stray), abs=1e-12)
+
+
+def test_outcome_statistics_read_the_reduced_form(monkeypatch):
+    # M's levels in Y psi: no Heisenberg operator and no D x D eigh or array
+    rng = np.random.default_rng(RNG_SEED + 3)
+    model, _ = random_conservative_model(rng, object_dim=3, probe_dim=4)
+    psi = w.random_ket(3, rng)
+    before = (w.outcome_distribution(model, psi).outcomes, w.bsf_deviation(model, psi))
+    fresh = w.MeasurementModel(3, 4, model.xi, model.U, model.M, model.A)
+
+    def refuse(model):
+        raise AssertionError("heisenberg_probe called")
+
+    shapes = []
+    eigh, kron = np.linalg.eigh, np.kron
+    monkeypatch.setattr(w.measurement, "heisenberg_probe", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: (shapes.append(x.shape), eigh(x))[1])
+    monkeypatch.setattr(np, "kron", lambda a, b: (shapes.append(kron(a, b).shape),
+                                                  kron(a, b))[1])
+    assert (w.outcome_distribution(fresh, psi).outcomes, w.bsf_deviation(fresh, psi)) == before
+    assert shapes and all(max(shape) < 12 for shape in shapes)
+
+
+def test_levels_refuses_a_weight_beyond_the_clamp():
+    # a weight may pass 1 by rounding only; a column set heavier than that is
+    # refused, and one within ROUNDING_TOL is clamped to 1
+    x = np.diag([0.0, 1.0])
+    with pytest.raises(ArithmeticError,
+                       match="^outcome probability 1.125 outside clamp tolerance$"):
+        _levels(x, np.array([[0.75, 0.75], [0.0, 0.0]]))
+    assert _levels(x, np.array([[1.0 + 2.0 ** -45, 0.0]]).T) == ((0.0, 1.0), (1.0, 0.0))
 
 
 def test_outcome_distribution_merges_a_level_pair_closer_than_equality_tol():
@@ -407,9 +439,6 @@ def test_model_validation_errors():
     with pytest.raises(w.StructureError):
         w.MeasurementModel(2, 2, w.named_state("alpha_x"),
                            w.Operator(np.eye(4)), sx, sx)
-    with pytest.raises(w.StructureError, match="^probe state xi must be normalized$"):
-        w.MeasurementModel(2, 2, w.Ket([1.0, 1.0], normalized=False),
-                           w.Operator.unitary(np.eye(4)), sx, sx)
 
 
 def test_outcome_distribution_refuses_invalid_probabilities():

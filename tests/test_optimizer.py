@@ -543,7 +543,7 @@ def test_optimize_xi_moves_the_probe_state():
     config = w.OptimizerConfig(restarts=1, max_iters=4, seed=3, optimize_xi=True)
     run = w.optimize_noise(sx, pair, m, xi0, psi, config)
     xi = run.result_model.xi
-    assert xi.normalized
+    assert isinstance(xi, w.Ket)
     assert w.frobenius_norm(xi.amplitudes) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(xi.amplitudes - xi0.amplitudes) > 1e-6
     assert run.final_objective == pytest.approx(w.noise(run.result_model, psi) ** 2,
@@ -605,6 +605,18 @@ def test_sup_gradient_at_a_double_top_eigenvalue():
     oracle = w.numerical_gradient(problem.objective, x, 1e-7)
     assert np.linalg.norm(oracle) > 0.1
     assert np.linalg.norm(g - oracle) <= 1e-6 * np.linalg.norm(oracle)
+
+
+def test_split_refuses_collapsed_probe_parameters():
+    # the probe state is raw / ||raw||; raw parameters at zero have no direction
+    sx, _, sz = w.spin_operators()
+    l2, m, xi = w.spin_ladder_probe(2)
+    problem = _Problem(sx, w.ConservationPair(L1=sz, L2=l2), m, xi, w.named_state("alpha_y"),
+                       w.OptimizerConfig(restarts=1, optimize_xi=True))
+    x = problem.initial_point(0)
+    x[problem.n_theta:] = 0.0
+    with pytest.raises(ArithmeticError, match="^probe-state parameters collapsed to zero$"):
+        problem.split(x)
 
 
 def test_xi_gradient_at_the_ladder_sine_state_matches_the_oracle():

@@ -64,43 +64,45 @@ def test_yw_model_validation():
 
     with pytest.raises(w.StructureError):  # broken isometry
         w.YWModel(probe_dim=2, xi=w.Ket([1, 0]),
-                  xi_plus=w.Ket([1, 0], normalized=False),
-                  xi_minus=w.Ket([0, 0.3], normalized=False),
-                  eta_plus=w.Ket([0, 0.5], normalized=False),
-                  eta_minus=w.Ket([0, 0], normalized=False),
+                  xi_plus=[1, 0],
+                  xi_minus=[0, 0.3],
+                  eta_plus=[0, 0.5],
+                  eta_minus=[0, 0],
                   M=w.Operator.hermitian(np.diag([0.5, -0.5])))
 
     with pytest.raises(w.StructureError):  # xi_plus not a +1/2 eigenstate
         w.YWModel(probe_dim=2, xi=w.Ket([1, 0]),
-                  xi_plus=w.Ket([0, 1], normalized=False),
-                  xi_minus=w.Ket([1, 0], normalized=False),
-                  eta_plus=w.Ket([0, 0], normalized=False),
-                  eta_minus=w.Ket([0, 0], normalized=False),
+                  xi_plus=[0, 1],
+                  xi_minus=[1, 0],
+                  eta_plus=[0, 0],
+                  eta_minus=[0, 0],
                   M=w.Operator.hermitian(np.diag([0.5, -0.5])))
 
     with pytest.raises(w.StructureError):  # record spectrum leaves [-1/2, 1/2]
         w.YWModel(probe_dim=2, xi=w.Ket([1, 0]),
-                  xi_plus=w.Ket([1, 0], normalized=False),
-                  xi_minus=w.Ket([0, 1], normalized=False),
-                  eta_plus=w.Ket([0, 0], normalized=False),
-                  eta_minus=w.Ket([0, 0], normalized=False),
+                  xi_plus=[1, 0],
+                  xi_minus=[0, 1],
+                  eta_plus=[0, 0],
+                  eta_minus=[0, 0],
                   M=w.Operator.hermitian(np.diag([0.5, -1.5])))
 
-    with pytest.raises(w.StructureError, match="^xi must be normalized$"):
-        w.YWModel(probe_dim=2, xi=w.Ket([1, 1], normalized=False),
-                  xi_plus=w.Ket([1, 0], normalized=False),
-                  xi_minus=w.Ket([0, 1], normalized=False),
-                  eta_plus=w.Ket([0, 0], normalized=False),
-                  eta_minus=w.Ket([0, 0], normalized=False),
+    # the branches are plain complex arrays: converted, finite, of the probe's size
+    with pytest.raises(w.StructureError, match="^eta_plus amplitudes must be finite$"):
+        w.YWModel(probe_dim=2, xi=w.Ket([1, 0]), xi_plus=[1, 0], xi_minus=[0, 1],
+                  eta_plus=[0, np.nan], eta_minus=[0, 0],
+                  M=w.Operator.hermitian(np.diag([0.5, -0.5])))
+    with pytest.raises(ValueError, match="^xi_minus has dim 0, expected 2$"):
+        w.YWModel(probe_dim=2, xi=w.Ket([1, 0]), xi_plus=[1, 0], xi_minus=[],
+                  eta_plus=[0, 0], eta_minus=[0, 0],
                   M=w.Operator.hermitian(np.diag([0.5, -0.5])))
 
     # an untagged M, though its matrix is hermitian
     with pytest.raises(w.StructureError, match="^M must be hermitian on the probe space$"):
         w.YWModel(probe_dim=2, xi=w.Ket([1, 0]),
-                  xi_plus=w.Ket([1, 0], normalized=False),
-                  xi_minus=w.Ket([0, 1], normalized=False),
-                  eta_plus=w.Ket([0, 0], normalized=False),
-                  eta_minus=w.Ket([0, 0], normalized=False),
+                  xi_plus=[1, 0],
+                  xi_minus=[0, 1],
+                  eta_plus=[0, 0],
+                  eta_minus=[0, 0],
                   M=w.Operator(np.diag([0.5, -0.5])))
 
 
@@ -109,10 +111,10 @@ def test_yw_eps_y_values():
     assert w.yw_eps_y(sample) == pytest.approx(0.1, abs=1e-12)
 
     perfect = w.YWModel(probe_dim=2, xi=w.Ket([1, 0]),
-                        xi_plus=w.Ket([1, 0], normalized=False),
-                        xi_minus=w.Ket([0, 1], normalized=False),
-                        eta_plus=w.Ket([0, 0], normalized=False),
-                        eta_minus=w.Ket([0, 0], normalized=False),
+                        xi_plus=[1, 0],
+                        xi_minus=[0, 1],
+                        eta_plus=[0, 0],
+                        eta_minus=[0, 0],
                         M=w.Operator.hermitian(np.diag([0.5, -0.5])))
     assert w.yw_eps_y(perfect) == 0.0
 
@@ -136,10 +138,10 @@ def test_yw_error_closed_form_cases():
     keep = np.sqrt(0.7)
     noisefree = w.YWModel(
         probe_dim=4, xi=w.Ket([1, 0, 0, 0]),
-        xi_plus=w.Ket([keep, 0, 0, 0], normalized=False),
-        xi_minus=w.Ket([0, 0, keep, 0], normalized=False),
-        eta_plus=w.Ket([0, leak, 0, 0], normalized=False),
-        eta_minus=w.Ket([0, 0, 0, leak], normalized=False),
+        xi_plus=[keep, 0, 0, 0],
+        xi_minus=[0, 0, keep, 0],
+        eta_plus=[0, leak, 0, 0],
+        eta_minus=[0, 0, 0, leak],
         M=m)
     assert w.yw_error_at_alpha_y(noisefree) == pytest.approx(0.0, abs=1e-15)
     assert w.yw_eps_y(noisefree) == pytest.approx(0.6, abs=1e-12)
@@ -155,8 +157,8 @@ def test_yw_error_independent_reconstruction():
     for _ in range(50):
         d = int(rng.integers(2, 7))
         yw = w.random_yw_model(d, rng)
-        v_plus = np.kron(ax, yw.xi_plus.amplitudes) + np.kron(bx, yw.eta_plus.amplitudes)
-        v_minus = np.kron(bx, yw.xi_minus.amplitudes) + np.kron(ax, yw.eta_minus.amplitudes)
+        v_plus = np.kron(ax, yw.xi_plus) + np.kron(bx, yw.eta_plus)
+        v_minus = np.kron(bx, yw.xi_minus) + np.kron(ax, yw.eta_minus)
         # U N (alpha_y x xi) = (I x M) U (alpha_y x xi) - U (S_x alpha_y x xi)
         u_alpha_y = ((1 + 1j) * v_plus + (1 - 1j) * v_minus) / 2.0
         u_sx_alpha_y = ((1 + 1j) * 0.5 * v_plus - (1 - 1j) * 0.5 * v_minus) / 2.0
@@ -212,10 +214,10 @@ def test_yw_check_bound_swap_embedding():
     ax = w.named_state("alpha_x")
     bx = w.named_state("beta_x")
     yw = w.YWModel(probe_dim=2, xi=ax,
-                   xi_plus=w.Ket(ax.amplitudes, normalized=False),
-                   xi_minus=w.Ket([0, 0], normalized=False),
-                   eta_plus=w.Ket([0, 0], normalized=False),
-                   eta_minus=w.Ket(bx.amplitudes, normalized=False),
+                   xi_plus=ax.amplitudes,
+                   xi_minus=[0, 0],
+                   eta_plus=[0, 0],
+                   eta_minus=bx.amplitudes,
                    M=w.Operator.hermitian(0.5 * np.eye(2)))
     _, _, sz = w.spin_operators()
     variance = w.variance(sz, ax)  # 1/4 for the x eigenstate
@@ -255,5 +257,16 @@ def test_yw_check_bound_conservative_embeddings():
 def test_yw_sample_model_invariants():
     sample = w.yw_sample_model()
     assert w.yw_eps_y(sample) == pytest.approx(0.1, abs=1e-12)
-    plus = sample.xi_plus.norm_sq() + sample.eta_plus.norm_sq()
+    plus = sum(float(np.vdot(v, v).real) for v in (sample.xi_plus, sample.eta_plus))
     assert plus == pytest.approx(1.0, abs=1e-12)
+
+
+def test_yw_branches_are_read_only_complex_arrays():
+    # lists, real arrays and random draws all become read-only 1-D complex arrays
+    for yw in (w.yw_sample_model(), w.random_yw_model(3, np.random.default_rng(RNG_SEED))):
+        for name in ("xi_plus", "xi_minus", "eta_plus", "eta_minus"):
+            amp = getattr(yw, name)
+            assert type(amp) is np.ndarray and amp.dtype == np.complex128
+            assert amp.shape == (yw.probe_dim,) and not amp.flags.writeable
+    # eps_y^2 is the sum of squared norms taken with vdot, bit for bit
+    assert w.yw_eps_y(w.yw_sample_model()) == 0.09999999999999999
