@@ -128,10 +128,11 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     v = tensor(psi, model.xi).amplitudes
     u, xi = model.U.matrix, model.xi.amplitudes
     a, do = psi.amplitudes, model.object_dim
-    n = u.conj().T @ apply_on_probe(model.M.matrix, u @ v, do) - np.kron(model.A.matrix @ a, xi)
-    l = np.kron(pair.L1.matrix @ a, xi) + apply_on_probe(pair.L2.matrix, v, do)
-    lhs = _moment_variance(float(np.vdot(n, n).real), complex(np.vdot(v, n))) \
-        * _moment_variance(float(np.vdot(l, l).real), complex(np.vdot(v, l)))
+    m, l1, l2 = model.M.matrix, pair.L1.matrix, pair.L2.matrix
+    n = u.conj().T @ apply_on_probe(m, u @ v, do) - np.kron(model.A.matrix @ a, xi)
+    l = np.kron(l1 @ a, xi) + apply_on_probe(l2, v, do)
+    lhs = _moment_variance(float(np.vdot(n, n).real), complex(np.vdot(v, n)), m, model.A.matrix) \
+        * _moment_variance(float(np.vdot(l, l).real), complex(np.vdot(v, l)), l1, l2)
     rhs = float(np.vdot(n, l).imag) ** 2
     if lhs < rhs - INEQUALITY_SLACK:
         raise TheoremViolation(
@@ -223,7 +224,7 @@ def _state_figures(terms: BoundTerms, psi: Ket) -> tuple:
         images = terms.stack @ a
         d, c, l1 = (images @ a.conj()).tolist()
         la = images[2]
-        var_l1 = _moment_variance(float(np.vdot(la, la).real), l1)
+        var_l1 = _moment_variance(float(np.vdot(la, la).real), l1, terms.stack[2])
         figures = (d, c, 4.0 * var_l1 + 4.0 * terms.var_l2)
         terms._state.clear()
         terms._state[psi] = figures

@@ -11,8 +11,10 @@ keys at every level. Exit codes are 0 (all applicable inequalities hold), 1
 which is labeled as such), and 2 (an inequality that is a theorem failed, the
 regression alarm). A library ValueError raised where a command reads its
 input comes from that input: ``_input_errors`` makes it an input error. One
-raised inside the search is a bug, an internal error. Set WAYLIMIT_DEBUG=1
-to print the traceback of an internal error.
+raised inside the search is a bug, an internal error: a sweep row fails only
+where its probe cannot be built. ``main`` runs every command under one
+floating-point policy, which refuses finite input whose arithmetic
+overflows. Set WAYLIMIT_DEBUG=1 to print the traceback of an internal error.
 
 ``verify`` and ``demo`` need neither the optimizer nor the oscillator
 module, so ``sweep`` and ``optimize`` import what they use when they run;
@@ -79,13 +81,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-# the refusal of finite input whose arithmetic overflows; see cmd_verify
+# the refusal of finite input whose arithmetic overflows; see main
 _OVERFLOW = "values overflow double precision"
 
 
 @contextmanager
 def _input_errors(where: str = ""):
-    """A library ValueError, or the FloatingPointError of an overflow in verify,
+    """A library ValueError, or the FloatingPointError of an overflow (see main),
     becomes an input error after ``where: ``; a CliInputError passes through."""
     try:
         yield
@@ -135,10 +137,9 @@ def _complex_from_json(value, path: str) -> complex:
     try:
         re, im = _typed(value, path, "array")
         return complex(_typed(re, path, "number"), _typed(im, path, "number"))
-    except (ValueError, OverflowError):
-        raise CliInputError(
-            f"{path}: expected a [re, im] pair of JSON numbers, got {_excerpt(json.dumps(value))}"
-        ) from None
+    except ValueError:
+        raise CliInputError(f"{path}: expected a [re, im] pair of JSON numbers, "
+                            f"got {_excerpt(json.dumps(value))}") from None
 
 
 def _complex_list(value, path: str) -> np.ndarray:
@@ -393,22 +394,16 @@ def _yw_figures(yw: YWModel, state_spec: str):
 
 
 def cmd_verify(args) -> int:
-    # finite entries can still overflow: numpy raises here instead of warning (a
-    # field's check names it), and so do Python's float power and _emit_verify
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            model, pair, metadata = load_model_file(args.model)
-            name = metadata.get("name", "")
-            if isinstance(model, YWModel):
-                fields, violations = _yw_figures(model, args.state)
-                return _emit_verify(args, name, fields, violations, {"kind": "yw_model"}, {})
-            report = bound_report(model, pair, _parse_state(args.state, model.object_dim))
-            # the report's fields in order; its null reasons are a note of the JSON only
-            fields = {key: value for key, value in vars(report).items() if key != "null_reasons"}
-            return _emit_verify(args, name, fields, report.violations(), {},
-                                {"null_reasons": dict(report.null_reasons)})
-    except (FloatingPointError, OverflowError) as exc:
-        raise CliInputError(f"the model's {_OVERFLOW}") from exc
+    model, pair, metadata = load_model_file(args.model)
+    name = metadata.get("name", "")
+    if isinstance(model, YWModel):
+        fields, violations = _yw_figures(model, args.state)
+        return _emit_verify(args, name, fields, violations, {"kind": "yw_model"}, {})
+    report = bound_report(model, pair, _parse_state(args.state, model.object_dim))
+    # the report's fields in order; its null reasons are a note of the JSON only
+    fields = {key: value for key, value in vars(report).items() if key != "null_reasons"}
+    return _emit_verify(args, name, fields, report.violations(), {},
+                        {"null_reasons": dict(report.null_reasons)})
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +630,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # numpy raises on overflow instead of warning, as do float power and _emit_verify
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except (CliInputError, FloatingPointError, OverflowError) as exc:
+        text = exc if isinstance(exc, CliInputError) else f"the model's {_OVERFLOW}"
+        print(f"error: {text}", file=sys.stderr)
         return 1
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

@@ -87,7 +87,7 @@ class Ket:
         object.__setattr__(self, "amplitudes", amp)
         n = frobenius_norm(amp)
         if abs(n - 1.0) > ROUNDING_TOL:
-            raise StructureError(f"ket tagged normalized has norm {n:.17g}")
+            raise StructureError(f"ket has norm {n:.17g}, expected 1")
 
     @property
     def dim(self) -> int:
@@ -175,14 +175,11 @@ def _check_state_input(x: Operator, v: Ket, what: str):
 
 
 def expectation(x: Operator, v: Ket) -> float:
-    """<v|X|v> for hermitian X; an imaginary residue beyond STRUCTURE_TOL x
-    max(1, ||X v||) is an alarm (rounding grows with X v), a smaller one dropped."""
+    """<v|X|v> for hermitian X, with the alarm of ``_residue_alarm``."""
     _check_state_input(x, v, "expectation")
-    xv = x.matrix @ v.amplitudes
-    val = complex(np.vdot(v.amplitudes, xv))
-    if abs(val.imag) > STRUCTURE_TOL and abs(val.imag) > STRUCTURE_TOL * frobenius_norm(xv):
-        raise StructureError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    mean = complex(np.vdot(v.amplitudes, x.matrix @ v.amplitudes))
+    _residue_alarm(mean, "expectation", x.matrix)
+    return mean.real
 
 
 def variance(x: Operator, v: Ket) -> float:
@@ -196,16 +193,24 @@ def array_variance(x: np.ndarray, v: np.ndarray) -> float:
     x is hermitian, that the dimensions agree and that v is a unit vector; the
     imaginary-residue and negative-clamp alarms stay."""
     xv = x @ v
-    return _moment_variance(float(np.vdot(xv, xv).real), complex(np.vdot(v, xv)))
+    return _moment_variance(float(np.vdot(xv, xv).real), complex(np.vdot(v, xv)), x)
 
 
-def _moment_variance(second: float, mean: complex) -> float:
-    """second - mean^2 from ||x v||^2 and <v|x|v>; it alarms on an imaginary
-    mean beyond STRUCTURE_TOL * max(1, ||x v||) and on a variance below
-    -ROUNDING_TOL * max(1, second) (rounding grows with x v), and clamps a
-    smaller one to 0."""
-    if abs(mean.imag) > STRUCTURE_TOL and abs(mean.imag) > STRUCTURE_TOL * math.sqrt(second):
-        raise StructureError(f"variance mean has imaginary residue {mean.imag:.3e}")
+def _residue_alarm(mean: complex, what: str, *parts: np.ndarray):
+    """Refuse a mean <v|X|v> whose imaginary residue passes STRUCTURE_TOL x
+    max(1, sum of ||part||_F), X hermitian and a sum of parts up to unitaries and
+    kron with identities: the residue rounds with ||X||. A pass takes no norm."""
+    r = abs(mean.imag)
+    if r > STRUCTURE_TOL and r > STRUCTURE_TOL * sum(map(frobenius_norm, parts)):
+        raise StructureError(f"{what} has imaginary residue {mean.imag:.3e}")
+
+
+def _moment_variance(second: float, mean: complex, *parts: np.ndarray) -> float:
+    """second - mean^2 from ||X v||^2 and <v|X|v> (X and parts as in ``_residue_alarm``,
+    whose alarm the mean keeps); a variance below -ROUNDING_TOL * max(1, second)
+    (rounding grows with X v) is an alarm, and a smaller one is clamped to 0."""
+    if abs(mean.imag) > STRUCTURE_TOL:  # so that a passing mean costs no call
+        _residue_alarm(mean, "variance mean", *parts)
     var = second - mean.real ** 2
     if var < 0.0:
         if var < -ROUNDING_TOL * max(1.0, second):

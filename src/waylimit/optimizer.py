@@ -44,7 +44,6 @@ from .linalg import (
     INEQUALITY_SLACK,
     Ket,
     Operator,
-    PreconditionError,
     ROUNDING_TOL,
     apply_on_probe,
     frobenius_norm,
@@ -407,9 +406,6 @@ class _Problem:
         e = noise(model, self.psi)
         return e * e, model
 
-    def objective(self, x: np.ndarray) -> float:
-        return self.evaluate(x)[0]
-
     def gradient(self, x: np.ndarray, model: MeasurementModel) -> np.ndarray:
         """Gradient of the objective at x, where model is model_at(x).
 
@@ -597,8 +593,8 @@ def oscillator_probe(n_max: int, amps: CoherentAmplitudes):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One size of the probe-size sweep, searched with seed ``seed``; achieved is
-    NaN when that size failed, and var_mz and bound too when its probe was never built."""
+    """One size of the probe-size sweep, searched with seed ``seed``; a size
+    whose probe could not be built keeps its refusal in error, and NaN figures."""
 
     family: str
     size: float
@@ -615,7 +611,9 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> l
 
     The spin scenario is fixed (A = S_x, L1 = S_z, input state y-up). An
     oscillator size v is |alpha|^2 = |beta|^2 = v/2 at its ``fock_cutoff``.
-    Row k searches with seed config.seed + k; a failure is kept in its row, and the sweep goes on.
+    Row k searches with seed config.seed + k. A size whose probe cannot be
+    built (a ValueError) is kept as a failed row, and the sweep goes on; a
+    failure inside the search is a bug, and propagates.
     """
     if family not in ("spin_ladder", "oscillator"):
         raise ValueError(f"unknown probe family {family!r}")
@@ -624,8 +622,6 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> l
     rows = []
     for index, size in enumerate(sizes):
         row_config = replace(config, seed=config.seed + index)
-        # a row whose probe was never built has no variance and no bound
-        var = bound = math.nan
         try:
             if family == "spin_ladder":
                 l2, m, xi = spin_ladder_probe(int(size))
@@ -633,13 +629,13 @@ def sweep_probe_size(family: str, sizes: Sequence, config: OptimizerConfig) -> l
                 half = np.sqrt(float(size) / 2.0)
                 amps = CoherentAmplitudes(half, half)
                 l2, m, xi = oscillator_probe(fock_cutoff(amps), amps)
-            pair = ConservationPair(L1=sz, L2=l2)
-            var = variance(l2, xi)
-            bound = optimal_spin_bound(var)
-            achieved = optimize_noise(sx, pair, m, xi, psi, row_config).final_objective
-            rows.append(SweepRow(family, float(size), var, bound, achieved,
-                                 achieved / bound, row_config.seed))
-        except (ValueError, PreconditionError, ArithmeticError) as exc:
-            rows.append(SweepRow(family, float(size), var, bound, math.nan, math.nan,
-                                 row_config.seed, error=str(exc)))
+        except ValueError as exc:
+            rows.append(SweepRow(family, float(size), *[math.nan] * 4, row_config.seed, str(exc)))
+            continue
+        pair = ConservationPair(L1=sz, L2=l2)
+        var = variance(l2, xi)
+        bound = optimal_spin_bound(var)
+        achieved = optimize_noise(sx, pair, m, xi, psi, row_config).final_objective
+        rows.append(SweepRow(family, float(size), var, bound, achieved,
+                             achieved / bound, row_config.seed))
     return rows

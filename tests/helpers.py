@@ -39,6 +39,23 @@ def large_eigenvalue_probe_model():
     return model, w.ConservationPair(L1=sz, L2=w.Operator.hermitian(np.diag([100.0, 0.0])))
 
 
+def near_kernel_model():
+    """(model, pair, psi) with L1 = 1e10 (H - lambda_3 I) for a random 8-level
+    hermitian H and psi its eigenvector of lambda_3, U = I on 8 x 2 levels,
+    A = H, L2 = M = S_z and xi = x-up. ||L1 psi|| is about 5e-6 against ||L1||_F = 3e10,
+    and <psi|L1|psi> rounds with an imaginary residue of about 1e-7."""
+    rng = np.random.default_rng(2024 + 12)
+    h = w.random_hermitian(8, rng).matrix
+    values, vectors = np.linalg.eigh(h)
+    x = 1e10 * (h - values[3] * np.eye(8))
+    l1 = w.Operator.hermitian((x + x.conj().T) / 2)
+    psi = w.Ket(vectors[:, 3] / w.frobenius_norm(vectors[:, 3]))
+    _, _, sz = w.spin_operators()
+    model = w.MeasurementModel(8, 2, w.named_state("alpha_x"), w.identity(16), sz,
+                               w.Operator.hermitian(h))
+    return model, w.ConservationPair(L1=l1, L2=sz), psi
+
+
 def random_conservative_model(rng, object_dim=None, probe_dim=None,
                               spin_scenario=None, probe_ladder=None,
                               yanase=True):

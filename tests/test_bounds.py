@@ -10,7 +10,8 @@ import waylimit as w
 from waylimit.bounds import BoundTerms, _state_figures, bound_terms
 from waylimit.linalg import RATIO_FLOOR, ROUNDING_TOL, STRUCTURE_TOL
 from helpers import (CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, dense_figures,
-                     large_eigenvalue_probe_model, random_conservative_model)
+                     large_eigenvalue_probe_model, near_kernel_model,
+                     random_conservative_model)
 
 RNG_SEED = 99
 
@@ -177,7 +178,7 @@ def test_uncertainty_pair_alarm_on_a_broken_variance(monkeypatch):
     # the swap demo with U a CNOT has rhs 1/16 at y-up
     model = w.MeasurementModel(2, 2, swap.xi, w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP),
                                swap.M, swap.A)
-    monkeypatch.setattr(bounds_module, "_moment_variance", lambda second, mean: 0.0)
+    monkeypatch.setattr(bounds_module, "_moment_variance", lambda *args: 0.0)
     with pytest.raises(w.TheoremViolation, match="uncertainty relation failed"):
         w.uncertainty_pair(model, pair, w.named_state("alpha_y"))
 
@@ -750,7 +751,7 @@ def test_state_pass_variance_alarms():
     # a non-hermitian L1 slot whose mean has an imaginary residue
     with pytest.raises(w.StructureError, match="imaginary residue"):
         _state_figures(_hand_terms(np.diag([1j, 0.0])), w.Ket([1.0, 0.0]))
-    # a ket tagged normalized may miss norm 1 by ROUNDING_TOL; with L1 = diag(4, 0)
+    # a Ket may miss norm 1 by ROUNDING_TOL; with L1 = diag(4, 0)
     # that puts ||L1 psi||^2 = 16 r^2 below <L1>^2 = 16 r^4 by about 32 (r - 1)
     r = 1.0 + 2.0 ** -40
     with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
@@ -771,3 +772,17 @@ def test_bounds_at_an_exact_eigenstate_of_a_large_probe_quantity():
     assert w.fundamental_bound(model, pair, psi) == pytest.approx(0.25, abs=1e-15)
     assert w.yanase_bound(model, pair, psi) == w.fundamental_bound(model, pair, psi)
     assert w.bound_report(model, pair, psi).violations() == ()
+
+
+def test_bound_report_near_the_kernel_of_a_large_conserved_quantity():
+    # <psi|L1|psi> rounds with an imaginary residue of about 1e-7 at a null
+    # vector of L1 = 1e10 (H - lambda_3 I); it is rounding, not a broken tag,
+    # in both the state pass and the uncertainty pair
+    model, pair, psi = near_kernel_model()
+    report = w.bound_report(model, pair, psi)
+    assert report.violations() == ()
+    assert report.acl_residual == 0.0 and report.yanase_residual == 0.0
+    # [A, L1] = 1e10 [H, H] vanishes up to rounding, and so do both bounds
+    assert 0.0 <= report.fundamental_bound == report.yanase_bound < 1e-9
+    # var(N) = var(S_z, x-up) + var(H, psi) = 1/4, var(L) = var(S_z, x-up) = 1/4
+    assert report.uncertainty_lhs == pytest.approx(0.0625, rel=1e-9)

@@ -8,15 +8,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import waylimit as w
-from waylimit.cli import (DEMO_NAMES, main, model_from_dict, model_to_dict,
+from waylimit.cli import (DEMO_NAMES, ket_to_json, main, model_from_dict, model_to_dict,
                           yw_model_from_dict, yw_model_to_dict)
-from helpers import SWAP_MATRIX, large_eigenvalue_probe_model, random_conservative_model
+from helpers import (SWAP_MATRIX, large_eigenvalue_probe_model, near_kernel_model,
+                     random_conservative_model)
 
 
 def run_cli(capsys, *argv):
@@ -1066,3 +1068,71 @@ def test_optimize_config_l1_dimension_error_names_the_field(tmp_path, capsys):
     code, _, err = run_cli(capsys, "optimize", str(path))
     assert code == 1
     assert err.startswith("error: object.L1: has dim 3, expected 2")
+
+
+def test_verify_near_the_kernel_of_a_large_conserved_quantity(tmp_path, capsys):
+    # <psi|L1|psi> rounds with an imaginary residue of about 1e-7 at a null
+    # vector of L1 = 1e10 (H - lambda_3 I): rounding, not an internal error
+    model, pair, psi = near_kernel_model()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(model, pair)))
+    code, out, err = run_cli(capsys, "verify", str(path), "--state", json.dumps(ket_to_json(psi)))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["violations"] == []
+
+
+_SX_JSON = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+_HUGE_JSON = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e200, 0.0]]]
+
+
+@pytest.mark.parametrize("warning_filter", ["error", "always"])
+@pytest.mark.parametrize("config, message", [
+    ({"object": {"A": [[[1e200, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]}},
+     _EVALUATION_OVERFLOW),
+    ({"probe": {"L2": _HUGE_JSON, "M": _HUGE_JSON, "xi": [[0.6, 0.0], [0.8, 0.0]]}},
+     _EVALUATION_OVERFLOW),
+    ({"probe": {"L2": _SX_JSON, "M": _SX_JSON, "xi": [[1e200, 0.0], [0.0, 0.0]]}},
+     "error: probe.xi: values overflow double precision\n"),
+], ids=["object-A-1e200", "probe-L2-M-1e200", "probe-xi-1e200"])
+def test_overflowing_optimize_config_is_one_input_error_line(tmp_path, capsys, config, message,
+                                                             warning_filter):
+    # every command runs under main's floating-point policy: finite config
+    # values whose arithmetic overflows are refused with one line, whether
+    # numpy's warnings raise or print, and no output is written
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"restarts": 1, "max_iters": 2, **config}))
+    out = tmp_path / "run.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_filter)
+        assert run_cli(capsys, "optimize", str(path), "--out", str(out)) == (1, "", message)
+    assert caught == []
+    assert not out.exists()
+
+
+def test_failure_inside_a_sweep_search_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # a failed row is a probe that could not be built; a ValueError from the
+    # search is a bug, and is not written as a row
+    import waylimit.optimizer as opt
+
+    def broken(*args, **kwargs):
+        raise ValueError("forced search failure")
+    monkeypatch.setattr(opt, "optimize_noise", broken)
+    monkeypatch.delenv("WAYLIMIT_DEBUG", raising=False)
+    config = w.OptimizerConfig(restarts=1, max_iters=1)
+    with pytest.raises(ValueError, match="^forced search failure$"):
+        opt.sweep_probe_size("spin_ladder", [1, 2], config)
+    out = tmp_path / "sweep.csv"
+    sweep = ("sweep", "--family", "spin_ladder", "--out", str(out), "--sizes")
+    assert run_cli(capsys, *sweep, "1,2") == (1, "", "internal error: ValueError: "
+                                                       "forced search failure\n")
+    assert not out.exists()
+    # probe refusals never reach the search: they stay rows, with their lines
+    refusal = "ladder probe needs at least two levels"
+    rows = opt.sweep_probe_size("spin_ladder", [0, 1], config)
+    assert [row.error for row in rows] == [refusal, refusal]
+    assert all(math.isnan(row.var_mz) and math.isnan(row.bound) for row in rows)
+    assert run_cli(capsys, *sweep, "0,1") == (1, "", f"size 0 failed: {refusal}\n"
+                                                     f"size 1 failed: {refusal}\n")
+    assert out.read_text() == ("family,size,var_mz,bound,achieved,gap_ratio,seed\n"
+                               "spin_ladder,0,nan,nan,nan,nan,0\n"
+                               "spin_ladder,1,nan,nan,nan,nan,1\n")

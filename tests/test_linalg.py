@@ -7,6 +7,7 @@ import pytest
 
 import waylimit as w
 from waylimit.linalg import ROUNDING_TOL, STRUCTURE_TOL, array_variance
+from helpers import near_kernel_model
 
 RNG_SEED = 2024
 
@@ -82,7 +83,7 @@ def test_expectation_dim_mismatch():
 
 
 def test_imaginary_residue_alarms_scale_with_x_v():
-    # rounding of <v|X v> grows with X v: at 1e8 x a random hermitian matrix
+    # rounding of <v|X v> grows with X: at 1e8 x a random hermitian matrix
     # the residue passes the absolute STRUCTURE_TOL, not the scaled threshold
     passed = 0
     for seed in range(10):
@@ -100,16 +101,20 @@ def test_imaginary_residue_alarms_scale_with_x_v():
 
 
 def test_expectation_residue_alarm_near_the_kernel_of_a_large_operator():
-    # X v near zero leaves the threshold at STRUCTURE_TOL, while the rounding
-    # of X v is of order eps ||X||: at a null vector of 1e10 x a random
-    # hermitian matrix that reaches the alarm, though X carries the tag
-    rng = np.random.default_rng(RNG_SEED + 12)
-    h = w.random_hermitian(8, rng).matrix
-    values, vectors = np.linalg.eigh(h)
-    x = 1e10 * (h - values[3] * np.eye(8))
-    x = w.Operator.hermitian((x + x.conj().T) / 2)
-    with pytest.raises(w.StructureError, match="^expectation has imaginary residue"):
-        w.expectation(x, w.Ket(vectors[:, 3] / w.frobenius_norm(vectors[:, 3])))
+    # the rounding of <v|X v> is of order eps ||X||, not eps ||X v||: near a
+    # null vector of 1e10 x a random hermitian matrix the residue exceeds
+    # STRUCTURE_TOL x max(1, ||X v||), but stays below STRUCTURE_TOL ||X||_F
+    _, pair, psi = near_kernel_model()
+    x, v = pair.L1.matrix, psi.amplitudes
+    mean = complex(np.vdot(v, x @ v))
+    assert abs(mean.imag) > STRUCTURE_TOL * max(1.0, w.frobenius_norm(x @ v))
+    assert abs(mean.imag) < STRUCTURE_TOL * w.frobenius_norm(x)
+    assert w.expectation(pair.L1, psi) == mean.real
+    assert 0.0 <= w.variance(pair.L1, psi) < 1e-9
+    # at this scale a residue of twice STRUCTURE_TOL ||X||_F still alarms
+    shift = 2j * STRUCTURE_TOL * w.frobenius_norm(x)
+    with pytest.raises(w.StructureError, match="^variance mean has imaginary residue"):
+        array_variance(x + shift * np.eye(8), v)
 
 
 def test_commutator_dim_mismatch():
@@ -155,9 +160,9 @@ def test_variance_alarms_and_clamp():
     e0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(w.StructureError, match="imaginary residue"):
         array_variance(np.diag([1j, 0.0]), e0)
-    # a ket tagged normalized may miss norm 1 by ROUNDING_TOL; with
-    # X = diag(4, 0) that puts ||X v||^2 = 16 r^2 below <X>^2 = 16 r^4 by
-    # about 32 (r - 1), beyond the tolerance
+    # a Ket may miss norm 1 by ROUNDING_TOL; with X = diag(4, 0) that puts
+    # ||X v||^2 = 16 r^2 below <X>^2 = 16 r^4 by about 32 (r - 1), beyond the
+    # tolerance
     r = 1.0 + 2.0 ** -40
     with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
         w.variance(w.Operator.hermitian(np.diag([4.0, 0.0])), w.Ket([r, 0.0]))
@@ -215,7 +220,7 @@ def test_commutator_antisymmetry_is_exact():
 
 def test_ket_normalization_enforced():
     # a Ket is always a unit vector; unnormalized data are plain arrays
-    with pytest.raises(w.StructureError, match="^ket tagged normalized has norm 1.414"):
+    with pytest.raises(w.StructureError, match="^ket has norm 1.414[0-9]*, expected 1$"):
         w.Ket([1.0, 1.0])
     assert [f.name for f in dataclasses.fields(w.Ket)] == ["amplitudes"]
     assert not hasattr(w.Ket, "norm_sq")
