@@ -8,8 +8,11 @@ reduces its numerator to the object-side commutator, and specializing to the
 spin-1/2 scenario (A = S_x, L1 = S_z) gives the closed-form error floors.
 
 Each function that needs a step's condition checks it and raises
-``PreconditionError`` (``require_yanase`` is the Yanase test, ``ACL_GATE_TOL``
-the one ACL threshold); ``bound_report`` keeps those messages as null reasons.
+``PreconditionError`` (``require_yanase`` is the Yanase test, and
+``commutator_identity_residual`` holds the one ACL gate); ``bound_report``
+keeps those messages as null reasons. Every residual and theorem inequality
+is read at its operands' scale (``linalg.exceeds``), and a bound's terms are
+zero relative to their second moments (``_bounded_ratio``): units change no verdict.
 
 The bounds read their (model, pair) terms from ``bound_terms``, compiled on
 the object space once in O(D d_o (d_o + d_p) + d_p^3) (D = d_o d_p), and each
@@ -41,6 +44,7 @@ from .linalg import (
     _moment_variance,
     apply_on_probe,
     array_variance,
+    exceeds,
     frobenius_norm,
     tensor,
     variance,
@@ -91,9 +95,11 @@ def yanase_residual(m: Operator, l2: Operator) -> float:
     return frobenius_norm(_commutator_matrix(m, l2))
 
 
-def require_yanase(residual: float):
-    """The Yanase condition's one test, on the residual of [M, L2]."""
-    if residual >= PRECONDITION_TOL:
+def require_yanase(residual: float, m: Operator, l2: Operator):
+    """The Yanase condition's one test, on the residual of [M, L2] at the
+    scale ||M||_F ||L2||_F."""
+    if exceeds(residual, PRECONDITION_TOL,
+               lambda: frobenius_norm(m.matrix) * frobenius_norm(l2.matrix)):
         raise PreconditionError(f"Yanase condition fails: [M, L2] residual {residual:.3e}, "
                                 f"tolerance {PRECONDITION_TOL:g}")
 
@@ -104,9 +110,9 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
     [N, L1 x I + I x L2] = U^dag (I x [M, L2]) U - [A, L1] x I, the left side
     dense and the right one from the lifts of [M, L2] and [A, L1], so this
     stays an independent check of the reduced form the bounds are evaluated from.
-    """
+    Its precondition, the one ACL gate, reads [U, L] at the scale ||L||_F."""
     acl = acl_residual(model, pair)
-    if acl >= ACL_GATE_TOL:
+    if exceeds(acl, ACL_GATE_TOL, lambda: frobenius_norm(pair.total().matrix)):
         raise PreconditionError(f"conservation law fails: acl residual {acl:.3e}, "
                                 f"tolerance {ACL_GATE_TOL:g}")
     u = model.U.matrix
@@ -134,7 +140,7 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     lhs = _moment_variance(float(np.vdot(n, n).real), complex(np.vdot(v, n)), m, model.A.matrix) \
         * _moment_variance(float(np.vdot(l, l).real), complex(np.vdot(v, l)), l1, l2)
     rhs = float(np.vdot(n, l).imag) ** 2
-    if lhs < rhs - INEQUALITY_SLACK:
+    if exceeds(rhs - lhs, INEQUALITY_SLACK, rhs):
         raise TheoremViolation(
             f"uncertainty relation failed: lhs {lhs:.17g} < rhs {rhs:.17g}")
     return lhs, rhs
@@ -149,15 +155,14 @@ def variance_additivity_residual(pair: ConservationPair, psi: Ket, xi: Ket) -> f
     return abs(total - part1 - part2)
 
 
-def _bounded_ratio(num: float, den: float) -> float:
-    """num/den with the degenerate-denominator convention.
-
-    Zero variance with a vanishing numerator is an empty constraint (0);
-    zero variance with a surviving numerator means no finite noise satisfies
-    the bound (the infinity sentinel).
-    """
-    if den < RATIO_FLOOR:
-        return 0.0 if num < RATIO_FLOOR else math.inf
+def _bounded_ratio(num: float, den: float, scale: float) -> float:
+    """num/den, where num and den are zero up to RATIO_FLOOR x scale, the second
+    moments den's variances come from, with no max(1, scale): both are quadratic
+    in L, so a fixed floor would zero a valid bound when L is small. Zero
+    variance is an empty constraint (0) with a vanishing numerator, and with a
+    surviving one no finite noise satisfies the bound (the infinity sentinel)."""
+    if den <= RATIO_FLOOR * scale:
+        return 0.0 if num <= RATIO_FLOOR * scale else math.inf
     return num / den
 
 
@@ -169,14 +174,16 @@ class BoundTerms:
     serves both numerators and the denominator's var(L1, psi). Here
     d = Y^dag (I x [M, L2]) Y - [A, L1], with Y = U (I x xi), is the
     probe-traced right side of the commutator identity, so
-    <psi x xi|[N, L1 x I + I x L2]|psi x xi> = <psi|d|psi>; c = [A, L1] is
-    its object side. yanase_residual is ||[M, L2]||_F and var_l2 is
-    var(L2, xi), the probe's share of the bounds' denominator.
-    """
+    <psi x xi|[N, L1 x I + I x L2]|psi x xi> = <psi|d|psi>; c = [A, L1] is its
+    object side. yanase_residual is ||[M, L2]||_F and yanase_refusal the reason
+    ``require_yanase`` gives ("" if none); var_l2 = var(L2, xi) and second_l2 =
+    <L2^2> in xi are the probe's shares of the denominator and of its scale."""
 
     stack: np.ndarray
     yanase_residual: float
+    yanase_refusal: str
     var_l2: float
+    second_l2: float
     # _state_figures keeps the figures of the last object state here
     _state: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -185,14 +192,11 @@ class BoundTerms:
 
 
 def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
-    """The bounds' (model, pair) terms, built on first use and kept on the model.
-
-    The model keeps the terms of one pair at a time, keyed by the pair object
-    itself: a ConservationPair compares by identity (eq=False), and the key
-    keeps it alive, so no other pair can match it. The pair is checked
-    against the model on every miss, so var(L2, xi) needs no check of its own.
-    Model and pair are frozen and their arrays read-only, so a hit cannot be stale.
-    """
+    """The bounds' (model, pair) terms, built on first use and kept on the model,
+    for one pair at a time, keyed by the pair object itself: a ConservationPair
+    compares by identity (eq=False) and the key keeps it alive, so no other pair
+    can match it. The pair is checked against the model on every miss. Model
+    and pair are frozen and their arrays read-only, so a hit cannot be stale."""
     terms = model._bound_terms.get(pair)
     if terms is None:
         check_pair(model, pair)
@@ -200,63 +204,62 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
         k = _commutator_matrix(model.M, pair.L2)
         c = _commutator_matrix(model.A, pair.L1)
         ky = apply_on_probe(k, y, model.object_dim)
-        terms = BoundTerms(np.array((y.conj().T @ ky - c, c, pair.L1.matrix)), frobenius_norm(k),
-                           array_variance(pair.L2.matrix, model.xi.amplitudes))
+        residual, refusal = frobenius_norm(k), ""
+        try:  # a verdict on (model, pair), so yanase_bound does not test it per state
+            require_yanase(residual, model.M, pair.L2)
+        except PreconditionError as exc:
+            refusal = str(exc)
+        xi, l2xi = model.xi.amplitudes, pair.L2.matrix @ model.xi.amplitudes
+        second = float(np.vdot(l2xi, l2xi).real)
+        terms = BoundTerms(np.array((y.conj().T @ ky - c, c, pair.L1.matrix)), residual, refusal,
+                           _moment_variance(second, complex(np.vdot(xi, l2xi)), pair.L2.matrix),
+                           second)
         model._bound_terms.clear()
         model._bound_terms[pair] = terms
     return terms
 
 
 def _state_figures(terms: BoundTerms, psi: Ket) -> tuple:
-    """(<psi|d|psi>, <psi|c|psi>, 4 var(L1 x I + I x L2)) in psi x xi, in one pass.
-
-    The images of psi under the stack, times conj(psi), give the three means.
-    On a product state that variance is var(L1, psi) + var(L2, xi)
-    (variance additivity); the second term is compiled with the pair.
-    The terms keep the figures of one state at a time, keyed by the ket
-    object itself: a Ket compares by identity (eq=False), its amplitudes are
-    read-only and the key keeps it alive, so a hit is neither stale nor
-    another ket's. The caller has checked psi against the model.
-    """
+    """(<psi|d|psi>, <psi|c|psi>, 4 var(L1 x I + I x L2), 4 (<L1^2> + <L2^2>))
+    in psi x xi, in one pass: the images of psi under the stack, times
+    conj(psi), give the three means, and on a product state var(L1 x I + I x L2)
+    is var(L1, psi) + var(L2, xi). The figures of one ket at a time are kept,
+    keyed by the ket object itself (compared by identity, read-only, kept alive),
+    so a hit is neither stale nor another ket's. The caller has checked psi."""
     figures = terms._state.get(psi)
     if figures is None:
         a = psi.amplitudes
         images = terms.stack @ a
         d, c, l1 = (images @ a.conj()).tolist()
         la = images[2]
-        var_l1 = _moment_variance(float(np.vdot(la, la).real), l1, terms.stack[2])
-        figures = (d, c, 4.0 * var_l1 + 4.0 * terms.var_l2)
+        second_l1 = float(np.vdot(la, la).real)
+        var_l1 = _moment_variance(second_l1, l1, terms.stack[2])
+        figures = (d, c, 4.0 * var_l1 + 4.0 * terms.var_l2,
+                   4.0 * (second_l1 + terms.second_l2))
         terms._state.clear()
         terms._state[psi] = figures
     return figures
 
 
 def fundamental_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
-    """Lower bound on the squared noise implied by the conservation law alone.
-
-    The numerator is |<psi|D|psi>|^2 with D = Y^dag (I x [M, L2]) Y - [A, L1]
-    and Y = U (I x xi), the probe-traced expectation of the ACL side of the
-    commutator identity; the denominator is 4 var(L1, psi) + 4 var(L2, xi).
-    Both come from ``bound_terms`` and one per-state pass shared with
-    ``yanase_bound`` (see the module docstring).
-    """
+    """Lower bound on the squared noise implied by the conservation law alone:
+    |<psi|d|psi>|^2 / (4 var(L1, psi) + 4 var(L2, xi)) with d as in
+    ``BoundTerms``, from one per-state pass shared with ``yanase_bound``."""
     terms = bound_terms(model, pair)
     model.check_object_state(psi)
-    mean, _, den = _state_figures(terms, psi)
-    return _bounded_ratio(abs(mean) ** 2, den)
+    mean, _, den, scale = _state_figures(terms, psi)
+    return _bounded_ratio(abs(mean) ** 2, den, scale)
 
 
 def yanase_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
-    """The conservation-law bound once the record observable commutes with L2.
-
-    The numerator reduces to |<psi|[A, L1]|psi>|^2; the denominator is the
-    same as the fundamental bound's.
-    """
+    """The conservation-law bound once the record observable commutes with L2:
+    the numerator reduces to |<psi|[A, L1]|psi>|^2, over the same denominator."""
     terms = bound_terms(model, pair)
-    require_yanase(terms.yanase_residual)
+    if terms.yanase_refusal:
+        raise PreconditionError(terms.yanase_refusal)
     model.check_object_state(psi)
-    _, mean, den = _state_figures(terms, psi)
-    return _bounded_ratio(abs(mean) ** 2, den)
+    _, mean, den, scale = _state_figures(terms, psi)
+    return _bounded_ratio(abs(mean) ** 2, den, scale)
 
 
 def spin_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> float:
@@ -269,14 +272,10 @@ def spin_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> flo
     check_pair(model, pair)
     sx, _, sz = spin_operators()
     # the first part of the scenario the model lacks
-    if model.object_dim != 2:
-        gap = "a two-level object"
-    elif frobenius_norm(model.A.matrix - sx.matrix) > EQUALITY_TOL:
-        gap = "A = S_x"
-    elif frobenius_norm(pair.L1.matrix - sz.matrix) > EQUALITY_TOL:
-        gap = "L1 = S_z"
-    else:
-        gap = None
+    gap = ("a two-level object" if model.object_dim != 2
+           else "A = S_x" if frobenius_norm(model.A.matrix - sx.matrix) > EQUALITY_TOL
+           else "L1 = S_z" if frobenius_norm(pair.L1.matrix - sz.matrix) > EQUALITY_TOL
+           else None)
     if gap:
         raise PreconditionError(f"not the spin scenario: needs {gap}")
     return yanase_bound(model, pair, psi)
@@ -297,7 +296,7 @@ def bound_comparison(delta_mz_sq: float, mean_mz: float):
     """
     new = 2.0 * optimal_spin_bound(delta_mz_sq)
     mean_square = delta_mz_sq + mean_mz ** 2
-    old = math.inf if mean_square < RATIO_FLOOR else 1.0 / (8.0 * mean_square)
+    old = math.inf if mean_square == 0.0 else 1.0 / (8.0 * mean_square)
     return old, new
 
 
@@ -328,10 +327,10 @@ class BoundReport:
         # (name, lhs, rhs) of each inequality lhs >= rhs; the bounds need the ACL
         tests = [(name, self.eps_sq, getattr(self, name)) for name in
                  ("fundamental_bound", "yanase_bound", "spin_bound")
-                 if self.acl_residual < ACL_GATE_TOL]
+                 if self.commutator_identity_residual is not None]
         tests.append(("uncertainty", self.uncertainty_lhs, self.uncertainty_rhs))
         return tuple(name for name, lhs, rhs in tests
-                     if rhs is not None and not lhs >= rhs - INEQUALITY_SLACK)
+                     if rhs is not None and exceeds(rhs - lhs, INEQUALITY_SLACK, rhs))
 
 
 def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> BoundReport:

@@ -21,19 +21,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Tolerances: every numeric threshold of the package, one constant per meaning.
-# Two checks share a constant only when they share its value and its meaning;
-# README.md ("Tolerances") lists the checks that read each one.
+# Two checks share a constant only when they share its value and its meaning.
+# Each is the threshold at unit scale (as environment.tolerances reports it): a
+# residual from operands of size s is zero up to tol x max(1, s) (``exceeds``).
+# The bare constant is read only where the scale is fixed (a ket's norm, a
+# probability, the spin-1/2 forms, the probe-state collapse) and by the search's
+# stopping rules; README.md ("Tolerances") lists every check and its scale.
 STRUCTURE_TOL = 1e-10              # residual of a structural identity or tag
 ROUNDING_TOL = 1e-12               # zero up to rounding
 EQUALITY_TOL = 1e-9                # two values treated as equal
 INEQUALITY_SLACK = 1e-9            # slack on a theorem inequality before the alarm
 PRECONDITION_TOL = 1e-9            # [M, L2] residual below which the Yanase condition holds
-RATIO_FLOOR = 1e-14                # a ratio's denominator or numerator below this is zero
+RATIO_FLOOR = 1e-14                # a bound's terms up to this x their second moments are zero
 ACL_GATE_TOL = 1e-10               # [U, L1 x I + I x L2] residual below which the ACL holds
 GENERATOR_COMMUTATION_TOL = 1e-11  # commutator bound of each commutant sector
 TAIL_TOL = 1e-8                    # coherent-state mass a Fock cutoff may drop
 GRADIENT_TOL = 1e-10               # gradient norm at which the optimizer stops
 DESCENT_MARGIN = 1e-15             # decrease a line-search step must reach to be taken
+
+
+def tolerance(tol: float, scale: float) -> float:
+    """The threshold of a residual from operands of size scale: rounding grows with them."""
+    return tol * max(1.0, scale)
+
+
+def exceeds(residual: float, tol: float, scale=1.0) -> bool:
+    """Whether a residual is not zero: past ``tolerance(tol, scale)``, NaN, or at
+    an overflowing scale. scale is a number, or a function called only when the
+    residual passes tol, so a residual that passes at unit scale costs no norm."""
+    if residual <= tol:
+        return False
+    return not residual <= tolerance(tol, scale() if callable(scale) else scale) < math.inf
 
 
 class DimensionMismatch(ValueError):
@@ -123,12 +141,12 @@ class Operator:
 
         if "hermitian" in tags:
             r = frobenius_norm(m - m.conj().T)
-            if r > STRUCTURE_TOL:
+            if exceeds(r, STRUCTURE_TOL, lambda: frobenius_norm(m)):
                 raise StructureError(f"hermitian tag violated, residual {r:.3e}")
         if "unitary" in tags:
             with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
                 r = frobenius_norm(m.conj().T @ m - np.eye(m.shape[0]))
-            if not r <= STRUCTURE_TOL:
+            if exceeds(r, STRUCTURE_TOL):
                 raise StructureError(f"unitary tag violated, residual {r:.3e}" if math.isfinite(r)
                                      else "values overflow the unitary check")
 
@@ -175,10 +193,11 @@ def _check_state_input(x: Operator, v: Ket, what: str):
 
 
 def expectation(x: Operator, v: Ket) -> float:
-    """<v|X|v> for hermitian X, with the alarm of ``_residue_alarm``."""
+    """<v|X|v> for hermitian X, with the imaginary-residue alarm of ``_moment_variance``."""
     _check_state_input(x, v, "expectation")
     mean = complex(np.vdot(v.amplitudes, x.matrix @ v.amplitudes))
-    _residue_alarm(mean, "expectation", x.matrix)
+    if exceeds(abs(mean.imag), STRUCTURE_TOL, lambda: frobenius_norm(x.matrix)):
+        raise StructureError(f"expectation has imaginary residue {mean.imag:.3e}")
     return mean.real
 
 
@@ -196,24 +215,17 @@ def array_variance(x: np.ndarray, v: np.ndarray) -> float:
     return _moment_variance(float(np.vdot(xv, xv).real), complex(np.vdot(v, xv)), x)
 
 
-def _residue_alarm(mean: complex, what: str, *parts: np.ndarray):
-    """Refuse a mean <v|X|v> whose imaginary residue passes STRUCTURE_TOL x
-    max(1, sum of ||part||_F), X hermitian and a sum of parts up to unitaries and
-    kron with identities: the residue rounds with ||X||. A pass takes no norm."""
-    r = abs(mean.imag)
-    if r > STRUCTURE_TOL and r > STRUCTURE_TOL * sum(map(frobenius_norm, parts)):
-        raise StructureError(f"{what} has imaginary residue {mean.imag:.3e}")
-
-
 def _moment_variance(second: float, mean: complex, *parts: np.ndarray) -> float:
-    """second - mean^2 from ||X v||^2 and <v|X|v> (X and parts as in ``_residue_alarm``,
-    whose alarm the mean keeps); a variance below -ROUNDING_TOL * max(1, second)
-    (rounding grows with X v) is an alarm, and a smaller one is clamped to 0."""
-    if abs(mean.imag) > STRUCTURE_TOL:  # so that a passing mean costs no call
-        _residue_alarm(mean, "variance mean", *parts)
+    """second - mean^2 from ||X v||^2 and <v|X|v>, X hermitian and a sum of parts
+    up to unitaries and kron with identities. The mean's imaginary residue is an
+    alarm unless zero at the scale sum ||part||_F, a bound on ||X||, with which
+    it rounds; a negative variance is clamped to 0 when zero at the scale of the
+    second moment, with which it rounds, else an alarm."""
+    if exceeds(abs(mean.imag), STRUCTURE_TOL, lambda: sum(map(frobenius_norm, parts))):
+        raise StructureError(f"variance mean has imaginary residue {mean.imag:.3e}")
     var = second - mean.real ** 2
     if var < 0.0:
-        if var < -ROUNDING_TOL * max(1.0, second):
+        if exceeds(-var, ROUNDING_TOL, second):
             raise ArithmeticError(f"variance {var:.3e} negative beyond tolerance")
         var = 0.0
     return var

@@ -6,12 +6,10 @@ Heisenberg picture the recorded quantity after the interaction is
 U^dag (I x M) U, and the noise operator N is its mismatch with A x I.
 
 Per-state figures (noise, worst-case noise, the outcome statistics and the
-conservation-law bounds) are read off the model's reduced form, where the
-probe state is already traced in: two D x d_o matrices (D = d_o d_p) built
-once per model in O(D^2 d_o), then O(D d_o) work per state for the noise and
-M's levels in Y psi for the statistics. The bounds compile their terms from
-that form (see ``bounds``). The dense composite-space operators stay
-available for the derivation-chain checks.
+bounds, see ``bounds``) are read off the model's reduced form, where the probe
+state is traced in: two D x d_o matrices (D = d_o d_p) built once per model in
+O(D^2 d_o), then O(D d_o) work per state. The dense composite-space operators
+stay for the derivation-chain checks.
 """
 
 from __future__ import annotations
@@ -30,8 +28,10 @@ from .linalg import (
     ROUNDING_TOL,
     StructureError,
     apply_on_probe,
+    exceeds,
     frobenius_norm,
     spectrum_runs,
+    tolerance,
 )
 
 
@@ -73,11 +73,8 @@ class MeasurementModel:
 
     @cached_property
     def reduced(self) -> "ReducedForm":
-        """The model with xi traced in, built on first use and kept.
-
-        The model is frozen and its arrays are read-only, so the cached form
-        cannot go stale.
-        """
+        """The model with xi traced in, built on first use and kept; the model is
+        frozen and its arrays are read-only, so the form cannot go stale."""
         do, dp = self.object_dim, self.probe_dim
         u, xi = self.U.matrix, self.xi.amplitudes
         # U (I x xi): contract U's input probe index
@@ -121,7 +118,9 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to {total:.17g}, not 1")
 
     def probability_near(self, value: float) -> float:
-        return sum(p for v, p in self.outcomes if abs(v - value) <= EQUALITY_TOL)
+        """Mass of the outcomes equal to value at its scale |value|."""
+        return sum(p for v, p in self.outcomes
+                   if not exceeds(abs(v - value), EQUALITY_TOL, abs(value)))
 
     def probability_in_interval(self, lo: float, hi: float) -> float:
         """Mass of the spectral values contained in [lo, hi].
@@ -145,17 +144,17 @@ def _levels(x: np.ndarray, v: np.ndarray) -> tuple:
     """(value, weight) of each level of hermitian x in v, a unit vector or
     columns whose squared norms sum to 1.
 
-    One eigh; eigenvalues within EQUALITY_TOL of their neighbour merge into
-    one level, valued at their mean, whose weight is ||V_k^dag v||_F^2 for its
-    eigenvector columns V_k. The merged spectrum must rebuild x within
-    EQUALITY_TOL; a weight, a sum of squares, may pass 1 by rounding only.
-    """
+    One eigh; eigenvalues within EQUALITY_TOL of their neighbour (at the scale
+    of the largest |eigenvalue|) merge into one level, valued at their mean,
+    weighing ||V_k^dag v||_F^2 for its eigenvectors V_k. The merged spectrum
+    must rebuild x within EQUALITY_TOL at the scale ||x||_F; a weight, a sum
+    of squares, may pass 1 by rounding only."""
     w, vecs = np.linalg.eigh(x)
-    runs = spectrum_runs(w, EQUALITY_TOL)
+    runs = spectrum_runs(w, tolerance(EQUALITY_TOL, max(-w[0], w[-1])))
     merged = np.concatenate([np.full(stop - start, np.mean(w[start:stop]))
                              for start, stop in runs])
     r = frobenius_norm((vecs * merged) @ vecs.conj().T - x)
-    if r > EQUALITY_TOL:
+    if exceeds(r, EQUALITY_TOL, lambda: frobenius_norm(x)):
         raise ArithmeticError(f"spectral reconstruction residual {r:.3e}")
     c = vecs.conj().T @ v
     levels = []
@@ -178,15 +177,15 @@ def outcome_distribution(model: MeasurementModel, psi: Ket) -> OutcomeDistributi
 def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:
     """Worst-case mismatch with the Born statistical formula for A.
 
-    Outcome values are matched to spectral values of A within a small
-    tolerance; the probability mass on outcomes with no counterpart in the
-    spectrum of A is an unambiguous violation and enters the maximum whole.
-    """
+    Outcome values are matched to spectral values of A within EQUALITY_TOL at
+    the value's scale; the mass on outcomes with no counterpart in the spectrum
+    of A is an unambiguous violation and enters the maximum whole."""
     dist = outcome_distribution(model, psi)
     born = _levels(model.A.matrix, psi.amplitudes)
     deviation = max(abs(dist.probability_near(value) - q) for value, q in born)
     stray = sum(p for outcome, p in dist.outcomes
-                if all(abs(outcome - value) > EQUALITY_TOL for value, _ in born))
+                if all(exceeds(abs(outcome - value), EQUALITY_TOL, abs(value))
+                       for value, _ in born))
     return max(deviation, stray)
 
 
@@ -197,22 +196,16 @@ def noise_operator(model: MeasurementModel) -> Operator:
 
 
 def noise(model: MeasurementModel, psi: Ket) -> float:
-    """Root-mean-square error of the record for input state psi.
-
-    Evaluated as ||W psi|| on the model's cached reduced form, W = N (I x xi),
-    which equals ||N (psi x xi)|| without building the composite operator.
-    """
+    """Root-mean-square error of the record for input state psi: ||W psi|| on the
+    model's cached reduced form, W = N (I x xi), which is ||N (psi x xi)||."""
     model.check_object_state(psi)
     return frobenius_norm(model.reduced.w @ psi.amplitudes)
 
 
 def sup_noise(model: MeasurementModel) -> float:
-    """Least upper bound of the noise over all input states.
-
-    Computed exactly as sqrt of the largest eigenvalue of W^dag W, the
-    object-space partial expectation of the squared noise operator in the
-    probe state, with W = N (I x xi) from the model's cached reduced form.
-    """
+    """Least upper bound of the noise over all input states: the sqrt of the top
+    eigenvalue of W^dag W, the probe-state expectation of N^dag N on the object
+    space, with W = N (I x xi) from the model's cached reduced form."""
     w = model.reduced.w
     top = float(np.linalg.eigvalsh(w.conj().T @ w)[-1])
     return float(np.sqrt(max(top, 0.0)))

@@ -2,20 +2,16 @@
 
 Feasibility is exact by construction: interactions are generated as
 exp(i sum_k theta_k G_k) where the G_k span the hermitian commutant of the
-total conserved quantity, so every candidate satisfies the conservation law
-to rounding. The commutant is block diagonal in the eigenbasis of that
-quantity, which is V1 x V2, the kron of the eigenvectors of L1 and L2, so
-neither a D x D eigendecomposition nor a D x D matrix of the quantity is
-needed; a basis is V, its sectors and per-size generator blocks, and theta
-are coordinates in it. The sector check reads per-column eigenvalues and
-residual bounds, taken from the factors' own eigendecompositions. An
-interaction is built from one small eigendecomposition per eigenspace, and
-the same decompositions give the exact gradient (Daleckii-Krein divided
-differences). The search itself is plain local descent on that gradient
-with seeded random restarts, checked on every accepted iterate against the
-Yanase floor, computed once per probe state; the lower bounds provide the
-certificate on the other side, so no global-optimality claim is needed or
-made.
+total conserved quantity, so every candidate conserves it to rounding. The
+commutant is block diagonal in that quantity's eigenbasis V1 x V2, the kron
+of the eigenvectors of L1 and L2, so no D x D matrix of it is needed; theta
+are coordinates in a basis of V, its sectors and per-size generator blocks.
+An interaction is built from one small eigendecomposition per eigenspace,
+and the same decompositions give the exact gradient (Daleckii-Krein divided
+differences). The search is plain local descent on that gradient with
+seeded random restarts, checked on every accepted iterate against the Yanase
+floor, computed once per probe state; the lower bounds are the certificate
+on the other side, so no global-optimality claim is needed or made.
 """
 
 from __future__ import annotations
@@ -46,8 +42,10 @@ from .linalg import (
     Operator,
     ROUNDING_TOL,
     apply_on_probe,
+    exceeds,
     frobenius_norm,
     spectrum_runs,
+    tolerance,
     variance,
 )
 from .measurement import MeasurementModel, noise, sup_noise
@@ -63,6 +61,9 @@ from .spin import named_state, spin_operators
 INIT_STEP = 0.5
 MAX_BACKTRACKS = 40
 MAX_CUTOFF = 8  # largest oscillator n_max with full interactions (D = 162, 822 parameters)
+# (w, V, column norms, residuals) of zero on one dimension: the second factor
+# with which commutant_basis runs a single operator through the pair form
+_ZERO_FACTOR = (np.zeros(1), np.ones((1, 1)), np.ones(1), np.zeros(1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +100,10 @@ class CommutantBasis:
             if np.shape(given) != (len(v),):
                 raise ValueError(f"{name} has shape {np.shape(given)}, expected {(len(v),)}")
         bound = _sector_commutator_bounds(v, edges, values, residuals)
-        # "not <=" so that a NaN bound fails too
-        bad = np.flatnonzero(~(bound <= GENERATOR_COMMUTATION_TOL))
-        if bad.size:
-            raise ValueError(f"sector {bad[0]} fails to commute, "
-                             f"residual bound {bound[bad[0]]:.3e}")
+        worst = int(np.argmax(bound))  # the first NaN, if there is one
+        if exceeds(bound[worst], GENERATOR_COMMUTATION_TOL, lambda: np.abs(values).max()):
+            raise ValueError(f"sector {worst} fails to commute, "
+                             f"residual bound {bound[worst]:.3e}")
 
     @cached_property
     def size(self) -> int:
@@ -214,10 +214,9 @@ def _sector_commutator_bounds(v: np.ndarray, edges: list, values, residuals) -> 
     return 2.0 * np.sqrt(np.add.reduceat(cols ** 2, starts) * np.add.reduceat(norms ** 2, starts))
 
 
-def _eigh_residuals(op: Operator) -> tuple:
+def _eigh_residuals(l: np.ndarray) -> tuple:
     """eigh of a hermitian L, w and V, with the norms of V's columns and of
     the residual columns of L V - V diag(w)."""
-    l = op.matrix
     w, v = np.linalg.eigh(l)
     norms = np.linalg.norm(np.stack((v, l @ v - v * w)), axis=1)
     return w, v, norms[0], norms[1]
@@ -227,39 +226,39 @@ def commutant_basis(conserved: Operator | ConservationPair) -> CommutantBasis:
     """Hermitian commutant of a hermitian operator, one d^2 block of generators
     per eigenspace.
 
-    Given a ConservationPair, the operator is L = L1 x I + I x L2 and its
-    eigenbasis is V = V1 x V2, the kron of the eigenvectors of L1 and L2 with
-    eigenvalues w1[i] + w2[j], sorted stably: two small eigh and no D x D L.
-    As L (v1_i x v2_j) - (w1[i] + w2[j]) v1_i x v2_j = e1_i x v2_j + v1_i x e2_j
+    Given a ConservationPair, L = L1 x I + I x L2 has the eigenbasis V1 x V2,
+    the kron of the eigenvectors of L1 and L2 with eigenvalues w1[i] + w2[j],
+    sorted stably: two small eigh and no D x D L. A single operator is L1, with
+    L2 = 0 on one dimension (``_ZERO_FACTOR``). As
+    L (v1_i x v2_j) - (w1[i] + w2[j]) v1_i x v2_j = e1_i x v2_j + v1_i x e2_j
     exactly, with e = L V - V diag(w) per factor, column (i, j) has residual
     at most ||e1_i|| ||v2_j|| + ||v1_i|| ||e2_j||: the sector check certifies
-    the factors, not the assembly of V. The optimizer's theta are
-    coordinates in this basis.
+    the factors, not the assembly of V. Sectors are the runs of eigenvalues
+    within ROUNDING_TOL at the scale of the largest |eigenvalue|.
     """
     if isinstance(conserved, ConservationPair):
-        (w1, v1, n1, r1), (w2, v2, n2, r2) = map(_eigh_residuals, (conserved.L1, conserved.L2))
-        sums = np.add.outer(w1, w2).ravel()
-        order = np.argsort(sums, kind="stable")
-        values = sums[order]
-        # column k is v1_i x v2_j for (i, j) = divmod(order[k], d_p): the
-        # columns of np.kron(v1, v2)[:, order], bit for bit, in one pass
-        i, j = np.divmod(order, len(w2))
-        v = (v1[:, None, i] * v2[None, :, j]).reshape(len(order), len(order))
-        return CommutantBasis(v, spectrum_runs(values, ROUNDING_TOL), values,
-                              r1[i] * n2[j] + n1[i] * r2[j])
-    if not conserved.has("hermitian"):
+        factors = map(_eigh_residuals, (conserved.L1.matrix, conserved.L2.matrix))
+    elif conserved.has("hermitian"):
+        factors = (_eigh_residuals(conserved.matrix), _ZERO_FACTOR)
+    else:
         raise ValueError("commutant_basis needs a hermitian operator")
-    w, vecs, _, residuals = _eigh_residuals(conserved)
-    return CommutantBasis(vecs, spectrum_runs(w, ROUNDING_TOL), w, residuals)
+    (w1, v1, n1, r1), (w2, v2, n2, r2) = factors
+    sums = np.add.outer(w1, w2).ravel()
+    order = np.argsort(sums, kind="stable")
+    values = sums[order]
+    # column k is v1_i x v2_j for (i, j) = divmod(order[k], d_p): the
+    # columns of np.kron(v1, v2)[:, order], bit for bit, in one pass
+    i, j = np.divmod(order, len(w2))
+    v = (v1[:, None, i] * v2[None, :, j]).reshape(len(order), len(order))
+    runs = spectrum_runs(values, tolerance(ROUNDING_TOL, max(-values[0], values[-1])))
+    return CommutantBasis(v, runs, values, r1[i] * n2[j] + n1[i] * r2[j])
 
 
 def conservative_unitary(basis: CommutantBasis, theta: Sequence[float]) -> Operator:
     """exp(i sum theta_k G_k) = V (+)_s exp(i H_s) V^dag, one small eigh per
-    sector; conserves the basis's operator by construction.
-
-    The result carries the unitary tag, checked when the basis first builds
-    it; called again at the basis's last theta, it returns that same object.
-    """
+    sector; conserves the basis's operator by construction. The unitary tag is
+    checked when the basis first builds it; at the basis's last theta, the
+    same object is returned."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (basis.size,):
         raise ValueError(f"theta has length {theta.size}, expected {basis.size}")
@@ -267,10 +266,9 @@ def conservative_unitary(basis: CommutantBasis, theta: Sequence[float]) -> Opera
 
 
 def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
-    """Coefficients of a hermitian matrix in the basis; fails if it lies outside.
-
-    Projects V^dag H V onto each sector's generator blocks; for a unitary V
-    the norm of what the rebuilt blocks leave is ||sum theta_k G_k - H||."""
+    """Coefficients of a hermitian matrix in the basis; fails if it lies outside:
+    V^dag H V projected on each sector's generator blocks, for a unitary V,
+    leaves ||sum theta_k G_k - H||, zero at the scale ||H||_F."""
     rest = basis.vectors.conj().T @ h.matrix @ basis.vectors
     theta = np.empty(basis.size)
     for d, cols, params, gens in basis._groups:
@@ -278,22 +276,20 @@ def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
         theta[params] = (rest[block].reshape(len(cols), d * d) @ gens.conj().T).real
         rest[block] -= (theta[params] @ gens).reshape(-1, d, d)
     r = frobenius_norm(rest)
-    if r > EQUALITY_TOL:
+    if exceeds(r, EQUALITY_TOL, lambda: frobenius_norm(h.matrix)):
         raise ValueError(f"matrix lies outside the commutant span, residual {r:.3e}")
     return theta
 
 
 def record_observable(l2: Operator) -> Operator:
-    """Parity pointer for a probe: +/-1/2 alternating up the spectrum of L2.
+    """Parity pointer for a probe: +/-1/2 alternating up the levels of L2.
 
-    A function of L2, so the Yanase condition holds by construction, and
-    +/-1/2 valued, matching the readout it is meant to record. The
-    alternation matters: it puts a sign boundary in every conserved sector,
-    which is what lets larger probes push the achievable noise down; a
-    single-step sign pattern pins the optimum at 1/4 regardless of size.
-    """
+    A function of L2, so the Yanase condition holds by construction. The
+    alternation puts a sign boundary in every conserved sector, which lets
+    larger probes push the achievable noise down; a single-step sign pattern
+    pins the optimum at 1/4 regardless of size."""
     w, vecs = np.linalg.eigh(l2.matrix)
-    runs = spectrum_runs(w, EQUALITY_TOL)
+    runs = spectrum_runs(w, tolerance(EQUALITY_TOL, max(-w[0], w[-1])))
     level = np.repeat(np.arange(len(runs)), [stop - start for start, stop in runs])
     # anchor +1/2 at the top of the spectrum; for a spin-1/2 probe this
     # reproduces the spin itself
@@ -355,7 +351,7 @@ class _Problem:
 
     def __init__(self, a: Operator, pair: ConservationPair, m: Operator,
                  xi0: Ket, psi: Ket, config: OptimizerConfig):
-        require_yanase(yanase_residual(m, pair.L2))
+        require_yanase(yanase_residual(m, pair.L2), m, pair.L2)
         self.a = a
         self.pair = pair
         self.m = m
@@ -421,7 +417,7 @@ class _Problem:
         red = model.reduced
         if self.config.objective == "sup":
             lam, vecs = np.linalg.eigh(red.w.conj().T @ red.w)
-            phis = vecs[:, lam >= lam[-1] - EQUALITY_TOL]
+            phis = vecs[:, lam >= lam[-1] - tolerance(EQUALITY_TOL, lam[-1])]
         else:
             phis = self.psi.amplitudes[:, None]
         count = phis.shape[1]
@@ -458,7 +454,7 @@ class _Problem:
         model = self.model_at(x)
         e = noise(model, self.psi)
         floor = self.floor(model)
-        if e * e < floor - INEQUALITY_SLACK:
+        if exceeds(floor - e * e, INEQUALITY_SLACK, floor):
             raise TheoremViolation(
                 f"accepted iterate has squared noise {e * e:.17g} below the "
                 f"bound {floor:.17g}")

@@ -361,8 +361,9 @@ def test_bound_report_violation_flags():
         ("fundamental_bound", "yanase_bound", "spin_bound")
     assert w.BoundReport(**{**clean, "uncertainty_lhs": 0.0}).violations() == \
         ("uncertainty",)
-    # a non-conservative model is not held to the conservation bounds
-    loose = {**clean, "eps_sq": 0.05, "acl_residual": 0.5}
+    # a non-conservative model is not held to the conservation bounds: its
+    # commutator identity, behind the ACL gate, is null
+    loose = {**clean, "eps_sq": 0.05, "acl_residual": 0.5, "commutator_identity_residual": None}
     assert w.BoundReport(**loose).violations() == ()
 
 
@@ -742,9 +743,10 @@ def test_state_pass_matches_the_vdot_oracle(seed, object_dim, probe_dim, ladder,
 
 
 def _hand_terms(l1):
-    """BoundTerms with d = c = 0 and the given L1 slot; var(L2, xi) is 1/4."""
+    """BoundTerms with d = c = 0, the Yanase condition holding, the given L1
+    slot, and var(L2, xi) and <L2^2> in xi 1/4."""
     zero = np.zeros_like(l1, dtype=complex)
-    return BoundTerms(np.array((zero, zero, l1), dtype=complex), 0.0, 0.25)
+    return BoundTerms(np.array((zero, zero, l1), dtype=complex), 0.0, "", 0.25, 0.25)
 
 
 def test_state_pass_variance_alarms():

@@ -885,6 +885,74 @@ def test_conserved_quantities_at_1e8_verify_without_a_residue_alarm(tmp_path, ca
     assert json.loads(out)["violations"] == []
 
 
+def _scaled_random_model(tmp_path, fields, factor) -> str:
+    """The file of the seed-5 3 x 4 model of random_conservative_model, whose
+    conserved quantities, interaction and record round, with every entry of
+    each named matrix multiplied by factor."""
+    model, pair = random_conservative_model(np.random.default_rng(5), 3, 4)
+    doc = model_to_dict(model, pair)
+    for field in fields:
+        doc[field] = [[[re * factor, im * factor] for re, im in row] for row in doc[field]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("fields, factor", [
+    (("L1", "L2"), 1e-7), (("L1", "L2"), 1e5), (("L1", "L2"), 1e6), (("M",), 1e6),
+    (("M", "A"), 1e6),
+])
+def test_scaled_random_model_verifies_with_every_check(tmp_path, capsys, fields, factor):
+    # each factor leaves the model exactly conservative and Yanase; the
+    # bounds keep their values (L) or scale by factor^2 (M and A together)
+    reports = []
+    for scale in (1.0, factor):
+        path = _scaled_random_model(tmp_path, fields, scale)
+        code, out, err = run_cli(capsys, "verify", path, "--state", "[[1,0],[0,0],[0,0]]")
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    base, report = reports
+    assert report["violations"] == [] and report["null_reasons"] == base["null_reasons"]
+    assert report["commutator_identity_residual"] is not None
+    bound_scale = factor ** 2 if "A" in fields else 1.0
+    assert base["yanase_bound"] == pytest.approx(0.0060843521986, rel=1e-10)
+    for name in ("fundamental_bound", "yanase_bound"):
+        assert report[name] == pytest.approx(bound_scale * base[name], rel=1e-7)
+
+
+def _explicit_probe_config(tmp_path, factor) -> str:
+    """An optimize config whose L1 = S_z and 3-level L2 = V diag(1, 0, -1) V^dag
+    (V random) are multiplied by factor; M = V diag(1/2, -1/2, 1/2) V^dag."""
+    v = w.random_unitary(3, np.random.default_rng(3)).matrix
+    l2 = (v * np.array([1.0, 0.0, -1.0])) @ v.conj().T
+    m = (v * np.array([0.5, -0.5, 0.5])) @ v.conj().T
+    sz = w.spin_operators()[2].matrix
+
+    def matrix(a):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+
+    config = {"restarts": 2, "max_iters": 10, "object": {"L1": matrix(factor * sz)},
+              "probe": {"L2": matrix(factor * l2), "M": matrix(m),
+                        "xi": [[0.6, 0.0], [0.0, 0.64], [0.48, 0.0]]}}
+    path = tmp_path / f"config-{factor:g}.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_scaled_explicit_probe_optimize_matches_the_unscaled_run(tmp_path, capsys):
+    # at 1e4 the sectors of L1 x I + I x L2 keep their sizes, so the search
+    # runs in the same space and finds the same interaction
+    runs = []
+    for factor in (1.0, 1e4):
+        code, out, err = run_cli(capsys, "optimize", _explicit_probe_config(tmp_path, factor))
+        assert (code, err) == (0, "")
+        runs.append(json.loads(out))
+    base, run = runs
+    assert len(run["theta"]) == len(base["theta"]) == 10
+    for name in ("final_objective", "bound_value"):
+        assert run[name] == pytest.approx(base[name], rel=1e-9)
+
+
 def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypatch):
     import waylimit.cli as cli_module
 

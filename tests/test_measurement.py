@@ -265,8 +265,13 @@ def test_outcome_distribution_phase_invariance():
 def test_bsf_deviation_swap_is_zero():
     rng = np.random.default_rng(RNG_SEED)
     model = _swap_model()
+    # and at A = M = 1e8 S_x, whose levels round by about 1e-8
+    big = w.Operator.hermitian(1e8 * model.A.matrix)
+    scaled = w.MeasurementModel(2, 2, model.xi, model.U, big, big)
     for _ in range(25):
-        assert w.bsf_deviation(model, w.random_ket(2, rng)) < 1e-10
+        psi = w.random_ket(2, rng)
+        assert w.bsf_deviation(model, psi) < 1e-10
+        assert w.bsf_deviation(scaled, psi) < 1e-10
 
 
 def test_bsf_deviation_disjoint_spectra_is_one():

@@ -1,0 +1,102 @@
+"""A change of units leaves every verdict unchanged.
+
+The bounds are ratios of squares in the conserved quantities, and eps^2 and
+the bounds are quadratic in the observables, so scaling L1 and L2 by c keeps
+every figure, and scaling M and A by c multiplies eps^2 and the bounds by
+c^2. The models here come from the commutant map with random bases, so their
+conserved quantities, interactions and spectra round, unlike the swap demo's.
+"""
+
+import numpy as np
+import pytest
+
+import waylimit as w
+from helpers import random_conservative_model
+
+SEEDS = (1, 2, 3, 5)
+BOUNDS = ("fundamental_bound", "yanase_bound", "spin_bound")
+
+
+def _scaled(op, c):
+    return w.Operator.hermitian(c * op.matrix)
+
+
+def _report(model, pair, psi):
+    report = w.bound_report(model, pair, psi)
+    assert report.violations() == ()
+    return report
+
+
+def _null_fields(report):
+    return sorted(report.null_reasons)
+
+
+@pytest.mark.parametrize("yanase", [True, False])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scaled_conserved_quantities_keep_every_figure(seed, yanase):
+    rng = np.random.default_rng(seed)
+    model, pair = random_conservative_model(rng, 3, 4, yanase=yanase)
+    psi = w.random_ket(3, rng)
+    base = _report(model, pair, psi)
+    assert base.commutator_identity_residual is not None
+    for c in (1e-7, 1e-6, 1e-3, 1e3, 1e5, 1e6):
+        scaled = w.ConservationPair(L1=_scaled(pair.L1, c), L2=_scaled(pair.L2, c))
+        report = _report(model, scaled, psi)
+        assert _null_fields(report) == _null_fields(base), c
+        assert report.eps_sq == base.eps_sq
+        for name in BOUNDS:
+            if getattr(base, name) is not None:
+                assert getattr(report, name) == pytest.approx(getattr(base, name), rel=1e-9), c
+
+
+@pytest.mark.parametrize("yanase", [True, False])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scaled_observables_scale_noise_and_bounds_by_c_squared(seed, yanase):
+    rng = np.random.default_rng(seed)
+    model, pair = random_conservative_model(rng, 3, 4, yanase=yanase)
+    psi = w.random_ket(3, rng)
+    base = _report(model, pair, psi)
+    for c in (1e-3, 1e3, 1e6, 1e8):
+        scaled = w.MeasurementModel(model.object_dim, model.probe_dim, model.xi, model.U,
+                                    _scaled(model.M, c), _scaled(model.A, c))
+        report = _report(scaled, pair, psi)
+        assert _null_fields(report) == _null_fields(base), c
+        assert report.commutator_identity_residual is not None
+        for name in ("eps_sq", *BOUNDS):
+            if getattr(base, name) is not None:
+                assert getattr(report, name) == pytest.approx(c * c * getattr(base, name),
+                                                              rel=1e-9), (c, name)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scaled_pair_keeps_its_commutant_sectors(seed):
+    # a ladder L2 in a random basis and L1 = S_z: degenerate sectors whose
+    # eigenvalues round apart by more than ROUNDING_TOL once L is large
+    rng = np.random.default_rng(seed)
+    _, pair = random_conservative_model(rng, 2, 5, spin_scenario=True, probe_ladder=True)
+
+    def sizes(basis):
+        return [stop - start for start, stop in basis.sectors]
+
+    expected = sizes(w.commutant_basis(pair))
+    assert max(expected) > 1
+    for c in (1e2, 1e4, 1e6):
+        scaled = w.ConservationPair(L1=_scaled(pair.L1, c), L2=_scaled(pair.L2, c))
+        assert sizes(w.commutant_basis(scaled)) == expected, c
+        assert sizes(w.commutant_basis(scaled.total())) == expected, c
+
+
+def test_large_rotated_spectrum_loads_as_hermitian():
+    # V diag(1e6 vals) V^dag rounds away from hermitian by about 1e-10, in
+    # proportion to its norm, not past it
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        v = w.random_unitary(8, rng).matrix
+        vals = 1e6 * rng.uniform(-1.0, 1.0, size=8)
+        op = w.Operator.hermitian((v * vals) @ v.conj().T)
+        assert np.allclose(np.linalg.eigvalsh(op.matrix), np.sort(vals), rtol=0, atol=1e-8)
+    # at the same scale, a broken tag is still refused
+    broken = np.diag(1e6 * np.ones(2)).astype(complex)
+    broken[0, 1] = 1e-3
+    with pytest.raises(w.StructureError, match="hermitian tag violated"):
+        w.Operator.hermitian(broken)
