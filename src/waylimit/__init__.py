@@ -8,7 +8,8 @@ identities, and searches over conservation-respecting interactions to probe
 how closely the error floors can be approached.
 
 Importing the package loads ``linalg``, ``measurement``, ``bounds`` and
-``spin``, which is all that verifying a model needs. The names of the
+``spin``, which is all that verifying a model file needs. The names of the
+``outcomes`` (outcome statistics), ``yw`` (partial interaction data),
 ``oscillator`` and ``optimizer`` modules are exported lazily (PEP 562): the
 first lookup of one imports its module and keeps the name here, so later
 lookups are plain attribute hits.
@@ -35,13 +36,9 @@ from .linalg import (
 )
 from .measurement import (
     MeasurementModel,
-    OutcomeDistribution,
-    bsf_deviation,
-    error_probability,
     heisenberg_probe,
     noise,
     noise_operator,
-    outcome_distribution,
     sup_noise,
 )
 from .bounds import (
@@ -60,20 +57,28 @@ from .bounds import (
     yanase_residual,
 )
 from .spin import (
-    YWModel,
     named_state,
-    random_yw_model,
     spin_operators,
     swap_demo_model,
     trivial_demo_model,
-    yw_check_bound,
-    yw_eps_y,
-    yw_error_at_alpha_y,
     yw_sample_model,
 )
 
 # name -> module, for the exports imported on first use
 _LAZY = {
+    **dict.fromkeys((
+        "OutcomeDistribution",
+        "bsf_deviation",
+        "error_probability",
+        "outcome_distribution",
+    ), "outcomes"),
+    **dict.fromkeys((
+        "YWModel",
+        "random_yw_model",
+        "yw_check_bound",
+        "yw_eps_y",
+        "yw_error_at_alpha_y",
+    ), "yw"),
     **dict.fromkeys((
         "CoherentAmplitudes",
         "FockSpace",

@@ -1,79 +1,60 @@
 """Command-line surface: verify models, sweep probe sizes, optimize, emit demos.
 
-This module owns the on-disk schemas. Complex scalars are [re, im] pairs of
-JSON numbers, kets are arrays of those, matrices are nested row-major arrays,
-and infinities are serialized as the string "inf". Each model-file kind has
-one field table, walked by both its writer and its reader. ``_typed`` is the
-one JSON type test: a JSON bool is neither an integer nor a number. Model
-files ignore keys outside their table; an ``optimize`` config rejects unknown
-keys at every level. Exit codes are 0 (all applicable inequalities hold), 1
-(input problem, a sweep in which every size failed, or an internal error,
-which is labeled as such), and 2 (an inequality that is a theorem failed, the
-regression alarm). A library ValueError raised where a command reads its
-input comes from that input: ``_input_errors`` makes it an input error. One
-raised inside the search is a bug, an internal error: a sweep row fails only
-where its probe cannot be built. ``main`` runs every command under one
-floating-point policy, which refuses finite input whose arithmetic
-overflows. Set WAYLIMIT_DEBUG=1 to print the traceback of an internal error.
+The on-disk schemas and the helpers that read and write them live in
+``schema``; the names of its public API are re-exported here. Model files
+ignore keys outside their table; an ``optimize`` config rejects unknown keys
+at every level. Exit codes are 0 (all applicable inequalities hold), 1 (input
+problem, a failed write, a sweep in which every size failed, or an internal
+error, which is labeled as such), and 2 (an inequality that is a theorem
+failed, the regression alarm). A library ValueError raised inside the search
+is a bug, an internal error: a sweep row fails only where its probe cannot be
+built. ``main`` runs every command under one floating-point policy, which
+refuses finite input whose arithmetic overflows. Set WAYLIMIT_DEBUG=1 to print
+the traceback of an internal error.
 
-``verify`` and ``demo`` need neither the optimizer nor the oscillator
-module, so ``sweep`` and ``optimize`` import what they use when they run;
-a cold ``verify`` then compiles and loads only the modules it runs.
+A cold ``verify`` of a model file, or ``demo swap`` and ``demo trivial``,
+loads ``linalg``, ``measurement``, ``bounds``, ``spin``, ``schema`` and this
+module, and nothing more of the package. A ``kind: yw_model`` file and
+``demo yw-sample`` add ``yw``; ``sweep`` and ``optimize`` run their bodies
+from ``search_cli``, which loads the optimizer and the oscillator.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import sys
-from contextlib import contextmanager
-from typing import Optional
 
 import numpy as np
 
-from . import __version__
 from .bounds import ConservationPair, bound_report, check_pair
-from .linalg import (
-    ACL_GATE_TOL,
-    DimensionMismatch,
-    INEQUALITY_SLACK,
-    Ket,
-    Operator,
-    PRECONDITION_TOL,
-    PreconditionError,
-    STRUCTURE_TOL,
-    TheoremViolation,
-)
+from .linalg import INEQUALITY_SLACK, TheoremViolation
 from .measurement import MeasurementModel
-from .spin import (
-    SWAP,
-    YWModel,
-    named_state,
-    spin_operators,
-    swap_demo_model,
-    trivial_demo_model,
-    yw_error_at_alpha_y,
-    yw_eps_y,
-    yw_sample_model,
+from .schema import (  # noqa: F401  (the public names are re-exported)
+    SCHEMA_VERSION,
+    TOLERANCES,
+    CliInputError,
+    _MODEL_FIELDS,
+    _OVERFLOW,
+    _YW_FIELDS,
+    _dump_json,
+    _environment,
+    _fmt,
+    _input_errors,
+    _model_file,
+    _parse_state,
+    _read_json,
+    _typed,
+    _write_stdout,
+    ket_from_json,
+    ket_to_json,
+    model_to_dict,
+    operator_from_json,
+    operator_to_json,
+    yw_model_to_dict,
 )
-
-SCHEMA_VERSION = "v1"
-
-TOLERANCES = {
-    "inequality_slack": INEQUALITY_SLACK,
-    "acl_gate": ACL_GATE_TOL,
-    "acl_precondition": ACL_GATE_TOL,
-    "yanase_precondition": PRECONDITION_TOL,
-    "hermitian": STRUCTURE_TOL,
-    "unitary": STRUCTURE_TOL,
-}
-
-
-class CliInputError(ValueError):
-    """Any problem with user input; always maps to exit code 1."""
+from .spin import swap_demo_model, trivial_demo_model, yw_sample_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,222 +62,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-# the refusal of finite input whose arithmetic overflows; see main
-_OVERFLOW = "values overflow double precision"
-
-
-@contextmanager
-def _input_errors(where: str = ""):
-    """A library ValueError, or the FloatingPointError of an overflow (see main),
-    becomes an input error after ``where: ``; a CliInputError passes through."""
-    try:
-        yield
-    except CliInputError:
-        raise
-    except (ValueError, FloatingPointError) as exc:
-        text = _OVERFLOW if isinstance(exc, FloatingPointError) else str(exc)
-        raise CliInputError(f"{where}: {text}" if where else text) from exc
-
-
-# ---------------------------------------------------------------------------
-# JSON values
-
-
-# json.load yields exact builtin types, so one exact-type test per JSON kind
-# needs no special case: a JSON bool (type bool) is neither an integer nor a number
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,),
-               "string": (str,), "array": (list,), "object": (dict,)}
-
-
-def _excerpt(text: str) -> str:
-    """text as an error message echoes it: a short prefix, then "..." if cut."""
-    return text if len(text) <= 60 else text[:60] + "..."
-
-
-def _typed(value, path: str, kind: str):
-    """value when it has the JSON type kind, else an input error naming path.
-    A number must be finite as a float; json reads 1e999 as infinity."""
-    if type(value) not in _JSON_TYPES[kind]:
-        raise CliInputError(f"{path}: expected a JSON {kind}, got {_excerpt(json.dumps(value))}")
-    if kind == "number":
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer past the float range
-            finite = False
-        if not finite:
-            raise CliInputError(f"{path}: expected a finite JSON number, got one that "
-                                f"overflows a float")
-    return value
-
-
-def _complex_to_json(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _complex_from_json(value, path: str) -> complex:
-    try:
-        re, im = _typed(value, path, "array")
-        return complex(_typed(re, path, "number"), _typed(im, path, "number"))
-    except ValueError:
-        raise CliInputError(f"{path}: expected a [re, im] pair of JSON numbers, "
-                            f"got {_excerpt(json.dumps(value))}") from None
-
-
-def _complex_list(value, path: str) -> np.ndarray:
-    """A JSON array of [re, im] pairs, as a complex array; entry k is named
-    path[k] in errors."""
-    return np.array([_complex_from_json(z, f"{path}[{k}]")
-                     for k, z in enumerate(_typed(value, path, "array"))], dtype=np.complex128)
-
-
-def _vector_to_json(v: np.ndarray) -> list:
-    return [_complex_to_json(z) for z in v]
-
-
-def ket_to_json(ket: Ket):
-    return _vector_to_json(ket.amplitudes)
-
-
-def ket_from_json(value, path: str) -> Ket:
-    amps = _complex_list(value, path)
-    with _input_errors(path):
-        return Ket(amps)
-
-
-def operator_to_json(op: Operator):
-    return [[_complex_to_json(z) for z in row] for row in op.matrix]
-
-
-def operator_from_json(value, path: str, tag: str) -> Operator:
-    rows = []
-    for i, row in enumerate(_typed(value, path, "array")):
-        if len(_typed(row, f"{path}[{i}]", "array")) != len(value):
-            raise CliInputError(f"{path}: row {i} does not make the matrix square")
-        rows.append(_complex_list(row, f"{path}[{i}]"))
-    with _input_errors(path):
-        return Operator(np.array(rows), frozenset({tag}))
-
-
-def _sanitize(value):
-    """Replace non-finite floats by their sentinel strings, recursively."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    return value
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(_sanitize(payload), indent=2) + "\n"
-
-
-def _fmt(x) -> str:
-    """CSV field format: a string as it is, an integer in full, a float to 17
-    significant digits, locale independent, with the JSON sentinels."""
-    s = _sanitize(x)
-    return str(s) if isinstance(s, (str, int)) else f"{x:.17g}"
-
-
-def _no_constants(where: str):
-    # python's json reads NaN, Infinity and -Infinity, which are not JSON numbers
-    def reject(name: str):
-        raise CliInputError(f"{where}: non-standard JSON literal {name}; numbers must be finite")
-    return reject
-
-
-def _parse_json(text: str, where: str, malformed) -> object:
-    """text parsed as JSON, or an input error naming where; malformed(exc)
-    words a json.JSONDecodeError, which each caller words its own way."""
-    with _input_errors(where):  # an integer literal past Python's digit limit
-        try:
-            return json.loads(text, parse_constant=_no_constants(where))
-        except json.JSONDecodeError as exc:
-            raise CliInputError(malformed(exc)) from exc
-        except RecursionError:
-            raise CliInputError(f"{where}: JSON nested too deeply to read") from None
-
-
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bytes that are not UTF-8
-        raise CliInputError(f"{path}: {exc}") from exc
-    return _parse_json(text, path, lambda exc: f"{path}: invalid JSON at line {exc.lineno}, "
-                                               f"column {exc.colno}: {exc.msg}")
-
-
-def _write_text(path: str, text: str):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise CliInputError(f"cannot write {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Model files
 
-
-# each form a field can take: (reader(value, path), writer(value))
-_FORMS = {
-    "integer": (lambda v, path: _typed(v, path, "integer"), int),
-    "hermitian": (lambda v, path: operator_from_json(v, path, "hermitian"), operator_to_json),
-    "unitary": (lambda v, path: operator_from_json(v, path, "unitary"), operator_to_json),
-    "state": (ket_from_json, ket_to_json),
-    # complex vectors whose squared norm is a weight, such as a yw_model's branches
-    "amplitudes": (_complex_list, _vector_to_json),
-}
-
-# the fields of each model-file kind, in file order: key -> form. The writer
-# and the reader of the kind both walk its table.
-_MODEL_FIELDS = {"object_dim": "integer", "probe_dim": "integer", "A": "hermitian",
-                 "L1": "hermitian", "L2": "hermitian", "M": "hermitian", "U": "unitary",
-                 "xi": "state"}
-_YW_FIELDS = {"probe_dim": "integer", "xi": "state", "xi_plus": "amplitudes",
-              "xi_minus": "amplitudes", "eta_plus": "amplitudes", "eta_minus": "amplitudes",
-              "M": "hermitian"}
-
-
-def _fields_to_dict(head: dict, fields: dict, values: dict, name: str, description: str) -> dict:
-    """A model file: schema, head, each field of the table from values, then metadata."""
-    return {"schema": SCHEMA_VERSION, **head,
-            **{key: _FORMS[form][1](values[key]) for key, form in fields.items()},
-            "metadata": {"name": name, "description": description}}
-
-
-def _read_fields(doc: dict, fields: dict, prefix: str = "") -> dict:
-    """Every field of a table, parsed; any missing field is reported first."""
-    for key in fields:
-        if key not in doc:
-            raise CliInputError(f"{prefix}{key}: missing required field")
-    return {key: _FORMS[form][0](doc[key], prefix + key) for key, form in fields.items()}
-
-
-def _model_file(doc, fields: dict):
-    """The parsed fields and the metadata of a model file of one kind. Other
-    keys are ignored; metadata is optional, but its name is echoed, so a string."""
-    if _typed(doc, "model file", "object").get("schema") != SCHEMA_VERSION:
-        raise CliInputError(
-            f"schema: expected {SCHEMA_VERSION!r}, got {_excerpt(repr(doc.get('schema')))}")
-    values = _read_fields(doc, fields)
-    metadata = _typed(doc.get("metadata", {}), "metadata", "object")
-    _typed(metadata.get("name", ""), "metadata.name", "string")
-    return values, metadata
-
-
-def model_to_dict(model: MeasurementModel, pair: ConservationPair,
-                  name: str = "", description: str = "") -> dict:
-    values = {**vars(model), "L1": pair.L1, "L2": pair.L2}
-    return _fields_to_dict({}, _MODEL_FIELDS, values, name, description)
+# The readers stay beside the entry point, which is all that runs them:
+# bench/tracer.py patches cli's bindings, and load_model_file calls
+# model_from_dict through them.
 
 
 def model_from_dict(doc: dict):
@@ -308,11 +79,9 @@ def model_from_dict(doc: dict):
     return model, pair, metadata
 
 
-def yw_model_to_dict(yw: YWModel, name: str = "", description: str = "") -> dict:
-    return _fields_to_dict({"kind": "yw_model"}, _YW_FIELDS, vars(yw), name, description)
-
-
 def yw_model_from_dict(doc: dict):
+    from .yw import YWModel
+
     fields, metadata = _model_file(doc, _YW_FIELDS)
     with _input_errors():
         return YWModel(**fields), None, metadata
@@ -331,27 +100,8 @@ def load_model_file(path: str):
     return model_from_dict(doc)
 
 
-def _parse_state(spec, object_dim: int, path: str = "--state") -> Ket:
-    """A named state or a JSON ket, as text (``--state``) or parsed (``psi``)."""
-    if isinstance(spec, str):
-        try:
-            spec = named_state(spec)
-        except ValueError:
-            text = spec
-            spec = _parse_json(text, path, lambda exc: f"{path} must be a named state or "
-                                                       f"a JSON ket, got {_excerpt(repr(text))}")
-    ket = spec if isinstance(spec, Ket) else ket_from_json(spec, path)
-    if ket.dim != object_dim:
-        raise CliInputError(f"{path}: ket has dim {ket.dim}, expected {object_dim}")
-    return ket
-
-
 # ---------------------------------------------------------------------------
 # verify
-
-
-def _environment(seed: Optional[int]) -> dict:
-    return {"tool_version": __version__, "seed": seed, "tolerances": dict(TOLERANCES)}
 
 
 def _csv_field(value: str) -> str:
@@ -372,23 +122,25 @@ def _emit_verify(args, name: str, fields: dict, violations, head: dict, notes: d
         row += ["" if value is None else _fmt(value) for value in fields.values()]
         row.append("|".join(violations))
         header = ["model_name", "state", *fields, "violations"]
-        sys.stdout.write(",".join(header) + "\n" + ",".join(row) + "\n")
+        _write_stdout(",".join(header) + "\n" + ",".join(row) + "\n")
     else:
-        sys.stdout.write(_dump_json({
+        _write_stdout(_dump_json({
             "schema": SCHEMA_VERSION, **head, "model_name": name, "state": args.state,
             **fields, "violations": list(violations), **notes,
             "environment": _environment(None)}))
     return 2 if violations else 0
 
 
-def _yw_figures(yw: YWModel, state_spec: str):
+def _yw_figures(data, state_spec: str):
     """eps_y^2 and the squared noise at alpha_y of partial interaction data.
     2 eps(alpha_y)^2 <= eps_y^2 holds for every valid model (the record
     spectrum lies in [-1/2, 1/2]), so a failure is the regression alarm."""
+    from . import yw
+
     if state_spec != "alpha_y":
         raise CliInputError(
             f"--state: a yw_model file is verified at alpha_y only, got {state_spec!r}")
-    fields = {"eps_y_sq": yw_eps_y(yw), "error_at_alpha_y": yw_error_at_alpha_y(yw)}
+    fields = {"eps_y_sq": yw.yw_eps_y(data), "error_at_alpha_y": yw.yw_error_at_alpha_y(data)}
     ok = 2.0 * fields["error_at_alpha_y"] <= fields["eps_y_sq"] + INEQUALITY_SLACK
     return fields, [] if ok else ["yw_relation"]
 
@@ -396,7 +148,7 @@ def _yw_figures(yw: YWModel, state_spec: str):
 def cmd_verify(args) -> int:
     model, pair, metadata = load_model_file(args.model)
     name = metadata.get("name", "")
-    if isinstance(model, YWModel):
+    if pair is None:  # a kind: yw_model file, partial interaction data
         fields, violations = _yw_figures(model, args.state)
         return _emit_verify(args, name, fields, violations, {"kind": "yw_model"}, {})
     report = bound_report(model, pair, _parse_state(args.state, model.object_dim))
@@ -407,159 +159,17 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# sweep and optimize, whose bodies search_cli holds
 
 
 def cmd_sweep(args) -> int:
-    from .optimizer import OptimizerConfig, SweepRow, sweep_probe_size
-
-    parse_size = int if args.family == "spin_ladder" else float
-    with _input_errors("--sizes"):
-        sizes = [parse_size(s) for s in args.sizes.split(",") if s]
-    if not sizes:
-        raise CliInputError("--sizes: need at least one size")
-    bad = [s for s in sizes if not (math.isfinite(s) and s >= 0)]
-    if bad:
-        raise CliInputError(f"--sizes: sizes must be finite and nonnegative, got {bad[0]!r}")
-    with _input_errors():
-        config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters,
-                                 seed=args.seed)
-    rows = sweep_probe_size(args.family, sizes, config)
-    # the row's fields in order; a failure goes to stderr instead
-    columns = [f.name for f in dataclasses.fields(SweepRow) if f.name != "error"]
-    lines = [",".join(columns)]
-    for row in rows:
-        if row.error:
-            print(f"size {_fmt(row.size)} failed: {row.error}", file=sys.stderr)
-        lines.append(",".join(_fmt(getattr(row, key)) for key in columns))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    # a sweep in which no size succeeded must not look like a success
-    return 1 if all(row.error for row in rows) else 0
-
-
-# ---------------------------------------------------------------------------
-# optimize
-
-
-_NAMED_OBSERVABLES = {"s_x": 0, "s_y": 1, "s_z": 2}
-
-
-def _observable_from_config(value, path: str) -> Operator:
-    if isinstance(value, str):
-        if value not in _NAMED_OBSERVABLES:
-            raise CliInputError(
-                f"{path}: unknown observable {value!r}, expected one of "
-                f"{sorted(_NAMED_OBSERVABLES)} or a matrix")
-        return spin_operators()[_NAMED_OBSERVABLES[value]]
-    return operator_from_json(value, path, "hermitian")
-
-
-def _swap_theta(basis) -> np.ndarray:
-    from .optimizer import hermitian_coordinates
-
-    if len(basis.vectors) != 4:
-        raise CliInputError("theta0 'swap' needs a two-qubit composite space")
-    h = Operator.hermitian((np.pi / 2.0) * (np.eye(4) - SWAP))
-    with _input_errors("theta0 'swap' is not conservative here"):
-        return hermitian_coordinates(basis, h)
-
-
-# the fields of an explicit probe: key -> form, as in the model-file tables
-_PROBE_FIELDS = {"L2": "hermitian", "M": "hermitian", "xi": "state"}
-
-# the keys each form of probe may give
-_PROBE_KEYS = {"spin_ladder": ("family", "size"), "oscillator": ("family", "alpha", "beta"),
-               "explicit": tuple(_PROBE_FIELDS)}
-
-# the type of each optimizer setting a config file may give
-_CONFIG_TYPES = {"seed": "integer", "restarts": "integer", "max_iters": "integer",
-                 "objective": "string", "optimize_xi": "boolean"}
-
-
-def _config_object(value, path: str, known) -> dict:
-    """value when it is a JSON object whose keys are all in known; path is its
-    place in the config, "" for the top level."""
-    obj = _typed(value, path or "config", "object")
-    for key in obj:
-        if key not in known:
-            where = f"{path}.{key}" if path else key
-            raise CliInputError(f"{where}: unknown key, expected one of {list(known)}")
-    return obj
-
-
-def _load_optimize_config(path: str):
-    from .optimizer import (OptimizerConfig, commutant_basis, oscillator_probe,
-                            spin_ladder_probe)
-    from .oscillator import CoherentAmplitudes, fock_cutoff
-
-    doc = _config_object(_read_json(path), "",
-                         (*_CONFIG_TYPES, "theta0", "psi", "object", "probe"))
-
-    obj = _config_object(doc.get("object", {}), "object", ("A", "L1"))
-    a = _observable_from_config(obj.get("A", "s_x"), "object.A")
-    l1 = _observable_from_config(obj.get("L1", "s_z"), "object.L1")
-    if l1.dim != a.dim:
-        raise CliInputError(f"object.L1: has dim {l1.dim}, expected {a.dim} to match object.A")
-
-    probe = _typed(doc.get("probe", {"family": "spin_ladder", "size": 2}), "probe", "object")
-    if "family" in probe and probe["family"] not in ("spin_ladder", "oscillator"):
-        raise CliInputError(f"probe.family: unknown family {_excerpt(repr(probe['family']))}")
-    form = probe.get("family", "explicit")
-    _config_object(probe, "probe", _PROBE_KEYS[form])
-    if form == "spin_ladder":
-        size = _typed(probe.get("size", 2), "probe.size", "integer")
-        with _input_errors("probe.size"):
-            l2, m, xi = spin_ladder_probe(size)
-    elif form == "oscillator":
-        amps = CoherentAmplitudes(*(_complex_from_json(probe.get(k, [0.0, 0.0]), f"probe.{k}")
-                                    for k in ("alpha", "beta")))
-        with _input_errors("probe"):
-            l2, m, xi = oscillator_probe(fock_cutoff(amps), amps)
-    else:
-        l2, m, xi = _read_fields(probe, _PROBE_FIELDS, "probe.").values()
-
-    pair = ConservationPair(L1=l1, L2=l2)
-    psi = _parse_state(doc.get("psi", "alpha_y"), a.dim, "psi")
-
-    theta0 = doc.get("theta0", "zero")
-    if theta0 == "zero":
-        theta0_value = None
-    elif theta0 == "swap":
-        theta0_value = tuple(_swap_theta(commutant_basis(pair)))
-    elif isinstance(theta0, str):
-        raise CliInputError(
-            f"theta0: expected 'zero', 'swap' or a JSON array, got {_excerpt(json.dumps(theta0))}")
-    else:  # its length is the optimizer's check
-        theta0_value = tuple(float(_typed(t, f"theta0[{k}]", "number"))
-                             for k, t in enumerate(_typed(theta0, "theta0", "array")))
-
-    # only the settings the file gives; the defaults live in OptimizerConfig
-    settings = {key: _typed(doc[key], key, kind)
-                for key, kind in _CONFIG_TYPES.items() if key in doc}
-    with _input_errors("config"):
-        config = OptimizerConfig(theta0=theta0_value, **settings)
-    return a, pair, m, xi, psi, config
+    from .search_cli import cmd_sweep
+    return cmd_sweep(args)
 
 
 def cmd_optimize(args) -> int:
-    from .optimizer import optimize_noise
-
-    a, pair, m, xi, psi, config = _load_optimize_config(args.config)
-    try:
-        run = optimize_noise(a, pair, m, xi, psi, config)
-    except (DimensionMismatch, PreconditionError) as exc:
-        # the config's operators do not fit together or break the Yanase condition
-        raise CliInputError(str(exc)) from exc
-    # the run's fields in order; the array and the model are converted in place
-    text = _dump_json({"schema": SCHEMA_VERSION, **vars(run),
-                       "theta": [float(t) for t in run.theta],
-                       "result_model": model_to_dict(run.result_model, pair, name="optimized"),
-                       "environment": _environment(run.seed)})
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    from .search_cli import cmd_optimize
+    return cmd_optimize(args)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +192,7 @@ def cmd_demo(args) -> int:
     if args.name not in _DEMOS:
         raise CliInputError(
             f"unknown demo {args.name!r}; available: {', '.join(DEMO_NAMES)}")
-    sys.stdout.write(_dump_json(_DEMOS[args.name]()))
+    _write_stdout(_dump_json(_DEMOS[args.name]()))
     return 0
 
 

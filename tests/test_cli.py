@@ -108,9 +108,9 @@ def test_verify_yw_sample_input_errors(tmp_path, capsys):
 def test_verify_yw_relation_is_a_regression_alarm(tmp_path, capsys, monkeypatch):
     # 2 eps(alpha_y)^2 <= eps_y^2 is a theorem for valid data; force a
     # failure through the plumbing to pin the alarm path
-    import waylimit.cli as cli_module
+    import waylimit.yw
 
-    monkeypatch.setattr(cli_module, "yw_error_at_alpha_y", lambda yw: 0.5)
+    monkeypatch.setattr(waylimit.yw, "yw_error_at_alpha_y", lambda yw: 0.5)
     path = tmp_path / "yw.json"
     path.write_text(run_cli(capsys, "demo", "yw-sample")[1])
     code, out, _ = run_cli(capsys, "verify", str(path))
@@ -489,45 +489,158 @@ def test_sweep_invalid_optimizer_options_are_input_errors(tmp_path, capsys, opti
     assert (code, err) == (1, f"error: {message}\n")
 
 
+def _src_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(w.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_skips_concurrent_futures():
     # a cold `waylimit` start should not pay for importing a thread pool
-    src = str(Path(w.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, waylimit.cli; print('concurrent.futures' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
 
 
-def test_verify_loads_neither_optimizer_nor_oscillator(tmp_path):
-    # verify and demo need only linalg, measurement, bounds and spin; with
-    # PYTHONDONTWRITEBYTECODE=1 every module imported is compiled on each spawn
-    src = str(Path(w.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import contextlib, io, sys, waylimit.cli as cli\n"
-            "def loaded():\n"
-            "    return [m for m in ('waylimit.optimizer', 'waylimit.oscillator')\n"
-            "            if m in sys.modules]\n"
-            "print(loaded())\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    assert cli.main(['demo', 'swap']) == 0\n"
-            "with open(sys.argv[1], 'w') as handle:\n"
-            "    handle.write(out.getvalue())\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['verify', sys.argv[1]]) == 0\n"
-            "print(loaded())\n")
-    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "swap.json")],
-                            env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.split("\n") == ["[]", "[]", ""]
+# the package modules that `import waylimit.cli`, `demo swap`, `demo trivial`
+# and a `verify` of a model file load; with PYTHONDONTWRITEBYTECODE=1 every
+# module imported is compiled again on each spawn
+VERIFY_SET = ["waylimit", "waylimit.bounds", "waylimit.cli", "waylimit.linalg",
+              "waylimit.measurement", "waylimit.schema", "waylimit.spin"]
+SEARCH_SET = sorted([*VERIFY_SET, "waylimit.optimizer", "waylimit.oscillator",
+                     "waylimit.search_cli"])
+
+# runs `main` on each argument list of argv[1] (a JSON list) in turn, and
+# prints after the import and after each command the loaded package modules
+# and whether numpy.random is loaded
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return [sorted(m for m in sys.modules if m.split(".")[0] == "waylimit"),
+            "numpy.random" in sys.modules]
+import waylimit.cli as cli
+steps = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def _loaded_after(*commands):
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+                            env=_src_env(), capture_output=True, text=True, check=True)
+    return [tuple(step) for step in json.loads(result.stdout)]
+
+
+def test_verify_loads_neither_optimizer_nor_oscillator(tmp_path, capsys):
+    # verify and demo load exactly the verify set, and numpy.random stays
+    # unloaded (annotations such as np.random.Generator are never evaluated);
+    # partial interaction data adds only the yw module
+    files = {}
+    for name in ("swap", "trivial", "yw-sample"):
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(run_cli(capsys, "demo", name)[1])
+    steps = _loaded_after(["demo", "swap"], ["demo", "trivial"], ["verify", files["swap"]],
+                          ["verify", files["trivial"], "--csv"])
+    assert steps == [(VERIFY_SET, False)] * 5
+    with_yw = sorted([*VERIFY_SET, "waylimit.yw"])
+    assert _loaded_after(["demo", "yw-sample"]) == [(VERIFY_SET, False), (with_yw, False)]
+    assert _loaded_after(["verify", files["yw-sample"]]) == [(VERIFY_SET, False),
+                                                             (with_yw, False)]
+
+
+def test_search_commands_load_the_search_module(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 1, "max_iters": 0}))
+    optimize = _loaded_after(["optimize", str(config), "--out", str(tmp_path / "run.json")])
+    sweep = _loaded_after(["sweep", "--family", "spin_ladder", "--sizes", "2", "--restarts",
+                           "1", "--max-iters", "0", "--out", str(tmp_path / "sweep.csv")])
+    for steps in (optimize, sweep):
+        assert [modules for modules, _ in steps] == [VERIFY_SET, SEARCH_SET]
+
+
+def _spawn_cli(*argv, stdout=subprocess.PIPE, **env):
+    """`python -m waylimit.cli argv` in a fresh interpreter, with env added."""
+    return subprocess.run([sys.executable, "-m", "waylimit.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=_src_env(**env))
+
+
+def test_python_m_matches_in_process_main(tmp_path, capsys):
+    # under `python -m` cli.py runs as __main__: its output must not differ
+    for name in ("swap", "trivial", "yw-sample"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(run_cli(capsys, "demo", name)[1])
+        for extra in ([], ["--csv"]):
+            code, out, err = run_cli(capsys, "verify", str(path), *extra)
+            spawned = _spawn_cli("verify", str(path), *extra)
+            assert (spawned.returncode, spawned.stdout, spawned.stderr) == (code, out, err)
+
+
+def test_python_m_optimize_reports_a_config_error_as_an_input_error(tmp_path):
+    # the search module shares CliInputError with the entry point running as
+    # __main__, so a bad config is not reported as an internal error
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 1, "bogus": 1}))
+    spawned = _spawn_cli("optimize", str(config))
+    assert spawned.returncode == 1
+    assert spawned.stderr.startswith("error: bogus: unknown key, expected one of ")
+    assert spawned.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_closed_standard_output_is_an_input_error(tmp_path, capsys, buffering):
+    # a pipe whose reader is gone: one error line and exit 1, and no
+    # "Exception ignored" line from the interpreter's final flush
+    swap = tmp_path / "swap.json"
+    swap.write_text(run_cli(capsys, "demo", "swap")[1])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 1, "max_iters": 0}))
+    for argv in (["verify", str(swap)], ["verify", str(swap), "--csv"], ["demo", "swap"],
+                 ["optimize", str(config)]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            spawned = _spawn_cli(*argv, stdout=write_end, **buffering)
+        finally:
+            os.close(write_end)
+        assert spawned.returncode == 1, argv
+        assert spawned.stderr == "error: cannot write standard output: [Errno 32] Broken pipe\n"
+    # descriptor 1 closed before start: the interpreter has no sys.stdout
+    spawned = subprocess.run([sys.executable, "-m", "waylimit.cli", "verify", str(swap)],
+                             stderr=subprocess.PIPE, text=True, env=_src_env(**buffering),
+                             preexec_fn=lambda: os.close(1))
+    assert (spawned.returncode, spawned.stderr) == (
+        1, "error: cannot write standard output: the stream is closed\n")
+
+
+def test_failed_standard_output_write_in_process(capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["demo", "swap"]) == 1
+    assert capsys.readouterr().err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 def test_lazy_exports_resolve_to_the_module_objects():
     import waylimit.optimizer
     import waylimit.oscillator
+    import waylimit.outcomes
+    import waylimit.yw
 
     exports = {
+        waylimit.outcomes: (
+            "OutcomeDistribution", "bsf_deviation", "error_probability",
+            "outcome_distribution"),
+        waylimit.yw: (
+            "YWModel", "random_yw_model", "yw_check_bound", "yw_eps_y",
+            "yw_error_at_alpha_y"),
         waylimit.oscillator: (
             "CoherentAmplitudes", "FockSpace", "coherent_state", "fock_cutoff",
             "lowering_operator",
@@ -539,16 +652,18 @@ def test_lazy_exports_resolve_to_the_module_objects():
             "numerical_gradient", "optimize_noise", "oscillator_probe",
             "record_observable", "spin_ladder_probe", "sweep_probe_size"),
     }
+    assert {name for names in exports.values() for name in names} == set(w._LAZY)
     listed = dir(w)
     for module, names in exports.items():
         for name in names:
             assert getattr(w, name) is getattr(module, name)
             assert name in listed
+            # the first lookup keeps the name in the package, so later ones skip __getattr__
+            assert vars(w)[name] is getattr(module, name)
     assert "spin_operators" in listed and "bound_report" in listed
-    # the first lookup keeps the name in the package, so later ones skip __getattr__
-    assert vars(w)["optimize_noise"] is waylimit.optimizer.optimize_noise
-    from waylimit import optimize_noise
+    from waylimit import optimize_noise, YWModel
     assert optimize_noise is waylimit.optimizer.optimize_noise
+    assert YWModel is waylimit.yw.YWModel
     with pytest.raises(AttributeError, match="no attribute 'not_an_export'"):
         w.not_an_export
     with pytest.raises(ImportError):
@@ -744,7 +859,7 @@ def test_exit_codes_stay_in_contract(tmp_path, capsys):
 
 
 def test_non_finite_sentinels():
-    from waylimit.cli import _fmt, _sanitize
+    from waylimit.schema import _fmt, _sanitize
 
     assert _sanitize({"a": float("inf"), "b": [float("nan"), 1.5]}) == \
         {"a": "inf", "b": ["nan", 1.5]}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import waylimit as w
-from waylimit.measurement import _levels
+from waylimit.outcomes import _levels
 from helpers import CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, random_conservative_model
 
 RNG_SEED = 515
