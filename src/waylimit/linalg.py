@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -145,7 +146,9 @@ class Operator:
                 raise StructureError(f"hermitian tag violated, residual {r:.3e}")
         if "unitary" in tags:
             with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-                r = frobenius_norm(m.conj().T @ m - np.eye(m.shape[0]))
+                g = m.conj().T @ m
+                g.reshape(-1)[::m.shape[0] + 1] -= 1.0  # U^dag U - I, on the diagonal only
+                r = frobenius_norm(g)
             if exceeds(r, STRUCTURE_TOL):
                 raise StructureError(f"unitary tag violated, residual {r:.3e}" if math.isfinite(r)
                                      else "values overflow the unitary check")
@@ -153,6 +156,18 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigh(self) -> tuple:
+        """(w, V) of ``np.linalg.eigh`` of a hermitian-tagged operator, read-only.
+        Computed on first use and kept: the operator is frozen and its matrix
+        read-only, so every reader of its spectrum shares one decomposition."""
+        if "hermitian" not in self.structure:
+            raise StructureError("eigh requires a hermitian-tagged operator")
+        w, v = np.linalg.eigh(self.matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
     def has(self, tag: str) -> bool:
         return tag in self.structure

@@ -119,10 +119,20 @@ class CommutantBasis:
         return tuple(out)
 
     @cached_property
+    def _adjoint(self) -> np.ndarray:
+        """V^dag, formed once per basis and read-only."""
+        vh = self.vectors.conj()
+        vh.setflags(write=False)
+        return vh.T
+
+    @cached_property
     def _groups(self) -> tuple:
-        """Sectors grouped by size d: (d, columns (n, d), theta indices (n, d^2),
-        generator blocks flattened to (d^2, d^2)); one batched eigh per group.
-        The tables come from array arithmetic on the sector edges."""
+        """Sectors grouped by size d, one batched eigh per group: (d, columns
+        (n, d), theta indices (n, d^2), generator blocks flattened to
+        (d^2, d^2), their adjoint, and the sectors' eigenvectors gathered as a
+        contiguous (n, D, d) stack). The index tables come from array
+        arithmetic on the sector edges; every table is built once per basis,
+        on first use, and is read-only."""
         edges = np.array([0] + [stop for _, stop in self.sectors])
         starts, sizes = edges[:-1], np.diff(edges)
         offsets = np.cumsum(sizes ** 2) - sizes ** 2
@@ -131,7 +141,12 @@ class CommutantBasis:
             members = sizes == d
             cols = starts[members][:, None] + np.arange(d)
             params = offsets[members][:, None] + np.arange(d * d)
-            groups.append((d, cols, params, _sector_generators(d).reshape(d * d, d * d)))
+            gens = _sector_generators(d).reshape(d * d, d * d)
+            gens_h = gens.conj()
+            vs = np.ascontiguousarray(self.vectors[:, cols].transpose(1, 0, 2))
+            for table in (cols, params, gens_h, vs):
+                table.setflags(write=False)
+            groups.append((d, cols, params, gens, gens_h.T, vs))
         return tuple(groups)
 
     def _exponential(self, theta: np.ndarray):
@@ -144,14 +159,13 @@ class CommutantBasis:
         if key not in self._memo:
             vk = np.empty(self.vectors.shape, dtype=np.complex128)
             blocks = []
-            for d, cols, params, gens in self._groups:
+            for d, cols, params, gens, _, vs in self._groups:
                 lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
                 k = (q * np.exp(1j * lam)[:, None, :]) @ q.conj().transpose(0, 2, 1)
-                vk[:, cols] = np.matmul(self.vectors[:, cols].transpose(1, 0, 2),
-                                        k).transpose(1, 0, 2)
+                vk[:, cols] = np.matmul(vs, k).transpose(1, 0, 2)
                 blocks.append((lam, q))
             self._memo.clear()
-            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self.vectors.conj().T))
+            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self._adjoint))
         return self._memo[key]
 
     def _gradient(self, theta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -162,10 +176,9 @@ class CommutantBasis:
         exp(ix). Only the diagonal blocks of V^dag Gamma V enter.
         """
         blocks, _ = self._exponential(theta)
-        vh = self.vectors.conj().T
-        lt, rt = vh @ left, vh @ right
+        lt, rt = self._adjoint @ left, self._adjoint @ right
         grad = np.empty(self.size)
-        for (d, cols, params, gens), (lam, q) in zip(self._groups, blocks):
+        for (d, cols, params, _, gens_h, _), (lam, q) in zip(self._groups, blocks):
             qh = q.conj().transpose(0, 2, 1)
             gamma = lt[cols] @ rt[cols].conj().transpose(0, 2, 1)
             a, b = lam[:, :, None], lam[:, None, :]
@@ -173,7 +186,7 @@ class CommutantBasis:
             # is i e^{ia} on the diagonal without a separate case
             f = 1j * np.exp(0.5j * (a + b)) * np.sinc((a - b) / (2.0 * np.pi))
             p = q @ (f.conj() * (qh @ gamma @ q)) @ qh
-            grad[params] = (p.reshape(len(cols), d * d) @ gens.conj().T).real
+            grad[params] = (p.reshape(len(cols), d * d) @ gens_h).real
         return grad
 
 
@@ -214,11 +227,11 @@ def _sector_commutator_bounds(v: np.ndarray, edges: list, values, residuals) -> 
     return 2.0 * np.sqrt(np.add.reduceat(cols ** 2, starts) * np.add.reduceat(norms ** 2, starts))
 
 
-def _eigh_residuals(l: np.ndarray) -> tuple:
-    """eigh of a hermitian L, w and V, with the norms of V's columns and of
-    the residual columns of L V - V diag(w)."""
-    w, v = np.linalg.eigh(l)
-    norms = np.linalg.norm(np.stack((v, l @ v - v * w)), axis=1)
+def _eigh_residuals(l: Operator) -> tuple:
+    """The eigendecomposition w, V that a hermitian L keeps (``Operator.eigh``),
+    with the norms of V's columns and of the residual columns of L V - V diag(w)."""
+    w, v = l.eigh
+    norms = np.linalg.norm(np.stack((v, l.matrix @ v - v * w)), axis=1)
     return w, v, norms[0], norms[1]
 
 
@@ -228,8 +241,10 @@ def commutant_basis(conserved: Operator | ConservationPair) -> CommutantBasis:
 
     Given a ConservationPair, L = L1 x I + I x L2 has the eigenbasis V1 x V2,
     the kron of the eigenvectors of L1 and L2 with eigenvalues w1[i] + w2[j],
-    sorted stably: two small eigh and no D x D L. A single operator is L1, with
-    L2 = 0 on one dimension (``_ZERO_FACTOR``). As
+    sorted stably: no D x D L, and no eigh of its own. Each factor's w and V
+    are the decomposition it keeps (``Operator.eigh``), so a probe L2 that
+    ``record_observable`` has read is not decomposed again. A single operator
+    is L1, with L2 = 0 on one dimension (``_ZERO_FACTOR``). As
     L (v1_i x v2_j) - (w1[i] + w2[j]) v1_i x v2_j = e1_i x v2_j + v1_i x e2_j
     exactly, with e = L V - V diag(w) per factor, column (i, j) has residual
     at most ||e1_i|| ||v2_j|| + ||v1_i|| ||e2_j||: the sector check certifies
@@ -237,9 +252,9 @@ def commutant_basis(conserved: Operator | ConservationPair) -> CommutantBasis:
     within ROUNDING_TOL at the scale of the largest |eigenvalue|.
     """
     if isinstance(conserved, ConservationPair):
-        factors = map(_eigh_residuals, (conserved.L1.matrix, conserved.L2.matrix))
+        factors = map(_eigh_residuals, (conserved.L1, conserved.L2))
     elif conserved.has("hermitian"):
-        factors = (_eigh_residuals(conserved.matrix), _ZERO_FACTOR)
+        factors = (_eigh_residuals(conserved), _ZERO_FACTOR)
     else:
         raise ValueError("commutant_basis needs a hermitian operator")
     (w1, v1, n1, r1), (w2, v2, n2, r2) = factors
@@ -269,11 +284,11 @@ def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
     """Coefficients of a hermitian matrix in the basis; fails if it lies outside:
     V^dag H V projected on each sector's generator blocks, for a unitary V,
     leaves ||sum theta_k G_k - H||, zero at the scale ||H||_F."""
-    rest = basis.vectors.conj().T @ h.matrix @ basis.vectors
+    rest = basis._adjoint @ h.matrix @ basis.vectors
     theta = np.empty(basis.size)
-    for d, cols, params, gens in basis._groups:
+    for d, cols, params, gens, gens_h, _ in basis._groups:
         block = (cols[:, :, None], cols[:, None, :])
-        theta[params] = (rest[block].reshape(len(cols), d * d) @ gens.conj().T).real
+        theta[params] = (rest[block].reshape(len(cols), d * d) @ gens_h).real
         rest[block] -= (theta[params] @ gens).reshape(-1, d, d)
     r = frobenius_norm(rest)
     if exceeds(r, EQUALITY_TOL, lambda: frobenius_norm(h.matrix)):
@@ -287,8 +302,10 @@ def record_observable(l2: Operator) -> Operator:
     A function of L2, so the Yanase condition holds by construction. The
     alternation puts a sign boundary in every conserved sector, which lets
     larger probes push the achievable noise down; a single-step sign pattern
-    pins the optimum at 1/4 regardless of size."""
-    w, vecs = np.linalg.eigh(l2.matrix)
+    pins the optimum at 1/4 regardless of size. The eigendecomposition is
+    the one L2 keeps (``Operator.eigh``), so ``commutant_basis`` of a pair
+    with this L2 reads it again and does not repeat it."""
+    w, vecs = l2.eigh
     runs = spectrum_runs(w, tolerance(EQUALITY_TOL, max(-w[0], w[-1])))
     level = np.repeat(np.arange(len(runs)), [stop - start for start, stop in runs])
     # anchor +1/2 at the top of the spectrum; for a spin-1/2 probe this
@@ -510,8 +527,7 @@ class _Problem:
                     accepted = True
                     break
                 alpha *= 0.5
-            if not accepted:
-                converged = True
+            if not accepted:  # no descent along -g: stopped, not converged
                 break
             x, f, model = x_try, f_try, model_try
             trace.append(f)

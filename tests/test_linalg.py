@@ -309,6 +309,54 @@ def test_unitary_check_refuses_an_overflowing_product():
             w.Operator.unitary(m)
 
 
+def test_unitary_residual_is_the_dense_formula_bit_for_bit(monkeypatch):
+    # the check subtracts 1 on the diagonal of U^dag U in place; its residual
+    # keeps the bits of ||U^dag U - I||_F formed with a dense identity
+    import waylimit.linalg as linalg
+
+    seen = []
+    real = linalg.exceeds
+
+    def spy(residual, tol, scale=1.0):
+        seen.append(residual)
+        return real(residual, tol, scale)
+
+    monkeypatch.setattr(linalg, "exceeds", spy)
+    rng = np.random.default_rng(RNG_SEED)
+    for n in (1, 2, 3, 8, 36):
+        u = w.random_unitary(n, rng).matrix
+        near = u + 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        far = u + 1e-6 * rng.standard_normal((n, n))
+        for m in (u, near, far):
+            seen.clear()
+            try:
+                w.Operator.unitary(m)
+            except w.StructureError as exc:
+                assert m is far and str(exc).startswith("unitary tag violated, residual ")
+            assert seen == [w.frobenius_norm(m.conj().T @ m - np.eye(n))]
+
+
+def test_eigh_is_kept_read_only_and_is_numpy_eigh_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED)
+    for n in (1, 3, 8):
+        op = w.random_hermitian(n, rng)
+        values, vectors = op.eigh
+        assert op.eigh[0] is values and op.eigh[1] is vectors
+        expect = np.linalg.eigh(op.matrix)
+        assert values.tobytes() == expect[0].tobytes()
+        assert vectors.tobytes() == expect[1].tobytes()
+        for a in (values, vectors):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    # an untagged operator, even a hermitian matrix, has no kept spectrum
+    plain = w.Operator(np.diag([1.0, -1.0]))
+    with pytest.raises(w.StructureError, match="^eigh requires a hermitian-tagged operator$"):
+        plain.eigh
+    with pytest.raises(w.StructureError):
+        w.random_unitary(2, rng).eigh
+
+
 def test_operator_rejects_unknown_tags():
     # the tags are hermitian and unitary; a projector is a plain hermitian matrix
     with pytest.raises(ValueError, match=r"unknown structure tags: \['projection'\]"):

@@ -420,6 +420,8 @@ def test_optimizer_no_iterations_reports_initial_value():
     # identity interaction: eps^2 = <M^2> + <S_x^2> = 1/2 at the y-up state
     assert run.final_objective == pytest.approx(0.5, abs=1e-12)
     assert run.objective_trace == (run.final_objective,)
+    # no gradient was tested, so the search did not converge
+    assert run.converged is False
 
 
 def test_optimizer_qubit_probe_floor_and_progress():
@@ -820,3 +822,118 @@ def test_sector_generators_table_is_shared_and_read_only():
                 t[i, j], t[j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
                 expected += [s, t]
         assert table.tobytes() == np.array(expected).tobytes()
+
+
+def test_a_search_without_descent_has_not_converged():
+    # the 3-level probe L2 = diag(1, 0, -1) with the parity record and the
+    # sine profile: the winning restart ends at sin^2(pi/8) before its 30
+    # iterations (22 steps) because the line search finds no descent there;
+    # its gradient test never passed
+    sx, _, sz = w.spin_operators()
+    l2 = w.Operator.hermitian(np.diag([1.0, 0.0, -1.0]))
+    xi = np.sin(np.arange(1, 4) * np.pi / 4.0)
+    run = w.optimize_noise(sx, w.ConservationPair(L1=sz, L2=l2),
+                           w.Operator.hermitian(np.diag([0.5, -0.5, 0.5])),
+                           w.Ket(xi / np.linalg.norm(xi)), w.named_state("alpha_y"),
+                           w.OptimizerConfig(restarts=2, max_iters=30))
+    assert run.final_objective == pytest.approx(np.sin(np.pi / 8.0) ** 2, abs=1e-12)
+    assert len(run.objective_trace) <= 30
+    assert run.converged is False
+
+
+def test_a_search_that_passes_the_gradient_test_has_converged():
+    # L1 = L2 = M = S_x with the probe in |0>: theta0 at SWAP reads the object
+    # exactly, the noise and its gradient vanish, and the search stops there
+    sx, _, _ = w.spin_operators()
+    pair = w.ConservationPair(L1=sx, L2=sx)
+    theta0 = w.hermitian_coordinates(
+        w.commutant_basis(pair), w.Operator.hermitian((np.pi / 2.0) * (np.eye(4) - SWAP_MATRIX)))
+    run = w.optimize_noise(sx, pair, sx, w.Ket([1.0, 0.0]), w.named_state("alpha_y"),
+                           w.OptimizerConfig(restarts=1, max_iters=5, theta0=tuple(theta0)))
+    assert run.converged is True
+    assert len(run.objective_trace) == 1 and run.final_objective < 1e-20
+
+
+def test_probe_and_search_decompose_l2_once(monkeypatch):
+    # record_observable and commutant_basis read the decomposition that L2 keeps
+    calls = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for problem in (_ladder_problem, _oscillator_problem):
+        calls.clear()
+        a, pair, m, xi, psi = problem()
+        w.optimize_noise(a, pair, m, xi, psi, w.OptimizerConfig(restarts=1, max_iters=1, seed=11))
+        assert sum(c is pair.L2.matrix for c in calls) == 1
+        # S_z is shared by every spin_operators() call: decomposed at most once a process
+        assert sum(c is pair.L1.matrix for c in calls) <= 1
+
+
+def _oracle_exponential(basis, theta):
+    # the sector formula with every table formed at the call, as the basis
+    # built it before its tables were kept
+    vk = np.empty(basis.vectors.shape, dtype=np.complex128)
+    blocks = []
+    for d, cols, params, gens, *_ in basis._groups:
+        lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
+        k = (q * np.exp(1j * lam)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+        vk[:, cols] = np.matmul(basis.vectors[:, cols].transpose(1, 0, 2), k).transpose(1, 0, 2)
+        blocks.append((lam, q))
+    return blocks, vk @ basis.vectors.conj().T
+
+
+def _oracle_gradient(basis, theta, left, right):
+    blocks, _ = _oracle_exponential(basis, theta)
+    vh = basis.vectors.conj().T
+    lt, rt = vh @ left, vh @ right
+    grad = np.empty(basis.size)
+    for (d, cols, params, gens, *_), (lam, q) in zip(basis._groups, blocks):
+        qh = q.conj().transpose(0, 2, 1)
+        gamma = lt[cols] @ rt[cols].conj().transpose(0, 2, 1)
+        a, b = lam[:, :, None], lam[:, None, :]
+        f = 1j * np.exp(0.5j * (a + b)) * np.sinc((a - b) / (2.0 * np.pi))
+        p = q @ (f.conj() * (qh @ gamma @ q)) @ qh
+        grad[params] = (p.reshape(len(cols), d * d) @ gens.conj().T).real
+    return grad
+
+
+def _kept_table_bases():
+    rng = np.random.default_rng(RNG_SEED)
+    ladder, oscillator = _ladder_problem(5)[1], _oscillator_problem()[1]
+    return [w.commutant_basis(ladder), w.commutant_basis(oscillator),
+            w.commutant_basis(oscillator.total()),
+            w.commutant_basis(_pairs_with_every_sector_kind(rng)[0])]
+
+
+def test_kept_tables_give_the_formed_tables_bits():
+    rng = np.random.default_rng(RNG_SEED)
+    for basis in _kept_table_bases():
+        dim = len(basis.vectors)
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, basis.size)
+            left, right = (rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+                           for _ in range(2))
+            _, u = _oracle_exponential(basis, theta)
+            assert w.conservative_unitary(basis, theta).matrix.tobytes() == u.tobytes()
+            grad = basis._gradient(theta, left, right)
+            assert grad.tobytes() == _oracle_gradient(basis, theta, left, right).tobytes()
+
+
+def test_kept_tables_are_read_only():
+    for basis in _kept_table_bases():
+        assert basis._adjoint is basis._adjoint
+        assert basis._adjoint.tobytes() == basis.vectors.conj().T.tobytes()
+        tables = [basis._adjoint]
+        for d, cols, params, gens, gens_h, vs in basis._groups:
+            assert vs.flags.c_contiguous and vs.shape == (len(cols), len(basis.vectors), d)
+            assert vs.tobytes() == basis.vectors[:, cols].transpose(1, 0, 2).tobytes()
+            assert gens_h.tobytes() == gens.conj().T.tobytes()
+            tables += [cols, params, gens, gens_h, vs]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
