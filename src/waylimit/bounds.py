@@ -131,8 +131,8 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     """
     check_pair(model, pair)
     model.check_object_state(psi)
-    v = tensor(psi, model.xi).amplitudes
     u, xi = model.U.matrix, model.xi.amplitudes
+    v = np.kron(psi.amplitudes, xi)
     a, do = psi.amplitudes, model.object_dim
     m, l1, l2 = model.M.matrix, pair.L1.matrix, pair.L2.matrix
     n = u.conj().T @ apply_on_probe(m, u @ v, do) - np.kron(model.A.matrix @ a, xi)

@@ -159,9 +159,9 @@ class Operator:
 
     @cached_property
     def eigh(self) -> tuple:
-        """(w, V) of ``np.linalg.eigh`` of a hermitian-tagged operator, read-only.
-        Computed on first use and kept: the operator is frozen and its matrix
-        read-only, so every reader of its spectrum shares one decomposition."""
+        """(w, V) of ``np.linalg.eigh`` of a hermitian-tagged operator, read-only. Kept
+        from first use (the operator is frozen, its matrix read-only), so the record
+        pointer, commutant sectors, outcome levels and yw_model check share it."""
         if "hermitian" not in self.structure:
             raise StructureError("eigh requires a hermitian-tagged operator")
         w, v = np.linalg.eigh(self.matrix)
@@ -254,11 +254,11 @@ def commutator(x: Operator, y: Operator) -> Operator:
 
 
 def spectrum_runs(w: np.ndarray, tol: float) -> tuple:
-    """(start, stop) index ranges of the runs of an ascending spectrum w: a run
-    ends where the next value lies more than tol above, so gaps of at most tol
-    chain and one run may span more than tol."""
-    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), len(w)]
-    return tuple(zip(edges[:-1], edges[1:]))
+    """(start, stop) index ranges of the runs of an ascending spectrum w: a run ends
+    where the next value lies more than ``tolerance(tol, s)`` above, s the largest
+    |value|, so gaps within that threshold chain and one run may span more than it."""
+    cuts = (np.flatnonzero(np.diff(w) > tolerance(tol, max(-w[0], w[-1]))) + 1).tolist()
+    return tuple(zip([0, *cuts], [*cuts, len(w)]))
 
 
 def random_ket(dim: int, rng: np.random.Generator) -> Ket:

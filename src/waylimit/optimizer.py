@@ -265,7 +265,7 @@ def commutant_basis(conserved: Operator | ConservationPair) -> CommutantBasis:
     # columns of np.kron(v1, v2)[:, order], bit for bit, in one pass
     i, j = np.divmod(order, len(w2))
     v = (v1[:, None, i] * v2[None, :, j]).reshape(len(order), len(order))
-    runs = spectrum_runs(values, tolerance(ROUNDING_TOL, max(-values[0], values[-1])))
+    runs = spectrum_runs(values, ROUNDING_TOL)
     return CommutantBasis(v, runs, values, r1[i] * n2[j] + n1[i] * r2[j])
 
 
@@ -306,7 +306,7 @@ def record_observable(l2: Operator) -> Operator:
     the one L2 keeps (``Operator.eigh``), so ``commutant_basis`` of a pair
     with this L2 reads it again and does not repeat it."""
     w, vecs = l2.eigh
-    runs = spectrum_runs(w, tolerance(EQUALITY_TOL, max(-w[0], w[-1])))
+    runs = spectrum_runs(w, EQUALITY_TOL)
     level = np.repeat(np.arange(len(runs)), [stop - start for start, stop in runs])
     # anchor +1/2 at the top of the spectrum; for a spin-1/2 probe this
     # reproduces the spin itself

@@ -2,9 +2,9 @@
 its mismatch with the Born statistical formula for A, and the error
 probability of a spin-1/2 readout.
 
-Each is read off the model's reduced form (``MeasurementModel.reduced``) with
-one ``eigh`` of M or A per call. Verifying a model file needs none of them, so
-a cold ``verify`` neither compiles nor loads this module.
+Each is read off the model's reduced form (``MeasurementModel.reduced``) and
+the decomposition M or A keeps (``Operator.eigh``). Verifying a model file
+needs none of them, so a cold ``verify`` neither compiles nor loads this module.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import numpy as np
 from .linalg import (
     EQUALITY_TOL,
     Ket,
+    Operator,
     PreconditionError,
     ROUNDING_TOL,
     exceeds,
     frobenius_norm,
     spectrum_runs,
-    tolerance,
 )
 from .measurement import MeasurementModel, noise
 
@@ -57,21 +57,21 @@ class OutcomeDistribution:
         return sum(p for v, p in self.outcomes if lo <= v <= hi)
 
 
-def _levels(x: np.ndarray, v: np.ndarray) -> tuple:
-    """(value, weight) of each level of hermitian x in v, a unit vector or
+def _levels(op: Operator, v: np.ndarray) -> tuple:
+    """(value, weight) of each level of a hermitian op in v, a unit vector or
     columns whose squared norms sum to 1.
 
-    One eigh; eigenvalues within EQUALITY_TOL of their neighbour (at the scale
-    of the largest |eigenvalue|) merge into one level, valued at their mean,
-    weighing ||V_k^dag v||_F^2 for its eigenvectors V_k. The merged spectrum
-    must rebuild x within EQUALITY_TOL at the scale ||x||_F; a weight, a sum
-    of squares, may pass 1 by rounding only."""
-    w, vecs = np.linalg.eigh(x)
-    runs = spectrum_runs(w, tolerance(EQUALITY_TOL, max(-w[0], w[-1])))
+    The decomposition op keeps (``Operator.eigh``); eigenvalues within
+    EQUALITY_TOL of their neighbour (``spectrum_runs``) merge into one level,
+    valued at their mean, weighing ||V_k^dag v||_F^2 for its eigenvectors V_k.
+    The merged spectrum must rebuild op within EQUALITY_TOL at the scale
+    ||op||_F; a weight, a sum of squares, may pass 1 by rounding only."""
+    w, vecs = op.eigh
+    runs = spectrum_runs(w, EQUALITY_TOL)
     merged = np.concatenate([np.full(stop - start, np.mean(w[start:stop]))
                              for start, stop in runs])
-    r = frobenius_norm((vecs * merged) @ vecs.conj().T - x)
-    if exceeds(r, EQUALITY_TOL, lambda: frobenius_norm(x)):
+    r = frobenius_norm((vecs * merged) @ vecs.conj().T - op.matrix)
+    if exceeds(r, EQUALITY_TOL, lambda: frobenius_norm(op.matrix)):
         raise ArithmeticError(f"spectral reconstruction residual {r:.3e}")
     c = vecs.conj().T @ v
     levels = []
@@ -88,7 +88,7 @@ def outcome_distribution(model: MeasurementModel, psi: Ket) -> OutcomeDistributi
     M's levels in the probe columns of U (psi x xi) = Y psi, no D x D operator."""
     model.check_object_state(psi)
     after = (model.reduced.y @ psi.amplitudes).reshape(model.object_dim, -1).T
-    return OutcomeDistribution(_levels(model.M.matrix, after))
+    return OutcomeDistribution(_levels(model.M, after))
 
 
 def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:
@@ -98,7 +98,7 @@ def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:
     the value's scale; the mass on outcomes with no counterpart in the spectrum
     of A is an unambiguous violation and enters the maximum whole."""
     dist = outcome_distribution(model, psi)
-    born = _levels(model.A.matrix, psi.amplitudes)
+    born = _levels(model.A, psi.amplitudes)
     deviation = max(abs(dist.probability_near(value) - q) for value, q in born)
     stray = sum(p for outcome, p in dist.outcomes
                 if all(exceeds(abs(outcome - value), EQUALITY_TOL, abs(value))
@@ -111,7 +111,7 @@ def error_probability(model: MeasurementModel, psi: Ket) -> float:
     if model.object_dim != 2:
         raise PreconditionError("error probability is defined for two-level objects only")
     model.check_object_state(psi)
-    values = tuple(value for value, _ in _levels(model.A.matrix, psi.amplitudes))
+    values = tuple(value for value, _ in _levels(model.A, psi.amplitudes))
     if len(values) != 2 or abs(values[0] + 0.5) > EQUALITY_TOL \
             or abs(values[1] - 0.5) > EQUALITY_TOL:
         raise PreconditionError(

@@ -90,7 +90,7 @@ class YWModel:
             raise StructureError(
                 f"xi_plus/xi_minus are not +/-1/2 eigenstates (residuals {rp:.3e}, {rm:.3e})")
 
-        w = np.linalg.eigvalsh(m)
+        w = self.M.eigh[0]
         if w[0] < -HALF - EQUALITY_TOL or w[-1] > HALF + EQUALITY_TOL:
             raise StructureError(
                 f"record spectrum [{w[0]:.12g}, {w[-1]:.12g}] leaves [-1/2, 1/2]")

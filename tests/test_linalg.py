@@ -396,17 +396,20 @@ def test_numeric_thresholds_live_only_in_the_linalg_table():
 
 def test_spectrum_runs_match_the_chained_gap_rule():
     tol = 1e-9
-    # gaps just below and just above tol, a chain of small gaps that spans
-    # more than tol, and a repeated value
-    w_ = np.cumsum([-2.0, 0.9 * tol, 1.1 * tol, 0.5, 0.6 * tol, 0.6 * tol,
-                    0.6 * tol, 1.0 + tol, 0.0, 3.0 * tol])
-    assert np.all(np.diff(w_) >= 0)
-
-    runs, start = [], 0
-    for k in range(1, len(w_) + 1):
-        if k == len(w_) or (w_[k] - w_[k - 1]) > tol:
-            runs.append((start, k))
-            start = k
-    assert w.linalg.spectrum_runs(w_, tol) == tuple(runs)
-    assert runs == [(0, 2), (2, 3), (3, 7), (7, 9), (9, 10)]
+    # the spectrum spans -2 to -0.5, so its gap threshold is tol x 2: gaps just
+    # below and just above it, a chain of small gaps that spans more than it,
+    # and a repeated value; scaled by 1e3, the threshold and the runs follow
+    gap = 2.0 * tol
+    base = np.cumsum([-2.0, 0.9 * gap, 1.1 * gap, 0.5, 0.6 * gap, 0.6 * gap,
+                      0.6 * gap, 1.0 + gap, 0.0, 3.0 * gap])
+    for w_ in (base, 1e3 * base):
+        assert np.all(np.diff(w_) >= 0)
+        threshold = tol * max(1.0, float(np.abs(w_).max()))
+        runs, start = [], 0
+        for k in range(1, len(w_) + 1):
+            if k == len(w_) or (w_[k] - w_[k - 1]) > threshold:
+                runs.append((start, k))
+                start = k
+        assert w.linalg.spectrum_runs(w_, tol) == tuple(runs)
+        assert runs == [(0, 2), (2, 3), (3, 7), (7, 9), (9, 10)]
     assert w.linalg.spectrum_runs(np.array([0.25]), tol) == ((0, 1),)

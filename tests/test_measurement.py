@@ -150,7 +150,9 @@ def test_outcome_statistics_read_the_reduced_form(monkeypatch):
     model, _ = random_conservative_model(rng, object_dim=3, probe_dim=4)
     psi = w.random_ket(3, rng)
     before = (w.outcome_distribution(model, psi).outcomes, w.bsf_deviation(model, psi))
-    fresh = w.MeasurementModel(3, 4, model.xi, model.U, model.M, model.A)
+    # new M and A: model's own keep the decompositions the calls above made
+    fresh = w.MeasurementModel(3, 4, model.xi, model.U, w.Operator.hermitian(model.M.matrix),
+                               w.Operator.hermitian(model.A.matrix))
 
     def refuse(model):
         raise AssertionError("heisenberg_probe called")
@@ -165,10 +167,33 @@ def test_outcome_statistics_read_the_reduced_form(monkeypatch):
     assert shapes and all(max(shape) < 12 for shape in shapes)
 
 
+def test_outcome_statistics_decompose_m_and_a_once(monkeypatch):
+    # every call reads the decomposition M or A keeps; fresh operators, as
+    # spin_operators() may already keep theirs
+    demo, _ = w.swap_demo_model()
+    m, a = (w.Operator.hermitian(op.matrix) for op in (demo.M, demo.A))
+    model = w.MeasurementModel(2, 2, demo.xi, demo.U, m, a)
+    psi = w.named_state("alpha_y")
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: (calls.append(x), eigh(x))[1])
+    for _ in range(2):
+        w.outcome_distribution(model, psi)
+        w.bsf_deviation(model, psi)
+        w.error_probability(model, psi)
+    assert len(calls) == 2
+    assert calls[0] is m.matrix and calls[1] is a.matrix
+    # a yw_model's record-spectrum check leaves the decomposition on its M
+    calls.clear()
+    yw = w.yw_sample_model()
+    assert len(calls) == 1 and calls[0] is yw.M.matrix
+    assert yw.M.eigh[0][0] == -0.5 and len(calls) == 1
+
+
 def test_levels_refuses_a_weight_beyond_the_clamp():
     # a weight may pass 1 by rounding only; a column set heavier than that is
     # refused, and one within ROUNDING_TOL is clamped to 1
-    x = np.diag([0.0, 1.0])
+    x = w.Operator.hermitian(np.diag([0.0, 1.0]))
     with pytest.raises(ArithmeticError,
                        match="^outcome probability 1.125 outside clamp tolerance$"):
         _levels(x, np.array([[0.75, 0.75], [0.0, 0.0]]))
