@@ -23,11 +23,11 @@ import numpy as np
 
 # Tolerances: every numeric threshold of the package, one constant per meaning.
 # Two checks share a constant only when they share its value and its meaning.
-# Each is the threshold at unit scale (as environment.tolerances reports it): a
-# residual from operands of size s is zero up to tol x max(1, s) (``exceeds``).
-# The bare constant is read only where the scale is fixed (a ket's norm, a
-# probability, the spin-1/2 forms, the probe-state collapse) and by the search's
-# stopping rules; README.md ("Tolerances") lists every check and its scale.
+# Each is the threshold at unit scale: a residual from operands of size s is zero
+# up to tol x max(1, s) (``exceeds``); a spectrum's gaps, at tol x its largest |value|
+# (``spectrum_runs``). The bare constant is read only where the scale is fixed (a
+# ket's norm, a probability, the spin-1/2 forms, the probe-state collapse) and by the
+# search's stopping rules; README.md ("Tolerances") lists every check and its scale.
 STRUCTURE_TOL = 1e-10              # residual of a structural identity or tag
 ROUNDING_TOL = 1e-12               # zero up to rounding
 EQUALITY_TOL = 1e-9                # two values treated as equal
@@ -255,9 +255,9 @@ def commutator(x: Operator, y: Operator) -> Operator:
 
 def spectrum_runs(w: np.ndarray, tol: float) -> tuple:
     """(start, stop) index ranges of the runs of an ascending spectrum w: a run ends
-    where the next value lies more than ``tolerance(tol, s)`` above, s the largest
-    |value|, so gaps within that threshold chain and one run may span more than it."""
-    cuts = (np.flatnonzero(np.diff(w) > tolerance(tol, max(-w[0], w[-1]))) + 1).tolist()
+    where the next value lies more than tol x s above, s the largest |value| with no
+    floor, so runs are alike in any units; gaps within tol x s chain, and a run may span more."""
+    cuts = (np.flatnonzero(np.diff(w) > tol * max(-w[0], w[-1])) + 1).tolist()
     return tuple(zip([0, *cuts], [*cuts, len(w)]))
 
 

@@ -119,20 +119,12 @@ class CommutantBasis:
         return tuple(out)
 
     @cached_property
-    def _adjoint(self) -> np.ndarray:
-        """V^dag, formed once per basis and read-only."""
-        vh = self.vectors.conj()
-        vh.setflags(write=False)
-        return vh.T
-
-    @cached_property
     def _groups(self) -> tuple:
         """Sectors grouped by size d, one batched eigh per group: (d, columns
-        (n, d), theta indices (n, d^2), generator blocks flattened to
-        (d^2, d^2), their adjoint, and the sectors' eigenvectors gathered as a
-        contiguous (n, D, d) stack). The index tables come from array
-        arithmetic on the sector edges; every table is built once per basis,
-        on first use, and is read-only."""
+        (n, d), theta indices (n, d^2), generator blocks flattened to (d^2, d^2),
+        and the sectors' eigenvectors as a contiguous (n, D, d) stack). The index
+        tables come from array arithmetic on the sector edges; each table is built
+        once per basis, on first use, is read-only, and copies no other table."""
         edges = np.array([0] + [stop for _, stop in self.sectors])
         starts, sizes = edges[:-1], np.diff(edges)
         offsets = np.cumsum(sizes ** 2) - sizes ** 2
@@ -142,30 +134,30 @@ class CommutantBasis:
             cols = starts[members][:, None] + np.arange(d)
             params = offsets[members][:, None] + np.arange(d * d)
             gens = _sector_generators(d).reshape(d * d, d * d)
-            gens_h = gens.conj()
             vs = np.ascontiguousarray(self.vectors[:, cols].transpose(1, 0, 2))
-            for table in (cols, params, gens_h, vs):
+            for table in (cols, params, vs):
                 table.setflags(write=False)
-            groups.append((d, cols, params, gens, gens_h.T, vs))
+            groups.append((d, cols, params, gens, vs))
         return tuple(groups)
 
     def _exponential(self, theta: np.ndarray):
-        """exp(i sum theta_k G_k) in sector form: (per group, the eigenvalues
-        and eigenvectors of the stacked blocks H_s; U as a unitary-tagged
-        Operator). The last result is kept, so a repeated theta (a soundness
-        check or the final model at an evaluated point) and the gradient there
-        reuse it, and U's O(D^3) unitary check runs once per distinct theta."""
+        """exp(i sum theta_k G_k) = V (+)_s exp(iH_s) V^dag, V^dag formed here:
+        (per group, the eigenvalues and eigenvectors of the stacked blocks H_s;
+        U as a unitary-tagged Operator). The last result is kept, so a repeated
+        theta (a soundness check or the final model at an evaluated point) and
+        the gradient there reuse it, and U's O(D^3) unitary check runs once per
+        distinct theta."""
         key = theta.tobytes()
         if key not in self._memo:
             vk = np.empty(self.vectors.shape, dtype=np.complex128)
             blocks = []
-            for d, cols, params, gens, _, vs in self._groups:
+            for d, cols, params, gens, vs in self._groups:
                 lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
                 k = (q * np.exp(1j * lam)[:, None, :]) @ q.conj().transpose(0, 2, 1)
                 vk[:, cols] = np.matmul(vs, k).transpose(1, 0, 2)
                 blocks.append((lam, q))
             self._memo.clear()
-            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self._adjoint))
+            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self.vectors.conj().T))
         return self._memo[key]
 
     def _gradient(self, theta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -176,9 +168,10 @@ class CommutantBasis:
         exp(ix). Only the diagonal blocks of V^dag Gamma V enter.
         """
         blocks, _ = self._exponential(theta)
-        lt, rt = self._adjoint @ left, self._adjoint @ right
+        vh = self.vectors.conj().T
+        lt, rt = vh @ left, vh @ right
         grad = np.empty(self.size)
-        for (d, cols, params, _, gens_h, _), (lam, q) in zip(self._groups, blocks):
+        for (d, cols, params, gens, _), (lam, q) in zip(self._groups, blocks):
             qh = q.conj().transpose(0, 2, 1)
             gamma = lt[cols] @ rt[cols].conj().transpose(0, 2, 1)
             a, b = lam[:, :, None], lam[:, None, :]
@@ -186,7 +179,7 @@ class CommutantBasis:
             # is i e^{ia} on the diagonal without a separate case
             f = 1j * np.exp(0.5j * (a + b)) * np.sinc((a - b) / (2.0 * np.pi))
             p = q @ (f.conj() * (qh @ gamma @ q)) @ qh
-            grad[params] = (p.reshape(len(cols), d * d) @ gens_h).real
+            grad[params] = (p.reshape(len(cols), d * d) @ gens.conj().T).real
         return grad
 
 
@@ -284,11 +277,11 @@ def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
     """Coefficients of a hermitian matrix in the basis; fails if it lies outside:
     V^dag H V projected on each sector's generator blocks, for a unitary V,
     leaves ||sum theta_k G_k - H||, zero at the scale ||H||_F."""
-    rest = basis._adjoint @ h.matrix @ basis.vectors
+    rest = basis.vectors.conj().T @ h.matrix @ basis.vectors
     theta = np.empty(basis.size)
-    for d, cols, params, gens, gens_h, _ in basis._groups:
+    for d, cols, params, gens, _ in basis._groups:
         block = (cols[:, :, None], cols[:, None, :])
-        theta[params] = (rest[block].reshape(len(cols), d * d) @ gens_h).real
+        theta[params] = (rest[block].reshape(len(cols), d * d) @ gens.conj().T).real
         rest[block] -= (theta[params] @ gens).reshape(-1, d, d)
     r = frobenius_norm(rest)
     if exceeds(r, EQUALITY_TOL, lambda: frobenius_norm(h.matrix)):

@@ -398,18 +398,21 @@ def test_spectrum_runs_match_the_chained_gap_rule():
     tol = 1e-9
     # the spectrum spans -2 to -0.5, so its gap threshold is tol x 2: gaps just
     # below and just above it, a chain of small gaps that spans more than it,
-    # and a repeated value; scaled by 1e3, the threshold and the runs follow
+    # and a repeated value; scaled by c, large or small, the threshold and the
+    # runs follow, with no floor at unit scale
     gap = 2.0 * tol
     base = np.cumsum([-2.0, 0.9 * gap, 1.1 * gap, 0.5, 0.6 * gap, 0.6 * gap,
                       0.6 * gap, 1.0 + gap, 0.0, 3.0 * gap])
-    for w_ in (base, 1e3 * base):
+    for c in (1.0, 1e3, 1e-3, 1e-9, 1e-13):
+        w_ = c * base
         assert np.all(np.diff(w_) >= 0)
-        threshold = tol * max(1.0, float(np.abs(w_).max()))
+        threshold = tol * float(np.abs(w_).max())
         runs, start = [], 0
         for k in range(1, len(w_) + 1):
             if k == len(w_) or (w_[k] - w_[k - 1]) > threshold:
                 runs.append((start, k))
                 start = k
-        assert w.linalg.spectrum_runs(w_, tol) == tuple(runs)
-        assert runs == [(0, 2), (2, 3), (3, 7), (7, 9), (9, 10)]
+        assert w.linalg.spectrum_runs(w_, tol) == tuple(runs), c
+        assert runs == [(0, 2), (2, 3), (3, 7), (7, 9), (9, 10)], c
     assert w.linalg.spectrum_runs(np.array([0.25]), tol) == ((0, 1),)
+    assert w.linalg.spectrum_runs(np.zeros(3), tol) == ((0, 3),)

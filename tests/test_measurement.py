@@ -121,7 +121,7 @@ def test_outcome_statistics_match_projector_oracle_up_to_dim_64():
     for od, pd in ((2, 2), (2, 5), (3, 4), (4, 8), (2, 32), (4, 16)):
         model, _ = random_conservative_model(rng, object_dim=od, probe_dim=pd)
         m_values = list(rng.choice([-0.5, 0.5, 1.5, 0.5 + 4e-10], size=pd - 2)) + [-0.5, 0.5]
-        a_values = list(rng.choice([-0.5, 0.5, -0.5 + 6e-10], size=od - 2)) + [-0.5, 0.5]
+        a_values = list(rng.choice([-0.5, 0.5, -0.5 + 4e-10], size=od - 2)) + [-0.5, 0.5]
         m, m_proj = _observable(m_values, rng)
         a, a_proj = _observable(a_values, rng)
         model = w.MeasurementModel(od, pd, model.xi, model.U, m, a)
@@ -213,10 +213,10 @@ def test_outcome_distribution_merges_a_level_pair_closer_than_equality_tol():
 
 
 def test_outcome_distribution_refuses_a_level_chain_it_cannot_rebuild():
-    # gaps of 0.9e-9 chain ten values into one level whose mean misses the
-    # ends by 4e-9, so the merged spectrum does not rebuild the record
+    # gaps of 0.9e-9 chain ten values near 1 into one level whose mean misses
+    # the ends by 4e-9, so the merged spectrum does not rebuild the record
     _, _, sz = w.spin_operators()
-    m = w.Operator.hermitian(np.diag(0.9e-9 * np.arange(10)))
+    m = w.Operator.hermitian(np.diag(1.0 + 0.9e-9 * np.arange(10)))
     xi = w.Ket(np.eye(10)[0])
     model = w.MeasurementModel(2, 10, xi, w.identity(20), m, sz)
     with pytest.raises(ArithmeticError, match="spectral reconstruction residual"):

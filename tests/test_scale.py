@@ -100,3 +100,32 @@ def test_large_rotated_spectrum_loads_as_hermitian():
     broken[0, 1] = 1e-3
     with pytest.raises(w.StructureError, match="hermitian tag violated"):
         w.Operator.hermitian(broken)
+
+
+def test_small_conserved_quantities_keep_their_levels_and_sectors():
+    # L1 = c S_z and L2 = c diag(1, 0, -1) with the 3-level ladder's xi: at any c
+    # the record alternates over L2's 3 levels, L has 4 sectors and 10
+    # parameters, and both readouts reach the unit-scale optimum sin^2(pi/8)
+    sx, _, sz = w.spin_operators()
+    _, _, xi = w.spin_ladder_probe(3)
+    parity = w.Operator.hermitian(np.diag([0.5, -0.5, 0.5]))
+    psi = w.named_state("alpha_y")
+    config = w.OptimizerConfig(restarts=2, max_iters=30)
+
+    def run(c):
+        pair = w.ConservationPair(L1=_scaled(sz, c),
+                                  L2=w.Operator.hermitian(np.diag([c, 0.0, -c])))
+        record = w.record_observable(pair.L2)
+        basis = w.commutant_basis(pair)
+        finals = [w.optimize_noise(sx, pair, m, xi, psi, config).final_objective
+                  for m in (record, parity)]
+        return record, basis, finals
+
+    _, _, (want, _) = run(1.0)
+    assert want == pytest.approx(np.sin(np.pi / 8) ** 2, rel=1e-12)
+    for c in (1e-9, 1e-10, 1e-12, 1e-13):
+        record, basis, finals = run(c)
+        np.testing.assert_allclose(record.matrix, parity.matrix, rtol=0, atol=1e-15)
+        assert (len(basis.sectors), basis.size) == (4, 10), c
+        for got in finals:
+            assert got == pytest.approx(want, rel=1e-12), c
