@@ -23,11 +23,12 @@ import numpy as np
 
 # Tolerances: every numeric threshold of the package, one constant per meaning.
 # Two checks share a constant only when they share its value and its meaning.
-# Each is the threshold at unit scale: a residual from operands of size s is zero
-# up to tol x max(1, s) (``exceeds``); a spectrum's gaps, at tol x its largest |value|
-# (``spectrum_runs``). The bare constant is read only where the scale is fixed (a
-# ket's norm, a probability, the spin-1/2 forms, the probe-state collapse) and by the
-# search's stopping rules; README.md ("Tolerances") lists every check and its scale.
+# Each is the threshold at unit scale: a residual from operands of size s is zero up to
+# tol x max(1, s) (``exceeds``); a spectrum's gaps, and an outcome against a value of A,
+# at tol x the largest |value| (``spectrum_runs``). The bare constant is read only where
+# the scale is fixed (a ket's norm, a probability, the spin-1/2 forms, the probe-state
+# collapse) and by the search's stopping rules; README.md ("Tolerances") lists every check
+# and its scale.
 STRUCTURE_TOL = 1e-10              # residual of a structural identity or tag
 ROUNDING_TOL = 1e-12               # zero up to rounding
 EQUALITY_TOL = 1e-9                # two values treated as equal

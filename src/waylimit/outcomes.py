@@ -42,9 +42,10 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to {total:.17g}, not 1")
 
     def probability_near(self, value: float) -> float:
-        """Mass of the outcomes equal to value at its scale |value|."""
-        return sum(p for v, p in self.outcomes
-                   if not exceeds(abs(v - value), EQUALITY_TOL, abs(value)))
+        """Mass of the outcomes within EQUALITY_TOL x s of value, s the largest |value| of
+        them and value, with no floor, as ``spectrum_runs`` splits levels: alike in any units."""
+        s = max(abs(value), *(abs(v) for v, _ in self.outcomes))
+        return sum(p for v, p in self.outcomes if abs(v - value) <= EQUALITY_TOL * s)
 
     def probability_in_interval(self, lo: float, hi: float) -> float:
         """Mass of the spectral values contained in [lo, hi].
@@ -94,15 +95,15 @@ def outcome_distribution(model: MeasurementModel, psi: Ket) -> OutcomeDistributi
 def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:
     """Worst-case mismatch with the Born statistical formula for A.
 
-    Outcome values are matched to spectral values of A within EQUALITY_TOL at
-    the value's scale; the mass on outcomes with no counterpart in the spectrum
-    of A is an unambiguous violation and enters the maximum whole."""
+    Outcome values are matched to spectral values of A as ``probability_near``
+    matches them; the mass on outcomes with no counterpart in the spectrum of A
+    is an unambiguous violation and enters the maximum whole."""
     dist = outcome_distribution(model, psi)
     born = _levels(model.A, psi.amplitudes)
     deviation = max(abs(dist.probability_near(value) - q) for value, q in born)
-    stray = sum(p for outcome, p in dist.outcomes
-                if all(exceeds(abs(outcome - value), EQUALITY_TOL, abs(value))
-                       for value, _ in born))
+    s = max(abs(v) for v, _ in dist.outcomes)
+    stray = sum(p for v, p in dist.outcomes
+                if all(abs(v - value) > EQUALITY_TOL * max(abs(value), s) for value, _ in born))
     return max(deviation, stray)
 
 
@@ -112,9 +113,7 @@ def error_probability(model: MeasurementModel, psi: Ket) -> float:
         raise PreconditionError("error probability is defined for two-level objects only")
     model.check_object_state(psi)
     values = tuple(value for value, _ in _levels(model.A, psi.amplitudes))
-    if len(values) != 2 or abs(values[0] + 0.5) > EQUALITY_TOL \
-            or abs(values[1] - 0.5) > EQUALITY_TOL:
-        raise PreconditionError(
-            f"error probability needs spectrum {{-1/2, +1/2}}, got {values}")
+    if len(values) != 2 or max(abs(values[0] + 0.5), abs(values[1] - 0.5)) > EQUALITY_TOL:
+        raise PreconditionError(f"error probability needs spectrum {{-1/2, +1/2}}, got {values}")
     e = noise(model, psi)
     return e * e

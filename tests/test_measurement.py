@@ -290,13 +290,39 @@ def test_outcome_distribution_phase_invariance():
 def test_bsf_deviation_swap_is_zero():
     rng = np.random.default_rng(RNG_SEED)
     model = _swap_model()
-    # and at A = M = 1e8 S_x, whose levels round by about 1e-8
-    big = w.Operator.hermitian(1e8 * model.A.matrix)
-    scaled = w.MeasurementModel(2, 2, model.xi, model.U, big, big)
+    # and at A = M = 1e8 S_x, whose levels round by about 1e-8, and at
+    # A = M = 1e-10 S_x, whose levels lie 1e-10 apart: each matches its own
+    scaled = [w.MeasurementModel(2, 2, model.xi, model.U, op, op)
+              for op in (w.Operator.hermitian(c * model.A.matrix) for c in (1e8, 1e-10))]
     for _ in range(25):
         psi = w.random_ket(2, rng)
         assert w.bsf_deviation(model, psi) < 1e-10
-        assert w.bsf_deviation(scaled, psi) < 1e-10
+        for small in scaled:
+            assert w.bsf_deviation(small, psi) < 1e-10
+
+
+def test_outcome_statistics_keep_their_figures_in_any_units():
+    # A and M scaled by c: values scale by c while the probabilities and the BSF
+    # deviation, with its stray mass on M's 1.5, stay, as levels split and
+    # outcomes match A at their own scale
+    rng = np.random.default_rng(RNG_SEED + 5)
+    model, _ = random_conservative_model(rng, object_dim=3, probe_dim=4)
+    m, _ = _observable([-0.5, 0.5, 0.5, 1.5], rng)
+    a, _ = _observable([-0.5, 0.5, 1.0], rng)
+    psi = w.random_ket(3, rng)
+    base = w.MeasurementModel(3, 4, model.xi, model.U, m, a)
+    want = w.outcome_distribution(base, psi).outcomes
+    deviation = w.bsf_deviation(base, psi)
+    assert deviation > 0.01
+    for c in (1e-13, 1e-10, 1e8):
+        scaled = w.MeasurementModel(3, 4, model.xi, model.U,
+                                    *(w.Operator.hermitian(c * op.matrix) for op in (m, a)))
+        got = w.outcome_distribution(scaled, psi).outcomes
+        assert len(got) == len(want)
+        for (value, p), (want_value, want_p) in zip(got, want):
+            assert value == pytest.approx(c * want_value, rel=1e-9)
+            assert p == pytest.approx(want_p, abs=1e-12)
+        assert w.bsf_deviation(scaled, psi) == pytest.approx(deviation, abs=1e-12)
 
 
 def test_bsf_deviation_disjoint_spectra_is_one():
