@@ -10,9 +10,9 @@ spin-1/2 scenario (A = S_x, L1 = S_z) gives the closed-form error floors.
 Each function that needs a step's condition checks it and raises
 ``PreconditionError`` (``require_yanase`` is the Yanase test, and
 ``commutator_identity_residual`` holds the one ACL gate); ``bound_report``
-keeps those messages as null reasons. Every residual and theorem inequality
-is read at its operands' scale (``linalg.exceeds``), and a bound's terms are
-zero relative to their second moments (``_bounded_ratio``): units change no verdict.
+keeps those messages as null reasons. A residual is zero at its operands' scale
+(``linalg.exceeds``) and a bound's terms at their second moments (``_bounded_ratio``),
+in any units; a theorem inequality's slack is at least absolute (A and M set its rounding).
 
 The bounds read their (model, pair) terms from ``bound_terms``, compiled on
 the object space once in O(D d_o (d_o + d_p) + d_p^3) (D = d_o d_p), and each
@@ -110,13 +110,15 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
     [N, L1 x I + I x L2] = U^dag (I x [M, L2]) U - [A, L1] x I, the left side
     dense and the right one from the lifts of [M, L2] and [A, L1], so this
     stays an independent check of the reduced form the bounds are evaluated from.
-    Its precondition, the one ACL gate, reads [U, L] at the scale ||L||_F."""
-    acl = acl_residual(model, pair)
-    if exceeds(acl, ACL_GATE_TOL, lambda: frobenius_norm(pair.total().matrix)):
+    Its precondition, the one ACL gate, reads [U, L] at the scale ||L||_F, on the same L."""
+    check_pair(model, pair)
+    total = pair.total()
+    acl = frobenius_norm(_commutator_matrix(model.U, total))
+    if exceeds(acl, ACL_GATE_TOL, lambda: frobenius_norm(total.matrix)):
         raise PreconditionError(f"conservation law fails: acl residual {acl:.3e}, "
                                 f"tolerance {ACL_GATE_TOL:g}")
     u = model.U.matrix
-    lhs = _commutator_matrix(noise_operator(model), pair.total())
+    lhs = _commutator_matrix(noise_operator(model), total)
     ik = np.kron(np.eye(model.object_dim), _commutator_matrix(model.M, pair.L2))
     ci = np.kron(_commutator_matrix(model.A, pair.L1), np.eye(model.probe_dim))
     return frobenius_norm(lhs - (u.conj().T @ ik @ u - ci))
@@ -137,10 +139,12 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     m, l1, l2 = model.M.matrix, pair.L1.matrix, pair.L2.matrix
     n = u.conj().T @ apply_on_probe(m, u @ v, do) - np.kron(model.A.matrix @ a, xi)
     l = np.kron(l1 @ a, xi) + apply_on_probe(l2, v, do)
-    lhs = _moment_variance(float(np.vdot(n, n).real), complex(np.vdot(v, n)), m, model.A.matrix) \
-        * _moment_variance(float(np.vdot(l, l).real), complex(np.vdot(v, l)), l1, l2)
+    lhs = _moment_variance(float(np.vdot(n, n).real), complex(np.vdot(v, n)),
+                           lambda: frobenius_norm(m) + frobenius_norm(model.A.matrix)) \
+        * _moment_variance(float(np.vdot(l, l).real), complex(np.vdot(v, l)),
+                           lambda: frobenius_norm(l1) + frobenius_norm(l2))
     rhs = float(np.vdot(n, l).imag) ** 2
-    if exceeds(rhs - lhs, INEQUALITY_SLACK, rhs):
+    if exceeds(rhs - lhs, INEQUALITY_SLACK, max(1.0, rhs)):
         raise TheoremViolation(
             f"uncertainty relation failed: lhs {lhs:.17g} < rhs {rhs:.17g}")
     return lhs, rhs
@@ -157,8 +161,8 @@ def variance_additivity_residual(pair: ConservationPair, psi: Ket, xi: Ket) -> f
 
 def _bounded_ratio(num: float, den: float, scale: float) -> float:
     """num/den, where num and den are zero up to RATIO_FLOOR x scale, the second
-    moments den's variances come from, with no max(1, scale): both are quadratic
-    in L, so a fixed floor would zero a valid bound when L is small. Zero
+    moments den's variances come from: the rule of ``exceeds``, inlined on the
+    per-state path. Both are quadratic in L, so units change no ratio. Zero
     variance is an empty constraint (0) with a vanishing numerator, and with a
     surviving one no finite noise satisfies the bound (the infinity sentinel)."""
     if den <= RATIO_FLOOR * scale:
@@ -177,13 +181,14 @@ class BoundTerms:
     <psi x xi|[N, L1 x I + I x L2]|psi x xi> = <psi|d|psi>; c = [A, L1] is its
     object side. yanase_residual is ||[M, L2]||_F and yanase_refusal the reason
     ``require_yanase`` gives ("" if none); var_l2 = var(L2, xi) and second_l2 =
-    <L2^2> in xi are the probe's shares of the denominator and of its scale."""
+    <L2^2> in xi are the probe's shares of the denominator and of its scale; norm_l1 = ||L1||_F."""
 
     stack: np.ndarray
     yanase_residual: float
     yanase_refusal: str
     var_l2: float
     second_l2: float
+    norm_l1: float
     # _state_figures keeps the figures of the last object state here
     _state: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -212,8 +217,9 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
         xi, l2xi = model.xi.amplitudes, pair.L2.matrix @ model.xi.amplitudes
         second = float(np.vdot(l2xi, l2xi).real)
         terms = BoundTerms(np.array((y.conj().T @ ky - c, c, pair.L1.matrix)), residual, refusal,
-                           _moment_variance(second, complex(np.vdot(xi, l2xi)), pair.L2.matrix),
-                           second)
+                           _moment_variance(second, complex(np.vdot(xi, l2xi)),
+                                            lambda: frobenius_norm(pair.L2.matrix)),
+                           second, frobenius_norm(pair.L1.matrix))
         model._bound_terms.clear()
         model._bound_terms[pair] = terms
     return terms
@@ -233,7 +239,7 @@ def _state_figures(terms: BoundTerms, psi: Ket) -> tuple:
         d, c, l1 = (images @ a.conj()).tolist()
         la = images[2]
         second_l1 = float(np.vdot(la, la).real)
-        var_l1 = _moment_variance(second_l1, l1, terms.stack[2])
+        var_l1 = _moment_variance(second_l1, l1, terms.norm_l1)
         figures = (d, c, 4.0 * var_l1 + 4.0 * terms.var_l2,
                    4.0 * (second_l1 + terms.second_l2))
         terms._state.clear()
@@ -330,7 +336,7 @@ class BoundReport:
                  if self.commutator_identity_residual is not None]
         tests.append(("uncertainty", self.uncertainty_lhs, self.uncertainty_rhs))
         return tuple(name for name, lhs, rhs in tests
-                     if rhs is not None and exceeds(rhs - lhs, INEQUALITY_SLACK, rhs))
+                     if rhs is not None and exceeds(rhs - lhs, INEQUALITY_SLACK, max(1.0, rhs)))
 
 
 def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> BoundReport:

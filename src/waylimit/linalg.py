@@ -24,11 +24,11 @@ import numpy as np
 # Tolerances: every numeric threshold of the package, one constant per meaning.
 # Two checks share a constant only when they share its value and its meaning.
 # Each is the threshold at unit scale: a residual from operands of size s is zero up to
-# tol x max(1, s) (``exceeds``); a spectrum's gaps, and an outcome against a value of A,
-# at tol x the largest |value| (``spectrum_runs``). The bare constant is read only where
-# the scale is fixed (a ket's norm, a probability, the spin-1/2 forms, the probe-state
-# collapse) and by the search's stopping rules; README.md ("Tolerances") lists every check
-# and its scale.
+# tol x s in any units (``exceeds``), and a spectrum's gaps (``spectrum_runs``) and an
+# outcome against a value of A by the same rule at the largest |value|. The bare constant
+# is read only where the scale is fixed (a ket's norm, a probability, the spin-1/2 forms,
+# the probe-state collapse) and by the search's stopping rules; README.md ("Tolerances")
+# lists every check and its scale, and the two that keep a max(1, s) floor.
 STRUCTURE_TOL = 1e-10              # residual of a structural identity or tag
 ROUNDING_TOL = 1e-12               # zero up to rounding
 EQUALITY_TOL = 1e-9                # two values treated as equal
@@ -42,18 +42,13 @@ GRADIENT_TOL = 1e-10               # gradient norm at which the optimizer stops
 DESCENT_MARGIN = 1e-15             # decrease a line-search step must reach to be taken
 
 
-def tolerance(tol: float, scale: float) -> float:
-    """The threshold of a residual from operands of size scale: rounding grows with them."""
-    return tol * max(1.0, scale)
-
-
 def exceeds(residual: float, tol: float, scale=1.0) -> bool:
-    """Whether a residual is not zero: past ``tolerance(tol, scale)``, NaN, or at
-    an overflowing scale. scale is a number, or a function called only when the
-    residual passes tol, so a residual that passes at unit scale costs no norm."""
-    if residual <= tol:
+    """Whether a residual from operands of size scale is not zero: past tol x scale,
+    NaN, or at an overflowing threshold. scale is a number, or a function called
+    only for a positive residual, so an exact zero costs no norm."""
+    if residual <= 0.0:
         return False
-    return not residual <= tolerance(tol, scale() if callable(scale) else scale) < math.inf
+    return not residual <= tol * (scale() if callable(scale) else scale) < math.inf
 
 
 class DimensionMismatch(ValueError):
@@ -228,16 +223,16 @@ def array_variance(x: np.ndarray, v: np.ndarray) -> float:
     x is hermitian, that the dimensions agree and that v is a unit vector; the
     imaginary-residue and negative-clamp alarms stay."""
     xv = x @ v
-    return _moment_variance(float(np.vdot(xv, xv).real), complex(np.vdot(v, xv)), x)
+    return _moment_variance(float(np.vdot(xv, xv).real), complex(np.vdot(v, xv)),
+                            lambda: frobenius_norm(x))
 
 
-def _moment_variance(second: float, mean: complex, *parts: np.ndarray) -> float:
-    """second - mean^2 from ||X v||^2 and <v|X|v>, X hermitian and a sum of parts
-    up to unitaries and kron with identities. The mean's imaginary residue is an
-    alarm unless zero at the scale sum ||part||_F, a bound on ||X||, with which
-    it rounds; a negative variance is clamped to 0 when zero at the scale of the
-    second moment, with which it rounds, else an alarm."""
-    if exceeds(abs(mean.imag), STRUCTURE_TOL, lambda: sum(map(frobenius_norm, parts))):
+def _moment_variance(second: float, mean: complex, scale) -> float:
+    """second - mean^2 from ||X v||^2 and <v|X|v>, X hermitian. The mean's imaginary
+    residue is an alarm unless zero at scale, a bound on ||X|| given as ``exceeds`` takes
+    it; a negative variance is clamped to 0 when zero at the scale of the second moment,
+    with which it rounds, else an alarm."""
+    if exceeds(abs(mean.imag), STRUCTURE_TOL, scale):
         raise StructureError(f"variance mean has imaginary residue {mean.imag:.3e}")
     var = second - mean.real ** 2
     if var < 0.0:
@@ -255,9 +250,9 @@ def commutator(x: Operator, y: Operator) -> Operator:
 
 
 def spectrum_runs(w: np.ndarray, tol: float) -> tuple:
-    """(start, stop) index ranges of the runs of an ascending spectrum w: a run ends
-    where the next value lies more than tol x s above, s the largest |value| with no
-    floor, so runs are alike in any units; gaps within tol x s chain, and a run may span more."""
+    """(start, stop) index ranges of the runs of an ascending spectrum w: a run ends where
+    the next value lies more than tol x s above, s the largest |value| (``exceeds``' rule,
+    over all gaps at once); gaps within tol x s chain, and a run may span more."""
     cuts = (np.flatnonzero(np.diff(w) > tol * max(-w[0], w[-1])) + 1).tolist()
     return tuple(zip([0, *cuts], [*cuts, len(w)]))
 

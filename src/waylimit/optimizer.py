@@ -45,7 +45,6 @@ from .linalg import (
     exceeds,
     frobenius_norm,
     spectrum_runs,
-    tolerance,
     variance,
 )
 from .measurement import MeasurementModel, noise, sup_noise
@@ -427,7 +426,7 @@ class _Problem:
         red = model.reduced
         if self.config.objective == "sup":
             lam, vecs = np.linalg.eigh(red.w.conj().T @ red.w)
-            phis = vecs[:, lam >= lam[-1] - tolerance(EQUALITY_TOL, lam[-1])]
+            phis = vecs[:, lam >= lam[-1] - EQUALITY_TOL * max(1.0, lam[-1])]
         else:
             phis = self.psi.amplitudes[:, None]
         count = phis.shape[1]
@@ -464,7 +463,7 @@ class _Problem:
         model = self.model_at(x)
         e = noise(model, self.psi)
         floor = self.floor(model)
-        if exceeds(floor - e * e, INEQUALITY_SLACK, floor):
+        if exceeds(floor - e * e, INEQUALITY_SLACK, max(1.0, floor)):
             raise TheoremViolation(
                 f"accepted iterate has squared noise {e * e:.17g} below the "
                 f"bound {floor:.17g}")

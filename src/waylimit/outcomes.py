@@ -42,10 +42,10 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to {total:.17g}, not 1")
 
     def probability_near(self, value: float) -> float:
-        """Mass of the outcomes within EQUALITY_TOL x s of value, s the largest |value| of
-        them and value, with no floor, as ``spectrum_runs`` splits levels: alike in any units."""
+        """Mass of the outcomes within EQUALITY_TOL x s of value (``exceeds``), s the
+        largest |value| of them and value, as ``spectrum_runs`` splits levels."""
         s = max(abs(value), *(abs(v) for v, _ in self.outcomes))
-        return sum(p for v, p in self.outcomes if abs(v - value) <= EQUALITY_TOL * s)
+        return sum(p for v, p in self.outcomes if not exceeds(abs(v - value), EQUALITY_TOL, s))
 
     def probability_in_interval(self, lo: float, hi: float) -> float:
         """Mass of the spectral values contained in [lo, hi].
@@ -102,8 +102,8 @@ def bsf_deviation(model: MeasurementModel, psi: Ket) -> float:
     born = _levels(model.A, psi.amplitudes)
     deviation = max(abs(dist.probability_near(value) - q) for value, q in born)
     s = max(abs(v) for v, _ in dist.outcomes)
-    stray = sum(p for v, p in dist.outcomes
-                if all(abs(v - value) > EQUALITY_TOL * max(abs(value), s) for value, _ in born))
+    stray = sum(p for v, p in dist.outcomes if all(
+        exceeds(abs(v - value), EQUALITY_TOL, max(abs(value), s)) for value, _ in born))
     return max(deviation, stray)
 
 

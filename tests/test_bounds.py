@@ -744,9 +744,10 @@ def test_state_pass_matches_the_vdot_oracle(seed, object_dim, probe_dim, ladder,
 
 def _hand_terms(l1):
     """BoundTerms with d = c = 0, the Yanase condition holding, the given L1
-    slot, and var(L2, xi) and <L2^2> in xi 1/4."""
+    slot and its norm, and var(L2, xi) and <L2^2> in xi 1/4."""
     zero = np.zeros_like(l1, dtype=complex)
-    return BoundTerms(np.array((zero, zero, l1), dtype=complex), 0.0, "", 0.25, 0.25)
+    return BoundTerms(np.array((zero, zero, l1), dtype=complex), 0.0, "", 0.25, 0.25,
+                      w.frobenius_norm(l1))
 
 
 def test_state_pass_variance_alarms():

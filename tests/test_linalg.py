@@ -1,6 +1,7 @@
 """Core operator/ket layer: tagged construction, moments, spectra."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_imaginary_residue_alarms_scale_with_x_v():
         assert w.expectation(x, v) == mean.real
         w.variance(x, v)
     assert passed >= 5
-    # at unit scale the threshold stays absolute
+    # a residue the size of ||X||_F alarms at any scale
     with pytest.raises(w.StructureError, match="^variance mean has imaginary residue 2.000e-10$"):
         array_variance(np.diag([2e-10j, 0.0]), np.array([1.0, 0.0]))
 
@@ -307,6 +308,30 @@ def test_unitary_check_refuses_an_overflowing_product():
               [[1e154, 0.0], [0.0, 1.0]]):
         with pytest.raises(w.StructureError, match="^values overflow the unitary check$"):
             w.Operator.unitary(m)
+
+
+def test_exceeds_is_one_relative_test_at_every_scale():
+    from waylimit.linalg import exceeds
+
+    def unused():
+        raise AssertionError("an exact zero computes no scale")
+
+    # an exact zero reads as zero, even at scale 0, and its thunk is not called
+    assert not exceeds(0.0, STRUCTURE_TOL, 0.0)
+    assert not exceeds(0.0, STRUCTURE_TOL, unused)
+    assert not exceeds(-1.0, STRUCTURE_TOL, unused)
+    # at scale 0 any positive residual is not zero
+    assert exceeds(1e-300, STRUCTURE_TOL, 0.0)
+    assert exceeds(1e-300, STRUCTURE_TOL, lambda: 0.0)
+    # the threshold is tol x s with no floor, at s = 1e-12 as at s = 1e6
+    for s in (1e-12, 1.0, 1e6):
+        for scale in (s, lambda: s):
+            assert not exceeds(0.9 * STRUCTURE_TOL * s, STRUCTURE_TOL, scale), s
+            assert exceeds(1.1 * STRUCTURE_TOL * s, STRUCTURE_TOL, scale), s
+    # a NaN residual, and a threshold that overflows, are refused
+    assert exceeds(math.nan, STRUCTURE_TOL, 1.0)
+    assert exceeds(1.0, STRUCTURE_TOL, math.inf)
+    assert exceeds(1.0, 2.0, 1e308)
 
 
 def test_unitary_residual_is_the_dense_formula_bit_for_bit(monkeypatch):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import waylimit as w
-from helpers import random_conservative_model
+from helpers import CNOT_Z_CONTROL_X_FLIP, random_conservative_model
 
 SEEDS = (1, 2, 3, 5)
 BOUNDS = ("fundamental_bound", "yanase_bound", "spin_bound")
@@ -39,7 +39,7 @@ def test_scaled_conserved_quantities_keep_every_figure(seed, yanase):
     psi = w.random_ket(3, rng)
     base = _report(model, pair, psi)
     assert base.commutator_identity_residual is not None
-    for c in (1e-7, 1e-6, 1e-3, 1e3, 1e5, 1e6):
+    for c in (1e-12, 1e-10, 1e-9, 1e-7, 1e-6, 1e-3, 1e3, 1e5, 1e6):
         scaled = w.ConservationPair(L1=_scaled(pair.L1, c), L2=_scaled(pair.L2, c))
         report = _report(model, scaled, psi)
         assert _null_fields(report) == _null_fields(base), c
@@ -56,7 +56,7 @@ def test_scaled_observables_scale_noise_and_bounds_by_c_squared(seed, yanase):
     model, pair = random_conservative_model(rng, 3, 4, yanase=yanase)
     psi = w.random_ket(3, rng)
     base = _report(model, pair, psi)
-    for c in (1e-3, 1e3, 1e6, 1e8):
+    for c in (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e8):
         scaled = w.MeasurementModel(model.object_dim, model.probe_dim, model.xi, model.U,
                                     _scaled(model.M, c), _scaled(model.A, c))
         report = _report(scaled, pair, psi)
@@ -66,6 +66,34 @@ def test_scaled_observables_scale_noise_and_bounds_by_c_squared(seed, yanase):
             if getattr(base, name) is not None:
                 assert getattr(report, name) == pytest.approx(c * c * getattr(base, name),
                                                               rel=1e-9), (c, name)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-9, 1e-12])
+def test_small_units_keep_the_gates_of_a_non_conservative_model(c):
+    # the swap demo with U a CNOT and L1 = L2 = c S_z: [U, L] and [M, L2]
+    # both scale with c, so each gate refuses at every c, as at unit scale
+    swap, _ = w.swap_demo_model()
+    _, _, sz = w.spin_operators()
+    cnot = w.MeasurementModel(2, 2, swap.xi, w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP),
+                              swap.M, swap.A)
+    pair = w.ConservationPair(L1=_scaled(sz, c), L2=_scaled(sz, c))
+    report = w.bound_report(cnot, pair, w.named_state("alpha_y"))
+    assert report.commutator_identity_residual is None and report.yanase_bound is None
+    reasons = report.null_reasons
+    assert reasons["commutator_identity_residual"].startswith("conservation law fails"), c
+    assert reasons["yanase_bound"].startswith("Yanase condition fails"), c
+    assert report.violations() == ()
+
+
+def test_small_units_keep_the_optimizer_yanase_gate():
+    # M = S_x against L2 = 1e-10 S_z: the residual 7.071e-11 is 1.414 x ||M||_F ||L2||_F
+    sx, _, sz = w.spin_operators()
+    pair = w.ConservationPair(L1=_scaled(sz, 1e-10), L2=_scaled(sz, 1e-10))
+    config = w.OptimizerConfig(restarts=1, max_iters=2)
+    with pytest.raises(w.PreconditionError,
+                       match=r"^Yanase condition fails: \[M, L2\] residual 7.071e-11, "):
+        w.optimize_noise(sx, pair, sx, w.named_state("alpha_x"), w.named_state("alpha_y"),
+                         config)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
