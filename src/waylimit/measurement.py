@@ -14,6 +14,7 @@ composite-space operators stay for the derivation-chain checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,7 +26,6 @@ from .linalg import (
     Operator,
     StructureError,
     apply_on_probe,
-    frobenius_norm,
 )
 
 
@@ -110,10 +110,11 @@ def noise_operator(model: MeasurementModel) -> Operator:
 
 
 def noise(model: MeasurementModel, psi: Ket) -> float:
-    """Root-mean-square error of the record for input state psi: ||W psi|| on the
-    model's cached reduced form, W = N (I x xi), which is ||N (psi x xi)||."""
+    """Root-mean-square error of the record for input state psi: ||W psi|| on the model's
+    cached reduced form, W = N (I x xi), which is ||N (psi x xi)||; inf past overflow."""
     model.check_object_state(psi)
-    return frobenius_norm(model.reduced.w @ psi.amplitudes)
+    n = model.reduced.w @ psi.amplitudes
+    return math.sqrt(np.vdot(n, n).real)
 
 
 def sup_noise(model: MeasurementModel) -> float:

@@ -981,6 +981,18 @@ def test_overflowing_model_file_is_one_input_error_line(tmp_path, capsys, entrie
         assert run_cli(capsys, "verify", path, *extra) == (1, "", message)
 
 
+def test_overflowing_noise_is_inf_without_a_warning():
+    # the library side of the M-1e160 case above: noise reads ||W psi|| from one
+    # np.vdot, which overflows to inf without a RuntimeWarning, and verify's
+    # check of the infinite eps_sq makes that the one input error line
+    model, _ = w.swap_demo_model()
+    big = dataclasses.replace(model, M=w.Operator.hermitian(1e160 * model.M.matrix))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert w.noise(big, w.named_state("alpha_z")) == math.inf
+    assert caught == []
+
+
 @pytest.mark.parametrize("field", ["A", "L1", "L2", "M"])
 def test_large_finite_model_file_still_verifies(tmp_path, capsys, field):
     # at 1e100 nothing overflows: the report is computed as before
