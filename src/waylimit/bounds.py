@@ -11,13 +11,12 @@ Each function that needs a step's condition checks it and raises
 ``PreconditionError`` (``require_yanase`` is the Yanase test, and
 ``commutator_identity_residual`` holds the one ACL gate); ``bound_report``
 keeps those messages as null reasons. A residual is zero at its operands' scale
-(``linalg.exceeds``) and a bound's terms at the scale they round at (``_bounded_ratio``),
+(``linalg.exceeds``) and a bound's terms at their second moments (``_bounded_ratio``),
 in any units; a theorem inequality's slack is at least absolute (A and M set its rounding).
 
 The bounds read their (model, pair) terms from ``bound_terms``, compiled on
 the object space once in O(D d_o (d_o + d_p) + d_p^3) (D = d_o d_p), and each
-state costs one O(d_o^2) pass that both bounds share: one product of psi with
-the stacked terms [d; c; L1; L1^2] and one with conj(psi). The derivation-chain
+state costs one O(d_o^2) pass that both bounds share. The derivation-chain
 checks build their own composite-space terms: [U, L] (L = L1 x I + I x L2) for
 the ACL, [N, L] and the lifts of [M, L2] and [A, L1] for the commutator
 identity, and only N v and L v (v = psi x xi) for the uncertainty pair.
@@ -161,8 +160,8 @@ def variance_additivity_residual(pair: ConservationPair, psi: Ket, xi: Ket) -> f
 
 
 def _bounded_ratio(num: float, den: float, scale: float) -> float:
-    """num/den, where num and den are zero up to RATIO_FLOOR x scale, the scale
-    den's variances round at: the rule of ``exceeds``, inlined on the
+    """num/den, where num and den are zero up to RATIO_FLOOR x scale, the second
+    moments den's variances come from: the rule of ``exceeds``, inlined on the
     per-state path. Both are quadratic in L, so units change no ratio. Zero
     variance is an empty constraint (0) with a vanishing numerator, and with a
     surviving one no finite noise satisfies the bound (the infinity sentinel)."""
@@ -175,15 +174,14 @@ def _bounded_ratio(num: float, den: float, scale: float) -> float:
 class BoundTerms:
     """The terms of the bounds that depend only on (model, pair), on the object space.
 
-    stack is the (4 d_o, d_o) array [d; c; L1; L1^2], so that one product with
-    psi and one with conj(psi) give both numerators and the moments <L1> and
-    <L1^2> of the denominator's var(L1, psi). Here
+    stack is the (3, d_o, d_o) array [d, c, L1], so that one product with psi
+    serves both numerators and the denominator's var(L1, psi). Here
     d = Y^dag (I x [M, L2]) Y - [A, L1], with Y = U (I x xi), is the
     probe-traced right side of the commutator identity, so
     <psi x xi|[N, L1 x I + I x L2]|psi x xi> = <psi|d|psi>; c = [A, L1] is its
     object side. yanase_residual is ||[M, L2]||_F and yanase_refusal the reason
     ``require_yanase`` gives ("" if none); var_l2 = var(L2, xi) and second_l2 =
-    <L2^2> in xi are the probe's shares of the denominator and of its floor; norm_l1 = ||L1||_F."""
+    <L2^2> in xi are the probe's shares of the denominator and of its scale; norm_l1 = ||L1||_F."""
 
     stack: np.ndarray
     yanase_residual: float
@@ -218,31 +216,32 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
             refusal = str(exc)
         xi, l2xi = model.xi.amplitudes, pair.L2.matrix @ model.xi.amplitudes
         second = float(np.vdot(l2xi, l2xi).real)
-        l1 = pair.L1.matrix
-        terms = BoundTerms(np.concatenate((y.conj().T @ ky - c, c, l1, l1 @ l1)), residual, refusal,
+        terms = BoundTerms(np.array((y.conj().T @ ky - c, c, pair.L1.matrix)), residual, refusal,
                            _moment_variance(second, complex(np.vdot(xi, l2xi)),
                                             lambda: frobenius_norm(pair.L2.matrix)),
-                           second, frobenius_norm(l1))
+                           second, frobenius_norm(pair.L1.matrix))
         model._bound_terms.clear()
         model._bound_terms[pair] = terms
     return terms
 
 
 def _state_figures(terms: BoundTerms, psi: Ket) -> tuple:
-    """(<psi|d|psi>, <psi|c|psi>, 4 var(L1 x I + I x L2), 4 (||L1||_F^2 + <L2^2>)) in
-    psi x xi: the images of psi under the stack, times conj(psi), give the four moments,
-    and on a product state var(L1 x I + I x L2) is var(L1, psi) + var(L2, xi). <L1^2> so
-    read rounds at ||L1||_F^2 (not at its own size, as ||L1 psi||^2 would), where var(L1,
-    psi) is clamped and the ratio floor reads. The figures of one ket at a time are kept,
-    keyed by the ket object itself (compared by identity, read-only, kept alive), so a hit
-    is neither stale nor another ket's. The caller has checked psi."""
+    """(<psi|d|psi>, <psi|c|psi>, 4 var(L1 x I + I x L2), 4 (<L1^2> + <L2^2>))
+    in psi x xi, in one pass: the images of psi under the stack, times
+    conj(psi), give the three means, and on a product state var(L1 x I + I x L2)
+    is var(L1, psi) + var(L2, xi). The figures of one ket at a time are kept,
+    keyed by the ket object itself (compared by identity, read-only, kept alive),
+    so a hit is neither stale nor another ket's. The caller has checked psi."""
     figures = terms._state.get(psi)
     if figures is None:
         a = psi.amplitudes
-        d, c, l1, second_l1 = ((terms.stack @ a).reshape(4, -1) @ a.conj()).tolist()
-        norm_sq = terms.norm_l1 ** 2
-        var_l1 = _moment_variance(second_l1.real, l1, terms.norm_l1, norm_sq)
-        figures = (d, c, 4.0 * var_l1 + 4.0 * terms.var_l2, 4.0 * (norm_sq + terms.second_l2))
+        images = terms.stack @ a
+        d, c, l1 = (images @ a.conj()).tolist()
+        la = images[2]
+        second_l1 = float(np.vdot(la, la).real)
+        var_l1 = _moment_variance(second_l1, l1, terms.norm_l1)
+        figures = (d, c, 4.0 * var_l1 + 4.0 * terms.var_l2,
+                   4.0 * (second_l1 + terms.second_l2))
         terms._state.clear()
         terms._state[psi] = figures
     return figures

@@ -227,16 +227,16 @@ def array_variance(x: np.ndarray, v: np.ndarray) -> float:
                             lambda: frobenius_norm(x))
 
 
-def _moment_variance(second: float, mean: complex, scale, rounding=None) -> float:
-    """second - mean^2 from <X^2> and <v|X|v>, X hermitian. The mean's imaginary residue
-    is an alarm unless zero at scale, a bound on ||X|| given as ``exceeds`` takes it; a
-    negative variance is clamped to 0 when zero at the scale it rounds with (rounding, or
-    the second moment read as ||X v||^2), else an alarm."""
+def _moment_variance(second: float, mean: complex, scale) -> float:
+    """second - mean^2 from ||X v||^2 and <v|X|v>, X hermitian. The mean's imaginary
+    residue is an alarm unless zero at scale, a bound on ||X|| given as ``exceeds`` takes
+    it; a negative variance is clamped to 0 when zero at the scale of the second moment,
+    with which it rounds, else an alarm."""
     if exceeds(abs(mean.imag), STRUCTURE_TOL, scale):
         raise StructureError(f"variance mean has imaginary residue {mean.imag:.3e}")
     var = second - mean.real ** 2
     if var < 0.0:
-        if exceeds(-var, ROUNDING_TOL, second if rounding is None else rounding):
+        if exceeds(-var, ROUNDING_TOL, second):
             raise ArithmeticError(f"variance {var:.3e} negative beyond tolerance")
         var = 0.0
     return var

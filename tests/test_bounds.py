@@ -534,19 +534,13 @@ def test_bound_terms_memo_still_checks_new_pairs():
     assert w.fundamental_bound(model, pair, psi) == first
 
 
-# An oracle for the state pass, which forms the four moments <psi|d|psi>,
-# <psi|c|psi>, <psi|L1|psi> and <psi|L1^2|psi> from one product of the stack's
-# images with conj(psi): the same figures with one np.vdot per mean and
-# ||L1 psi||^2 from the image of the L1 block alone.
-
-def _blocks(terms):
-    """The stack's (d, c, L1, L1^2) blocks, each d_o x d_o."""
-    return terms.stack.reshape(4, terms.stack.shape[1], -1)
-
+# An oracle for the state pass, which forms the three means <psi|d|psi>,
+# <psi|c|psi> and <psi|L1|psi> from one product of the images with conj(psi):
+# the same figures with one np.vdot per mean and per norm.
 
 def _vdot_figures(terms, psi):
     a = psi.amplitudes
-    da, ca, la = _blocks(terms)[:3] @ a
+    da, ca, la = terms.stack @ a
     second = float(np.vdot(la, la).real)
     mean = complex(np.vdot(a, la))
     assert abs(mean.imag) <= STRUCTURE_TOL
@@ -620,7 +614,7 @@ def test_property_master_inequality_and_dense_agreement(seed, object_dim, probe_
     side = u.conj().T @ (im @ il2 - il2 @ im) @ u - (ai @ l1i - l1i @ ai)
     n = u.conj().T @ im @ u - ai
     total = l1i + il2
-    d = _blocks(bound_terms(model, pair))[0]
+    d = bound_terms(model, pair).stack[0]
     assert np.linalg.norm(d - embed.conj().T @ side @ embed) < 1e-10
     assert np.linalg.norm(d - embed.conj().T @ (n @ total - total @ n) @ embed) < 1e-9
 
@@ -738,14 +732,10 @@ def test_state_pass_matches_the_vdot_oracle(seed, object_dim, probe_dim, ladder,
             assert abs(g - x) <= 1e-15 * max(1.0, abs(x))
         # the denominator is a difference, 4 ||L1 psi||^2 - 4 <L1>^2 + 4 var(L2, xi),
         # which each formula rounds on its own; scale by the terms, not the result
-        a = psi.amplitudes
-        la = _blocks(terms)[2] @ a
-        mean = np.vdot(a, la).real
+        la = terms.stack[2] @ psi.amplitudes
+        mean = np.vdot(psi.amplitudes, la).real
         scale = 4.0 * (np.vdot(la, la).real + mean ** 2 + terms.var_l2)
         assert abs(got[2] - want[2]) <= 1e-15 * max(1.0, scale)
-        # the L1^2 block's moment is ||L1 psi||^2
-        second = np.vdot(a, _blocks(terms)[3] @ a)
-        assert abs(second - np.vdot(la, la).real) <= 1e-15 * max(1.0, scale)
         # the bounds are the ratios of those figures
         assert w.fundamental_bound(model, pair, psi) == _ratio(abs(got[0]) ** 2, got[2])
         if yanase:
@@ -754,10 +744,10 @@ def test_state_pass_matches_the_vdot_oracle(seed, object_dim, probe_dim, ladder,
 
 def _hand_terms(l1):
     """BoundTerms with d = c = 0, the Yanase condition holding, the given L1
-    slot, its square and its norm, and var(L2, xi) and <L2^2> in xi 1/4."""
+    slot and its norm, and var(L2, xi) and <L2^2> in xi 1/4."""
     zero = np.zeros_like(l1, dtype=complex)
-    return BoundTerms(np.concatenate((zero, zero, l1, l1 @ l1)).astype(complex), 0.0, "",
-                      0.25, 0.25, w.frobenius_norm(l1))
+    return BoundTerms(np.array((zero, zero, l1), dtype=complex), 0.0, "", 0.25, 0.25,
+                      w.frobenius_norm(l1))
 
 
 def test_state_pass_variance_alarms():
@@ -765,7 +755,7 @@ def test_state_pass_variance_alarms():
     with pytest.raises(w.StructureError, match="imaginary residue"):
         _state_figures(_hand_terms(np.diag([1j, 0.0])), w.Ket([1.0, 0.0]))
     # a Ket may miss norm 1 by ROUNDING_TOL; with L1 = diag(4, 0)
-    # that puts <L1^2> = 16 r^2 below <L1>^2 = 16 r^4 by about 32 (r - 1)
+    # that puts ||L1 psi||^2 = 16 r^2 below <L1>^2 = 16 r^4 by about 32 (r - 1)
     r = 1.0 + 2.0 ** -40
     with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
         _state_figures(_hand_terms(np.diag([4.0, 0.0])), w.Ket([r, 0.0]))
@@ -799,18 +789,3 @@ def test_bound_report_near_the_kernel_of_a_large_conserved_quantity():
     assert 0.0 <= report.fundamental_bound == report.yanase_bound < 1e-9
     # var(N) = var(S_z, x-up) + var(H, psi) = 1/4, var(L) = var(S_z, x-up) = 1/4
     assert report.uncertainty_lhs == pytest.approx(0.0625, rel=1e-9)
-
-
-def test_bounds_vanish_at_the_kernels_of_both_conserved_quantities():
-    # psi a rounded null vector of L1 = 1e10 (H - lambda_3 I) and xi an exact
-    # null vector of L2 = diag(0, 1): both variances and [A, L1]'s mean vanish,
-    # so both bounds are 0. <L1^2> read from the L1^2 block rounds at ||L1||_F^2
-    # and may read below <L1>^2, so the clamp and the ratio floor read there:
-    # at <L1^2> the rounding of a zero numerator over a zero denominator is inf
-    model, pair, psi = near_kernel_model()
-    l2 = w.Operator.hermitian(np.diag([0.0, 1.0]))
-    model = w.MeasurementModel(8, 2, w.Ket([1.0, 0.0]), model.U, model.M, model.A)
-    pair = w.ConservationPair(L1=pair.L1, L2=l2)
-    report = w.bound_report(model, pair, psi)
-    assert report.fundamental_bound == report.yanase_bound == 0.0
-    assert report.violations() == ()
