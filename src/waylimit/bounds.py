@@ -12,7 +12,8 @@ Each function that needs a step's condition checks it and raises
 ``commutator_identity_residual`` holds the one ACL gate); ``bound_report``
 keeps those messages as null reasons. A residual is zero at its operands' scale
 (``linalg.exceeds``) and a bound's terms at their second moments (``_bounded_ratio``),
-in any units; a theorem inequality's slack is at least absolute (A and M set its rounding).
+in any units; ``BoundReport.violations`` decides each theorem inequality by the same
+rule, the bounds against eps^2 at ``noise_scale`` and Robertson's relation at its lhs.
 
 The bounds read their (model, pair) terms from ``bound_terms``, compiled on
 the object space once in O(D d_o (d_o + d_p) + d_p^3) (D = d_o d_p), and each
@@ -40,8 +41,8 @@ from .linalg import (
     PRECONDITION_TOL,
     PreconditionError,
     RATIO_FLOOR,
-    TheoremViolation,
     _moment_variance,
+    _real_mean,
     apply_on_probe,
     array_variance,
     exceeds,
@@ -111,9 +112,7 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
     dense and the right one from the lifts of [M, L2] and [A, L1], so this
     stays an independent check of the reduced form the bounds are evaluated from.
     Its precondition, the one ACL gate, reads [U, L] at the scale ||L||_F, on the same L."""
-    check_pair(model, pair)
-    total = pair.total()
-    acl = frobenius_norm(_commutator_matrix(model.U, total))
+    acl, total = acl_residual(model, pair), pair.total()
     if exceeds(acl, ACL_GATE_TOL, lambda: frobenius_norm(total.matrix)):
         raise PreconditionError(f"conservation law fails: acl residual {acl:.3e}, "
                                 f"tolerance {ACL_GATE_TOL:g}")
@@ -127,9 +126,10 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
 def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     """Robertson pair for the noise operator against the total conserved quantity.
 
-    Returns (lhs, rhs) with lhs the product of variances and rhs the squared
-    half-magnitude of the commutator expectation, both in v = psi x xi. As
-    <v|[N, L]|v> = 2i Im<Nv|Lv> for hermitian N and L, the images N v and L v give both.
+    Returns (lhs, rhs) = (||n'||^2 ||l'||^2, (Im<n'|l'>)^2) in v = psi x xi, from the
+    centred images n' = N v - <N> v and l' = L v - <L> v: the product of variances and,
+    as <v|[N, L]|v> = 2i Im<n'|l'> for hermitian N and L, the squared half-magnitude of the
+    commutator expectation. Cauchy-Schwarz keeps rhs <= lhs up to rounding.
     """
     check_pair(model, pair)
     model.check_object_state(psi)
@@ -139,15 +139,11 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     m, l1, l2 = model.M.matrix, pair.L1.matrix, pair.L2.matrix
     n = u.conj().T @ apply_on_probe(m, u @ v, do) - np.kron(model.A.matrix @ a, xi)
     l = np.kron(l1 @ a, xi) + apply_on_probe(l2, v, do)
-    lhs = _moment_variance(float(np.vdot(n, n).real), complex(np.vdot(v, n)),
-                           lambda: frobenius_norm(m) + frobenius_norm(model.A.matrix)) \
-        * _moment_variance(float(np.vdot(l, l).real), complex(np.vdot(v, l)),
-                           lambda: frobenius_norm(l1) + frobenius_norm(l2))
-    rhs = float(np.vdot(n, l).imag) ** 2
-    if exceeds(rhs - lhs, INEQUALITY_SLACK, max(1.0, rhs)):
-        raise TheoremViolation(
-            f"uncertainty relation failed: lhs {lhs:.17g} < rhs {rhs:.17g}")
-    return lhs, rhs
+    n -= _real_mean(complex(np.vdot(v, n)),
+                    lambda: frobenius_norm(m) + frobenius_norm(model.A.matrix), "mean of N") * v
+    l -= _real_mean(complex(np.vdot(v, l)),
+                    lambda: frobenius_norm(l1) + frobenius_norm(l2), "mean of L") * v
+    return float(np.vdot(n, n).real) * float(np.vdot(l, l).real), float(np.vdot(n, l).imag) ** 2
 
 
 def variance_additivity_residual(pair: ConservationPair, psi: Ket, xi: Ket) -> float:
@@ -157,6 +153,11 @@ def variance_additivity_residual(pair: ConservationPair, psi: Ket, xi: Ket) -> f
     part1 = array_variance(np.kron(pair.L1.matrix, np.eye(pair.L2.dim)), v.amplitudes)
     part2 = array_variance(np.kron(np.eye(pair.L1.dim), pair.L2.matrix), v.amplitudes)
     return abs(total - part1 - part2)
+
+
+def noise_scale(a, m) -> float:
+    """(||A||_F + ||M||_F)^2: it bounds ||N||^2, so eps^2 and every valid bound, in any units."""
+    return (frobenius_norm(a) + frobenius_norm(m)) ** 2
 
 
 def _bounded_ratio(num: float, den: float, scale: float) -> float:
@@ -313,8 +314,8 @@ class BoundReport:
     yanase_bound, spin_bound and commutator_identity_residual are None when
     their preconditions (Yanase condition, spin scenario, conservation law)
     do not apply to the model at hand; null_reasons then maps each such
-    field name to the message of the PreconditionError that the public
-    function of the same name raises.
+    field name to the message of the PreconditionError that the public function
+    of the same name raises. ``violations`` reads the bounds at noise_scale(A, M).
     """
 
     eps_sq: float
@@ -326,17 +327,19 @@ class BoundReport:
     commutator_identity_residual: Optional[float]
     uncertainty_lhs: float
     uncertainty_rhs: float
+    noise_scale: float
     null_reasons: dict = field(default_factory=dict)
 
     def violations(self) -> tuple:
         """Names of the applicable inequalities that fail, empty when all hold."""
-        # (name, lhs, rhs) of each inequality lhs >= rhs; the bounds need the ACL
-        tests = [(name, self.eps_sq, getattr(self, name)) for name in
+        # (name, lhs, rhs, scale) of each inequality lhs >= rhs; the bounds need the ACL
+        tests = [(name, self.eps_sq, getattr(self, name), self.noise_scale) for name in
                  ("fundamental_bound", "yanase_bound", "spin_bound")
                  if self.commutator_identity_residual is not None]
-        tests.append(("uncertainty", self.uncertainty_lhs, self.uncertainty_rhs))
-        return tuple(name for name, lhs, rhs in tests
-                     if rhs is not None and exceeds(rhs - lhs, INEQUALITY_SLACK, max(1.0, rhs)))
+        lhs = self.uncertainty_lhs  # Robertson's relation, at the scale of its lhs
+        tests.append(("uncertainty", lhs, self.uncertainty_rhs, lhs))
+        return tuple(name for name, lhs, rhs, scale in tests
+                     if rhs is not None and exceeds(rhs - lhs, INEQUALITY_SLACK, scale))
 
 
 def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> BoundReport:
@@ -367,6 +370,7 @@ def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> B
         yanase_residual=terms.yanase_residual,
         uncertainty_lhs=lhs,
         uncertainty_rhs=rhs,
+        noise_scale=noise_scale(model.A, model.M),
         null_reasons=reasons,
         **optional,
     )

@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .bounds import ConservationPair, bound_report, check_pair
-from .linalg import INEQUALITY_SLACK, TheoremViolation
+from .linalg import INEQUALITY_SLACK, TheoremViolation, exceeds
 from .measurement import MeasurementModel
 from .schema import (  # noqa: F401  (the public names are re-exported)
     SCHEMA_VERSION,
@@ -141,8 +141,8 @@ def _yw_figures(data, state_spec: str):
         raise CliInputError(
             f"--state: a yw_model file is verified at alpha_y only, got {state_spec!r}")
     fields = {"eps_y_sq": yw.yw_eps_y(data), "error_at_alpha_y": yw.yw_error_at_alpha_y(data)}
-    ok = 2.0 * fields["error_at_alpha_y"] <= fields["eps_y_sq"] + INEQUALITY_SLACK
-    return fields, [] if ok else ["yw_relation"]
+    failed = exceeds(2.0 * fields["error_at_alpha_y"] - fields["eps_y_sq"], INEQUALITY_SLACK)
+    return fields, ["yw_relation"] if failed else []
 
 
 def cmd_verify(args) -> int:
@@ -152,8 +152,8 @@ def cmd_verify(args) -> int:
         fields, violations = _yw_figures(model, args.state)
         return _emit_verify(args, name, fields, violations, {"kind": "yw_model"}, {})
     report = bound_report(model, pair, _parse_state(args.state, model.object_dim))
-    # the report's fields in order; its null reasons are a note of the JSON only
-    fields = {key: value for key, value in vars(report).items() if key != "null_reasons"}
+    # the report's figures in order; null_reasons is a JSON note and noise_scale no figure
+    fields = {k: v for k, v in vars(report).items() if k not in ("null_reasons", "noise_scale")}
     return _emit_verify(args, name, fields, report.violations(), {},
                         {"null_reasons": dict(report.null_reasons)})
 

@@ -27,8 +27,8 @@ import numpy as np
 # tol x s in any units (``exceeds``), and a spectrum's gaps (``spectrum_runs``) and an
 # outcome against a value of A by the same rule at the largest |value|. The bare constant
 # is read only where the scale is fixed (a ket's norm, a probability, the spin-1/2 forms,
-# the probe-state collapse) and by the search's stopping rules; README.md ("Tolerances")
-# lists every check and its scale, and the two that keep a max(1, s) floor.
+# the probe-state collapse) and by the search's rules; a theorem inequality is read by the same
+# rule at its operands' scale. README.md ("Tolerances") lists every check and its scale.
 STRUCTURE_TOL = 1e-10              # residual of a structural identity or tag
 ROUNDING_TOL = 1e-12               # zero up to rounding
 EQUALITY_TOL = 1e-9                # two values treated as equal
@@ -204,11 +204,16 @@ def _check_state_input(x: Operator, v: Ket, what: str):
 
 
 def expectation(x: Operator, v: Ket) -> float:
-    """<v|X|v> for hermitian X, with the imaginary-residue alarm of ``_moment_variance``."""
+    """<v|X|v> for hermitian X, with the imaginary-residue alarm of ``_real_mean``."""
     _check_state_input(x, v, "expectation")
-    mean = complex(np.vdot(v.amplitudes, x.matrix @ v.amplitudes))
-    if exceeds(abs(mean.imag), STRUCTURE_TOL, lambda: frobenius_norm(x.matrix)):
-        raise StructureError(f"expectation has imaginary residue {mean.imag:.3e}")
+    return _real_mean(complex(np.vdot(v.amplitudes, x.matrix @ v.amplitudes)),
+                     lambda: frobenius_norm(x.matrix), "expectation")
+
+
+def _real_mean(mean: complex, scale, what: str) -> float:
+    """Re <v|X|v>, X hermitian; an imaginary residue past tol x scale (scale >= ||X||) alarms."""
+    if exceeds(abs(mean.imag), STRUCTURE_TOL, scale):
+        raise StructureError(f"{what} has imaginary residue {mean.imag:.3e}")
     return mean.real
 
 

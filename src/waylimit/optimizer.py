@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import (
     ConservationPair,
-    TheoremViolation,
+    noise_scale,
     optimal_spin_bound,
     require_yanase,
     yanase_bound,
@@ -41,6 +41,7 @@ from .linalg import (
     Ket,
     Operator,
     ROUNDING_TOL,
+    TheoremViolation,
     apply_on_probe,
     exceeds,
     frobenius_norm,
@@ -374,6 +375,7 @@ class _Problem:
         self.n_params = self.n_theta + (2 * self.probe_dim if config.optimize_xi else 0)
         self._models = {}
         self._floors = {}
+        self._noise_scale = noise_scale(a, m)  # the soundness check's scale; A and M are fixed
 
     def _raw_xi(self, x: np.ndarray) -> np.ndarray:
         return x[self.n_theta:self.n_theta + self.probe_dim] \
@@ -463,7 +465,7 @@ class _Problem:
         model = self.model_at(x)
         e = noise(model, self.psi)
         floor = self.floor(model)
-        if exceeds(floor - e * e, INEQUALITY_SLACK, max(1.0, floor)):
+        if exceeds(floor - e * e, INEQUALITY_SLACK, self._noise_scale):
             raise TheoremViolation(
                 f"accepted iterate has squared noise {e * e:.17g} below the "
                 f"bound {floor:.17g}")

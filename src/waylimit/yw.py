@@ -30,6 +30,7 @@ from .linalg import (
     ROUNDING_TOL,
     STRUCTURE_TOL,
     StructureError,
+    exceeds,
     frobenius_norm,
 )
 from .spin import _KETS, HALF
@@ -126,7 +127,7 @@ def yw_check_bound(yw: YWModel, delta_mz_sq: float):
     """
     floor = 2.0 * optimal_spin_bound(delta_mz_sq)
     eps_y_sq = yw_eps_y(yw)
-    return eps_y_sq, floor, eps_y_sq >= floor - INEQUALITY_SLACK
+    return eps_y_sq, floor, not exceeds(floor - eps_y_sq, INEQUALITY_SLACK)
 
 
 def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:

@@ -56,6 +56,18 @@ def near_kernel_model():
     return model, w.ConservationPair(L1=l1, L2=sz), psi
 
 
+def near_kernel_probe_model(c):
+    """near_kernel_model with xi = (1, 0), L2 = diag(0, 1) and A = c H. psi is an
+    eigenvector of H and xi of M and L2, so var(N) and var(L) are both about 0, and
+    so is Robertson's lhs, while <N> = 1/2 - c lambda_3 grows with c. An uncentred rhs
+    would carry <N> times Im<v|L v>, the rounding residue of <L> (about 1e-7)."""
+    model, pair, psi = near_kernel_model()
+    model = w.MeasurementModel(8, 2, w.Ket([1.0, 0.0]), model.U, model.M,
+                               w.Operator.hermitian(c * model.A.matrix))
+    l2 = w.Operator.hermitian(np.diag([0.0, 1.0]))
+    return model, w.ConservationPair(L1=pair.L1, L2=l2), psi
+
+
 def random_conservative_model(rng, object_dim=None, probe_dim=None,
                               spin_scenario=None, probe_ladder=None,
                               yanase=True):

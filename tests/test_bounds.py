@@ -171,16 +171,20 @@ def test_uncertainty_pair_matches_the_kron_oracle():
 
 
 def test_uncertainty_pair_alarm_on_a_broken_variance(monkeypatch):
-    # Robertson's relation is a theorem, so only a broken variance can trip it
+    # the centred images keep rhs <= lhs by Cauchy-Schwarz, so what the pair
+    # still tests is that N and L act as hermitian operators: a probe factor
+    # i X, anti-hermitian, gives its mean an imaginary residue
     import waylimit.bounds as bounds_module
 
     swap, pair = w.swap_demo_model()
-    # the swap demo with U a CNOT has rhs 1/16 at y-up
     model = w.MeasurementModel(2, 2, swap.xi, w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP),
                                swap.M, swap.A)
-    monkeypatch.setattr(bounds_module, "_moment_variance", lambda *args: 0.0)
-    with pytest.raises(w.TheoremViolation, match="uncertainty relation failed"):
-        w.uncertainty_pair(model, pair, w.named_state("alpha_y"))
+    psi = w.named_state("alpha_y")
+    w.uncertainty_pair(model, pair, psi)
+    apply = bounds_module.apply_on_probe
+    monkeypatch.setattr(bounds_module, "apply_on_probe", lambda *args: 1j * apply(*args))
+    with pytest.raises(w.StructureError, match=r"^mean of [NL] has imaginary residue"):
+        w.uncertainty_pair(model, pair, psi)
 
 
 def test_variance_additivity_exact_cases():
@@ -355,7 +359,7 @@ def test_bound_report_violation_flags():
     clean = dict(eps_sq=0.3, fundamental_bound=0.1, yanase_bound=0.1,
                  spin_bound=0.1, acl_residual=0.0, yanase_residual=0.0,
                  commutator_identity_residual=0.0,
-                 uncertainty_lhs=0.2, uncertainty_rhs=0.1)
+                 uncertainty_lhs=0.2, uncertainty_rhs=0.1, noise_scale=1.0)
     assert w.BoundReport(**clean).violations() == ()
     assert w.BoundReport(**{**clean, "eps_sq": 0.05}).violations() == \
         ("fundamental_bound", "yanase_bound", "spin_bound")

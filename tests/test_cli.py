@@ -18,7 +18,7 @@ import waylimit as w
 from waylimit.cli import (DEMO_NAMES, ket_to_json, main, model_from_dict, model_to_dict,
                           yw_model_from_dict, yw_model_to_dict)
 from helpers import (SWAP_MATRIX, large_eigenvalue_probe_model, near_kernel_model,
-                     random_conservative_model)
+                     near_kernel_probe_model, random_conservative_model)
 
 
 def run_cli(capsys, *argv):
@@ -330,7 +330,7 @@ def test_verify_outputs_follow_the_bound_report(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "demo", "swap")
     path = tmp_path / "swap.json"
     path.write_text(out)
-    figures = _record_fields(w.BoundReport, "null_reasons")
+    figures = _record_fields(w.BoundReport, "null_reasons", "noise_scale")
     code, out, _ = run_cli(capsys, "verify", str(path), "--csv")
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out, newline="")))
@@ -792,7 +792,7 @@ def test_inequality_violation_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     violating = w.BoundReport(
         eps_sq=0.0, fundamental_bound=0.2, yanase_bound=None, spin_bound=None,
         acl_residual=0.0, yanase_residual=0.0, commutator_identity_residual=0.0,
-        uncertainty_lhs=0.1, uncertainty_rhs=0.0)
+        uncertainty_lhs=0.1, uncertainty_rhs=0.0, noise_scale=1.0)
     monkeypatch.setattr(cli_module, "bound_report", lambda *args: violating)
     _, out, _ = run_cli(capsys, "demo", "swap")
     path = tmp_path / "swap.json"
@@ -1269,6 +1269,17 @@ def test_verify_near_the_kernel_of_a_large_conserved_quantity(tmp_path, capsys):
     # <psi|L1|psi> rounds with an imaginary residue of about 1e-7 at a null
     # vector of L1 = 1e10 (H - lambda_3 I): rounding, not an internal error
     model, pair, psi = near_kernel_model()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(model, pair)))
+    code, out, err = run_cli(capsys, "verify", str(path), "--state", json.dumps(ket_to_json(psi)))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["violations"] == []
+
+
+def test_verify_a_valid_model_whose_robertson_sides_are_near_zero(tmp_path, capsys):
+    # with A x 1e4 an uncentred rhs would read 6.9e-8 against lhs 0, an exit 2;
+    # the centred images keep rhs below lhs
+    model, pair, psi = near_kernel_probe_model(1e4)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_to_dict(model, pair)))
     code, out, err = run_cli(capsys, "verify", str(path), "--state", json.dumps(ket_to_json(psi)))

@@ -5,13 +5,18 @@ the bounds are quadratic in the observables, so scaling L1 and L2 by c keeps
 every figure, and scaling M and A by c multiplies eps^2 and the bounds by
 c^2. The models here come from the commutant map with random bases, so their
 conserved quantities, interactions and spectra round, unlike the swap demo's.
+A theorem inequality's slack scales with its operands too, so a valid model
+passes and a violated inequality fails in any units.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import waylimit as w
-from helpers import CNOT_Z_CONTROL_X_FLIP, random_conservative_model
+from helpers import CNOT_Z_CONTROL_X_FLIP, near_kernel_probe_model, random_conservative_model
 
 SEEDS = (1, 2, 3, 5)
 BOUNDS = ("fundamental_bound", "yanase_bound", "spin_bound")
@@ -157,3 +162,56 @@ def test_small_conserved_quantities_keep_their_levels_and_sectors():
         assert (len(basis.sectors), basis.size) == (4, 10), c
         for got in finals:
             assert got == pytest.approx(want, rel=1e-12), c
+
+
+def test_robertson_relation_holds_near_the_kernel_at_any_scale_of_a():
+    # both variances, and so Robertson's lhs, are about 0, while <N> grows with
+    # A: an uncentred rhs would read <N> times the rounding residue of <L>, 6.9e-8
+    # against lhs 0 at A x 1e4, and 6.9 at A x 1e8
+    for c in (1e2, 1e4, 1e6, 1e8):
+        model, pair, psi = near_kernel_probe_model(c)
+        report = w.bound_report(model, pair, psi)
+        assert report.violations() == (), c
+        assert report.uncertainty_rhs < report.uncertainty_lhs, c
+
+
+def _scaled_observables_report(c):
+    """The report of the seed-1 3 x 4 Yanase model with A and M scaled by c, at
+    the seed-5 object state; its bounds are 0.135 c^2."""
+    model, pair = random_conservative_model(np.random.default_rng(1), 3, 4, yanase=True)
+    scaled = w.MeasurementModel(3, 4, model.xi, model.U, _scaled(model.M, c),
+                                _scaled(model.A, c))
+    return w.bound_report(scaled, pair, w.random_ket(3, np.random.default_rng(5)))
+
+
+def test_a_zero_noise_is_flagged_below_both_bounds_in_any_units():
+    # the slack scales with A and M: an absolute 1e-9 would exceed both bounds from c = 1e-5 down
+    for c in (1.0, 1e-5, 1e-9, 1e-12):
+        report = _scaled_observables_report(c)
+        assert report.violations() == (), c
+        assert replace(report, eps_sq=0.0).violations() == \
+            ("fundamental_bound", "yanase_bound"), c
+
+
+def test_a_relative_shortfall_below_a_bound_is_flagged_in_small_units():
+    report = _scaled_observables_report(1e-9)
+    for name in ("fundamental_bound", "yanase_bound"):
+        bound = getattr(report, name)
+        assert name in replace(report, eps_sq=bound * (1.0 - 1e-6)).violations()
+        # a shortfall at the level of rounding is not
+        assert name not in replace(report, eps_sq=bound * (1.0 - 1e-12)).violations()
+
+
+def test_search_soundness_alarm_in_small_units(monkeypatch):
+    # the 3-level ladder at y-up has the Yanase floor (1/4) / (4 var(S_z) +
+    # 4 var(L2)) = 1/12, c^2 / 12 with A and M scaled by c; a noise patched to
+    # 1e-6 relative below it is an iterate below the bound
+    import waylimit.optimizer as optimizer
+
+    sx, _, sz = w.spin_operators()
+    l2, m, xi = w.spin_ladder_probe(3)
+    c = 1e-9
+    monkeypatch.setattr(optimizer, "noise", lambda *args: math.sqrt(c * c / 12.0 * (1.0 - 1e-6)))
+    with pytest.raises(w.TheoremViolation, match="below the bound 8.33333333"):
+        w.optimize_noise(_scaled(sx, c), w.ConservationPair(L1=sz, L2=l2), _scaled(m, c), xi,
+                         w.named_state("alpha_y"), w.OptimizerConfig(restarts=1, max_iters=3))
