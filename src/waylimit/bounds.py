@@ -17,16 +17,17 @@ rule, the bounds against eps^2 at ``noise_scale`` and Robertson's relation at it
 
 The bounds read their (model, pair) terms from ``bound_terms``, compiled on
 the object space once in O(D d_o (d_o + d_p) + d_p^3) (D = d_o d_p), and each
-state costs one O(d_o^2) pass that both bounds share. The derivation-chain
-checks build their own composite-space terms: [U, L] (L = L1 x I + I x L2) for
-the ACL, [N, L] and the lifts of [M, L2] and [A, L1] for the commutator
-identity, and only N v and L v (v = psi x xi) for the uncertainty pair.
+state costs one O(d_o^2) pass that both bounds share. The commutator identity is the
+one check of the model's reduced form against the dense N and L = L1 x I + I x L2
+(lifted once per pair), behind the [U, L] gate; the uncertainty pair reads N v off the
+reduced form and keeps L v (v = psi x xi) in factor form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,10 +42,10 @@ from .linalg import (
     PRECONDITION_TOL,
     PreconditionError,
     RATIO_FLOOR,
+    _commutator_matrix,
     _moment_variance,
     _real_mean,
     apply_on_probe,
-    array_variance,
     exceeds,
     frobenius_norm,
     tensor,
@@ -65,10 +66,14 @@ class ConservationPair:
             raise ValueError("conserved quantities must carry the hermitian tag")
 
     def total(self) -> Operator:
-        """L1 x I + I x L2 on the composite space."""
-        m = np.kron(self.L1.matrix, np.eye(self.L2.dim)) \
-            + np.kron(np.eye(self.L1.dim), self.L2.matrix)
-        return Operator.hermitian(m)
+        """L1 x I + I x L2 on the composite space, built on first use and kept; the
+        pair is frozen and its operators are read-only, so it cannot go stale."""
+        return self._total
+
+    @cached_property
+    def _total(self) -> Operator:
+        return Operator.hermitian(np.kron(self.L1.matrix, np.eye(self.L2.dim))
+                                  + np.kron(np.eye(self.L1.dim), self.L2.matrix))
 
 
 def check_pair(model: MeasurementModel, pair: ConservationPair):
@@ -77,10 +82,6 @@ def check_pair(model: MeasurementModel, pair: ConservationPair):
         raise DimensionMismatch(f"L1 has dim {pair.L1.dim}, expected object_dim {model.object_dim}")
     if pair.L2.dim != model.probe_dim:
         raise DimensionMismatch(f"L2 has dim {pair.L2.dim}, expected probe_dim {model.probe_dim}")
-
-
-def _commutator_matrix(x: Operator, y: Operator) -> np.ndarray:
-    return x.matrix @ y.matrix - y.matrix @ x.matrix
 
 
 def acl_residual(model: MeasurementModel, pair: ConservationPair) -> float:
@@ -127,32 +128,27 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     """Robertson pair for the noise operator against the total conserved quantity.
 
     Returns (lhs, rhs) = (||n'||^2 ||l'||^2, (Im<n'|l'>)^2) in v = psi x xi, from the
-    centred images n' = N v - <N> v and l' = L v - <L> v: the product of variances and,
-    as <v|[N, L]|v> = 2i Im<n'|l'> for hermitian N and L, the squared half-magnitude of the
-    commutator expectation. Cauchy-Schwarz keeps rhs <= lhs up to rounding.
-    """
+    centred images n' = N v - <N> v and l' = L v - <L> v, with N v = W psi off the reduced
+    form and L v = (L1 psi) x xi + psi x (L2 xi), whose low bits a lift loses at large L1:
+    the product of variances and, as <v|[N, L]|v> = 2i Im<n'|l'> for hermitian N and L, the
+    squared half-magnitude of <v|[N, L]|v>. Cauchy-Schwarz keeps rhs <= lhs up to rounding."""
     check_pair(model, pair)
     model.check_object_state(psi)
-    u, xi = model.U.matrix, model.xi.amplitudes
-    v = np.kron(psi.amplitudes, xi)
-    a, do = psi.amplitudes, model.object_dim
-    m, l1, l2 = model.M.matrix, pair.L1.matrix, pair.L2.matrix
-    n = u.conj().T @ apply_on_probe(m, u @ v, do) - np.kron(model.A.matrix @ a, xi)
-    l = np.kron(l1 @ a, xi) + apply_on_probe(l2, v, do)
+    a, xi = psi.amplitudes, model.xi.amplitudes
+    v, n = np.kron(a, xi), model.reduced.w @ a
+    l1, l2 = pair.L1.matrix, pair.L2.matrix
+    l = np.kron(l1 @ a, xi) + apply_on_probe(l2, v, model.object_dim)
     n -= _real_mean(complex(np.vdot(v, n)),
-                    lambda: frobenius_norm(m) + frobenius_norm(model.A.matrix), "mean of N") * v
+                    lambda: frobenius_norm(model.M) + frobenius_norm(model.A), "mean of N") * v
     l -= _real_mean(complex(np.vdot(v, l)),
                     lambda: frobenius_norm(l1) + frobenius_norm(l2), "mean of L") * v
     return float(np.vdot(n, n).real) * float(np.vdot(l, l).real), float(np.vdot(n, l).imag) ** 2
 
 
 def variance_additivity_residual(pair: ConservationPair, psi: Ket, xi: Ket) -> float:
-    """On a product state the variance of L1 x I + I x L2 is the sum of the parts."""
-    v = tensor(psi, xi)
-    total = variance(pair.total(), v)
-    part1 = array_variance(np.kron(pair.L1.matrix, np.eye(pair.L2.dim)), v.amplitudes)
-    part2 = array_variance(np.kron(np.eye(pair.L1.dim), pair.L2.matrix), v.amplitudes)
-    return abs(total - part1 - part2)
+    """|var(L1 x I + I x L2) - var(L1, psi) - var(L2, xi)| on psi x xi: the bounds' split."""
+    total = variance(pair.total(), tensor(psi, xi))
+    return abs(total - variance(pair.L1, psi) - variance(pair.L2, xi))
 
 
 def noise_scale(a, m) -> float:
@@ -347,8 +343,8 @@ def bound_report(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> B
 
     Each field is the value of the public function of the same name; one
     whose function raises PreconditionError is None, with the message as its
-    null reason. The chain checks build their own terms, apart from the
-    reduced form (see the module docstring).
+    null reason. The commutator identity is the chain check independent of
+    the reduced form (see the module docstring).
     """
     terms = bound_terms(model, pair)
     eps = noise(model, psi)

@@ -247,11 +247,15 @@ def _moment_variance(second: float, mean: complex, scale) -> float:
     return var
 
 
+def _commutator_matrix(x: Operator, y: Operator) -> np.ndarray:
+    return x.matrix @ y.matrix - y.matrix @ x.matrix
+
+
 def commutator(x: Operator, y: Operator) -> Operator:
     """XY - YX, untagged."""
     if x.dim != y.dim:
         raise DimensionMismatch(f"commutator: dims {x.dim} vs {y.dim}")
-    return Operator(x.matrix @ y.matrix - y.matrix @ x.matrix)
+    return Operator(_commutator_matrix(x, y))
 
 
 def spectrum_runs(w: np.ndarray, tol: float) -> tuple:

@@ -57,14 +57,14 @@ _OVERFLOW = "values overflow double precision"
 
 @contextmanager
 def _input_errors(where: str = ""):
-    """A library ValueError, or the FloatingPointError of an overflow (see cli.main),
-    becomes an input error after ``where: ``; a CliInputError passes through."""
+    """A library ValueError, or the FloatingPointError or OverflowError of an overflow
+    (see cli.main), becomes an input error after ``where: ``; a CliInputError passes through."""
     try:
         yield
     except CliInputError:
         raise
-    except (ValueError, FloatingPointError) as exc:
-        text = _OVERFLOW if isinstance(exc, FloatingPointError) else str(exc)
+    except (ValueError, FloatingPointError, OverflowError) as exc:
+        text = str(exc) if isinstance(exc, ValueError) else _OVERFLOW
         raise CliInputError(f"{where}: {text}" if where else text) from exc
 
 

@@ -43,11 +43,11 @@ from .spin import SWAP, spin_operators
 
 def cmd_sweep(args) -> int:
     parse_size = int if args.family == "spin_ladder" else float
-    with _input_errors("--sizes"):
+    with _input_errors("--sizes"):  # math.isfinite overflows on an integer past the float range
         sizes = [parse_size(s) for s in args.sizes.split(",") if s]
+        bad = [s for s in sizes if not (math.isfinite(s) and s >= 0)]
     if not sizes:
         raise CliInputError("--sizes: need at least one size")
-    bad = [s for s in sizes if not (math.isfinite(s) and s >= 0)]
     if bad:
         raise CliInputError(f"--sizes: sizes must be finite and nonnegative, got {bad[0]!r}")
     with _input_errors():

@@ -173,18 +173,27 @@ def test_uncertainty_pair_matches_the_kron_oracle():
 def test_uncertainty_pair_alarm_on_a_broken_variance(monkeypatch):
     # the centred images keep rhs <= lhs by Cauchy-Schwarz, so what the pair
     # still tests is that N and L act as hermitian operators: a probe factor
-    # i X, anti-hermitian, gives its mean an imaginary residue
+    # i X, anti-hermitian, gives its mean an imaginary residue. N v comes from
+    # the model's kept reduced form, so its factor is patched before the form
+    # is built; L v applies L2 in bounds, at a probe state with <L2> != 0
     import waylimit.bounds as bounds_module
+    import waylimit.measurement as measurement_module
 
     swap, pair = w.swap_demo_model()
-    model = w.MeasurementModel(2, 2, swap.xi, w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP),
-                               swap.M, swap.A)
     psi = w.named_state("alpha_y")
-    w.uncertainty_pair(model, pair, psi)
-    apply = bounds_module.apply_on_probe
-    monkeypatch.setattr(bounds_module, "apply_on_probe", lambda *args: 1j * apply(*args))
-    with pytest.raises(w.StructureError, match=r"^mean of [NL] has imaginary residue"):
-        w.uncertainty_pair(model, pair, psi)
+
+    def model(xi):
+        return w.MeasurementModel(2, 2, xi, w.Operator.unitary(CNOT_Z_CONTROL_X_FLIP),
+                                  swap.M, swap.A)
+
+    for module, xi, name in ((measurement_module, swap.xi, "N"),
+                             (bounds_module, w.named_state("alpha_z"), "L")):
+        w.uncertainty_pair(model(xi), pair, psi)
+        with monkeypatch.context() as patch:
+            apply = module.apply_on_probe
+            patch.setattr(module, "apply_on_probe", lambda *args: 1j * apply(*args))
+            with pytest.raises(w.StructureError, match=rf"^mean of {name} has imaginary residue"):
+                w.uncertainty_pair(model(xi), pair, psi)
 
 
 def test_variance_additivity_exact_cases():
@@ -719,6 +728,26 @@ def test_bound_report_fields_equal_the_public_functions(seed, object_dim, probe_
     assert report.fundamental_bound == pytest.approx(dense[2], rel=ORACLE_TOL, abs=ORACLE_TOL)
     if report.yanase_bound is not None:
         assert report.yanase_bound == pytest.approx(dense[3], rel=ORACLE_TOL, abs=ORACLE_TOL)
+
+
+def test_bound_report_lifts_l_once_per_pair(monkeypatch):
+    # the lift L1 x I is the first product of L = L1 x I + I x L2; a report on
+    # a fresh pair builds it once, and a second report on the pair not at all
+    rng = np.random.default_rng(RNG_SEED + 7)
+    model, built = random_conservative_model(rng, 3, 4, yanase=True)
+    pair, psi = w.ConservationPair(L1=built.L1, L2=built.L2), w.random_ket(3, rng)
+    kron, lifts = np.kron, []
+
+    def spy(x, y):
+        lifts.append(x is pair.L1.matrix)
+        return kron(x, y)
+
+    monkeypatch.setattr(np, "kron", spy)
+    w.bound_report(model, pair, psi)
+    assert sum(lifts) == 1
+    w.bound_report(model, pair, w.random_ket(3, rng))
+    assert sum(lifts) == 1
+    assert pair.total() is pair.total()
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

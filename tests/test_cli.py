@@ -451,7 +451,7 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for family, sizes in (("spin_ladder", "two"), ("spin_ladder", "3,-1"),
                           ("oscillator", "0.005,-1"), ("oscillator", "nan"),
-                          ("oscillator", "inf")):
+                          ("oscillator", "inf"), ("spin_ladder", "1" + "0" * 400)):
         code, _, err = run_cli(capsys, "sweep", "--family", family,
                                "--sizes", sizes, "--out", str(out))
         assert code == 1
@@ -1148,6 +1148,8 @@ def test_internal_error_is_labeled_and_keeps_exit_one(tmp_path, capsys, monkeypa
     # theta0 names its accepted forms
     ({"theta0": "Swap"}, "theta0: expected 'zero', 'swap' or a JSON array, got \"Swap\""),
     ({"theta0": 5}, "theta0: expected a JSON array, got 5"),
+    # a size past the float range overflows in the ladder's arithmetic
+    ({"probe": {"family": "spin_ladder", "size": 10 ** 400}}, "probe.size"),
 ])
 def test_optimize_config_problems_are_input_errors(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
