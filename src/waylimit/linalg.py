@@ -27,8 +27,8 @@ import numpy as np
 # tol x s in any units (``exceeds``), and a spectrum's gaps (``spectrum_runs``) and an
 # outcome against a value of A by the same rule at the largest |value|. The bare constant
 # is read only where the scale is fixed (a ket's norm, a probability, the spin-1/2 forms,
-# the probe-state collapse) and by the search's rules; a theorem inequality is read by the same
-# rule at its operands' scale. README.md ("Tolerances") lists every check and its scale.
+# the probe-state collapse); a theorem inequality and each search rule are read by the same
+# rule at their operands' scale. README.md ("Tolerances") lists every check and its scale.
 STRUCTURE_TOL = 1e-10              # residual of a structural identity or tag
 ROUNDING_TOL = 1e-12               # zero up to rounding
 EQUALITY_TOL = 1e-9                # two values treated as equal
@@ -38,8 +38,8 @@ RATIO_FLOOR = 1e-14                # a bound's terms up to this x their second m
 ACL_GATE_TOL = 1e-10               # [U, L1 x I + I x L2] residual below which the ACL holds
 GENERATOR_COMMUTATION_TOL = 1e-11  # commutator bound of each commutant sector
 TAIL_TOL = 1e-8                    # coherent-state mass a Fock cutoff may drop
-GRADIENT_TOL = 1e-10               # gradient norm at which the optimizer stops
-DESCENT_MARGIN = 1e-15             # decrease a line-search step must reach to be taken
+GRADIENT_TOL = 1e-10               # gradient norm at which the optimizer stops, at its scale
+DESCENT_MARGIN = 1e-15             # decrease a line-search step must reach, at the same scale
 
 
 def exceeds(residual: float, tol: float, scale=1.0) -> bool:

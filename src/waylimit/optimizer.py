@@ -376,6 +376,9 @@ class _Problem:
         self._models = {}
         self._floors = {}
         self._noise_scale = noise_scale(a, m)  # the soundness check's scale; A and M are fixed
+        # the search's scale (RMS |a| + RMS |m|)^2: degree 2 in A, M; 1 for S_x and a record
+        self._descent_scale = (frobenius_norm(a) / math.sqrt(a.dim)
+                               + frobenius_norm(m) / math.sqrt(m.dim)) ** 2
 
     def _raw_xi(self, x: np.ndarray) -> np.ndarray:
         return x[self.n_theta:self.n_theta + self.probe_dim] \
@@ -424,11 +427,11 @@ class _Problem:
         d||N v||^2 = Re tr(Gamma^dag dU), Gamma = 2((I x M) U v n^dag +
         (I x M) U n v^dag); the basis turns Gamma into the theta gradient.
         """
-        theta, xi = self.split(x)
+        theta, xi = x[:self.n_theta], model.xi
         red = model.reduced
         if self.config.objective == "sup":
             lam, vecs = np.linalg.eigh(red.w.conj().T @ red.w)
-            phis = vecs[:, lam >= lam[-1] - EQUALITY_TOL * max(1.0, lam[-1])]
+            phis = vecs[:, spectrum_runs(lam, EQUALITY_TOL)[-1][0]:]
         else:
             phis = self.psi.amplitudes[:, None]
         count = phis.shape[1]
@@ -499,25 +502,24 @@ class _Problem:
         return out
 
     def descend(self, restart: int):
-        cfg = self.config
         x = self.initial_point(restart)
         f, model = self.evaluate(x)
         self.check_soundness(x)
         trace = [f]
-        step = INIT_STEP
+        step, s = INIT_STEP, self._descent_scale
         converged = False
-        for _ in range(cfg.max_iters):
+        for _ in range(self.config.max_iters):
             g = self.gradient(x, model)
             gnorm = frobenius_norm(g)
-            if gnorm < GRADIENT_TOL:
+            if not exceeds(gnorm, GRADIENT_TOL, s):
                 converged = True
                 break
-            alpha = step / max(gnorm, 1.0)
+            alpha = step / max(gnorm, s)
             accepted = False
             for _ in range(MAX_BACKTRACKS):
                 x_try = self._regauge(x - alpha * g)
                 f_try, model_try = self.evaluate(x_try)
-                if f_try < f - DESCENT_MARGIN:
+                if f_try < f - DESCENT_MARGIN * s:
                     accepted = True
                     break
                 alpha *= 0.5
@@ -526,7 +528,7 @@ class _Problem:
             x, f, model = x_try, f_try, model_try
             trace.append(f)
             self.check_soundness(x)
-            step = min(alpha * max(gnorm, 1.0) * 2.0, 4.0)
+            step = min(alpha * max(gnorm, s) * 2.0, 4.0)
         return f, tuple(trace), x, converged
 
 

@@ -215,3 +215,40 @@ def test_search_soundness_alarm_in_small_units(monkeypatch):
     with pytest.raises(w.TheoremViolation, match="below the bound 8.33333333"):
         w.optimize_noise(_scaled(sx, c), w.ConservationPair(L1=sz, L2=l2), _scaled(m, c), xi,
                          w.named_state("alpha_y"), w.OptimizerConfig(restarts=1, max_iters=3))
+
+
+def _ladder_search(c, objective):
+    # the 3-level ladder with A = c S_x and M = c x its record: the objective
+    # and its gradient are c^2 times those at c = 1
+    sx, _, sz = w.spin_operators()
+    l2, m, xi = w.spin_ladder_probe(3)
+    return (_scaled(sx, c), w.ConservationPair(L1=sz, L2=l2), _scaled(m, c), xi,
+            w.named_state("alpha_y"), w.OptimizerConfig(restarts=2, max_iters=30, seed=0,
+                                                        objective=objective))
+
+
+@pytest.mark.parametrize("objective", ["state", "sup"])
+def test_search_is_scale_covariant_in_a_and_m(objective):
+    # the stop, the step length and the descent test are read at the search's
+    # scale, so every c makes the same moves as c = 1
+    base = w.optimize_noise(*_ladder_search(1.0, objective))
+    assert len(base.objective_trace) > 1
+    for c in (0.1, 1e-3, 1e-6, 1e-9):
+        run = w.optimize_noise(*_ladder_search(c, objective))
+        assert run.final_objective / (c * c) == pytest.approx(base.final_objective, rel=1e-12), c
+        assert len(run.objective_trace) == len(base.objective_trace), c
+        assert run.converged == base.converged, c
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e-8])
+def test_sup_gradient_matches_central_differences_in_small_units(c):
+    # the top eigenspace of W^dag W is read at its own scale: two eigenvalues
+    # of order c^2 that differ by a fraction stay apart
+    from waylimit.optimizer import _Problem
+
+    problem = _Problem(*_ladder_search(c, "sup"))
+    x = np.random.default_rng(7).uniform(-np.pi, np.pi, problem.n_params)
+    g = problem.gradient(x, problem.evaluate(x)[1])
+    oracle = w.numerical_gradient(lambda y: problem.evaluate(y)[0], x, 1e-5)
+    assert np.linalg.norm(oracle) > 0.01 * c * c
+    assert np.linalg.norm(g - oracle) <= 1e-6 * np.linalg.norm(oracle)
