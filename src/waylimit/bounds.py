@@ -121,7 +121,7 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
     lhs = _commutator_matrix(noise_operator(model), total)
     ik = np.kron(np.eye(model.object_dim), _commutator_matrix(model.M, pair.L2))
     ci = np.kron(_commutator_matrix(model.A, pair.L1), np.eye(model.probe_dim))
-    return frobenius_norm(lhs - (u.conj().T @ ik @ u - ci))
+    return frobenius_norm(lhs - (u.conj().T.dot(ik).dot(u) - ci))
 
 
 def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
@@ -135,9 +135,9 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     check_pair(model, pair)
     model.check_object_state(psi)
     a, xi = psi.amplitudes, model.xi.amplitudes
-    v, n = np.kron(a, xi), model.reduced.w @ a
+    v, n = np.kron(a, xi), model.reduced.w.dot(a)
     l1, l2 = pair.L1.matrix, pair.L2.matrix
-    l = np.kron(l1 @ a, xi) + apply_on_probe(l2, v, model.object_dim)
+    l = np.kron(l1.dot(a), xi) + apply_on_probe(l2, v, model.object_dim)
     n -= _real_mean(complex(np.vdot(v, n)),
                     lambda: frobenius_norm(model.M) + frobenius_norm(model.A), "mean of N") * v
     l -= _real_mean(complex(np.vdot(v, l)),
@@ -171,8 +171,9 @@ def _bounded_ratio(num: float, den: float, scale: float) -> float:
 class BoundTerms:
     """The terms of the bounds that depend only on (model, pair), on the object space.
 
-    stack is the (3, d_o, d_o) array [d, c, L1], so that one product with psi
-    serves both numerators and the denominator's var(L1, psi). Here
+    stack is the flat (3 d_o, d_o) table [d; c; L1], the three blocks one above
+    the other, so that one ``stack.dot(psi)``, read as three rows, serves both
+    numerators and the denominator's var(L1, psi). Here
     d = Y^dag (I x [M, L2]) Y - [A, L1], with Y = U (I x xi), is the
     probe-traced right side of the commutator identity, so
     <psi x xi|[N, L1 x I + I x L2]|psi x xi> = <psi|d|psi>; c = [A, L1] is its
@@ -211,9 +212,10 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
             require_yanase(residual, model.M, pair.L2)
         except PreconditionError as exc:
             refusal = str(exc)
-        xi, l2xi = model.xi.amplitudes, pair.L2.matrix @ model.xi.amplitudes
+        xi, l2xi = model.xi.amplitudes, pair.L2.matrix.dot(model.xi.amplitudes)
         second = float(np.vdot(l2xi, l2xi).real)
-        terms = BoundTerms(np.array((y.conj().T @ ky - c, c, pair.L1.matrix)), residual, refusal,
+        terms = BoundTerms(np.concatenate((y.conj().T.dot(ky) - c, c, pair.L1.matrix)),
+                           residual, refusal,
                            _moment_variance(second, complex(np.vdot(xi, l2xi)),
                                             lambda: frobenius_norm(pair.L2.matrix)),
                            second, frobenius_norm(pair.L1.matrix))
@@ -224,16 +226,17 @@ def bound_terms(model: MeasurementModel, pair: ConservationPair) -> BoundTerms:
 
 def _state_figures(terms: BoundTerms, psi: Ket) -> tuple:
     """(<psi|d|psi>, <psi|c|psi>, 4 var(L1 x I + I x L2), 4 (<L1^2> + <L2^2>))
-    in psi x xi, in one pass: the images of psi under the stack, times
-    conj(psi), give the three means, and on a product state var(L1 x I + I x L2)
-    is var(L1, psi) + var(L2, xi). The figures of one ket at a time are kept,
-    keyed by the ket object itself (compared by identity, read-only, kept alive),
-    so a hit is neither stale nor another ket's. The caller has checked psi."""
+    in psi x xi, in one pass: the image of psi under the flat stack, read as three
+    rows, times conj(psi), gives the three means, two ``.dot`` calls in all, and on
+    a product state var(L1 x I + I x L2) is var(L1, psi) + var(L2, xi). The figures
+    of one ket at a time are kept, keyed by the ket object itself (compared by
+    identity, read-only, kept alive), so a hit is neither stale nor another ket's.
+    The caller has checked psi."""
     figures = terms._state.get(psi)
     if figures is None:
         a = psi.amplitudes
-        images = terms.stack @ a
-        d, c, l1 = (images @ a.conj()).tolist()
+        images = terms.stack.dot(a).reshape(3, -1)
+        d, c, l1 = images.dot(a.conj()).tolist()
         la = images[2]
         second_l1 = float(np.vdot(la, la).real)
         var_l1 = _moment_variance(second_l1, l1, terms.norm_l1)

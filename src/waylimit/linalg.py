@@ -11,6 +11,18 @@ Conventions, fixed once and asserted in the test suite:
   * composite spaces are object (x) probe with the probe index varying
     fastest (the numpy.kron order),
   * values are immutable after construction; every function here is pure.
+
+One product rule: a 2-D x 2-D or 2-D x 1-D product is ``ndarray.dot``, a stacked
+or broadcast one (``apply_on_probe``, the optimizer's sector stacks) is ``@``.
+On the small arrays of the per-state path the matmul ufunc's dispatch costs more
+than the BLAS call it makes, and ``.dot`` makes the same call without it, with
+the same bits whenever the summed dimension exceeds 1; over a single term (a
+one-level object or probe) the two round a complex product apart in its last
+bits. A stacked product read through ``.dot`` rounds differently, so those stay
+on ``@``, as does the outer product of each basis generator. Both raise numpy's
+overflow ``FloatingPointError`` under ``np.errstate(over="raise")``, as the
+command line sets it; ``np.vdot`` does not, so it never forms a product whose
+overflow must raise, only the inner product of an image already formed.
 """
 
 from __future__ import annotations
@@ -142,7 +154,7 @@ class Operator:
                 raise StructureError(f"hermitian tag violated, residual {r:.3e}")
         if "unitary" in tags:
             with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-                g = m.conj().T @ m
+                g = m.conj().T.dot(m)
                 g.reshape(-1)[::m.shape[0] + 1] -= 1.0  # U^dag U - I, on the diagonal only
                 r = frobenius_norm(g)
             if exceeds(r, STRUCTURE_TOL):
@@ -206,7 +218,7 @@ def _check_state_input(x: Operator, v: Ket, what: str):
 def expectation(x: Operator, v: Ket) -> float:
     """<v|X|v> for hermitian X, with the imaginary-residue alarm of ``_real_mean``."""
     _check_state_input(x, v, "expectation")
-    return _real_mean(complex(np.vdot(v.amplitudes, x.matrix @ v.amplitudes)),
+    return _real_mean(complex(np.vdot(v.amplitudes, x.matrix.dot(v.amplitudes))),
                      lambda: frobenius_norm(x.matrix), "expectation")
 
 
@@ -227,7 +239,7 @@ def array_variance(x: np.ndarray, v: np.ndarray) -> float:
     """``variance`` on plain arrays, for callers that have already checked that
     x is hermitian, that the dimensions agree and that v is a unit vector; the
     imaginary-residue and negative-clamp alarms stay."""
-    xv = x @ v
+    xv = x.dot(v)
     return _moment_variance(float(np.vdot(xv, xv).real), complex(np.vdot(v, xv)),
                             lambda: frobenius_norm(x))
 
@@ -248,7 +260,7 @@ def _moment_variance(second: float, mean: complex, scale) -> float:
 
 
 def _commutator_matrix(x: Operator, y: Operator) -> np.ndarray:
-    return x.matrix @ y.matrix - y.matrix @ x.matrix
+    return x.matrix.dot(y.matrix) - y.matrix.dot(x.matrix)
 
 
 def commutator(x: Operator, y: Operator) -> Operator:

@@ -72,9 +72,9 @@ class MeasurementModel:
         do, dp = self.object_dim, self.probe_dim
         u, xi = self.U.matrix, self.xi.amplitudes
         # U (I x xi): contract U's input probe index
-        y = (u.reshape(do, dp, do, dp) @ xi).reshape(-1, do)
+        y = u.reshape(-1, dp).dot(xi).reshape(-1, do)
         # U^dag (I x M) U (I x xi) - (A x xi)
-        recorded = u.conj().T @ apply_on_probe(self.M.matrix, y, do)
+        recorded = u.conj().T.dot(apply_on_probe(self.M.matrix, y, do))
         w = recorded - (self.A.matrix[:, None, :] * xi[None, :, None]).reshape(-1, do)
         return ReducedForm(y, w)
 
@@ -100,7 +100,7 @@ def heisenberg_probe(model: MeasurementModel) -> Operator:
     """The record observable propagated back through the interaction: U^dag (I x M) U."""
     im = np.kron(np.eye(model.object_dim), model.M.matrix)
     u = model.U.matrix
-    return Operator.hermitian(u.conj().T @ im @ u)
+    return Operator.hermitian(u.conj().T.dot(im).dot(u))
 
 
 def noise_operator(model: MeasurementModel) -> Operator:
@@ -113,7 +113,7 @@ def noise(model: MeasurementModel, psi: Ket) -> float:
     """Root-mean-square error of the record for input state psi: ||W psi|| on the model's
     cached reduced form, W = N (I x xi), which is ||N (psi x xi)||; inf past overflow."""
     model.check_object_state(psi)
-    n = model.reduced.w @ psi.amplitudes
+    n = model.reduced.w.dot(psi.amplitudes)
     return math.sqrt(np.vdot(n, n).real)
 
 
@@ -122,5 +122,5 @@ def sup_noise(model: MeasurementModel) -> float:
     eigenvalue of W^dag W, the probe-state expectation of N^dag N on the object
     space, with W = N (I x xi) from the model's cached reduced form."""
     w = model.reduced.w
-    top = float(np.linalg.eigvalsh(w.conj().T @ w)[-1])
+    top = float(np.linalg.eigvalsh(w.conj().T.dot(w))[-1])
     return float(np.sqrt(max(top, 0.0)))

@@ -115,6 +115,7 @@ class CommutantBasis:
         for start, stop in self.sectors:
             vs = self.vectors[:, start:stop]
             for e in _sector_generators(stop - start):
+                # @, not .dot: a 1 x 1 sector's outer product rounds apart under .dot
                 out.append(Operator.hermitian(vs @ e @ vs.conj().T))
         return tuple(out)
 
@@ -152,12 +153,12 @@ class CommutantBasis:
             vk = np.empty(self.vectors.shape, dtype=np.complex128)
             blocks = []
             for d, cols, params, gens, vs in self._groups:
-                lam, q = np.linalg.eigh((theta[params] @ gens).reshape(-1, d, d))
+                lam, q = np.linalg.eigh(theta[params].dot(gens).reshape(-1, d, d))
                 k = (q * np.exp(1j * lam)[:, None, :]) @ q.conj().transpose(0, 2, 1)
                 vk[:, cols] = np.matmul(vs, k).transpose(1, 0, 2)
                 blocks.append((lam, q))
             self._memo.clear()
-            self._memo[key] = (tuple(blocks), Operator.unitary(vk @ self.vectors.conj().T))
+            self._memo[key] = (tuple(blocks), Operator.unitary(vk.dot(self.vectors.conj().T)))
         return self._memo[key]
 
     def _gradient(self, theta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -169,7 +170,7 @@ class CommutantBasis:
         """
         blocks, _ = self._exponential(theta)
         vh = self.vectors.conj().T
-        lt, rt = vh @ left, vh @ right
+        lt, rt = vh.dot(left), vh.dot(right)
         grad = np.empty(self.size)
         for (d, cols, params, gens, _), (lam, q) in zip(self._groups, blocks):
             qh = q.conj().transpose(0, 2, 1)
@@ -179,7 +180,7 @@ class CommutantBasis:
             # is i e^{ia} on the diagonal without a separate case
             f = 1j * np.exp(0.5j * (a + b)) * np.sinc((a - b) / (2.0 * np.pi))
             p = q @ (f.conj() * (qh @ gamma @ q)) @ qh
-            grad[params] = (p.reshape(len(cols), d * d) @ gens.conj().T).real
+            grad[params] = p.reshape(len(cols), d * d).dot(gens.conj().T).real
         return grad
 
 
@@ -224,7 +225,7 @@ def _eigh_residuals(l: Operator) -> tuple:
     """The eigendecomposition w, V that a hermitian L keeps (``Operator.eigh``),
     with the norms of V's columns and of the residual columns of L V - V diag(w)."""
     w, v = l.eigh
-    norms = np.linalg.norm(np.stack((v, l.matrix @ v - v * w)), axis=1)
+    norms = np.linalg.norm(np.stack((v, l.matrix.dot(v) - v * w)), axis=1)
     return w, v, norms[0], norms[1]
 
 
@@ -277,12 +278,12 @@ def hermitian_coordinates(basis: CommutantBasis, h: Operator) -> np.ndarray:
     """Coefficients of a hermitian matrix in the basis; fails if it lies outside:
     V^dag H V projected on each sector's generator blocks, for a unitary V,
     leaves ||sum theta_k G_k - H||, zero at the scale ||H||_F."""
-    rest = basis.vectors.conj().T @ h.matrix @ basis.vectors
+    rest = basis.vectors.conj().T.dot(h.matrix).dot(basis.vectors)
     theta = np.empty(basis.size)
     for d, cols, params, gens, _ in basis._groups:
         block = (cols[:, :, None], cols[:, None, :])
-        theta[params] = (rest[block].reshape(len(cols), d * d) @ gens.conj().T).real
-        rest[block] -= (theta[params] @ gens).reshape(-1, d, d)
+        theta[params] = rest[block].reshape(len(cols), d * d).dot(gens.conj().T).real
+        rest[block] -= theta[params].dot(gens).reshape(-1, d, d)
     r = frobenius_norm(rest)
     if exceeds(r, EQUALITY_TOL, lambda: frobenius_norm(h.matrix)):
         raise ValueError(f"matrix lies outside the commutant span, residual {r:.3e}")
@@ -304,7 +305,7 @@ def record_observable(l2: Operator) -> Operator:
     # anchor +1/2 at the top of the spectrum; for a spin-1/2 probe this
     # reproduces the spin itself
     f = 0.5 * (-1.0) ** (level[-1] - level)
-    return Operator.hermitian((vecs * f) @ vecs.conj().T)
+    return Operator.hermitian((vecs * f).dot(vecs.conj().T))
 
 
 @dataclass(frozen=True)
@@ -430,24 +431,24 @@ class _Problem:
         theta, xi = x[:self.n_theta], model.xi
         red = model.reduced
         if self.config.objective == "sup":
-            lam, vecs = np.linalg.eigh(red.w.conj().T @ red.w)
+            lam, vecs = np.linalg.eigh(red.w.conj().T.dot(red.w))
             phis = vecs[:, spectrum_runs(lam, EQUALITY_TOL)[-1][0]:]
         else:
             phis = self.psi.amplitudes[:, None]
         count = phis.shape[1]
         do, dp = self.object_dim, self.probe_dim
         u, m = model.U.matrix, self.m.matrix
-        n = red.w @ phis
-        m_un = apply_on_probe(m, u @ n, do)
+        n = red.w.dot(phis)
+        m_un = apply_on_probe(m, u.dot(n), do)
         v = (phis[:, None, :] * xi.amplitudes[None, :, None]).reshape(-1, count)
         grad = self.basis._gradient(
-            theta, (2.0 / count) * np.hstack([apply_on_probe(m, red.y @ phis, do), m_un]),
+            theta, (2.0 / count) * np.hstack([apply_on_probe(m, red.y.dot(phis), do), m_un]),
             np.hstack([n, v]))
         if not self.config.optimize_xi:
             return grad
         # d||N (phi x xi)||^2 = 2 Re <g, dxi> with g = (phi^dag x I) N n;
         # then the chain rule through xi = raw / ||raw||
-        nn = u.conj().T @ m_un - (self.a.matrix @ n.reshape(do, -1)).reshape(n.shape)
+        nn = u.conj().T.dot(m_un) - self.a.matrix.dot(n.reshape(do, -1)).reshape(n.shape)
         g = np.einsum("ak,apk->p", phis.conj(), nn.reshape(do, dp, count)) / count
         amps = xi.amplitudes
         gxi = 2.0 * (g - np.real(np.vdot(amps, g)) * amps) / frobenius_norm(self._raw_xi(x))

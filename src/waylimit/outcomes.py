@@ -71,10 +71,10 @@ def _levels(op: Operator, v: np.ndarray) -> tuple:
     runs = spectrum_runs(w, EQUALITY_TOL)
     merged = np.concatenate([np.full(stop - start, np.mean(w[start:stop]))
                              for start, stop in runs])
-    r = frobenius_norm((vecs * merged) @ vecs.conj().T - op.matrix)
+    r = frobenius_norm((vecs * merged).dot(vecs.conj().T) - op.matrix)
     if exceeds(r, EQUALITY_TOL, lambda: frobenius_norm(op.matrix)):
         raise ArithmeticError(f"spectral reconstruction residual {r:.3e}")
-    c = vecs.conj().T @ v
+    c = vecs.conj().T.dot(v)
     levels = []
     for start, stop in runs:
         p = float(np.vdot(c[start:stop], c[start:stop]).real)
@@ -88,7 +88,7 @@ def outcome_distribution(model: MeasurementModel, psi: Ket) -> OutcomeDistributi
     """Probability of each spectral value of the propagated record observable:
     M's levels in the probe columns of U (psi x xi) = Y psi, no D x D operator."""
     model.check_object_state(psi)
-    after = (model.reduced.y @ psi.amplitudes).reshape(model.object_dim, -1).T
+    after = model.reduced.y.dot(psi.amplitudes).reshape(model.object_dim, -1).T
     return OutcomeDistribution(_levels(model.M, after))
 
 

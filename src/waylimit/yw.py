@@ -85,8 +85,8 @@ class YWModel:
             raise StructureError(f"image overlap {abs(overlap):.3e} breaks orthogonality")
 
         m = self.M.matrix
-        rp = frobenius_norm(m @ self.xi_plus - HALF * self.xi_plus)
-        rm = frobenius_norm(m @ self.xi_minus + HALF * self.xi_minus)
+        rp = frobenius_norm(m.dot(self.xi_plus) - HALF * self.xi_plus)
+        rm = frobenius_norm(m.dot(self.xi_minus) + HALF * self.xi_minus)
         if rp > STRUCTURE_TOL or rm > STRUCTURE_TOL:
             raise StructureError(
                 f"xi_plus/xi_minus are not +/-1/2 eigenstates (residuals {rp:.3e}, {rm:.3e})")
@@ -112,8 +112,8 @@ def yw_error_at_alpha_y(yw: YWModel) -> float:
     """
     m = yw.M.matrix
     eye = np.eye(yw.probe_dim)
-    plus = frobenius_norm((m - HALF * eye) @ yw.eta_plus) ** 2
-    minus = frobenius_norm((m + HALF * eye) @ yw.eta_minus) ** 2
+    plus = frobenius_norm((m - HALF * eye).dot(yw.eta_plus)) ** 2
+    minus = frobenius_norm((m + HALF * eye).dot(yw.eta_minus)) ** 2
     return 0.5 * plus + 0.5 * minus
 
 
@@ -144,7 +144,7 @@ def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     basis, _ = np.linalg.qr(g)
     values = np.concatenate(([HALF, -HALF], rng.uniform(-HALF, HALF, size=d - 2)))
-    m = (basis * values) @ basis.conj().T
+    m = (basis * values).dot(basis.conj().T)
     up = basis[:, 0]
     down = basis[:, 1]
 
@@ -182,4 +182,4 @@ def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:
 def _extract(v: np.ndarray, object_ket: np.ndarray, probe_dim: int) -> np.ndarray:
     """Probe component of a composite vector along a given object ket."""
     t = v.reshape(2, probe_dim)
-    return object_ket.conj() @ t
+    return object_ket.conj().dot(t)

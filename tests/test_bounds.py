@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import waylimit as w
 from waylimit.bounds import BoundTerms, _state_figures, bound_terms
-from waylimit.linalg import RATIO_FLOOR, ROUNDING_TOL, STRUCTURE_TOL
+from waylimit.linalg import RATIO_FLOOR, ROUNDING_TOL, STRUCTURE_TOL, _moment_variance
 from helpers import (CNOT_Z_CONTROL_X_FLIP, SWAP_MATRIX, dense_figures,
                      large_eigenvalue_probe_model, near_kernel_model,
                      random_conservative_model)
@@ -553,7 +553,7 @@ def test_bound_terms_memo_still_checks_new_pairs():
 
 def _vdot_figures(terms, psi):
     a = psi.amplitudes
-    da, ca, la = terms.stack @ a
+    da, ca, la = (block @ a for block in np.split(terms.stack, 3))
     second = float(np.vdot(la, la).real)
     mean = complex(np.vdot(a, la))
     assert abs(mean.imag) <= STRUCTURE_TOL
@@ -627,7 +627,7 @@ def test_property_master_inequality_and_dense_agreement(seed, object_dim, probe_
     side = u.conj().T @ (im @ il2 - il2 @ im) @ u - (ai @ l1i - l1i @ ai)
     n = u.conj().T @ im @ u - ai
     total = l1i + il2
-    d = bound_terms(model, pair).stack[0]
+    d = bound_terms(model, pair).stack[:model.object_dim]
     assert np.linalg.norm(d - embed.conj().T @ side @ embed) < 1e-10
     assert np.linalg.norm(d - embed.conj().T @ (n @ total - total @ n) @ embed) < 1e-9
 
@@ -765,7 +765,7 @@ def test_state_pass_matches_the_vdot_oracle(seed, object_dim, probe_dim, ladder,
             assert abs(g - x) <= 1e-15 * max(1.0, abs(x))
         # the denominator is a difference, 4 ||L1 psi||^2 - 4 <L1>^2 + 4 var(L2, xi),
         # which each formula rounds on its own; scale by the terms, not the result
-        la = terms.stack[2] @ psi.amplitudes
+        la = terms.stack[2 * object_dim:] @ psi.amplitudes
         mean = np.vdot(psi.amplitudes, la).real
         scale = 4.0 * (np.vdot(la, la).real + mean ** 2 + terms.var_l2)
         assert abs(got[2] - want[2]) <= 1e-15 * max(1.0, scale)
@@ -775,11 +775,99 @@ def test_state_pass_matches_the_vdot_oracle(seed, object_dim, probe_dim, ladder,
             assert w.yanase_bound(model, pair, psi) == _ratio(abs(got[1]) ** 2, got[2])
 
 
+@pytest.mark.parametrize("object_dim", [2, 3, 4])
+@pytest.mark.parametrize("ladder", [True, False], ids=["degenerate-L2", "random-L2"])
+def test_flat_stack_figures_equal_the_stacked_matmul_read(object_dim, ladder):
+    # the flat [d; c; L1] table read by .dot gives the bits of the batched
+    # (3, d_o, d_o) table read by @, and the table itself the bits of its @ build
+    rng = np.random.default_rng([object_dim, ladder])
+    for _ in range(4):
+        model, pair = random_conservative_model(rng, object_dim, int(rng.integers(2, 7)),
+                                                spin_scenario=False, probe_ladder=ladder,
+                                                yanase=bool(rng.integers(2)))
+        terms = bound_terms(model, pair)
+        assert terms.stack.shape == (3 * object_dim, object_dim)
+        y, l1 = model.reduced.y, pair.L1.matrix
+        m, l2, a_op = model.M.matrix, pair.L2.matrix, model.A.matrix
+        k, c = m @ l2 - l2 @ m, a_op @ l1 - l1 @ a_op
+        ky = (k @ y.reshape(object_dim, model.probe_dim, -1)).reshape(y.shape)
+        stacked = np.array((y.conj().T @ ky - c, c, l1))
+        assert np.array_equal(terms.stack.reshape(stacked.shape), stacked)
+        for _ in range(25):
+            psi = w.random_ket(object_dim, rng)
+            a = psi.amplitudes
+            images = stacked @ a
+            d, cm, mean = (images @ a.conj()).tolist()
+            second = float(np.vdot(images[2], images[2]).real)
+            var = _moment_variance(second, mean, terms.norm_l1)
+            want = (d, cm, 4.0 * var + 4.0 * terms.var_l2, 4.0 * (second + terms.second_l2))
+            assert _state_figures(terms, psi) == want
+
+
+def _overflowing_inputs():
+    """Per case, (prepare, call, where) on finite entries: prepare builds what call
+    reads and must not overflow; call overflows in a product of function where."""
+    sx, sy, sz = w.spin_operators()
+    huge = w.Operator.hermitian(np.full((2, 2), 1.5e308))  # huge psi = 2.1e308 (1, 1)
+    psi = w.Ket(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    # W = (I x M) (I x xi) - A x xi: W psi overflows with A
+    noisy = w.MeasurementModel(2, 2, w.named_state("alpha_z"), w.identity(4), sz, huge)
+    # [A, L1] = 1.5e308 i (sigma_x - sigma_z): it holds the table's d and c
+    # blocks at 1.5e308 while ||L1||_F stays finite, and the rows of d psi overflow
+    model = w.MeasurementModel(2, 2, w.named_state("alpha_z"), w.identity(4), sz,
+                               w.Operator.hermitian(1e160 * sy.matrix))
+    pair = w.ConservationPair(L1=w.Operator.hermitian(3e148 * (sx.matrix + sz.matrix)), L2=sz)
+    tilted = w.Ket(np.array([1.0, -1.0]) / math.sqrt(2.0))
+    # A L1 overflows, so building the bound terms raises
+    wide_model = w.MeasurementModel(2, 2, w.named_state("alpha_z"), w.identity(4), sz,
+                                    w.Operator.hermitian(1e200 * sx.matrix))
+    wide = w.ConservationPair(L1=w.Operator.hermitian(1e200 * sz.matrix), L2=sz)
+    # L1 = 1e148 diag(-1, 0, 1) and A_jk = 1e160 i / (l_k - l_j) give [A, L1] =
+    # 1e308 i (J - I), J all ones: d psi stays finite at the uniform psi, and
+    # <psi|d|psi> = -2e308 i overflows in the product of the images with conj(psi)
+    l1 = np.array([-1.0, 0.0, 1.0])
+    gaps = np.subtract.outer(l1, l1).T + np.eye(3)
+    mean_model = w.MeasurementModel(3, 2, w.named_state("alpha_z"), w.identity(6), sz,
+                                    w.Operator.hermitian(1e160j * (1.0 / gaps - np.eye(3))))
+    mean_pair = w.ConservationPair(L1=w.Operator.hermitian(np.diag(1e148 * l1)), L2=sz)
+    uniform = w.Ket(np.ones(3) / math.sqrt(3.0))
+    return {
+        "noise": (lambda: noisy.reduced, lambda: w.noise(noisy, psi), "noise"),
+        "bound-terms": (lambda: wide_model.reduced,
+                        lambda: w.fundamental_bound(wide_model, wide, psi), "_commutator_matrix"),
+        "bound-figures": (lambda: bound_terms(model, pair),
+                          lambda: w.fundamental_bound(model, pair, tilted), "_state_figures"),
+        "bound-means": (lambda: bound_terms(mean_model, mean_pair),
+                        lambda: w.fundamental_bound(mean_model, mean_pair, uniform),
+                        "_state_figures"),
+        "expectation": (lambda: None, lambda: w.expectation(huge, psi), "expectation"),
+        "variance": (lambda: None, lambda: w.variance(huge, psi), "array_variance"),
+        "uncertainty-N": (lambda: noisy.reduced, lambda: w.uncertainty_pair(
+            noisy, w.ConservationPair(L1=sz, L2=sz), psi), "uncertainty_pair"),
+        "uncertainty-L": (lambda: model.reduced, lambda: w.uncertainty_pair(
+            model, w.ConservationPair(L1=huge, L2=sz), psi), "uncertainty_pair"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_overflowing_inputs()))
+def test_overflowing_products_raise_under_the_cli_errstate(case):
+    # under the command line's errstate, a product on the verify path that
+    # overflows raises where it is formed: ndarray.dot and @ check numpy's
+    # overflow flag, np.vdot does not, so a product moved to np.vdot returns
+    # inf, and what raises, if anything, is a later norm or an invalid value
+    prepare, call, where = _overflowing_inputs()[case]
+    with np.errstate(over="raise", invalid="raise"):
+        prepare()
+        with pytest.raises(FloatingPointError, match="^overflow") as caught:
+            call()
+    assert caught.traceback[-1].name == where
+
+
 def _hand_terms(l1):
     """BoundTerms with d = c = 0, the Yanase condition holding, the given L1
     slot and its norm, and var(L2, xi) and <L2^2> in xi 1/4."""
     zero = np.zeros_like(l1, dtype=complex)
-    return BoundTerms(np.array((zero, zero, l1), dtype=complex), 0.0, "", 0.25, 0.25,
+    return BoundTerms(np.concatenate((zero, zero, l1)), 0.0, "", 0.25, 0.25,
                       w.frobenius_norm(l1))
 
 
