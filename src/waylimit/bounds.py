@@ -48,6 +48,7 @@ from .linalg import (
     apply_on_probe,
     exceeds,
     frobenius_norm,
+    kron,
     tensor,
     variance,
 )
@@ -72,8 +73,8 @@ class ConservationPair:
 
     @cached_property
     def _total(self) -> Operator:
-        return Operator.hermitian(np.kron(self.L1.matrix, np.eye(self.L2.dim))
-                                  + np.kron(np.eye(self.L1.dim), self.L2.matrix))
+        return Operator.hermitian(kron(self.L1.matrix, np.eye(self.L2.dim))
+                                  + kron(np.eye(self.L1.dim), self.L2.matrix))
 
 
 def check_pair(model: MeasurementModel, pair: ConservationPair):
@@ -119,8 +120,8 @@ def commutator_identity_residual(model: MeasurementModel, pair: ConservationPair
                                 f"tolerance {ACL_GATE_TOL:g}")
     u = model.U.matrix
     lhs = _commutator_matrix(noise_operator(model), total)
-    ik = np.kron(np.eye(model.object_dim), _commutator_matrix(model.M, pair.L2))
-    ci = np.kron(_commutator_matrix(model.A, pair.L1), np.eye(model.probe_dim))
+    ik = kron(np.eye(model.object_dim), _commutator_matrix(model.M, pair.L2))
+    ci = kron(_commutator_matrix(model.A, pair.L1), np.eye(model.probe_dim))
     return frobenius_norm(lhs - (u.conj().T.dot(ik).dot(u) - ci))
 
 
@@ -135,9 +136,9 @@ def uncertainty_pair(model: MeasurementModel, pair: ConservationPair, psi: Ket):
     check_pair(model, pair)
     model.check_object_state(psi)
     a, xi = psi.amplitudes, model.xi.amplitudes
-    v, n = np.kron(a, xi), model.reduced.w.dot(a)
+    v, n = kron(a, xi), model.reduced.w.dot(a)
     l1, l2 = pair.L1.matrix, pair.L2.matrix
-    l = np.kron(l1.dot(a), xi) + apply_on_probe(l2, v, model.object_dim)
+    l = kron(l1.dot(a), xi) + apply_on_probe(l2, v, model.object_dim)
     n -= _real_mean(complex(np.vdot(v, n)),
                     lambda: frobenius_norm(model.M) + frobenius_norm(model.A), "mean of N") * v
     l -= _real_mean(complex(np.vdot(v, l)),
@@ -288,8 +289,9 @@ def spin_bound(model: MeasurementModel, pair: ConservationPair, psi: Ket) -> flo
 
 
 def optimal_spin_bound(delta_mz_sq: float) -> float:
-    """Error floor 1 / (4 + 16 v) for probe conserved-quantity variance v."""
-    if delta_mz_sq < 0.0:
+    """Error floor 1 / (4 + 16 v) for probe conserved-quantity variance v; a
+    negative or NaN v is refused."""
+    if not delta_mz_sq >= 0.0:
         raise ValueError(f"variance must be nonnegative, got {delta_mz_sq!r}")
     return 1.0 / (4.0 + 16.0 * delta_mz_sq)
 

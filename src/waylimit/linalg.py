@@ -3,8 +3,10 @@ numeric threshold of the package, defined once here.
 
 Everything downstream (measurement models, conservation-law residuals and
 bounds, the interaction optimizer) is built on these primitives. Tags are
-checked where values enter; inside, a composite lift is a plain ``np.kron``,
-and ``apply_on_probe`` applies a probe operator to composite columns.
+checked where values enter; inside, a composite lift is ``kron``, the broadcast
+multiply and reshape that ``np.kron`` makes, whose shape handling costs more than
+the product on these sizes, and ``apply_on_probe`` applies a probe operator to
+composite columns.
 
 Conventions, fixed once and asserted in the test suite:
   * hbar = 1 everywhere,
@@ -193,13 +195,22 @@ def identity(dim: int) -> Operator:
     return Operator(np.eye(dim), frozenset({"hermitian", "unitary"}))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two vectors or two matrices, bit for bit: the one multiply
+    and reshape it makes, without its Python-level shape handling."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def tensor(a, b):
     """Kronecker product of two kets or two operators (first factor's index is slow)."""
     if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
+        return Ket(kron(a.amplitudes, b.amplitudes))
     if isinstance(a, Operator) and isinstance(b, Operator):
         # kron preserves each tag when both factors carry it
-        return Operator(np.kron(a.matrix, b.matrix), a.structure & b.structure)
+        return Operator(kron(a.matrix, b.matrix), a.structure & b.structure)
     raise TypeError("tensor expects two kets or two operators, not a mix")
 
 
@@ -274,7 +285,7 @@ def spectrum_runs(w: np.ndarray, tol: float) -> tuple:
     """(start, stop) index ranges of the runs of an ascending spectrum w: a run ends where
     the next value lies more than tol x s above, s the largest |value| (``exceeds``' rule,
     over all gaps at once); gaps within tol x s chain, and a run may span more."""
-    cuts = (np.flatnonzero(np.diff(w) > tol * max(-w[0], w[-1])) + 1).tolist()
+    cuts = ((w[1:] - w[:-1] > tol * max(-w[0], w[-1])).nonzero()[0] + 1).tolist()
     return tuple(zip([0, *cuts], [*cuts, len(w)]))
 
 

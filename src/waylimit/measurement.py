@@ -26,6 +26,7 @@ from .linalg import (
     Operator,
     StructureError,
     apply_on_probe,
+    kron,
 )
 
 
@@ -98,14 +99,14 @@ class ReducedForm:
 
 def heisenberg_probe(model: MeasurementModel) -> Operator:
     """The record observable propagated back through the interaction: U^dag (I x M) U."""
-    im = np.kron(np.eye(model.object_dim), model.M.matrix)
+    im = kron(np.eye(model.object_dim), model.M.matrix)
     u = model.U.matrix
     return Operator.hermitian(u.conj().T.dot(im).dot(u))
 
 
 def noise_operator(model: MeasurementModel) -> Operator:
     """Mismatch between the recorded and the measured quantity on the composite space."""
-    ai = np.kron(model.A.matrix, np.eye(model.probe_dim))
+    ai = kron(model.A.matrix, np.eye(model.probe_dim))
     return Operator.hermitian(heisenberg_probe(model).matrix - ai)
 
 

@@ -93,14 +93,14 @@ class CommutantBasis:
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
         edges = [0] + [stop for _, stop in self.sectors]
-        if v.shape != (edges[-1], edges[-1]) or np.any(np.diff(edges) <= 0) \
+        if v.shape != (edges[-1], edges[-1]) or any(b <= a for a, b in zip(edges, edges[1:])) \
                 or [start for start, _ in self.sectors] != edges[:-1]:
             raise ValueError("sectors must tile the columns of a square eigenvector matrix")
         for name, given in (("values", values), ("residuals", residuals)):
             if np.shape(given) != (len(v),):
                 raise ValueError(f"{name} has shape {np.shape(given)}, expected {(len(v),)}")
         bound = _sector_commutator_bounds(v, edges, values, residuals)
-        worst = int(np.argmax(bound))  # the first NaN, if there is one
+        worst = int(bound.argmax())  # the first NaN, if there is one
         if exceeds(bound[worst], GENERATOR_COMMUTATION_TOL, lambda: np.abs(values).max()):
             raise ValueError(f"sector {worst} fails to commute, "
                              f"residual bound {bound[worst]:.3e}")
@@ -127,8 +127,8 @@ class CommutantBasis:
         tables come from array arithmetic on the sector edges; each table is built
         once per basis, on first use, is read-only, and copies no other table."""
         edges = np.array([0] + [stop for _, stop in self.sectors])
-        starts, sizes = edges[:-1], np.diff(edges)
-        offsets = np.cumsum(sizes ** 2) - sizes ** 2
+        starts, sizes = edges[:-1], edges[1:] - edges[:-1]
+        offsets = (sizes ** 2).cumsum() - sizes ** 2
         groups = []
         for d in sorted(set(sizes.tolist())):
             members = sizes == d
@@ -214,19 +214,24 @@ def _sector_commutator_bounds(v: np.ndarray, edges: list, values, residuals) -> 
     ||R_s||_F^2 <= sum_k (res_k + |lam_k - c_s| ||v_k||)^2, with no L in sight.
     """
     edges = np.asarray(edges)
-    starts, sizes = edges[:-1], np.diff(edges)
+    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
     c = np.add.reduceat(values, starts) / sizes
-    norms = np.linalg.norm(v, axis=0)
-    cols = residuals + np.abs(values - np.repeat(c, sizes)) * norms
+    norms = _column_norms(v)
+    cols = residuals + np.abs(values - c.repeat(sizes)) * norms
     return 2.0 * np.sqrt(np.add.reduceat(cols ** 2, starts) * np.add.reduceat(norms ** 2, starts))
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """The column norms of a complex matrix by the formula ``np.linalg.norm`` uses
+    along one axis, so the bits are the same, without the cost of its dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
 
 
 def _eigh_residuals(l: Operator) -> tuple:
     """The eigendecomposition w, V that a hermitian L keeps (``Operator.eigh``),
     with the norms of V's columns and of the residual columns of L V - V diag(w)."""
     w, v = l.eigh
-    norms = np.linalg.norm(np.stack((v, l.matrix.dot(v) - v * w)), axis=1)
-    return w, v, norms[0], norms[1]
+    return w, v, _column_norms(v), _column_norms(l.matrix.dot(v) - v * w)
 
 
 def commutant_basis(conserved: Operator | ConservationPair) -> CommutantBasis:
@@ -253,10 +258,10 @@ def commutant_basis(conserved: Operator | ConservationPair) -> CommutantBasis:
         raise ValueError("commutant_basis needs a hermitian operator")
     (w1, v1, n1, r1), (w2, v2, n2, r2) = factors
     sums = np.add.outer(w1, w2).ravel()
-    order = np.argsort(sums, kind="stable")
+    order = sums.argsort(kind="stable")
     values = sums[order]
     # column k is v1_i x v2_j for (i, j) = divmod(order[k], d_p): the
-    # columns of np.kron(v1, v2)[:, order], bit for bit, in one pass
+    # columns of kron(v1, v2)[:, order], bit for bit, in one pass
     i, j = np.divmod(order, len(w2))
     v = (v1[:, None, i] * v2[None, :, j]).reshape(len(order), len(order))
     runs = spectrum_runs(values, ROUNDING_TOL)
@@ -301,7 +306,7 @@ def record_observable(l2: Operator) -> Operator:
     with this L2 reads it again and does not repeat it."""
     w, vecs = l2.eigh
     runs = spectrum_runs(w, EQUALITY_TOL)
-    level = np.repeat(np.arange(len(runs)), [stop - start for start, stop in runs])
+    level = np.arange(len(runs)).repeat([stop - start for start, stop in runs])
     # anchor +1/2 at the top of the spectrum; for a spin-1/2 probe this
     # reproduces the spin itself
     f = 0.5 * (-1.0) ** (level[-1] - level)

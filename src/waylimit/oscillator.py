@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import optimal_spin_bound
-from .linalg import TAIL_TOL, Ket, Operator, tensor
+from .linalg import TAIL_TOL, Ket, Operator, kron, tensor
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +50,7 @@ class CoherentAmplitudes:
 def lowering_operator(levels: int) -> Operator:
     """Single-mode lowering operator on a ladder of the given length."""
     a = np.zeros((levels, levels), dtype=np.complex128)
-    for n in range(1, levels):
-        a[n - 1, n] = np.sqrt(n)
+    a.reshape(-1)[1::levels + 1] = np.sqrt(np.arange(1, levels))  # the superdiagonal
     return Operator(a)
 
 
@@ -107,14 +106,14 @@ def two_mode_coherent_state(amps: CoherentAmplitudes, space: FockSpace) -> Ket:
 def m_z_operator(space: FockSpace) -> Operator:
     """Conserved z angular momentum of the two transverse modes, hbar = 1."""
     a = lowering_operator(space.per_mode_dim).matrix
-    cross = np.kron(a, a.conj().T)
+    cross = kron(a, a.conj().T)
     return Operator.hermitian(1j * (cross - cross.conj().T))
 
 
 def total_number_operator(space: FockSpace) -> Operator:
     n = number_operator(space.per_mode_dim).matrix
     eye = np.eye(space.per_mode_dim)
-    return Operator.hermitian(np.kron(n, eye) + np.kron(eye, n))
+    return Operator.hermitian(kron(n, eye) + kron(eye, n))
 
 
 def oscillator_bound(amps: CoherentAmplitudes) -> float:

@@ -32,6 +32,7 @@ from .linalg import (
     StructureError,
     exceeds,
     frobenius_norm,
+    kron,
 )
 from .spin import _KETS, HALF
 
@@ -155,14 +156,14 @@ def random_yw_model(probe_dim: int, rng: np.random.Generator) -> YWModel:
     eta_plus = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     eta_plus *= np.sqrt(1.0 - keep ** 2) / frobenius_norm(eta_plus)
     xi_plus = keep * up
-    v1 = np.kron(ax, xi_plus) + np.kron(bx, eta_plus)
+    v1 = kron(ax, xi_plus) + kron(bx, eta_plus)
 
     # Second image: any unit vector of the form down_x (x) (c * down) +
     # up_x (x) eta orthogonal to v1. Orthogonalize inside that subspace,
     # against the subspace component of v1.
-    w = np.kron(bx, complex(rng.standard_normal() + 1j * rng.standard_normal()) * down) \
-        + np.kron(ax, rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    v1_in = np.kron(bx, np.vdot(down, eta_plus) * down) + np.kron(ax, xi_plus)
+    w = kron(bx, complex(rng.standard_normal() + 1j * rng.standard_normal()) * down) \
+        + kron(ax, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    v1_in = kron(bx, np.vdot(down, eta_plus) * down) + kron(ax, xi_plus)
     nrm = np.vdot(v1_in, v1_in)
     if abs(nrm) > ROUNDING_TOL ** 2:
         w = w - v1_in * (np.vdot(v1_in, w) / nrm)

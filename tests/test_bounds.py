@@ -363,6 +363,12 @@ def test_bound_comparison_cases():
         assert w.bound_comparison(v, 0.5)[1] == 1.0 / (2.0 + 8.0 * v)
 
 
+def test_bound_comparison_refuses_a_nan_variance():
+    # refused as a negative variance is, not returned as (nan, nan)
+    with pytest.raises(ValueError, match="^variance must be nonnegative, got nan$"):
+        w.bound_comparison(math.nan, 0.0)
+
+
 def test_bound_report_violation_flags():
     # hand-made reports: the checker must flag exactly the broken inequality
     clean = dict(eps_sq=0.3, fundamental_bound=0.1, yanase_bound=0.1,
@@ -736,13 +742,13 @@ def test_bound_report_lifts_l_once_per_pair(monkeypatch):
     rng = np.random.default_rng(RNG_SEED + 7)
     model, built = random_conservative_model(rng, 3, 4, yanase=True)
     pair, psi = w.ConservationPair(L1=built.L1, L2=built.L2), w.random_ket(3, rng)
-    kron, lifts = np.kron, []
+    kron, lifts = w.bounds.kron, []
 
     def spy(x, y):
         lifts.append(x is pair.L1.matrix)
         return kron(x, y)
 
-    monkeypatch.setattr(np, "kron", spy)
+    monkeypatch.setattr(w.bounds, "kron", spy)
     w.bound_report(model, pair, psi)
     assert sum(lifts) == 1
     w.bound_report(model, pair, w.random_ket(3, rng))

@@ -291,6 +291,32 @@ def test_frobenius_norm_is_numpy_norm_bit_for_bit(shape, kind):
         assert w.frobenius_norm(values.tolist()) == float(np.linalg.norm(values.tolist()))
 
 
+def _kron_factor(rng, n, ndim):
+    """A complex factor of side n with negative entries and zeros of both signs."""
+    shape = (n,) * ndim
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    parts = x.reshape(-1).view(np.float64)  # re, im, re, im, ...
+    parts[::6], parts[3::8], parts[4::10] = -0.0, -0.0, 0.0
+    return x
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_kron_is_numpy_kron_bit_for_bit(ndim):
+    # the lift of every model, probe and commutant basis: np.kron's multiply and
+    # reshape, so the bytes agree (signed zeros too) on every layout of each factor
+    rng = np.random.default_rng(RNG_SEED)
+    for m in range(1, 9):
+        for n in range(1, 9):
+            a, b = _kron_factor(rng, m, ndim), _kron_factor(rng, n, ndim)
+            ea, eb = (np.eye(m), np.eye(n)) if ndim == 2 else (np.eye(m)[-1], np.eye(n)[0])
+            for x, y in ((a, b), (a, eb), (ea, b), (a.real, b), (a, -b.imag)):
+                cases = [(xl, y) for xl in _layouts(x)] + [(x, yl) for yl in _layouts(y)]
+                for xl, yl in cases:
+                    got, want = w.linalg.kron(xl, yl), np.kron(xl, yl)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+
 def test_operator_tags_validated():
     with pytest.raises(w.StructureError):
         w.Operator.hermitian([[0, 1], [0, 0]])

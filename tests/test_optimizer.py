@@ -5,7 +5,7 @@ import pytest
 
 import waylimit as w
 from helpers import SWAP_MATRIX, random_conservative_model
-from waylimit.optimizer import _Problem
+from waylimit.optimizer import _Problem, _column_norms
 
 RNG_SEED = 40
 
@@ -935,3 +935,13 @@ def test_kept_tables_are_read_only():
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0
+
+
+def test_column_norms_are_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED)
+    for shape in ((1, 1), (2, 3), (8, 8), (9, 4), (16, 16), (72, 72)):
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for y in (np.ascontiguousarray(x), np.asfortranarray(x), x.T, x.conj().T,
+                      x[:, ::2]):
+                assert _column_norms(y).tobytes() == np.linalg.norm(y, axis=0).tobytes()

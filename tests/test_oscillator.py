@@ -130,6 +130,12 @@ def test_oscillator_bound_matches_spin_form_exactly():
         assert w.oscillator_bound(amps) == w.optimal_spin_bound(amps.magnitude_sq)
 
 
+def test_oscillator_bound_refuses_a_nan_amplitude():
+    # |alpha|^2 + |beta|^2 is NaN, refused as a negative variance is, not a NaN floor
+    with pytest.raises(ValueError, match="^variance must be nonnegative, got nan$"):
+        w.oscillator_bound(w.CoherentAmplitudes(complex(math.nan, 0.0), 0.0))
+
+
 def test_two_mode_combined_guard():
     # each mode's tail check refuses it; there is no separate joint guard
     with pytest.raises(ValueError, match="truncated tail mass"):

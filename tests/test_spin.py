@@ -1,5 +1,7 @@
 """Spin toolkit, demo models, and the partial +/-1/2 interaction form."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,12 @@ def test_yw_check_bound_substitutions():
         w.yw_check_bound(sample, -1.0)
     for v in (0.0, 1e-300, 0.1, 1.0 / 3.0, 7.5, 1e300):
         assert w.yw_check_bound(sample, v)[1] == 1.0 / (2.0 + 8.0 * v)
+
+
+def test_yw_check_bound_refuses_a_nan_variance():
+    # an input error, not a failed check (0.1, nan, False)
+    with pytest.raises(ValueError, match="^variance must be nonnegative, got nan$"):
+        w.yw_check_bound(w.yw_sample_model(), math.nan)
 
 
 def test_yw_check_bound_slack_is_the_inequality_slack():
